@@ -10,94 +10,17 @@ baselines with end-point-only collision checks and a benchmark harness
 round out the package.
 """
 
-from .dynamics import (
-    CircularObstacle,
-    ControlInput,
-    RobotState,
-    StateDerivative,
-    Trajectory,
-    TrajectorySample,
-    integrate_closed_loop,
-    obstacle_center_at,
-    rk4_step,
-    unicycle_vector_field,
-)
-from .safety import (
-    ConstraintRow,
-    EcbfGains,
-    barrier_value,
-    barrier_lie1,
-    constraint_rows,
-    ecbf_row,
-    is_safe,
-)
-from .qp import (
-    BoxQpSolution,
-    QpSolution,
-    ScalarQpProblem,
-    feasible_interval,
-    solve_box_qp,
-    solve_scalar_qp,
-)
-from .planner import (
-    PlannerParams,
-    PlanResult,
-    PlanTree,
-    Scenario,
-    Vertex,
-    extract_path,
-    goal_check,
-    plan,
-    reference_sample,
-    safe_steer,
-    state_sample,
-    vertices_sample,
-)
-from .baselines import (
-    BaselineParams,
-    BaselineResult,
-    GeomTree,
-    GeomVertex,
-    edge_collision_audit,
-    endpoint_collision_check,
-    nearest_neighbor,
-    random_state,
-    rrt_plan,
-    rrt_star_plan,
-    steer_straight,
-)
-from .harness import (
-    InfeasibleScenarioError,
-    RunReport,
-    ScenarioError,
-    ScenarioFile,
-    ScenarioParseError,
-    ScenarioValidationError,
-    audit_trajectory,
-    compare,
-    load_scenario,
-    run,
-    write_scenario,
-)
+from .baselines import rrt_plan, rrt_star_plan
+from .dynamics import integrate_closed_loop
+from .harness import audit_trajectory, load_scenario, run
+from .planner import plan, safe_steer
+from .qp import solve_scalar_qp
+from .safety import constraint_rows, ecbf_row
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircularObstacle", "ControlInput", "RobotState", "StateDerivative",
-    "Trajectory", "TrajectorySample", "integrate_closed_loop",
-    "obstacle_center_at", "rk4_step", "unicycle_vector_field",
-    "ConstraintRow", "EcbfGains", "barrier_value", "barrier_lie1",
-    "constraint_rows", "ecbf_row", "is_safe",
-    "BoxQpSolution", "QpSolution", "ScalarQpProblem", "feasible_interval",
-    "solve_box_qp", "solve_scalar_qp",
-    "PlannerParams", "PlanResult", "PlanTree", "Scenario", "Vertex",
-    "extract_path", "goal_check", "plan", "reference_sample", "safe_steer",
-    "state_sample", "vertices_sample",
-    "BaselineParams", "BaselineResult", "GeomTree", "GeomVertex",
-    "edge_collision_audit", "endpoint_collision_check", "nearest_neighbor",
-    "random_state", "rrt_plan", "rrt_star_plan", "steer_straight",
-    "InfeasibleScenarioError", "RunReport", "ScenarioError", "ScenarioFile",
-    "ScenarioParseError", "ScenarioValidationError", "audit_trajectory",
-    "compare", "load_scenario", "run", "write_scenario",
-    "__version__",
+    "load_scenario", "plan", "run", "safe_steer", "constraint_rows", "ecbf_row",
+    "solve_scalar_qp", "integrate_closed_loop", "rrt_plan", "rrt_star_plan",
+    "audit_trajectory", "__version__",
 ]

@@ -5,8 +5,8 @@ ignoring the unicycle heading — the comparison is about path-level behavior,
 and straight-line steering is not exactly trackable by the unicycle anyway.
 Collision checking is deliberately end-point-only: each candidate vertex is
 tested against the disks, but the segment reaching it is not. With step sizes
-comparable to obstacle size that check is unsound; edge_collision_audit is
-the dense oracle used to expose it.
+comparable to obstacle size that check is unsound; the harness audit of the
+returned path exposes it.
 
 Baselines only support static obstacles (the comparison world is static).
 """
@@ -169,27 +169,8 @@ def endpoint_collision_check(
     return True
 
 
-def edge_collision_audit(
-    p0: Point,
-    p1: Point,
-    obstacles: Sequence[CircularObstacle],
-    resolution: float,
-) -> bool:
-    """Dense oracle: check points every `resolution` meters along the
-    segment, plus both endpoints. True iff every probe is safe."""
-    if not resolution > 0.0:
-        raise ValueError(f"resolution must be > 0, got {resolution}")
-    length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-    n = int(length / resolution)
-    for k in range(n + 1):
-        s = k * resolution / length if length > 0.0 else 0.0
-        probe = (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
-        if not endpoint_collision_check(probe, obstacles):
-            return False
-    return endpoint_collision_check(p1, obstacles)
-
-
-def _require_static(obstacles: Sequence[CircularObstacle]):
+def require_static(obstacles: Sequence[CircularObstacle]):
+    """Reject moving obstacles, which the baselines do not model."""
     for i, obstacle in enumerate(obstacles):
         if not obstacle.is_static():
             raise ValueError(
@@ -211,7 +192,7 @@ def rrt_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
     """Classic RRT: sample, nearest, steer, end-point check, add; stop at the
     first vertex within epsilon of the goal."""
     params.validate()
-    _require_static(scenario.obstacles)
+    require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal
     eps2 = scenario.params.epsilon ** 2
@@ -249,7 +230,7 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
     keeps length <= delta_d.
     """
     params.validate()
-    _require_static(scenario.obstacles)
+    require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal
     eps2 = scenario.params.epsilon ** 2

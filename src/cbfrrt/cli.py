@@ -77,10 +77,6 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _cmd_plan(args) -> int:
     scenario_file = harness.load_scenario(args.scenario)
-    if args.dt is not None and args.dt <= 0:
-        raise ScenarioError(f"--dt must be > 0, got {args.dt}")
-    if args.max_iters is not None and args.max_iters < 1:
-        raise ScenarioError(f"--max-iters must be >= 1, got {args.max_iters}")
     report = harness.run(scenario_file, args.algorithm, args.seed, args.out,
                          dt=args.dt, max_iters=args.max_iters)
     if report.success:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,6 @@ class RobotState:
 class ControlInput:
     v: float
     omega: float
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    dx1: float
-    dx2: float
-    dtheta: float
 
 
 @dataclass(frozen=True)
@@ -91,22 +84,8 @@ class Trajectory:
             total += math.hypot(b.state.x1 - a.state.x1, b.state.x2 - a.state.x2)
         return total
 
-    def min_goal_distance(self, goal: tuple[float, float]) -> float:
-        return min(
-            math.hypot(s.state.x1 - goal[0], s.state.x2 - goal[1]) for s in self.samples
-        )
-
 
 Controller = Callable[[RobotState, float], Optional[ControlInput]]
-
-
-def unicycle_vector_field(state: RobotState, control: ControlInput) -> StateDerivative:
-    """Right-hand side of the unicycle model at (state, control)."""
-    return StateDerivative(
-        control.v * math.cos(state.theta),
-        control.v * math.sin(state.theta),
-        control.omega,
-    )
 
 
 def obstacle_center_at(obstacle: CircularObstacle, t: float) -> tuple[float, float]:
@@ -193,17 +172,3 @@ def integrate_closed_loop(
     samples.append(TrajectorySample(t0 + horizon, state, last_control))
     return Trajectory(samples)
 
-
-def min_obstacle_clearance(
-    position: tuple[float, float], obstacles: Sequence[CircularObstacle], t: float
-) -> float:
-    """Smallest squared-distance margin h_i over all obstacles at time t (inf if none)."""
-    best = math.inf
-    for obs in obstacles:
-        cx, cy = obstacle_center_at(obs, t)
-        d1 = position[0] - cx
-        d2 = position[1] - cy
-        h = d1 * d1 + d2 * d2 - obs.radius * obs.radius
-        if h < best:
-            best = h
-    return best

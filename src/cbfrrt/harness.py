@@ -22,19 +22,13 @@ import statistics
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import (
-    BaselineParams,
-    BaselineResult,
-    GeomTree,
-    rrt_plan,
-    rrt_star_plan,
-)
+from .baselines import BaselineParams, require_static, rrt_plan, rrt_star_plan
 from .dynamics import (
     CircularObstacle,
     ControlInput,
@@ -43,8 +37,8 @@ from .dynamics import (
     TrajectorySample,
     obstacle_center_at,
 )
-from .planner import PlannerParams, PlanResult, PlanTree, Scenario, plan
-from .safety import EcbfGains, barrier_value
+from .planner import PlannerParams, PlanTree, Scenario, plan, validate_scenario
+from .safety import EcbfGains
 
 ALGORITHMS = ("cbf-rrt", "rrt", "rrt-star")
 
@@ -124,6 +118,55 @@ def _vector(value, path: str, n: int) -> tuple[float, ...]:
     return tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _pair(value, path: str) -> tuple[float, float]:
+    return _vector(value, path, 2)
+
+
+def _optional_pair(value, path: str) -> Optional[tuple[float, float]]:
+    return None if value is None else _pair(value, path)
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _rectangle(value, path: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        _fail(path, "expected [[x_lo, x_hi], [y_lo, y_hi]]")
+    return (_pair(value[0], f"{path}[0]"), _pair(value[1], f"{path}[1]"))
+
+
+# The optional "planner" and "baseline" blocks of a scenario file: field name
+# -> parser, in file order. Every field defaults to the dataclass default;
+# planner k1/k2 are the two EcbfGains fields. The seed is not a file field.
+PLANNER_FIELDS = {
+    "t_h": _finite, "dt": _finite, "sigma2": _finite, "epsilon": _finite,
+    "k1": _finite, "k2": _finite, "v_const": _finite, "omega_ref": _finite,
+    "omega_bounds": _pair, "max_iters": _integer, "omega_ref_range": _optional_pair,
+}
+BASELINE_FIELDS = {
+    "delta_d": _finite, "max_iters": _integer, "sample_bounds": _rectangle,
+    "rewire_gamma": _finite, "goal_bias": _finite,
+}
+
+
+def _block_values(params, fields) -> dict:
+    """The table's fields of a params object, k1/k2 read from its gains."""
+    return {key: getattr(params.gains if key in ("k1", "k2") else params, key)
+            for key in fields}
+
+
+def _parse_block(doc: dict, block: str, fields, defaults) -> dict:
+    raw = doc.get(block, {})
+    if not isinstance(raw, dict):
+        _fail(block, "expected an object")
+    fallback = _block_values(defaults, fields)
+    return {key: parse(raw.get(key, fallback[key]), f"{block}.{key}")
+            for key, parse in fields.items()}
+
+
 def _point_segment_distance(p: tuple[float, float], a: tuple[float, float],
                             b: tuple[float, float]) -> float:
     """Distance from point p to the segment a-b (closed form)."""
@@ -176,66 +219,16 @@ def load_scenario(path) -> ScenarioFile:
         velocity = _vector(entry.get("velocity", [0.0, 0.0]), f"{where}.velocity", 2)
         obstacles.append(CircularObstacle(center, velocity, radius))
 
-    pdoc = doc.get("planner", {})
-    if not isinstance(pdoc, dict):
-        _fail("planner", "expected an object")
-    defaults = PlannerParams()
-    def pfield(key, fallback):
-        return _finite(pdoc.get(key, fallback), f"planner.{key}")
-    k1 = pfield("k1", 2.0)
-    k2 = pfield("k2", 4.0)
-    if k1 <= 0.0:
-        _fail("planner.k1", f"must be > 0, got {k1}")
-    if k2 <= 0.0:
-        _fail("planner.k2", f"must be > 0, got {k2}")
-    omega_bounds = _vector(pdoc.get("omega_bounds", list(defaults.omega_bounds)),
-                           "planner.omega_bounds", 2)
-    omega_ref_range = pdoc.get("omega_ref_range")
-    if omega_ref_range is not None:
-        omega_ref_range = _vector(omega_ref_range, "planner.omega_ref_range", 2)
-    max_iters = pdoc.get("max_iters", defaults.max_iters)
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
-        _fail("planner.max_iters", f"expected an integer, got {max_iters!r}")
-    params = PlannerParams(
-        t_h=pfield("t_h", defaults.t_h),
-        dt=pfield("dt", defaults.dt),
-        sigma2=pfield("sigma2", defaults.sigma2),
-        epsilon=pfield("epsilon", defaults.epsilon),
-        gains=EcbfGains(k1, k2),
-        v_const=pfield("v_const", defaults.v_const),
-        omega_ref=pfield("omega_ref", defaults.omega_ref),
-        omega_bounds=(omega_bounds[0], omega_bounds[1]),
-        max_iters=max_iters,
-        omega_ref_range=omega_ref_range,
-    )
+    values = _parse_block(doc, "planner", PLANNER_FIELDS, PlannerParams())
     try:
+        gains = EcbfGains(values.pop("k1"), values.pop("k2"))
+        params = PlannerParams(gains=gains, **values)
         params.validate()
     except ValueError as e:
         raise ScenarioValidationError(f"planner: {e}") from e
 
-    bdoc = doc.get("baseline", {})
-    if not isinstance(bdoc, dict):
-        _fail("baseline", "expected an object")
-    bdefaults = BaselineParams()
-    raw_bounds = bdoc.get("sample_bounds", [list(b) for b in bdefaults.sample_bounds])
-    if not isinstance(raw_bounds, list) or len(raw_bounds) != 2:
-        _fail("baseline.sample_bounds", "expected [[x_lo, x_hi], [y_lo, y_hi]]")
-    sample_bounds = (
-        _vector(raw_bounds[0], "baseline.sample_bounds[0]", 2),
-        _vector(raw_bounds[1], "baseline.sample_bounds[1]", 2),
-    )
-    b_iters = bdoc.get("max_iters", bdefaults.max_iters)
-    if isinstance(b_iters, bool) or not isinstance(b_iters, int):
-        _fail("baseline.max_iters", f"expected an integer, got {b_iters!r}")
-    baseline = BaselineParams(
-        delta_d=_finite(bdoc.get("delta_d", bdefaults.delta_d), "baseline.delta_d"),
-        max_iters=b_iters,
-        sample_bounds=sample_bounds,
-        rewire_gamma=_finite(bdoc.get("rewire_gamma", bdefaults.rewire_gamma),
-                             "baseline.rewire_gamma"),
-        goal_bias=_finite(bdoc.get("goal_bias", bdefaults.goal_bias),
-                          "baseline.goal_bias"),
-    )
+    baseline = BaselineParams(**_parse_block(doc, "baseline", BASELINE_FIELDS,
+                                             BaselineParams()))
     try:
         baseline.validate()
     except ValueError as e:
@@ -263,12 +256,12 @@ def load_scenario(path) -> ScenarioFile:
 
 
 def _check_feasibility(scenario: Scenario, goal_horizon: float):
+    try:
+        validate_scenario(scenario)
+    except ValueError as e:
+        raise InfeasibleScenarioError(str(e)) from e
     t0 = scenario.t_init
     for i, obstacle in enumerate(scenario.obstacles):
-        if barrier_value(scenario.x_init, obstacle, t0) < 0.0:
-            raise InfeasibleScenarioError(
-                f"x_init lies inside obstacles[{i}] at t_init"
-            )
         a = obstacle_center_at(obstacle, t0)
         b = obstacle_center_at(obstacle, t0 + goal_horizon)
         clearance = _point_segment_distance(scenario.x_goal, a, b)
@@ -283,7 +276,6 @@ def _check_feasibility(scenario: Scenario, goal_horizon: float):
 def write_scenario(scenario_file: ScenarioFile, path):
     """Inverse of load_scenario; round-trips field-for-field."""
     s = scenario_file.scenario
-    p = s.params
     doc = {
         "schema": 1,
         "name": scenario_file.name,
@@ -296,23 +288,12 @@ def write_scenario(scenario_file: ScenarioFile, path):
              "velocity": list(o.velocity)}
             for o in s.obstacles
         ],
-        "planner": {
-            "t_h": p.t_h, "dt": p.dt, "sigma2": p.sigma2, "epsilon": p.epsilon,
-            "k1": p.gains.k1, "k2": p.gains.k2, "v_const": p.v_const,
-            "omega_ref": p.omega_ref, "omega_bounds": list(p.omega_bounds),
-            "max_iters": p.max_iters,
-        },
-        "baseline": {
-            "delta_d": scenario_file.baseline.delta_d,
-            "max_iters": scenario_file.baseline.max_iters,
-            "sample_bounds": [list(b) for b in scenario_file.baseline.sample_bounds],
-            "rewire_gamma": scenario_file.baseline.rewire_gamma,
-            "goal_bias": scenario_file.baseline.goal_bias,
-        },
+        "planner": {key: value for key, value
+                    in _block_values(s.params, PLANNER_FIELDS).items()
+                    if value is not None},
+        "baseline": _block_values(scenario_file.baseline, BASELINE_FIELDS),
         "metadata": scenario_file.metadata,
     }
-    if p.omega_ref_range is not None:
-        doc["planner"]["omega_ref_range"] = list(p.omega_ref_range)
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
@@ -389,7 +370,10 @@ def execute(
     max_iters: Optional[int] = None,
 ):
     """Run one planner on the scenario. Returns (RunReport, trajectory, tree)
-    where trajectory is None on failure and tree is the planner's tree object."""
+    where trajectory is None on failure and tree is the planner's tree object.
+
+    Raises ScenarioValidationError when the overrides, or the scenario for a
+    baseline (moving obstacles), are invalid."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     scenario = scenario_file.scenario
@@ -399,66 +383,46 @@ def execute(
     if algorithm == "cbf-rrt" and max_iters is not None:
         params = replace(params, max_iters=max_iters)
     scenario = replace(scenario, params=params)
+    baseline = replace(scenario_file.baseline, seed=seed)
+    if max_iters is not None:
+        baseline = replace(baseline, max_iters=max_iters)
+    try:
+        validate_scenario(scenario)
+        if algorithm != "cbf-rrt":
+            baseline.validate()
+            require_static(scenario.obstacles)
+    except ValueError as e:
+        raise ScenarioValidationError(str(e)) from e
 
-    dt_audit = params.dt / 4.0
-
+    start = time.perf_counter()
     if algorithm == "cbf-rrt":
-        start = time.perf_counter()
-        result: PlanResult = plan(scenario)
-        wall = time.perf_counter() - start
-        trajectory = result.controls if result.success else None
-        tree = result.tree
-        iterations = result.iterations
-        vertices = len(tree)
-        if trajectory is not None:
-            path_length = trajectory.path_length()
-            path_duration = (trajectory.t_end - trajectory.t0
-                             if trajectory.samples else 0.0)
-        else:
-            path_length = None
-            path_duration = None
+        result = plan(scenario)
     else:
-        baseline = replace(scenario_file.baseline, seed=seed)
-        if max_iters is not None:
-            baseline = replace(baseline, max_iters=max_iters)
-        planner_fn = rrt_plan if algorithm == "rrt" else rrt_star_plan
-        start = time.perf_counter()
-        bresult: BaselineResult = planner_fn(scenario, baseline)
-        wall = time.perf_counter() - start
-        tree = bresult.tree
-        iterations = bresult.iterations
-        vertices = len(tree)
-        if bresult.success:
-            points = [tree.position(v) for v in bresult.path]
-            trajectory = _polyline_trajectory(
-                points, scenario.t_init, params.v_const, scenario.x_init.theta)
-            path_length = bresult.cost
-            path_duration = (bresult.cost / params.v_const
-                             if params.v_const > 0 else None)
-        else:
-            trajectory = None
-            path_length = None
-            path_duration = None
+        result = (rrt_plan if algorithm == "rrt" else rrt_star_plan)(scenario, baseline)
+    wall = time.perf_counter() - start
 
+    trajectory = path_length = path_duration = None
+    if result.success and algorithm == "cbf-rrt":
+        trajectory = result.controls
+        path_length = trajectory.path_length()
+        path_duration = trajectory.t_end - trajectory.t0 if trajectory.samples else 0.0
+    elif result.success:
+        points = [result.tree.position(v) for v in result.path]
+        trajectory = _polyline_trajectory(
+            points, scenario.t_init, params.v_const, scenario.x_init.theta)
+        path_length = result.cost
+        path_duration = result.cost / params.v_const if params.v_const > 0 else None
+
+    audit_pass = min_barrier = None
     if trajectory is not None:
         audit_pass, min_barrier = audit_trajectory(
-            trajectory, scenario.obstacles, dt_audit)
-    else:
-        audit_pass, min_barrier = None, None
-
+            trajectory, scenario.obstacles, params.dt / 4.0)
     report = RunReport(
-        algorithm=algorithm,
-        seed=seed,
-        success=trajectory is not None,
-        wall_time=wall,
-        iterations=iterations,
-        vertices=vertices,
-        path_length=path_length,
-        path_duration=path_duration,
-        min_barrier=min_barrier,
-        audit_pass=audit_pass,
-    )
-    return report, trajectory, tree
+        algorithm=algorithm, seed=seed, success=trajectory is not None,
+        wall_time=wall, iterations=result.iterations, vertices=len(result.tree),
+        path_length=path_length, path_duration=path_duration,
+        min_barrier=min_barrier, audit_pass=audit_pass)
+    return report, trajectory, result.tree
 
 
 def run(
@@ -514,11 +478,14 @@ def format_trajectory_csv(trajectory: Optional[Trajectory]) -> str:
 
 
 def read_trajectory_csv(path) -> Trajectory:
+    """Parse a trajectory CSV. Raises ValueError, naming the line and column,
+    for a non-finite field or a t smaller than the previous row's."""
     path = Path(path)
+    columns = TRAJECTORY_HEADER.split(",")
     with path.open(newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
-        if header != TRAJECTORY_HEADER.split(","):
+        if header != columns:
             raise ValueError(
                 f"{path}: expected header {TRAJECTORY_HEADER!r}, got {header!r}")
         samples = []
@@ -527,7 +494,15 @@ def read_trajectory_csv(path) -> Trajectory:
                 continue
             if len(row) != 6:
                 raise ValueError(f"{path}: expected 6 columns, got {row!r}")
-            t, x1, x2, theta, v, omega = map(float, row)
+            where = f"{path}, line {reader.line_num}"
+            values = [float(field) for field in row]
+            for name, value in zip(columns, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}: {name} must be finite, got {value!r}")
+            t, x1, x2, theta, v, omega = values
+            if samples and t < samples[-1].t:
+                raise ValueError(f"{where}: t={t!r} is before the previous "
+                                 f"row's t={samples[-1].t!r}")
             samples.append(TrajectorySample(
                 t, RobotState(x1, x2, theta), ControlInput(v, omega)))
     return Trajectory(samples)
@@ -538,16 +513,16 @@ def _format_tree_json(algorithm: str, tree) -> str:
         vertices = [
             {"id": v.id, "x1": v.state.x1, "x2": v.state.x2,
              "theta": v.state.theta, "t": v.time, "parent": v.parent}
-            for v in (tree.vertices[i] for i in tree.vertex_ids())
+            for v in tree.vertices
         ]
         edges = [
-            {"id": eid, "parent": tree.vertices[eid].parent, "child": eid,
+            {"id": v.id, "parent": v.parent, "child": v.id,
              "samples": [[s.t, s.state.x1, s.state.x2, s.state.theta,
                           s.control.v, s.control.omega]
                          for s in edge.samples]}
-            for eid, edge in sorted(tree.edges.items())
+            for v, edge in zip(tree.vertices[1:], tree.edges[1:])
         ]
-    elif isinstance(tree, GeomTree):
+    else:
         vertices = [
             {"id": i, "x": tree.position(i)[0], "y": tree.position(i)[1],
              "parent": tree.parents[i], "cost": tree.costs[i]}
@@ -557,8 +532,6 @@ def _format_tree_json(algorithm: str, tree) -> str:
             {"parent": tree.parents[i], "child": i}
             for i in range(1, len(tree))
         ]
-    else:
-        raise TypeError(f"unknown tree type {type(tree)!r}")
     return json.dumps(
         {"algorithm": algorithm, "vertices": vertices, "edges": edges}) + "\n"
 
@@ -566,17 +539,8 @@ def _format_tree_json(algorithm: str, tree) -> str:
 def format_report_json(report: RunReport) -> str:
     # wall_time deliberately lives in timing.json: report.json must be
     # byte-identical across repeats of the same (scenario, algorithm, seed).
-    doc = {
-        "algorithm": report.algorithm,
-        "seed": report.seed,
-        "success": report.success,
-        "iterations": report.iterations,
-        "vertices": report.vertices,
-        "path_length": report.path_length,
-        "path_duration": report.path_duration,
-        "min_barrier": report.min_barrier,
-        "audit_pass": report.audit_pass,
-    }
+    doc = asdict(report)
+    del doc["wall_time"]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -622,6 +586,7 @@ def compare(
     env var, or the CPU count); results are sorted by (algorithm, step, seed)
     before aggregation so the table is deterministic either way. Per-run
     exceptions become the `errors` count instead of aborting the sweep.
+    A malformed CBFRRT_THREADS raises ScenarioValidationError.
     """
     if not seeds:
         raise ValueError("seeds list must not be empty")
@@ -634,7 +599,11 @@ def compare(
     tasks = [(algorithm, float(step), int(seed))
              for algorithm, step in sweep for seed in seeds]
     if threads is None:
-        threads = int(os.environ.get("CBFRRT_THREADS", "0")) or os.cpu_count() or 1
+        text = os.environ.get("CBFRRT_THREADS", "0")
+        if not text.strip().isdecimal():
+            raise ScenarioValidationError(
+                f"CBFRRT_THREADS: expected a non-negative integer, got {text!r}")
+        threads = int(text) or os.cpu_count() or 1
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             results = list(pool.map(

@@ -34,7 +34,7 @@ from .dynamics import (
     integrate_closed_loop,
 )
 from .qp import ScalarQpProblem, solve_scalar_qp
-from .safety import EcbfGains, barrier_value, constraint_rows, is_safe
+from .safety import EcbfGains, barrier_value, constraint_rows
 
 
 @dataclass(frozen=True)
@@ -95,44 +95,26 @@ class Vertex:
     state: RobotState
     time: float
     parent: Optional[int] = None
-    edge: Optional[int] = None
 
 
 class PlanTree:
-    """Rooted tree of (state, time) vertices; edges are the steering
-    trajectories linking parent to child. Edge ids equal their child's id."""
+    """Rooted tree of (state, time) vertices, stored densely: vertices[i] has
+    id i, and edges[i] is the steering trajectory from its parent to it
+    (None for the root)."""
 
     def __init__(self, root_state: RobotState, root_time: float):
-        self.vertices: dict[int, Vertex] = {0: Vertex(0, root_state, root_time)}
-        self.edges: dict[int, Trajectory] = {}
-        self._order: list[int] = [0]
+        self.vertices: list[Vertex] = [Vertex(0, root_state, root_time)]
+        self.edges: list[Optional[Trajectory]] = [None]
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
-    def root(self) -> Vertex:
-        return self.vertices[0]
-
-    def vertex_ids(self) -> list[int]:
-        return list(self._order)
-
     def add_child(self, parent_id: int, state: RobotState, time: float,
                   edge: Trajectory) -> Vertex:
-        vid = len(self._order)
-        vertex = Vertex(vid, state, time, parent=parent_id, edge=vid)
-        self.vertices[vid] = vertex
-        self.edges[vid] = edge
-        self._order.append(vid)
+        vertex = Vertex(len(self.vertices), state, time, parent=parent_id)
+        self.vertices.append(vertex)
+        self.edges.append(edge)
         return vertex
-
-    def depth(self, vertex_id: int) -> int:
-        d = 0
-        v = self.vertices[vertex_id]
-        while v.parent is not None:
-            v = self.vertices[v.parent]
-            d += 1
-        return d
 
 
 @dataclass
@@ -146,8 +128,7 @@ class PlanResult:
 
 def vertices_sample(tree: PlanTree, rng: np.random.Generator) -> Vertex:
     """Draw a vertex uniformly from the tree (probability 1/N each)."""
-    ids = tree.vertex_ids()
-    return tree.vertices[ids[int(rng.integers(0, len(ids)))]]
+    return tree.vertices[int(rng.integers(0, len(tree)))]
 
 
 def goal_heading(position: tuple[float, float], goal: tuple[float, float]) -> float:
@@ -169,7 +150,7 @@ def state_sample(
     theta_goal = goal_heading(vertex.state.position(), goal)
     theta = float(rng.normal(theta_goal, math.sqrt(sigma2)))
     state = RobotState(vertex.state.x1, vertex.state.x2, theta)
-    return Vertex(vertex.id, state, vertex.time, vertex.parent, vertex.edge)
+    return Vertex(vertex.id, state, vertex.time, vertex.parent)
 
 
 def reference_sample(rng: np.random.Generator, params: PlannerParams) -> ControlInput:
@@ -268,17 +249,10 @@ def extract_path(tree: PlanTree, goal_vertex: int) -> Trajectory:
     control actually applied next. A root-only path yields an empty
     trajectory.
     """
-    if goal_vertex not in tree.vertices:
+    if not 0 <= goal_vertex < len(tree):
         raise KeyError(f"unknown vertex id {goal_vertex}")
-    chain: list[int] = []
-    v = tree.vertices[goal_vertex]
-    while v.parent is not None:
-        chain.append(v.id)
-        v = tree.vertices[v.parent]
-    chain.reverse()
-
     out = []
-    for vid in chain:
+    for vid in _root_path(tree, goal_vertex)[1:]:
         edge = tree.edges[vid].samples
         if out and _same_node(out[-1], edge[0]):
             out[-1] = edge[0]  # keep the child's control at the junction
@@ -299,14 +273,12 @@ def _same_node(a, b) -> bool:
 def validate_scenario(scenario: Scenario):
     """Reject scenarios violating the planner's preconditions."""
     scenario.params.validate()
-    gains = scenario.params.gains
-    if not (gains.k1 > 0.0 and gains.k2 > 0.0):
-        raise ValueError("ECBF gains must be positive")
     for f in (scenario.x_init.x1, scenario.x_init.x2, scenario.x_init.theta):
         if not math.isfinite(f):
             raise ValueError("x_init must be finite")
-    if not is_safe(scenario.x_init, scenario.obstacles, scenario.t_init):
-        raise ValueError("x_init lies inside an obstacle at t_init")
+    for i, obstacle in enumerate(scenario.obstacles):
+        if barrier_value(scenario.x_init, obstacle, scenario.t_init) < 0.0:
+            raise ValueError(f"x_init lies inside obstacles[{i}] at t_init")
 
 
 def plan(scenario: Scenario) -> PlanResult:
@@ -344,12 +316,8 @@ def plan(scenario: Scenario) -> PlanResult:
 
 
 def _root_path(tree: PlanTree, vertex_id: int) -> list[int]:
-    ids = []
-    v = tree.vertices[vertex_id]
-    while True:
-        ids.append(v.id)
-        if v.parent is None:
-            break
-        v = tree.vertices[v.parent]
+    ids = [vertex_id]
+    while (parent := tree.vertices[ids[-1]].parent) is not None:
+        ids.append(parent)
     ids.reverse()
     return ids

@@ -1,23 +1,16 @@
-"""Minimum-perturbation safety QPs.
+"""Minimum-perturbation safety QP.
 
-The production path is scalar: with the translational speed fixed, the
-per-step QP minimizes (omega - omega_ref)^2 subject to half-line barrier
-rows and box bounds, which reduces to clamping the reference into the
-intersection interval. solve_box_qp is the small dense generalization
-(dimension <= 3) solved by exhaustive active-set enumeration; no planner
-code depends on it.
+With the translational speed fixed, the per-step QP minimizes
+(omega - omega_ref)^2 subject to half-line barrier rows and box bounds,
+which reduces to clamping the reference into the intersection interval.
 
 Infeasibility is reported as None, mirroring how steering failures propagate.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from .safety import ConstraintRow
 
@@ -79,92 +72,3 @@ def solve_scalar_qp(problem: ScalarQpProblem) -> Optional[QpSolution]:
     omega = min(max(problem.omega_ref, lo), hi)
     return QpSolution(omega_star=omega, active_interval=interval)
 
-
-@dataclass(frozen=True)
-class BoxQpSolution:
-    u_star: tuple[float, ...]
-    active_set: tuple[int, ...]
-
-
-def solve_box_qp(
-    u_ref: Sequence[float],
-    rows: Sequence[tuple[Sequence[float], float]],
-    bounds: Optional[Sequence[tuple[Optional[float], Optional[float]]]] = None,
-    feas_tol: float = 1e-9,
-) -> Optional[BoxQpSolution]:
-    """min ||u - u_ref||^2 s.t. g_j . u + c_j >= 0 for each row and box bounds.
-
-    Exact for dimension <= 3 via exhaustive active-set enumeration: every
-    candidate active set (treated as equalities) yields a least-distance
-    projection, which is kept if it satisfies all constraints. Candidates are
-    visited in (cardinality, lexicographic index) order, so equal-objective
-    ties resolve to the smallest active set, then the lowest indices.
-
-    Args:
-        u_ref: reference point, dimension n <= 3.
-        rows: (coefficient vector, constant) pairs meaning g.u + c >= 0.
-        bounds: per-dimension (lo, hi); None entries are unbounded. Box
-            constraints are appended after the rows in index order
-            (lo before hi per dimension).
-        feas_tol: constraint slack tolerance for accepting a candidate.
-
-    Returns:
-        BoxQpSolution with the optimizer and the active constraint indices,
-        or None when no candidate active set yields a feasible point.
-    """
-    u_ref = np.asarray(u_ref, dtype=float)
-    n = u_ref.shape[0]
-    if n > 3:
-        raise ValueError(f"solve_box_qp supports dimension <= 3, got {n}")
-
-    g_list: list[np.ndarray] = []
-    c_list: list[float] = []
-    for coeffs, const in rows:
-        g = np.asarray(coeffs, dtype=float)
-        if g.shape != (n,):
-            raise ValueError(f"row coefficient shape {g.shape} != ({n},)")
-        g_list.append(g)
-        c_list.append(float(const))
-    if bounds is not None:
-        for i, (lo, hi) in enumerate(bounds):
-            e = np.zeros(n)
-            if lo is not None:
-                e_lo = e.copy()
-                e_lo[i] = 1.0
-                g_list.append(e_lo)
-                c_list.append(-float(lo))
-            if hi is not None:
-                e_hi = e.copy()
-                e_hi[i] = -1.0
-                g_list.append(e_hi)
-                c_list.append(float(hi))
-
-    m = len(g_list)
-    G = np.array(g_list).reshape(m, n) if m else np.zeros((0, n))
-    c = np.array(c_list)
-
-    def residuals(u: np.ndarray) -> np.ndarray:
-        return G @ u + c if m else np.zeros(0)
-
-    best: Optional[tuple[float, tuple[int, ...], np.ndarray]] = None
-    for k in range(min(n, m) + 1):
-        for subset in itertools.combinations(range(m), k):
-            if k == 0:
-                u = u_ref.copy()
-            else:
-                Gs = G[list(subset)]
-                d = Gs @ u_ref + c[list(subset)]
-                try:
-                    lam = np.linalg.solve(Gs @ Gs.T, d)
-                except np.linalg.LinAlgError:
-                    continue  # dependent gradients; an independent subset covers it
-                u = u_ref - Gs.T @ lam
-            if m and residuals(u).min() < -feas_tol:
-                continue
-            obj = float(np.dot(u - u_ref, u - u_ref))
-            if best is None or obj < best[0] - 1e-15:
-                best = (obj, subset, u)
-    if best is None:
-        return None
-    _, subset, u = best
-    return BoxQpSolution(u_star=tuple(float(x) for x in u), active_set=subset)

@@ -26,17 +26,6 @@ from typing import Sequence
 
 from .dynamics import CircularObstacle, RobotState, obstacle_center_at
 
-__all__ = [
-    "CircularObstacle",
-    "EcbfGains",
-    "ConstraintRow",
-    "barrier_value",
-    "barrier_lie1",
-    "ecbf_row",
-    "constraint_rows",
-    "is_safe",
-]
-
 
 @dataclass(frozen=True)
 class EcbfGains:
@@ -47,8 +36,9 @@ class EcbfGains:
     k2: float
 
     def __post_init__(self):
-        if not (self.k1 > 0.0 and self.k2 > 0.0):
-            raise ValueError(f"gains must be positive, got k1={self.k1}, k2={self.k2}")
+        for name, value in (("k1", self.k1), ("k2", self.k2)):
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,22 +55,6 @@ def barrier_value(state: RobotState, obstacle: CircularObstacle, t: float) -> fl
     d1 = state.x1 - cx
     d2 = state.x2 - cy
     return d1 * d1 + d2 * d2 - obstacle.radius * obstacle.radius
-
-
-def barrier_lie1(
-    state: RobotState, v_const: float, obstacle: CircularObstacle, t: float
-) -> float:
-    """Total time derivative of the barrier along the robot+obstacle flow.
-
-    Depends only on the fixed translational speed, not on omega (relative
-    degree 2).
-    """
-    cx, cy = obstacle_center_at(obstacle, t)
-    d1 = state.x1 - cx
-    d2 = state.x2 - cy
-    rho1 = v_const * math.cos(state.theta) - obstacle.velocity[0]
-    rho2 = v_const * math.sin(state.theta) - obstacle.velocity[1]
-    return 2.0 * d1 * rho1 + 2.0 * d2 * rho2
 
 
 def ecbf_row(
@@ -121,9 +95,3 @@ def constraint_rows(
     """One ECBF row per obstacle, in input order."""
     return [ecbf_row(state, v_const, obs, t, gains) for obs in obstacles]
 
-
-def is_safe(
-    state: RobotState, obstacles: Sequence[CircularObstacle], t: float
-) -> bool:
-    """True iff the state is outside (or on the boundary of) every disk at time t."""
-    return all(barrier_value(state, obs, t) >= 0.0 for obs in obstacles)

@@ -1,0 +1,165 @@
+"""Reference implementations the tests compare the package against.
+
+None of these run in the planner or the harness; each is an independent
+oracle for a behaviour the package implements another way.
+"""
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from cbfrrt.baselines import Point, endpoint_collision_check
+from cbfrrt.dynamics import CircularObstacle, ControlInput, RobotState, obstacle_center_at
+from cbfrrt.safety import barrier_value
+
+
+@dataclass(frozen=True)
+class StateDerivative:
+    dx1: float
+    dx2: float
+    dtheta: float
+
+
+def unicycle_vector_field(state: RobotState, control: ControlInput) -> StateDerivative:
+    """Right-hand side of the unicycle model at (state, control)."""
+    return StateDerivative(
+        control.v * math.cos(state.theta),
+        control.v * math.sin(state.theta),
+        control.omega,
+    )
+
+
+def barrier_lie1(
+    state: RobotState, v_const: float, obstacle: CircularObstacle, t: float
+) -> float:
+    """Total time derivative of the barrier along the robot+obstacle flow.
+
+    Depends only on the fixed translational speed, not on omega (relative
+    degree 2).
+    """
+    cx, cy = obstacle_center_at(obstacle, t)
+    d1 = state.x1 - cx
+    d2 = state.x2 - cy
+    rho1 = v_const * math.cos(state.theta) - obstacle.velocity[0]
+    rho2 = v_const * math.sin(state.theta) - obstacle.velocity[1]
+    return 2.0 * d1 * rho1 + 2.0 * d2 * rho2
+
+
+def is_safe(
+    state: RobotState, obstacles: Sequence[CircularObstacle], t: float
+) -> bool:
+    """True iff the state is outside (or on the boundary of) every disk at time t."""
+    return all(barrier_value(state, obs, t) >= 0.0 for obs in obstacles)
+
+
+def edge_collision_audit(
+    p0: Point,
+    p1: Point,
+    obstacles: Sequence[CircularObstacle],
+    resolution: float,
+) -> bool:
+    """Dense oracle: check points every `resolution` meters along the
+    segment, plus both endpoints. True iff every probe is safe."""
+    if not resolution > 0.0:
+        raise ValueError(f"resolution must be > 0, got {resolution}")
+    length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
+    n = int(length / resolution)
+    for k in range(n + 1):
+        s = k * resolution / length if length > 0.0 else 0.0
+        probe = (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
+        if not endpoint_collision_check(probe, obstacles):
+            return False
+    return endpoint_collision_check(p1, obstacles)
+
+
+@dataclass(frozen=True)
+class BoxQpSolution:
+    u_star: tuple[float, ...]
+    active_set: tuple[int, ...]
+
+
+def solve_box_qp(
+    u_ref: Sequence[float],
+    rows: Sequence[tuple[Sequence[float], float]],
+    bounds: Optional[Sequence[tuple[Optional[float], Optional[float]]]] = None,
+    feas_tol: float = 1e-9,
+) -> Optional[BoxQpSolution]:
+    """min ||u - u_ref||^2 s.t. g_j . u + c_j >= 0 for each row and box bounds.
+
+    Exact for dimension <= 3 via exhaustive active-set enumeration: every
+    candidate active set (treated as equalities) yields a least-distance
+    projection, which is kept if it satisfies all constraints. Candidates are
+    visited in (cardinality, lexicographic index) order, so equal-objective
+    ties resolve to the smallest active set, then the lowest indices.
+
+    Args:
+        u_ref: reference point, dimension n <= 3.
+        rows: (coefficient vector, constant) pairs meaning g.u + c >= 0.
+        bounds: per-dimension (lo, hi); None entries are unbounded. Box
+            constraints are appended after the rows in index order
+            (lo before hi per dimension).
+        feas_tol: constraint slack tolerance for accepting a candidate.
+
+    Returns:
+        BoxQpSolution with the optimizer and the active constraint indices,
+        or None when no candidate active set yields a feasible point.
+    """
+    u_ref = np.asarray(u_ref, dtype=float)
+    n = u_ref.shape[0]
+    if n > 3:
+        raise ValueError(f"solve_box_qp supports dimension <= 3, got {n}")
+
+    g_list: list[np.ndarray] = []
+    c_list: list[float] = []
+    for coeffs, const in rows:
+        g = np.asarray(coeffs, dtype=float)
+        if g.shape != (n,):
+            raise ValueError(f"row coefficient shape {g.shape} != ({n},)")
+        g_list.append(g)
+        c_list.append(float(const))
+    if bounds is not None:
+        for i, (lo, hi) in enumerate(bounds):
+            e = np.zeros(n)
+            if lo is not None:
+                e_lo = e.copy()
+                e_lo[i] = 1.0
+                g_list.append(e_lo)
+                c_list.append(-float(lo))
+            if hi is not None:
+                e_hi = e.copy()
+                e_hi[i] = -1.0
+                g_list.append(e_hi)
+                c_list.append(float(hi))
+
+    m = len(g_list)
+    G = np.array(g_list).reshape(m, n) if m else np.zeros((0, n))
+    c = np.array(c_list)
+
+    def residuals(u: np.ndarray) -> np.ndarray:
+        return G @ u + c if m else np.zeros(0)
+
+    best: Optional[tuple[float, tuple[int, ...], np.ndarray]] = None
+    for k in range(min(n, m) + 1):
+        for subset in itertools.combinations(range(m), k):
+            if k == 0:
+                u = u_ref.copy()
+            else:
+                Gs = G[list(subset)]
+                d = Gs @ u_ref + c[list(subset)]
+                try:
+                    lam = np.linalg.solve(Gs @ Gs.T, d)
+                except np.linalg.LinAlgError:
+                    continue  # dependent gradients; an independent subset covers it
+                u = u_ref - Gs.T @ lam
+            if m and residuals(u).min() < -feas_tol:
+                continue
+            obj = float(np.dot(u - u_ref, u - u_ref))
+            if best is None or obj < best[0] - 1e-15:
+                best = (obj, subset, u)
+    if best is None:
+        return None
+    _, subset, u = best
+    return BoxQpSolution(u_star=tuple(float(x) for x in u), active_set=subset)

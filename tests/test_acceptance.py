@@ -18,7 +18,8 @@ import cbfrrt
 from cbfrrt import harness
 from cbfrrt.dynamics import ControlInput, RobotState, rk4_step
 from cbfrrt.qp import ScalarQpProblem, feasible_interval, solve_scalar_qp
-from cbfrrt.safety import ConstraintRow, EcbfGains, barrier_lie1, barrier_value, ecbf_row
+from cbfrrt.safety import ConstraintRow, EcbfGains, barrier_value, ecbf_row
+from oracles import barrier_lie1
 
 SEEDS20 = range(20)
 SEEDS50 = range(50)

@@ -7,7 +7,6 @@ import pytest
 from cbfrrt.baselines import (
     BaselineParams,
     GeomTree,
-    edge_collision_audit,
     endpoint_collision_check,
     nearest_neighbor,
     random_state,
@@ -17,6 +16,7 @@ from cbfrrt.baselines import (
 )
 from cbfrrt.dynamics import CircularObstacle, RobotState
 from cbfrrt.planner import PlannerParams, Scenario
+from oracles import edge_collision_audit
 
 WORLD1 = (
     CircularObstacle((0.3, 1.2), (0.0, 0.0), 0.2),

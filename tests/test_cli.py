@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -17,6 +18,8 @@ from cbfrrt.cli import (
 
 SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 EXAMPLE1 = str(SCENARIO_DIR / "example1.json")
+EXAMPLE2 = str(SCENARIO_DIR / "example2.json")
+SWEEP = str(SCENARIO_DIR / "comparison_sweep.json")
 
 
 def long_step_scenario(tmp_path, example1_file):
@@ -90,6 +93,34 @@ def test_plan_bad_overrides(tmp_path):
     assert code == EXIT_INVALID_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv, threads_env, message",
+    [
+        pytest.param(["plan", "--scenario", EXAMPLE2, "--algorithm", "rrt"], None,
+                     r"obstacles\[0\] moves", id="rrt-on-moving-disk"),
+        pytest.param(["plan", "--scenario", EXAMPLE1, "--dt", "0.9"], None,
+                     r"dt must be <= t_h", id="dt-above-horizon"),
+        pytest.param(["plan", "--scenario", EXAMPLE1, "--max-iters", "0"], None,
+                     r"max_iters must be >= 1", id="zero-max-iters"),
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                      "--seeds", "1"], "abc", r"CBFRRT_THREADS", id="threads-env"),
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                      "--seeds", "1"], "-1", r"CBFRRT_THREADS", id="threads-env-negative"),
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                      "--seeds", "1"], "²", r"CBFRRT_THREADS", id="threads-env-superscript"),
+    ],
+)
+def test_invalid_run_input_exits_3(tmp_path, monkeypatch, capsys, argv,
+                                   threads_env, message):
+    if threads_env is not None:
+        monkeypatch.setenv("CBFRRT_THREADS", threads_env)
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(message, err)
+
+
 def test_internal_error_exit(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
@@ -126,6 +157,24 @@ def test_audit_rejects_garbage_csv(tmp_path, capsys):
     bad.write_text("this,is,not,a,trajectory\n")
     code = main(["audit", "--trajectory", str(bad), "--scenario", EXAMPLE1])
     assert code == EXIT_INVALID_INPUT
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # crosses the (1.0, 0.5) disk if read in t order; rows are out of order
+        pytest.param(["1.0,1.5,0.5,0.0,1.0,0.0", "0.0,0.5,0.5,0.0,1.0,0.0"],
+                     r"line 3: t=0\.0 is before", id="t-decreases"),
+        pytest.param(["0.0,0.5,nan,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"],
+                     r"line 2: x2 must be finite", id="nan-coordinate"),
+    ],
+)
+def test_audit_rejects_malformed_rows(tmp_path, capsys, rows, message):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("\n".join([harness.TRAJECTORY_HEADER, *rows]) + "\n")
+    code = main(["audit", "--trajectory", str(traj), "--scenario", EXAMPLE1])
+    assert code == EXIT_INVALID_INPUT
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_compare_writes_table(tmp_path, capsys):

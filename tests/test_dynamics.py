@@ -10,11 +10,11 @@ from cbfrrt.dynamics import (
     Trajectory,
     TrajectorySample,
     integrate_closed_loop,
-    min_obstacle_clearance,
     obstacle_center_at,
     rk4_step,
-    unicycle_vector_field,
 )
+from cbfrrt.planner import goal_check
+from oracles import unicycle_vector_field
 
 
 def arc_endpoint(state, v, omega, dt):
@@ -159,9 +159,10 @@ def test_trajectory_metrics():
         RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.1, lambda s, t: ControlInput(1.0, 0.0)
     )
     assert traj.path_length() == pytest.approx(0.5, abs=1e-12)
-    # distance is over the sampled nodes (0.3, 0) is one of them
-    assert traj.min_goal_distance((0.3, 0.1)) == pytest.approx(0.1, abs=1e-9)
-    assert traj.min_goal_distance((2.0, 2.0)) > 2.0
+    # the goal check is over the sampled nodes: (0.3, 0) is one of them
+    assert goal_check(traj, (0.3, 0.1), 0.1 + 1e-9)
+    assert not goal_check(traj, (0.3, 0.1), 0.1 - 1e-9)
+    assert not goal_check(traj, (2.0, 2.0), 2.0)
 
 
 def test_empty_trajectory_is_falsy():
@@ -183,12 +184,3 @@ def test_integration_follows_exact_arc_over_many_steps():
     assert final.x2 == pytest.approx(exact.x2, abs=1e-7)
     assert final.theta == pytest.approx(exact.theta, abs=1e-12)
 
-
-def test_min_obstacle_clearance():
-    obstacles = (
-        CircularObstacle((1.0, 0.0), (0.0, 0.0), 0.2),
-        CircularObstacle((0.0, 2.0), (0.0, -1.0), 0.2),
-    )
-    # at t=1 the second obstacle sits at (0,1): h = 1 - 0.04 from the origin
-    assert min_obstacle_clearance((0.0, 0.0), obstacles, 1.0) == pytest.approx(0.96)
-    assert min_obstacle_clearance((0.0, 0.0), (), 0.0) == math.inf

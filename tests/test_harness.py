@@ -28,6 +28,8 @@ from cbfrrt.harness import (
     run,
     write_scenario,
 )
+from cbfrrt.planner import PlannerParams
+from cbfrrt.safety import EcbfGains
 
 SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 
@@ -148,6 +150,38 @@ def test_round_trip(tmp_path, example1_file, example2_file):
         write_scenario(sf, out)
         again = load_scenario(out)
         assert again == sf
+
+
+def test_round_trip_every_block_field(tmp_path, example1_file):
+    params = PlannerParams(
+        t_h=0.4, dt=0.01, sigma2=0.3, epsilon=0.2, gains=EcbfGains(1.5, 3.5),
+        v_const=0.8, omega_ref=0.1, omega_bounds=(-3.0, 2.0), max_iters=123,
+        omega_ref_range=(-0.5, 0.25),
+    )
+    baseline = BaselineParams(
+        delta_d=0.3, max_iters=77, sample_bounds=((-2.0, 4.0), (-1.5, 3.5)),
+        rewire_gamma=1.25, goal_bias=0.1,
+    )
+    # every file field differs from its default (the seed is not a file field)
+    for obj in (params, baseline, params.gains):
+        default = PlannerParams().gains if obj is params.gains else type(obj)()
+        for f in dataclasses.fields(obj):
+            if f.name not in ("seed", "gains"):
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+    sf = dataclasses.replace(
+        example1_file, baseline=baseline,
+        scenario=dataclasses.replace(example1_file.scenario, params=params),
+    )
+    out = tmp_path / "every_field.json"
+    write_scenario(sf, out)
+    assert load_scenario(out) == sf
+
+
+@pytest.mark.parametrize("key", ["k1", "k2"])
+def test_load_nonpositive_gain_names_it(tmp_path, key):
+    p = write_doc(tmp_path, small_doc(planner={key: 0}))
+    with pytest.raises(ScenarioValidationError, match=rf"planner: {key} must be > 0"):
+        load_scenario(p)
 
 
 # ---------------------------------------------------------------- auditing

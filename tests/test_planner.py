@@ -15,6 +15,7 @@ from cbfrrt.planner import (
     PlanTree,
     Scenario,
     Vertex,
+    _root_path,
     extract_path,
     goal_check,
     goal_heading,
@@ -259,15 +260,15 @@ def test_validate_scenario_rejects_unsafe_start():
     params = PlannerParams()
     ob = CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2)
     sc = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0), (ob,), params)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"obstacles\[0\]"):
         validate_scenario(sc)
 
 
 def test_gains_reject_nonpositive_values():
     # bad gains can never reach the planner: the dataclass refuses to build
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k1"):
         EcbfGains(0.0, 4.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k2"):
         EcbfGains(2.0, -1.0)
 
 
@@ -279,15 +280,15 @@ def test_plan_reaches_goal_and_tree_is_consistent(example1_file):
     tree = result.tree
 
     # single root, connected, acyclic; vertex times follow depth * t_h
-    for vid in tree.vertex_ids():
-        v = tree.vertices[vid]
+    assert tree.edges[0] is None
+    for vid, v in enumerate(tree.vertices):
+        assert v.id == vid
         if vid == 0:
             assert v.parent is None
             continue
-        assert v.parent in tree.vertices
-        assert v.time == pytest.approx(
-            sc.t_init + tree.depth(vid) * sc.params.t_h, abs=1e-9
-        )
+        assert 0 <= v.parent < vid
+        depth = len(_root_path(tree, vid)) - 1
+        assert v.time == pytest.approx(sc.t_init + depth * sc.params.t_h, abs=1e-9)
         edge = tree.edges[vid]
         parent = tree.vertices[v.parent]
         # edge endpoints must match parent (position, time) and child exactly
@@ -303,7 +304,7 @@ def test_plan_reaches_goal_and_tree_is_consistent(example1_file):
             assert s.control.v == sc.params.v_const
 
     # goal correctness on the extracted path
-    assert result.controls.min_goal_distance(sc.x_goal) <= sc.params.epsilon
+    assert goal_check(result.controls, sc.x_goal, sc.params.epsilon)
     assert result.path[0] == 0
     assert result.path[-1] == max(result.path)
 
@@ -313,7 +314,7 @@ def test_plan_edges_stay_safe(example1_file):
     result = plan(sc)
     worst = min(
         barrier_value(s.state, ob, s.t)
-        for edge in result.tree.edges.values()
+        for edge in result.tree.edges[1:]
         for s in edge.samples
         for ob in sc.obstacles
     )

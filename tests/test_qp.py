@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cbfrrt.qp import (
-    ScalarQpProblem,
-    feasible_interval,
-    solve_box_qp,
-    solve_scalar_qp,
-)
+from cbfrrt.qp import ScalarQpProblem, feasible_interval, solve_scalar_qp
 from cbfrrt.safety import ConstraintRow
+from oracles import solve_box_qp
 
 BOUNDS = (-4.25, 4.25)
 

@@ -11,14 +11,8 @@ from cbfrrt.dynamics import (
     rk4_step,
 )
 from cbfrrt.qp import ScalarQpProblem, solve_scalar_qp
-from cbfrrt.safety import (
-    EcbfGains,
-    barrier_lie1,
-    barrier_value,
-    constraint_rows,
-    ecbf_row,
-    is_safe,
-)
+from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows, ecbf_row
+from oracles import barrier_lie1, is_safe
 
 GAINS = EcbfGains(2.0, 4.0)
 
