@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class RobotState:
+class RobotState(NamedTuple):
     """Unicycle configuration. theta is unnormalized (accumulates turns)."""
 
     x1: float
@@ -30,8 +29,7 @@ class RobotState:
         return (self.x1, self.x2)
 
 
-@dataclass(frozen=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     v: float
     omega: float
 
@@ -98,8 +96,8 @@ def obstacle_center_at(obstacle: CircularObstacle, t: float) -> tuple[float, flo
 
 def rk4_step(state: RobotState, control: ControlInput, dt: float) -> RobotState:
     """One classical 4th-order Runge-Kutta step under zero-order-hold control."""
-    x1, x2, th = state.x1, state.x2, state.theta
-    v, w = control.v, control.omega
+    x1, x2, th = state
+    v, w = control
 
     # k_i evaluated inline; only theta varies across stages for this model.
     k1x = v * math.cos(th)
@@ -115,7 +113,7 @@ def rk4_step(state: RobotState, control: ControlInput, dt: float) -> RobotState:
     return RobotState(
         x1 + dt / 6.0 * (k1x + 4.0 * k2x + k4x),
         x2 + dt / 6.0 * (k1y + 4.0 * k2y + k4y),
-        th + dt * w,
+        th4,
     )
 
 

@@ -33,7 +33,7 @@ from .dynamics import (
     Trajectory,
     integrate_closed_loop,
 )
-from .qp import ScalarQpProblem, solve_scalar_qp
+from .qp import solve_scalar_qp
 from .safety import EcbfGains, barrier_value, constraint_rows
 
 
@@ -188,16 +188,15 @@ def safe_steer(
     """
     gains = params.gains
     bounds = params.omega_bounds
-    v = u_ref.v
+    v, omega_ref = u_ref
 
     def controller(state: RobotState, t: float) -> Optional[ControlInput]:
-        rows = constraint_rows(state, v, obstacles, t, gains)
-        solution = solve_scalar_qp(
-            ScalarQpProblem(omega_ref=u_ref.omega, bounds=bounds, rows=tuple(rows))
+        omega = solve_scalar_qp(
+            omega_ref, bounds, constraint_rows(state, v, obstacles, t, gains)
         )
-        if solution is None:
+        if omega is None:
             return None
-        return ControlInput(v, solution.omega_star)
+        return ControlInput(v, omega)
 
     trajectory = integrate_closed_loop(
         vertex.state, vertex.time, t_h, params.dt, controller
@@ -218,12 +217,17 @@ def _edge_clears_obstacles(
     """Require h >= margin at every node, where margin is the worst-case
     barrier drop of a straight chord between consecutive nodes: the relative
     robot-obstacle displacement over one step is at most (v + v_obs) * dt,
-    and the chord midpoint loses at most (L/2)^2 in squared distance."""
+    and the chord midpoint loses at most (L/2)^2 in squared distance.
+
+    h is barrier_value's arithmetic, in its order, on disks unpacked once."""
     v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
     margin = 0.25 * ((v + v_obs) * dt) ** 2
-    for sample in trajectory.samples:
-        for obstacle in obstacles:
-            if barrier_value(sample.state, obstacle, sample.t) < margin:
+    disks = [(*ob.center0, *ob.velocity, ob.radius * ob.radius) for ob in obstacles]
+    for t, (x1, x2, _), _ in trajectory.samples:
+        for cx, cy, vx, vy, r2 in disks:
+            d1 = x1 - (cx + vx * t)
+            d2 = x2 - (cy + vy * t)
+            if d1 * d1 + d2 * d2 - r2 < margin:
                 return False
     return True
 

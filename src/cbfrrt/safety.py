@@ -15,7 +15,7 @@ combined robot+obstacle flow gives
 where d = (x - c(t)) is the center offset and rho = (v*cos(theta) - c1dot,
 v*sin(theta) - c2dot) the relative velocity. The exponential-CBF condition
 d2h/dt2 + k2*dh/dt + k1*h >= 0 is therefore linear in omega and is returned
-here as a ConstraintRow (a, b) meaning a*omega + b >= 0.
+here as a row (a, b) meaning a*omega + b >= 0.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ class EcbfGains:
                 raise ValueError(f"{name} must be > 0, got {value}")
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """Half-line constraint on the angular rate: a*omega + b >= 0."""
-
-    a: float
-    b: float
-
-
 def barrier_value(state: RobotState, obstacle: CircularObstacle, t: float) -> float:
     """Squared-distance margin to the obstacle disk at time t (>= 0 is safe)."""
     cx, cy = obstacle_center_at(obstacle, t)
@@ -58,31 +50,37 @@ def barrier_value(state: RobotState, obstacle: CircularObstacle, t: float) -> fl
 
 
 def ecbf_row(
-    state: RobotState,
+    x1: float,
+    x2: float,
+    cos_t: float,
+    sin_t: float,
     v_const: float,
-    obstacle: CircularObstacle,
+    center0: tuple[float, float],
+    velocity: tuple[float, float],
+    radius: float,
     t: float,
-    gains: EcbfGains,
-) -> ConstraintRow:
-    """Build the exponential-CBF row a*omega + b >= 0 for one obstacle.
+    k1: float,
+    k2: float,
+) -> tuple[float, float]:
+    """Build the exponential-CBF row (a, b), meaning a*omega + b >= 0, for one
+    disk (center0, velocity, radius) seen from position (x1, x2) with heading
+    cosine and sine (cos_t, sin_t) at time t.
 
     a is the omega coefficient of d2h/dt2; b collects the drift part of
     d2h/dt2 plus k1*h + k2*dh/dt. A row with a ~ 0 and b < 0 (head-on
     geometry) is infeasible for every omega; that verdict is left to the QP.
     """
-    cx, cy = obstacle_center_at(obstacle, t)
-    d1 = state.x1 - cx
-    d2 = state.x2 - cy
-    cos_t = math.cos(state.theta)
-    sin_t = math.sin(state.theta)
-    rho1 = v_const * cos_t - obstacle.velocity[0]
-    rho2 = v_const * sin_t - obstacle.velocity[1]
+    vx, vy = velocity
+    d1 = x1 - (center0[0] + vx * t)
+    d2 = x2 - (center0[1] + vy * t)
+    rho1 = v_const * cos_t - vx
+    rho2 = v_const * sin_t - vy
 
-    h = d1 * d1 + d2 * d2 - obstacle.radius * obstacle.radius
+    h = d1 * d1 + d2 * d2 - radius * radius
     h_dot = 2.0 * d1 * rho1 + 2.0 * d2 * rho2
     a = 2.0 * v_const * (d2 * cos_t - d1 * sin_t)
-    b = 2.0 * (rho1 * rho1 + rho2 * rho2) + gains.k1 * h + gains.k2 * h_dot
-    return ConstraintRow(a, b)
+    b = 2.0 * (rho1 * rho1 + rho2 * rho2) + k1 * h + k2 * h_dot
+    return (a, b)
 
 
 def constraint_rows(
@@ -91,7 +89,16 @@ def constraint_rows(
     obstacles: Sequence[CircularObstacle],
     t: float,
     gains: EcbfGains,
-) -> list[ConstraintRow]:
-    """One ECBF row per obstacle, in input order."""
-    return [ecbf_row(state, v_const, obs, t, gains) for obs in obstacles]
-
+) -> list[tuple[float, float]]:
+    """One ECBF row (a, b) per obstacle, in input order."""
+    x1, x2, theta = state
+    k1 = gains.k1
+    k2 = gains.k2
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    # A plain loop: on CPython 3.11 a list comprehension costs an extra frame.
+    rows = []
+    for ob in obstacles:
+        rows.append(ecbf_row(x1, x2, cos_t, sin_t, v_const,
+                             ob.center0, ob.velocity, ob.radius, t, k1, k2))
+    return rows

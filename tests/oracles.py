@@ -7,13 +7,14 @@ oracle for a behaviour the package implements another way.
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from cbfrrt.baselines import Point, endpoint_collision_check
 from cbfrrt.dynamics import CircularObstacle, ControlInput, RobotState, obstacle_center_at
-from cbfrrt.safety import barrier_value
+from cbfrrt.qp import TOL_ZERO
+from cbfrrt.safety import EcbfGains, barrier_value
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,88 @@ def barrier_lie1(
     rho1 = v_const * math.cos(state.theta) - obstacle.velocity[0]
     rho2 = v_const * math.sin(state.theta) - obstacle.velocity[1]
     return 2.0 * d1 * rho1 + 2.0 * d2 * rho2
+
+
+class ConstraintRow(NamedTuple):
+    """Half-line constraint on the angular rate: a*omega + b >= 0. Equal to
+    the kernel's plain (a, b) pair with the same floats."""
+
+    a: float
+    b: float
+
+
+def ecbf_row_reference(
+    state: RobotState,
+    v_const: float,
+    obstacle: CircularObstacle,
+    t: float,
+    gains: EcbfGains,
+) -> ConstraintRow:
+    """The exponential-CBF row for one obstacle, written out on the objects.
+
+    The kernel (safety.constraint_rows) must produce the same floats, in the
+    same order of operations, from unpacked state and obstacle fields.
+    """
+    cx, cy = obstacle_center_at(obstacle, t)
+    d1 = state.x1 - cx
+    d2 = state.x2 - cy
+    cos_t = math.cos(state.theta)
+    sin_t = math.sin(state.theta)
+    rho1 = v_const * cos_t - obstacle.velocity[0]
+    rho2 = v_const * sin_t - obstacle.velocity[1]
+
+    h = d1 * d1 + d2 * d2 - obstacle.radius * obstacle.radius
+    h_dot = 2.0 * d1 * rho1 + 2.0 * d2 * rho2
+    a = 2.0 * v_const * (d2 * cos_t - d1 * sin_t)
+    b = 2.0 * (rho1 * rho1 + rho2 * rho2) + gains.k1 * h + gains.k2 * h_dot
+    return ConstraintRow(a, b)
+
+
+class ScalarQpProblem(NamedTuple):
+    """min (omega - omega_ref)^2 s.t. a_i*omega + b_i >= 0 and bounds.
+    Unpacks into the arguments of qp.solve_scalar_qp."""
+
+    omega_ref: float
+    bounds: tuple[float, float]
+    rows: tuple[ConstraintRow, ...] = ()
+
+
+class QpSolution(NamedTuple):
+    omega_star: float
+    active_interval: tuple[float, float]
+
+
+def feasible_interval(problem: ScalarQpProblem) -> Optional[tuple[float, float]]:
+    """Intersect the box with every half-line row.
+
+    Returns the (lo, hi) interval, or None when the intersection is empty
+    (some row demands an omega outside the bounds, or an omega-independent
+    row is violated outright).
+    """
+    lo, hi = problem.bounds
+    for row in problem.rows:
+        if abs(row.a) <= TOL_ZERO:
+            if row.b < -TOL_ZERO:
+                return None
+            continue
+        bound = -row.b / row.a
+        if row.a > 0.0:
+            lo = max(lo, bound)
+        else:
+            hi = min(hi, bound)
+        if lo > hi:
+            return None
+    return (lo, hi)
+
+
+def solve_scalar_qp_reference(problem: ScalarQpProblem) -> Optional[QpSolution]:
+    """Exact minimizer: clamp the reference into the feasible interval."""
+    interval = feasible_interval(problem)
+    if interval is None:
+        return None
+    lo, hi = interval
+    omega = min(max(problem.omega_ref, lo), hi)
+    return QpSolution(omega_star=omega, active_interval=interval)
 
 
 def is_safe(

@@ -17,9 +17,9 @@ import pytest
 import cbfrrt
 from cbfrrt import harness
 from cbfrrt.dynamics import ControlInput, RobotState, rk4_step
-from cbfrrt.qp import ScalarQpProblem, feasible_interval, solve_scalar_qp
-from cbfrrt.safety import ConstraintRow, EcbfGains, barrier_value, ecbf_row
-from oracles import barrier_lie1
+from cbfrrt.qp import solve_scalar_qp
+from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows
+from oracles import ConstraintRow, ScalarQpProblem, barrier_lie1, feasible_interval
 
 SEEDS20 = range(20)
 SEEDS50 = range(50)
@@ -141,9 +141,9 @@ def test_criterion_05_qp_matches_grid_oracle():
         assert feasible.any(), "solver feasible but grid found nothing"
         candidates = grid[feasible]
         brute = candidates[np.argmin((candidates - ref) ** 2)]
-        solution = solve_scalar_qp(problem)
-        assert solution is not None
-        assert abs(brute - solution.omega_star) <= 1e-3
+        omega_star = solve_scalar_qp(*problem)
+        assert omega_star is not None
+        assert abs(brute - omega_star) <= 1e-3
     assert checked >= 400  # the draw should not degenerate
 
 
@@ -189,7 +189,7 @@ def test_criterion_07_lie_derivative_consistency():
         assert hdot_fd == pytest.approx(barrier_lie1(state, v, ob, 0.0), abs=1e-4)
 
         hddot_fd = (h_plus - 2 * h0 + h_minus) / (eps * eps)
-        row = ecbf_row(state, v, ob, 0.0, gains)
+        row = ConstraintRow(*constraint_rows(state, v, (ob,), 0.0, gains)[0])
         rho1 = v * math.cos(state.theta) - ob.velocity[0]
         rho2 = v * math.sin(state.theta) - ob.velocity[1]
         hddot = row.a * omega + 2 * rho1 * rho1 + 2 * rho2 * rho2

@@ -26,7 +26,7 @@ from cbfrrt.planner import (
     validate_scenario,
     vertices_sample,
 )
-from cbfrrt.qp import ScalarQpProblem, solve_scalar_qp
+from cbfrrt.qp import solve_scalar_qp
 from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows
 
 
@@ -182,10 +182,8 @@ def test_safe_steer_rejects_feasible_but_penetrating_edge():
 
     def raw_controller(state, t):
         rows = constraint_rows(state, 1.0, (ob,), t, params.gains)
-        sol = solve_scalar_qp(
-            ScalarQpProblem(omega_ref=0.0, bounds=params.omega_bounds, rows=tuple(rows))
-        )
-        return None if sol is None else ControlInput(1.0, sol.omega_star)
+        omega_star = solve_scalar_qp(0.0, params.omega_bounds, rows)
+        return None if omega_star is None else ControlInput(1.0, omega_star)
 
     raw = integrate_closed_loop(v0.state, 0.0, params.t_h, params.dt, raw_controller)
     assert raw is not None  # every QP was feasible...
@@ -329,6 +327,23 @@ def test_plan_is_deterministic(example1_file):
     assert len(a.tree) == len(b.tree)
     assert a.tree.vertices[len(a.tree) - 1] == b.tree.vertices[len(b.tree) - 1]
     assert [s.t for s in a.controls.samples] == [s.t for s in b.controls.samples]
+
+
+@pytest.mark.parametrize(
+    "scenario_name, t_h, seed, iterations, vertices",
+    [("example1", 0.25, 2, 3_470, 1_971), ("example2", None, 0, 194, 174)],
+)
+def test_plan_counts_are_pinned(request, scenario_name, t_h, seed, iterations, vertices):
+    # a change to any float of the per-node kernel (ECBF rows, QP clamp, RK4,
+    # margin check) moves these counts
+    sc = request.getfixturevalue(f"{scenario_name}_file").scenario
+    params = dataclasses.replace(sc.params, seed=seed)
+    if t_h is not None:
+        params = dataclasses.replace(params, t_h=t_h)
+    result = plan(dataclasses.replace(sc, params=params))
+    assert result.success
+    assert result.iterations == iterations
+    assert len(result.tree) == vertices
 
 
 def test_plan_goal_already_reached():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cbfrrt.qp import ScalarQpProblem, feasible_interval, solve_scalar_qp
-from cbfrrt.safety import ConstraintRow
-from oracles import solve_box_qp
+from cbfrrt.qp import solve_scalar_qp
+from oracles import ConstraintRow, ScalarQpProblem, feasible_interval, solve_box_qp
 
 BOUNDS = (-4.25, 4.25)
 
@@ -25,7 +24,7 @@ def test_interval_single_upper_row():
 def test_interval_omega_independent_contradiction():
     prob = ScalarQpProblem(0.0, BOUNDS, (ConstraintRow(0.0, -4.08),))
     assert feasible_interval(prob) is None
-    assert solve_scalar_qp(prob) is None
+    assert solve_scalar_qp(*prob) is None
 
 
 def test_interval_vacuous_zero_row():
@@ -47,23 +46,18 @@ def test_interval_row_outside_box():
     assert feasible_interval(prob) is None
 
 
-def test_reversed_bounds_rejected():
-    with pytest.raises(ValueError):
-        ScalarQpProblem(0.0, (1.0, -1.0))
-
-
 def test_solve_returns_reference_when_feasible():
-    assert solve_scalar_qp(ScalarQpProblem(0.0, BOUNDS)).omega_star == 0.0
+    assert solve_scalar_qp(*ScalarQpProblem(0.0, BOUNDS)) == 0.0
     prob = ScalarQpProblem(0.0, BOUNDS, (ConstraintRow(-2.0, 3.92),))
-    assert solve_scalar_qp(prob).omega_star == 0.0
+    assert solve_scalar_qp(*prob) == 0.0
 
 
 def test_solve_projects_onto_nearest_edge():
     prob = ScalarQpProblem(0.0, BOUNDS, (ConstraintRow(1.0, -1.0),))
-    sol = solve_scalar_qp(prob)
-    assert sol.omega_star == pytest.approx(1.0)
+    omega_star = solve_scalar_qp(*prob)
+    assert omega_star == pytest.approx(1.0)
     prob = ScalarQpProblem(2.0, BOUNDS, (ConstraintRow(-1.0, 0.5),))
-    assert solve_scalar_qp(prob).omega_star == pytest.approx(0.5)
+    assert solve_scalar_qp(*prob) == pytest.approx(0.5)
 
 
 def test_solution_lies_in_its_interval():
@@ -74,13 +68,13 @@ def test_solution_lies_in_its_interval():
             for a, b in rng.uniform(-5.0, 5.0, (int(rng.integers(0, 6)), 2))
         )
         prob = ScalarQpProblem(float(rng.uniform(-5.0, 5.0)), BOUNDS, rows)
-        sol = solve_scalar_qp(prob)
-        if sol is None:
+        omega_star = solve_scalar_qp(*prob)
+        if omega_star is None:
             continue
-        lo, hi = sol.active_interval
-        assert BOUNDS[0] <= lo <= sol.omega_star <= hi <= BOUNDS[1]
+        lo, hi = feasible_interval(prob)
+        assert BOUNDS[0] <= lo <= omega_star <= hi <= BOUNDS[1]
         for row in rows:
-            assert row.a * sol.omega_star + row.b >= -1e-9
+            assert row.a * omega_star + row.b >= -1e-9
 
 
 def test_solver_agrees_with_grid_search():
@@ -104,7 +98,7 @@ def test_solver_agrees_with_grid_search():
         assert feas.any()
         candidates = grid[feas]
         star = candidates[np.argmin((candidates - ref) ** 2)]
-        assert abs(star - solve_scalar_qp(prob).omega_star) <= 1e-3
+        assert abs(star - solve_scalar_qp(*prob)) <= 1e-3
     assert checked > 50
 
 
@@ -114,9 +108,7 @@ def test_box_qp_matches_scalar_in_one_dimension():
         coeffs = rng.uniform(-5.0, 5.0, (int(rng.integers(0, 4)), 2))
         ref = float(rng.uniform(-5.0, 5.0))
         scalar = solve_scalar_qp(
-            ScalarQpProblem(
-                ref, BOUNDS, tuple(ConstraintRow(float(a), float(b)) for a, b in coeffs)
-            )
+            ref, BOUNDS, tuple((float(a), float(b)) for a, b in coeffs)
         )
         box = solve_box_qp(
             [ref], [((float(a),), float(b)) for a, b in coeffs], bounds=[BOUNDS]
@@ -125,7 +117,7 @@ def test_box_qp_matches_scalar_in_one_dimension():
             assert box is None
         else:
             assert box is not None
-            assert box.u_star[0] == pytest.approx(scalar.omega_star, abs=1e-9)
+            assert box.u_star[0] == pytest.approx(scalar, abs=1e-9)
 
 
 def test_box_qp_two_dimensional_projections():

@@ -10,9 +10,9 @@ from cbfrrt.dynamics import (
     integrate_closed_loop,
     rk4_step,
 )
-from cbfrrt.qp import ScalarQpProblem, solve_scalar_qp
-from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows, ecbf_row
-from oracles import barrier_lie1, is_safe
+from cbfrrt.qp import solve_scalar_qp
+from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows
+from oracles import ConstraintRow, barrier_lie1, ecbf_row_reference, is_safe
 
 GAINS = EcbfGains(2.0, 4.0)
 
@@ -21,6 +21,11 @@ WORLD1 = (
     CircularObstacle((1.0, 0.5), (0.0, 0.0), 0.2),
     CircularObstacle((1.7, -0.5), (0.0, 0.0), 0.2),
 )
+
+
+def kernel_row(state, v_const, obstacle, t, gains):
+    """The kernel's row for a single disk, with the oracle's field names."""
+    return ConstraintRow(*constraint_rows(state, v_const, (obstacle,), t, gains)[0])
 
 
 def test_barrier_value_on_boundary():
@@ -59,14 +64,14 @@ def test_barrier_lie1_zero_offset():
 def test_ecbf_row_lateral_obstacle():
     # obstacle a metre to the left: h=0.96, hdot=0, a = 2*v*d2 = -2
     ob = CircularObstacle((0.0, 1.0), (0.0, 0.0), 0.2)
-    row = ecbf_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, GAINS)
+    row = kernel_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, GAINS)
     assert row.a == pytest.approx(-2.0)
     assert row.b == pytest.approx(3.92)
 
 
 def test_ecbf_row_head_on_is_unconditionally_infeasible():
     ob = CircularObstacle((1.0, 0.0), (0.0, 0.0), 0.2)
-    row = ecbf_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, GAINS)
+    row = kernel_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, GAINS)
     assert row.a == pytest.approx(0.0, abs=1e-15)
     assert row.b == pytest.approx(-4.08)  # 2 + 2*0.96 - 4*2: no omega can help
 
@@ -74,7 +79,7 @@ def test_ecbf_row_head_on_is_unconditionally_infeasible():
 def test_ecbf_row_far_field_dominated_by_k1_h():
     # h = 100 exactly (center distance sqrt(100.04)), hdot = 0, rho = (1, 0)
     ob = CircularObstacle((0.0, math.sqrt(100.04)), (0.0, 0.0), 0.2)
-    row = ecbf_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, GAINS)
+    row = kernel_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, GAINS)
     assert row.b == pytest.approx(202.0, abs=1e-9)
     for omega in (-4.25, 0.0, 4.25):
         assert row.a * omega + row.b >= 0.0
@@ -84,10 +89,11 @@ def test_constraint_rows_order_and_composition():
     state = RobotState(0.0, 0.0, 0.0)
     assert constraint_rows(state, 1.0, (), 0.0, GAINS) == []
     single = constraint_rows(state, 1.0, WORLD1[:1], 0.0, GAINS)
-    assert single == [ecbf_row(state, 1.0, WORLD1[0], 0.0, GAINS)]
+    assert single == [ecbf_row_reference(state, 1.0, WORLD1[0], 0.0, GAINS)]
     rows = constraint_rows(state, 1.0, WORLD1, 0.0, GAINS)
     assert len(rows) == 3
-    assert [r == ecbf_row(state, 1.0, ob, 0.0, GAINS) for r, ob in zip(rows, WORLD1)] == [
+    assert [r == ecbf_row_reference(state, 1.0, ob, 0.0, GAINS)
+            for r, ob in zip(rows, WORLD1)] == [
         True,
         True,
         True,
@@ -137,7 +143,7 @@ def test_row_matches_second_finite_difference():
         h_minus = barrier_value(rk4_step(state, u, -eps), ob, -eps)
         fd2 = (h_plus - 2 * h0 + h_minus) / (eps * eps)
 
-        row = ecbf_row(state, v, ob, 0.0, GAINS)
+        row = kernel_row(state, v, ob, 0.0, GAINS)
         rho1 = v * math.cos(state.theta) - ob.velocity[0]
         rho2 = v * math.sin(state.theta) - ob.velocity[1]
         hddot = row.a * omega + 2 * rho1 * rho1 + 2 * rho2 * rho2
@@ -149,7 +155,7 @@ def test_row_b_decomposition():
     rng = np.random.default_rng(9)
     for _ in range(100):
         state, v, _, ob = _random_config(rng)
-        row = ecbf_row(state, v, ob, 0.0, GAINS)
+        row = kernel_row(state, v, ob, 0.0, GAINS)
         h = barrier_value(state, ob, 0.0)
         hdot = barrier_lie1(state, v, ob, 0.0)
         rho1 = v * math.cos(state.theta) - ob.velocity[0]
@@ -173,8 +179,8 @@ def test_translation_equivariance():
         assert barrier_lie1(moved_state, v, moved_ob, 0.3) == pytest.approx(
             barrier_lie1(state, v, ob, 0.3), abs=1e-12
         )
-        r0 = ecbf_row(state, v, ob, 0.3, GAINS)
-        r1 = ecbf_row(moved_state, v, moved_ob, 0.3, GAINS)
+        r0 = kernel_row(state, v, ob, 0.3, GAINS)
+        r1 = kernel_row(moved_state, v, moved_ob, 0.3, GAINS)
         assert r1.a == pytest.approx(r0.a, abs=1e-12)
         assert r1.b == pytest.approx(r0.b, abs=1e-12)
 
@@ -187,10 +193,8 @@ def test_closed_loop_filter_keeps_moving_disk_world_safe(example2_file):
 
     def controller(state, t):
         rows = constraint_rows(state, p.v_const, sc.obstacles, t, p.gains)
-        sol = solve_scalar_qp(
-            ScalarQpProblem(omega_ref=p.omega_ref, bounds=p.omega_bounds, rows=tuple(rows))
-        )
-        return None if sol is None else ControlInput(p.v_const, sol.omega_star)
+        omega_star = solve_scalar_qp(p.omega_ref, p.omega_bounds, rows)
+        return None if omega_star is None else ControlInput(p.v_const, omega_star)
 
     traj = integrate_closed_loop(sc.x_init, sc.t_init, 10.0, p.dt, controller)
     assert traj is not None
