@@ -11,6 +11,7 @@ Exit codes (stable scripting contract):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -118,8 +119,8 @@ def _cmd_audit(args) -> int:
     dt_audit = args.dt_audit
     if dt_audit is None:
         dt_audit = scenario_file.scenario.params.dt / 4.0
-    elif dt_audit <= 0:
-        raise ScenarioError(f"--dt-audit must be > 0, got {dt_audit}")
+    elif not (math.isfinite(dt_audit) and dt_audit > 0):
+        raise ScenarioError(f"--dt-audit must be finite and > 0, got {dt_audit}")
     ok, min_barrier = harness.audit_trajectory(
         trajectory, scenario_file.scenario.obstacles, dt_audit)
     shown = "n/a" if min_barrier is None else f"{min_barrier:.9f}"

@@ -14,6 +14,7 @@ queried once per node and its output held constant over the step.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -55,31 +56,52 @@ class TrajectorySample(NamedTuple):
     control: ControlInput
 
 
-@dataclass
 class Trajectory:
-    """Ordered samples with uniform dt spacing; the last interval may be
-    shorter so the final timestamp lands exactly on the horizon."""
+    """Integration nodes in one flat buffer of doubles, 6 per node in CSV
+    column order (t, x1, x2, theta, v, omega), with uniform dt spacing; the
+    last interval may be shorter so the final timestamp lands exactly on the
+    horizon. control (v, omega) is the input held on [t, t + dt); the final
+    node repeats the last applied control.
 
-    samples: list[TrajectorySample]
+    An array('d') holds no float objects and is not tracked by the cyclic
+    garbage collector, and its buffer gives numpy a zero-copy view."""
+
+    __slots__ = ("data",)
+
+    COLUMNS = ("t", "x1", "x2", "theta", "v", "omega")
+
+    def __init__(self, data: array):
+        self.data = data
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.data) // 6
+
+    @property
+    def samples(self) -> list[TrajectorySample]:
+        """The nodes as TrajectorySample rows, built on each access."""
+        d = self.data
+        return [TrajectorySample(d[i], RobotState(d[i + 1], d[i + 2], d[i + 3]),
+                                 ControlInput(d[i + 4], d[i + 5]))
+                for i in range(0, len(d), 6)]
 
     @property
     def t0(self) -> float:
-        return self.samples[0].t
+        return self.data[0]
 
     @property
     def t_end(self) -> float:
-        return self.samples[-1].t
+        return self.data[-6]
 
     def final_state(self) -> RobotState:
-        return self.samples[-1].state
+        d = self.data
+        return RobotState(d[-5], d[-4], d[-3])
 
     def path_length(self) -> float:
+        x1 = self.data[1::6]
+        x2 = self.data[2::6]
         total = 0.0
-        for a, b in zip(self.samples, self.samples[1:]):
-            total += math.hypot(b.state.x1 - a.state.x1, b.state.x2 - a.state.x2)
+        for a1, a2, b1, b2 in zip(x1, x2, x1[1:], x2[1:]):
+            total += math.hypot(b1 - a1, b2 - a2)
         return total
 
 
@@ -151,7 +173,7 @@ def integrate_closed_loop(
     remainder = horizon - n_full * dt
     has_tail = remainder > 1e-9 * max(1.0, abs(horizon))
 
-    samples: list[TrajectorySample] = []
+    rows: list[float] = []
     state = initial
     t = t0
     n_steps = n_full + (1 if has_tail else 0)
@@ -159,14 +181,14 @@ def integrate_closed_loop(
         control = controller(state, t)
         if control is None:
             return None
-        samples.append(TrajectorySample(t, state, control))
+        rows += (t, *state, *control)
         step = dt if k < n_full else remainder
         state = rk4_step(state, control, step)
         # Reassign instead of accumulating so the final node is exact.
         t = t0 + horizon if k == n_steps - 1 else t0 + (k + 1) * dt
-    last_control = samples[-1].control if samples else controller(state, t)
-    if last_control is None:
-        return None
-    samples.append(TrajectorySample(t0 + horizon, state, last_control))
-    return Trajectory(samples)
-
+    if n_steps == 0:
+        control = controller(state, t)
+        if control is None:
+            return None
+    rows += (t0 + horizon, *state, *control)
+    return Trajectory(array("d", rows))

@@ -21,6 +21,7 @@ import os
 import statistics
 import tempfile
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -31,10 +32,8 @@ import numpy as np
 from .baselines import BaselineParams, require_static, rrt_plan, rrt_star_plan
 from .dynamics import (
     CircularObstacle,
-    ControlInput,
     RobotState,
     Trajectory,
-    TrajectorySample,
     obstacle_center_at,
 )
 from .planner import PlannerParams, PlanTree, Scenario, plan, validate_scenario
@@ -42,7 +41,7 @@ from .safety import EcbfGains
 
 ALGORITHMS = ("cbf-rrt", "rrt", "rrt-star")
 
-TRAJECTORY_HEADER = "t,x1,x2,theta,v,omega"
+TRAJECTORY_HEADER = ",".join(Trajectory.COLUMNS)
 
 AUDIT_TOL = -1e-6
 
@@ -124,6 +123,12 @@ def _pair(value, path: str) -> tuple[float, float]:
 
 def _optional_pair(value, path: str) -> Optional[tuple[float, float]]:
     return None if value is None else _pair(value, path)
+
+
+def _check_seed(seed, path: str):
+    """numpy seeds its generators from non-negative integers only."""
+    if seed < 0:
+        _fail(path, f"must be >= 0, got {seed!r}")
 
 
 def _integer(value, path: str) -> int:
@@ -316,12 +321,10 @@ def audit_trajectory(
     """
     if not dt_audit > 0.0:
         raise ValueError(f"dt_audit must be > 0, got {dt_audit}")
-    samples = trajectory.samples
-    if not samples or not obstacles:
+    if not trajectory or not obstacles:
         return True, None
-    ts = np.array([s.t for s in samples])
-    x1 = np.array([s.state.x1 for s in samples])
-    x2 = np.array([s.state.x2 for s in samples])
+    rows = np.frombuffer(trajectory.data).reshape(-1, 6)
+    ts, x1, x2 = rows[:, 0], rows[:, 1], rows[:, 2]
     t0, t_end = float(ts[0]), float(ts[-1])
     taus = np.arange(t0, t_end, dt_audit)
     taus = np.append(taus, t_end)
@@ -345,21 +348,17 @@ def _polyline_trajectory(points: list[tuple[float, float]], t_init: float,
     """Synthesize a timed trajectory from a baseline polyline: constant speed
     along each segment, heading = segment direction, time = arclength / v."""
     if len(points) == 1:
-        state = RobotState(points[0][0], points[0][1], theta_init)
-        return Trajectory([TrajectorySample(t_init, state, ControlInput(0.0, 0.0))])
-    samples = []
+        x1, x2 = points[0]
+        return Trajectory(array("d", (t_init, x1, x2, theta_init, 0.0, 0.0)))
+    data = array("d")
     t = t_init
-    for k in range(len(points) - 1):
-        p, q = points[k], points[k + 1]
+    for p, q in zip(points, points[1:]):
         heading = math.atan2(q[1] - p[1], q[0] - p[0])
-        samples.append(TrajectorySample(
-            t, RobotState(p[0], p[1], heading), ControlInput(v_const, 0.0)))
+        data.extend((t, p[0], p[1], heading, v_const, 0.0))
         t += math.hypot(q[0] - p[0], q[1] - p[1]) / v_const
     last = points[-1]
-    samples.append(TrajectorySample(
-        t, RobotState(last[0], last[1], samples[-1].state.theta),
-        ControlInput(v_const, 0.0)))
-    return Trajectory(samples)
+    data.extend((t, last[0], last[1], heading, v_const, 0.0))
+    return Trajectory(data)
 
 
 def execute(
@@ -372,10 +371,11 @@ def execute(
     """Run one planner on the scenario. Returns (RunReport, trajectory, tree)
     where trajectory is None on failure and tree is the planner's tree object.
 
-    Raises ScenarioValidationError when the overrides, or the scenario for a
-    baseline (moving obstacles), are invalid."""
+    Raises ScenarioValidationError when the seed, the overrides, or the
+    scenario for a baseline (moving obstacles), are invalid."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    _check_seed(seed, "seed")
     scenario = scenario_file.scenario
     params = replace(scenario.params, seed=seed)
     if dt is not None:
@@ -405,7 +405,7 @@ def execute(
     if result.success and algorithm == "cbf-rrt":
         trajectory = result.controls
         path_length = trajectory.path_length()
-        path_duration = trajectory.t_end - trajectory.t0 if trajectory.samples else 0.0
+        path_duration = trajectory.t_end - trajectory.t0 if trajectory else 0.0
     elif result.success:
         points = [result.tree.position(v) for v in result.path]
         trajectory = _polyline_trajectory(
@@ -467,14 +467,13 @@ def _atomic_write(path, text: str):
 
 
 def format_trajectory_csv(trajectory: Optional[Trajectory]) -> str:
-    lines = [TRAJECTORY_HEADER]
-    if trajectory is not None:
-        for s in trajectory.samples:
-            lines.append(
-                f"{s.t!r},{s.state.x1!r},{s.state.x2!r},{s.state.theta!r},"
-                f"{s.control.v!r},{s.control.omega!r}"
-            )
-    return "\n".join(lines) + "\n"
+    if not trajectory:
+        return TRAJECTORY_HEADER + "\n"
+    # %r writes a float with float.__repr__, as f"{x!r}" and json.dumps (for
+    # finite values) do: one format call gives the text of formatting each
+    # value of the buffer on its own.
+    body = "\n".join(["%r,%r,%r,%r,%r,%r"] * len(trajectory))
+    return f"{TRAJECTORY_HEADER}\n{body % tuple(trajectory.data)}\n"
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -488,7 +487,7 @@ def read_trajectory_csv(path) -> Trajectory:
         if header != columns:
             raise ValueError(
                 f"{path}: expected header {TRAJECTORY_HEADER!r}, got {header!r}")
-        samples = []
+        data = array("d")
         for row in reader:
             if not row:
                 continue
@@ -499,13 +498,12 @@ def read_trajectory_csv(path) -> Trajectory:
             for name, value in zip(columns, values):
                 if not math.isfinite(value):
                     raise ValueError(f"{where}: {name} must be finite, got {value!r}")
-            t, x1, x2, theta, v, omega = values
-            if samples and t < samples[-1].t:
+            t = values[0]
+            if data and t < data[-6]:
                 raise ValueError(f"{where}: t={t!r} is before the previous "
-                                 f"row's t={samples[-1].t!r}")
-            samples.append(TrajectorySample(
-                t, RobotState(x1, x2, theta), ControlInput(v, omega)))
-    return Trajectory(samples)
+                                 f"row's t={data[-6]!r}")
+            data.extend(values)
+    return Trajectory(data)
 
 
 def _format_tree_json(algorithm: str, tree) -> str:
@@ -515,25 +513,30 @@ def _format_tree_json(algorithm: str, tree) -> str:
              "theta": v.state.theta, "t": v.time, "parent": v.parent}
             for v in tree.vertices
         ]
-        edges = [
-            {"id": v.id, "parent": v.parent, "child": v.id,
-             "samples": [[s.t, s.state.x1, s.state.x2, s.state.theta,
-                          s.control.v, s.control.omega]
-                         for s in edge.samples]}
-            for v, edge in zip(tree.vertices[1:], tree.edges[1:])
-        ]
+        # json.dumps' layout of each edge, its samples written with %r as in
+        # format_trajectory_csv; one format string per edge length.
+        formats = {}
+        parts = []
+        for v, edge in zip(tree.vertices[1:], tree.edges[1:]):
+            n = len(edge)
+            if n not in formats:
+                samples = ", ".join(["[%r, %r, %r, %r, %r, %r]"] * n)
+                formats[n] = ('{"id": %d, "parent": %d, "child": %d, "samples": ['
+                              + samples + "]}")
+            parts.append(formats[n] % (v.id, v.parent, v.id, *edge.data))
+        edges = "[" + ", ".join(parts) + "]"
     else:
         vertices = [
             {"id": i, "x": tree.position(i)[0], "y": tree.position(i)[1],
              "parent": tree.parents[i], "cost": tree.costs[i]}
             for i in range(len(tree))
         ]
-        edges = [
+        edges = json.dumps([
             {"parent": tree.parents[i], "child": i}
             for i in range(1, len(tree))
-        ]
-    return json.dumps(
-        {"algorithm": algorithm, "vertices": vertices, "edges": edges}) + "\n"
+        ])
+    return '{"algorithm": %s, "vertices": %s, "edges": %s}\n' % (
+        json.dumps(algorithm), json.dumps(vertices), edges)
 
 
 def format_report_json(report: RunReport) -> str:
@@ -586,10 +589,13 @@ def compare(
     env var, or the CPU count); results are sorted by (algorithm, step, seed)
     before aggregation so the table is deterministic either way. Per-run
     exceptions become the `errors` count instead of aborting the sweep.
-    A malformed CBFRRT_THREADS raises ScenarioValidationError.
+    A negative seed or a malformed CBFRRT_THREADS raises
+    ScenarioValidationError before any run starts.
     """
     if not seeds:
         raise ValueError("seeds list must not be empty")
+    for i, seed in enumerate(seeds):
+        _check_seed(seed, f"seeds[{i}]")
     if not sweep:
         raise ValueError("sweep must not be empty")
     for algorithm, _step in sweep:

@@ -21,8 +21,9 @@ which makes runs bit-reproducible for a given Scenario.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,8 +90,7 @@ class Scenario:
     params: PlannerParams
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     state: RobotState
     time: float
@@ -223,7 +223,8 @@ def _edge_clears_obstacles(
     v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
     margin = 0.25 * ((v + v_obs) * dt) ** 2
     disks = [(*ob.center0, *ob.velocity, ob.radius * ob.radius) for ob in obstacles]
-    for t, (x1, x2, _), _ in trajectory.samples:
+    data = trajectory.data
+    for t, x1, x2 in zip(data[0::6], data[1::6], data[2::6]):
         for cx, cy, vx, vy, r2 in disks:
             d1 = x1 - (cx + vx * t)
             d2 = x2 - (cy + vy * t)
@@ -237,9 +238,10 @@ def goal_check(
 ) -> bool:
     """True iff any trajectory node lies within epsilon of the goal position."""
     eps2 = epsilon * epsilon
-    for sample in trajectory.samples:
-        d1 = sample.state.x1 - goal[0]
-        d2 = sample.state.x2 - goal[1]
+    data = trajectory.data
+    for x1, x2 in zip(data[1::6], data[2::6]):
+        d1 = x1 - goal[0]
+        d2 = x2 - goal[1]
         if d1 * d1 + d2 * d2 <= eps2:
             return True
     return False
@@ -255,23 +257,18 @@ def extract_path(tree: PlanTree, goal_vertex: int) -> Trajectory:
     """
     if not 0 <= goal_vertex < len(tree):
         raise KeyError(f"unknown vertex id {goal_vertex}")
-    out = []
+    out = array("d")
     for vid in _root_path(tree, goal_vertex)[1:]:
-        edge = tree.edges[vid].samples
-        if out and _same_node(out[-1], edge[0]):
-            out[-1] = edge[0]  # keep the child's control at the junction
-            out.extend(edge[1:])
-        else:
-            out.extend(edge)
+        edge = tree.edges[vid].data
+        if out and _same_node(out[-6:-3], edge[:3]):
+            del out[-6:]  # keep the child's control at the junction
+        out += edge
     return Trajectory(out)
 
 
 def _same_node(a, b) -> bool:
-    return (
-        abs(a.t - b.t) <= 1e-9
-        and abs(a.state.x1 - b.state.x1) <= 1e-9
-        and abs(a.state.x2 - b.state.x2) <= 1e-9
-    )
+    """(t, x1, x2) of two nodes agree to 1e-9."""
+    return all(abs(p - q) <= 1e-9 for p, q in zip(a, b))
 
 
 def validate_scenario(scenario: Scenario):

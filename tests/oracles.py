@@ -6,13 +6,21 @@ oracle for a behaviour the package implements another way.
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from cbfrrt.baselines import Point, endpoint_collision_check
-from cbfrrt.dynamics import CircularObstacle, ControlInput, RobotState, obstacle_center_at
+from cbfrrt.dynamics import (
+    CircularObstacle,
+    ControlInput,
+    RobotState,
+    Trajectory,
+    TrajectorySample,
+    obstacle_center_at,
+)
 from cbfrrt.qp import TOL_ZERO
 from cbfrrt.safety import EcbfGains, barrier_value
 
@@ -31,6 +39,15 @@ def unicycle_vector_field(state: RobotState, control: ControlInput) -> StateDeri
         control.v * math.sin(state.theta),
         control.omega,
     )
+
+
+def trajectory_from_samples(samples: Sequence[TrajectorySample]) -> Trajectory:
+    """The Trajectory whose samples view is `samples`: the rows written into
+    one flat buffer in column order."""
+    data = array("d")
+    for t, (x1, x2, theta), (v, omega) in samples:
+        data.extend((t, x1, x2, theta, v, omega))
+    return Trajectory(data)
 
 
 def barrier_lie1(

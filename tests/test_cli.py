@@ -108,6 +108,11 @@ def test_plan_bad_overrides(tmp_path):
                       "--seeds", "1"], "-1", r"CBFRRT_THREADS", id="threads-env-negative"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
                       "--seeds", "1"], "²", r"CBFRRT_THREADS", id="threads-env-superscript"),
+        pytest.param(["plan", "--scenario", EXAMPLE1, "--seed", "-1"], None,
+                     r"seed: must be >= 0, got -1", id="negative-seed"),
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                      "--seeds", "0,-1"], None, r"seeds\[1\]: must be >= 0, got -1",
+                     id="negative-seed-in-list"),
     ],
 )
 def test_invalid_run_input_exits_3(tmp_path, monkeypatch, capsys, argv,
@@ -159,22 +164,32 @@ def test_audit_rejects_garbage_csv(tmp_path, capsys):
     assert code == EXIT_INVALID_INPUT
 
 
+VALID_ROWS = ["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"]
+
+
 @pytest.mark.parametrize(
-    "rows, message",
+    "rows, extra, message",
     [
         # crosses the (1.0, 0.5) disk if read in t order; rows are out of order
-        pytest.param(["1.0,1.5,0.5,0.0,1.0,0.0", "0.0,0.5,0.5,0.0,1.0,0.0"],
+        pytest.param(["1.0,1.5,0.5,0.0,1.0,0.0", "0.0,0.5,0.5,0.0,1.0,0.0"], [],
                      r"line 3: t=0\.0 is before", id="t-decreases"),
-        pytest.param(["0.0,0.5,nan,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"],
+        pytest.param(["0.0,0.5,nan,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"], [],
                      r"line 2: x2 must be finite", id="nan-coordinate"),
+        pytest.param(VALID_ROWS, ["--dt-audit", "nan"],
+                     r"--dt-audit must be finite and > 0, got nan", id="dt-audit-nan"),
+        # would sample only the two end points and pass
+        pytest.param(VALID_ROWS, ["--dt-audit", "inf"],
+                     r"--dt-audit must be finite and > 0, got inf", id="dt-audit-inf"),
     ],
 )
-def test_audit_rejects_malformed_rows(tmp_path, capsys, rows, message):
+def test_audit_rejects_malformed_rows(tmp_path, capsys, rows, extra, message):
     traj = tmp_path / "traj.csv"
     traj.write_text("\n".join([harness.TRAJECTORY_HEADER, *rows]) + "\n")
-    code = main(["audit", "--trajectory", str(traj), "--scenario", EXAMPLE1])
+    code = main(["audit", "--trajectory", str(traj), "--scenario", EXAMPLE1, *extra])
     assert code == EXIT_INVALID_INPUT
-    assert re.search(message, capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(message, err)
 
 
 def test_compare_writes_table(tmp_path, capsys):

@@ -7,14 +7,13 @@ from cbfrrt.dynamics import (
     CircularObstacle,
     ControlInput,
     RobotState,
-    Trajectory,
     TrajectorySample,
     integrate_closed_loop,
     obstacle_center_at,
     rk4_step,
 )
 from cbfrrt.planner import goal_check
-from oracles import unicycle_vector_field
+from oracles import trajectory_from_samples, unicycle_vector_field
 
 
 def arc_endpoint(state, v, omega, dt):
@@ -166,10 +165,47 @@ def test_trajectory_metrics():
 
 
 def test_empty_trajectory_is_falsy():
-    traj = Trajectory([])
+    traj = trajectory_from_samples([])
     assert len(traj) == 0
     assert not traj
     assert traj.path_length() == 0.0
+    assert traj.samples == []
+    assert len(traj.data) == 0
+
+
+def test_trajectory_buffer_is_rows_in_csv_column_order():
+    sample = TrajectorySample(0.5, RobotState(1.0, 2.0, 3.0), ControlInput(4.0, 5.0))
+    traj = trajectory_from_samples([sample])
+    assert list(traj.data) == [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert traj.samples == [sample]
+
+
+def test_samples_view_round_trips_the_buffer():
+    traj = integrate_closed_loop(
+        RobotState(0.1, -0.2, 0.3), 0.4, 0.5, 0.07,
+        lambda s, t: ControlInput(1.0, math.sin(7.0 * t)),
+    )
+    samples = traj.samples
+    assert len(samples) == len(traj) == 9  # 7 full steps, a 0.01 s tail, the end
+    assert all(isinstance(s.state, RobotState) and isinstance(s.control, ControlInput)
+               for s in samples)
+    again = trajectory_from_samples(samples)
+    assert again.data == traj.data  # bit for bit
+    assert again.samples == samples
+
+
+def test_trajectory_metrics_match_the_samples_view():
+    traj = integrate_closed_loop(
+        RobotState(0.0, 0.0, 0.5), 1.0, 1.3, 0.1, lambda s, t: ControlInput(1.0, 2.5 - t)
+    )
+    samples = traj.samples
+    length = 0.0
+    for a, b in zip(samples, samples[1:]):
+        length += math.hypot(b.state.x1 - a.state.x1, b.state.x2 - a.state.x2)
+    assert traj.path_length() == length  # same summation order, so exact
+    assert traj.final_state() == samples[-1].state
+    assert traj.t_end == samples[-1].t == 2.3
+    assert traj.t0 == samples[0].t == 1.0
 
 
 def test_integration_follows_exact_arc_over_many_steps():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import pathlib
 
@@ -10,7 +11,6 @@ from cbfrrt.dynamics import (
     CircularObstacle,
     ControlInput,
     RobotState,
-    Trajectory,
     TrajectorySample,
 )
 from cbfrrt.harness import (
@@ -30,6 +30,7 @@ from cbfrrt.harness import (
 )
 from cbfrrt.planner import PlannerParams
 from cbfrrt.safety import EcbfGains
+from oracles import trajectory_from_samples
 
 SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 
@@ -196,7 +197,7 @@ def straight_line_trajectory(x0, x1, n, v=1.0):
         samples.append(
             TrajectorySample(a, RobotState(x, y, 0.0), ControlInput(v, 0.0))
         )
-    return Trajectory(samples)
+    return trajectory_from_samples(samples)
 
 
 def test_audit_clean_trajectory():
@@ -218,7 +219,7 @@ def test_audit_interpolates_between_nodes():
 
 def test_audit_moving_obstacle_times():
     # obstacle arrives at the robot's position exactly at t = 1
-    traj = Trajectory(
+    traj = trajectory_from_samples(
         [
             TrajectorySample(0.0, RobotState(0.0, 0.0, 0.0), ControlInput(0.0, 0.0)),
             TrajectorySample(1.0, RobotState(0.0, 0.0, 0.0), ControlInput(0.0, 0.0)),
@@ -231,14 +232,14 @@ def test_audit_moving_obstacle_times():
 
 
 def test_audit_empty_and_obstacle_free():
-    assert audit_trajectory(Trajectory([]), (), 0.01) == (True, None)
+    assert audit_trajectory(trajectory_from_samples([]), (), 0.01) == (True, None)
     traj = straight_line_trajectory((0.0, 0.0), (1.0, 0.0), 5)
     assert audit_trajectory(traj, (), 0.01) == (True, None)
 
 
 def test_audit_rejects_bad_dt():
     with pytest.raises(ValueError):
-        audit_trajectory(Trajectory([]), (), 0.0)
+        audit_trajectory(trajectory_from_samples([]), (), 0.0)
 
 
 # ---------------------------------------------------------------- serialization
@@ -348,6 +349,39 @@ def test_run_baseline_tree_artifact(tmp_path, example1_file):
     assert len(traj) > 0
     # polyline trajectory is timed by arc length at constant speed
     assert traj.t_end == pytest.approx(report.path_duration, abs=1e-9)
+
+
+# sha256 of report.json + tree.json + trajectory.csv, concatenated in that
+# order. Pinned from the tuple-per-sample trajectories that preceded the flat
+# buffer; a change to any artifact byte must say why where it updates these.
+GOLDEN_DIGESTS = [
+    pytest.param("example1", "cbf-rrt", "t_h", 0.25, 2,
+                 "7d04911c2ddbacf7f452a4f3ed0415703ae1b504502e1891131ea7a609ac9a67",
+                 id="example1-cbf-rrt-t_h0.25-seed2"),
+    pytest.param("example2", "cbf-rrt", None, None, 0,
+                 "f963c47c568d7fabde281cb27055d515fb1d3b01ad32d2a4e35d5c653c9d107b",
+                 id="example2-cbf-rrt-seed0"),
+    pytest.param("example1", "rrt-star", "delta_d", 1.0, 0,
+                 "aabaf5983ff4604b26b002c33529dea37ff10485fb7f8348c250d12f2d286580",
+                 id="example1-rrt-star-delta_d1.0-seed0"),
+]
+
+
+@pytest.mark.parametrize("name, algorithm, field, value, seed, digest", GOLDEN_DIGESTS)
+def test_artifacts_match_golden_digests(tmp_path, name, algorithm, field, value,
+                                        seed, digest):
+    sf = load_scenario(SCENARIO_DIR / f"{name}.json")
+    if field == "t_h":
+        params = dataclasses.replace(sf.scenario.params, t_h=value)
+        sf = dataclasses.replace(
+            sf, scenario=dataclasses.replace(sf.scenario, params=params))
+    elif field == "delta_d":
+        sf = dataclasses.replace(
+            sf, baseline=dataclasses.replace(sf.baseline, delta_d=value))
+    run(sf, algorithm, seed, tmp_path)
+    blob = b"".join((tmp_path / artifact).read_bytes()
+                    for artifact in ("report.json", "tree.json", "trajectory.csv"))
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- compare
