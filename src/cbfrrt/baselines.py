@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class BaselineParams:
             raise ValueError(f"rewire_gamma must be >= 0, got {self.rewire_gamma}")
 
 
-@dataclass(frozen=True)
-class GeomVertex:
+class GeomVertex(NamedTuple):
     id: int
     position: Point
     parent: Optional[int] = None
@@ -60,11 +59,13 @@ class GeomVertex:
 
 
 class GeomTree:
-    """Workspace tree with a flat position array for vectorized NN scans."""
+    """Workspace tree whose positions are two preallocated columns, xs and
+    ys, so a distance scan reads contiguous memory."""
 
     def __init__(self, root: Point, capacity: int):
-        self._pos = np.empty((capacity, 2), dtype=float)
-        self._pos[0] = root
+        self.xs = np.empty(capacity)
+        self.ys = np.empty(capacity)
+        self.xs[0], self.ys[0] = root
         self.parents: list[Optional[int]] = [None]
         self.costs: list[float] = [0.0]
         self.children: list[list[int]] = [[]]
@@ -74,17 +75,20 @@ class GeomTree:
         return self.n
 
     def position(self, vid: int) -> Point:
-        return (float(self._pos[vid, 0]), float(self._pos[vid, 1]))
+        return (float(self.xs[vid]), float(self.ys[vid]))
 
-    def positions(self) -> np.ndarray:
-        return self._pos[: self.n]
+    def sq_dists(self, point: Point) -> np.ndarray:
+        """Squared distance from point to each of the first n vertices."""
+        dx = self.xs[: self.n] - point[0]
+        dy = self.ys[: self.n] - point[1]
+        return dx * dx + dy * dy
 
     def vertex(self, vid: int) -> GeomVertex:
         return GeomVertex(vid, self.position(vid), self.parents[vid], self.costs[vid])
 
     def add(self, position: Point, parent: int, cost: float) -> int:
         vid = self.n
-        self._pos[vid] = position
+        self.xs[vid], self.ys[vid] = position
         self.parents.append(parent)
         self.costs.append(cost)
         self.children.append([])
@@ -136,9 +140,16 @@ def random_state(
 
 def nearest_neighbor(tree: GeomTree, sample: Point) -> GeomVertex:
     """Linear-scan nearest vertex; ties go to the lowest id (argmin order)."""
-    d = tree.positions() - np.asarray(sample)
-    vid = int(np.argmin(np.einsum("ij,ij->i", d, d)))
-    return tree.vertex(vid)
+    return tree.vertex(int(tree.sq_dists(sample).argmin()))
+
+
+def near_set(tree: GeomTree, point: Point,
+             radius: float) -> tuple[np.ndarray, list[int]]:
+    """Distances from point to every vertex, and the ids of the vertices
+    within radius (none when radius is 0), in increasing id order."""
+    dists = np.sqrt(tree.sq_dists(point))
+    near = (dists <= radius).nonzero()[0].tolist() if radius > 0.0 else []
+    return dists, near
 
 
 def steer_straight(x_nn: Point, x_sample: Point, delta_d: float) -> Point:
@@ -256,9 +267,7 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
         n = len(tree)
         radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n), params.delta_d) \
             if n > 1 else 0.0
-        d = tree.positions() - np.asarray(x_new)
-        dists = np.sqrt(np.einsum("ij,ij->i", d, d))
-        near = np.flatnonzero(dists <= radius) if radius > 0.0 else np.empty(0, int)
+        dists, near = near_set(tree, x_new, radius)
 
         # choose-parent: cheapest connection among the near set (falling back
         # to the nearest vertex when the near set is empty)
@@ -268,7 +277,7 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
         for j in near:
             c = tree.costs[j] + float(dists[j])
             if c < best_cost - 1e-12:
-                parent = int(j)
+                parent = j
                 best_cost = c
         vid = tree.add(x_new, parent, best_cost)
 
@@ -278,7 +287,7 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
                 continue
             c = best_cost + float(dists[j])
             if c < tree.costs[j] - 1e-12:
-                tree.reparent(int(j), vid, c)
+                tree.reparent(j, vid, c)
 
         if (x_new[0] - goal[0]) ** 2 + (x_new[1] - goal[1]) ** 2 <= eps2:
             goal_ids.append(vid)

@@ -411,7 +411,7 @@ def execute(
         trajectory = _polyline_trajectory(
             points, scenario.t_init, params.v_const, scenario.x_init.theta)
         path_length = result.cost
-        path_duration = result.cost / params.v_const if params.v_const > 0 else None
+        path_duration = result.cost / params.v_const
 
     audit_pass = min_barrier = None
     if trajectory is not None:
@@ -526,10 +526,12 @@ def _format_tree_json(algorithm: str, tree) -> str:
             parts.append(formats[n] % (v.id, v.parent, v.id, *edge.data))
         edges = "[" + ", ".join(parts) + "]"
     else:
+        n = len(tree)
         vertices = [
-            {"id": i, "x": tree.position(i)[0], "y": tree.position(i)[1],
-             "parent": tree.parents[i], "cost": tree.costs[i]}
-            for i in range(len(tree))
+            {"id": i, "x": x, "y": y, "parent": parent, "cost": cost}
+            for i, x, y, parent, cost in zip(range(n), tree.xs[:n].tolist(),
+                                             tree.ys[:n].tolist(), tree.parents,
+                                             tree.costs)
         ]
         edges = json.dumps([
             {"parent": tree.parents[i], "child": i}

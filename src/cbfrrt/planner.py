@@ -73,6 +73,8 @@ class PlannerParams:
             raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not self.v_const > 0.0:
+            raise ValueError(f"v_const must be > 0, got {self.v_const}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.omega_bounds[0] > self.omega_bounds[1]:

@@ -175,6 +175,23 @@ def edge_collision_audit(
     return endpoint_collision_check(p1, obstacles)
 
 
+def nearest_neighbor_reference(points: np.ndarray, sample: Point) -> int:
+    """Id of the nearest of an (n, 2) position array's rows, ties to the
+    lowest id: the squared distances as an einsum over the rows."""
+    d = points - np.asarray(sample)
+    return int(np.argmin(np.einsum("ij,ij->i", d, d)))
+
+
+def near_set_reference(points: np.ndarray, point: Point,
+                       radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """RRT*'s distances to each row of an (n, 2) position array, and the ids
+    within radius (none when radius is 0)."""
+    d = points - np.asarray(point)
+    dists = np.sqrt(np.einsum("ij,ij->i", d, d))
+    near = np.flatnonzero(dists <= radius) if radius > 0.0 else np.empty(0, int)
+    return dists, near
+
+
 @dataclass(frozen=True)
 class BoxQpSolution:
     u_star: tuple[float, ...]

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbfrrt.baselines import (
     BaselineParams,
     GeomTree,
     endpoint_collision_check,
+    near_set,
     nearest_neighbor,
     random_state,
     rrt_plan,
@@ -16,7 +19,7 @@ from cbfrrt.baselines import (
 )
 from cbfrrt.dynamics import CircularObstacle, RobotState
 from cbfrrt.planner import PlannerParams, Scenario
-from oracles import edge_collision_audit
+from oracles import edge_collision_audit, near_set_reference, nearest_neighbor_reference
 
 WORLD1 = (
     CircularObstacle((0.3, 1.2), (0.0, 0.0), 0.2),
@@ -67,6 +70,54 @@ def test_nearest_neighbor_basic_and_ties():
     assert nearest_neighbor(tree, (1.9, 0.0)).id == 1
     # exact tie at the midpoint goes to the lower id
     assert nearest_neighbor(tree, (1.0, 0.0)).id == 0
+
+
+coordinates = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+points = st.tuples(coordinates, coordinates)
+
+
+@st.composite
+def trees_and_queries(draw):
+    """1-64 vertices, some repeated (exact ties), some spare capacity, and a
+    query point that is free, on a vertex, or midway between two."""
+    pts = draw(st.lists(points, min_size=1, max_size=64))
+    for i in range(1, len(pts)):
+        if draw(st.integers(0, 4)) == 0:
+            pts[i] = pts[draw(st.integers(0, i - 1))]
+    kind = draw(st.sampled_from(["free", "vertex", "midpoint"]))
+    if kind == "free":
+        query = draw(points)
+    elif kind == "vertex":
+        query = draw(st.sampled_from(pts))
+    else:
+        (ax, ay), (bx, by) = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        query = ((ax + bx) / 2.0, (ay + by) / 2.0)
+    return pts, draw(st.integers(0, 3)), query
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_and_queries(), st.data())
+def test_distance_scans_match_einsum_oracle_bit_for_bit(case, data):
+    pts, spare, query = case
+    tree = GeomTree(pts[0], capacity=len(pts) + spare)
+    for p in pts[1:]:
+        tree.add(p, 0, 0.0)
+    rows = np.array(pts, dtype=float)
+
+    assert nearest_neighbor(tree, query).id == nearest_neighbor_reference(rows, query)
+
+    want_dists, _ = near_set_reference(rows, query, 0.0)
+    # a radius of 0, one equal to a vertex's distance (the <= boundary), or any
+    radius = data.draw(st.one_of(st.just(0.0),
+                                 st.sampled_from(want_dists.tolist()),
+                                 st.floats(0.0, 3e3)))
+    want_dists, want_near = near_set_reference(rows, query, radius)
+    dists, near = near_set(tree, query, radius)
+    want_bits = want_dists.view(np.uint64)
+    assert np.array_equal(np.sqrt(tree.sq_dists(query)).view(np.uint64), want_bits)
+    assert np.array_equal(dists.view(np.uint64), want_bits)
+    assert near == want_near.tolist()
+    assert all(type(j) is int for j in near)
 
 
 def test_steer_straight():

@@ -126,6 +126,22 @@ def test_invalid_run_input_exits_3(tmp_path, monkeypatch, capsys, argv,
     assert re.search(message, err)
 
 
+@pytest.mark.parametrize("v_const", [0.0, -1.0])
+def test_nonpositive_v_const_exits_3(tmp_path, capsys, example1_file, v_const):
+    params = dataclasses.replace(example1_file.scenario.params, v_const=v_const)
+    sf = dataclasses.replace(
+        example1_file,
+        scenario=dataclasses.replace(example1_file.scenario, params=params))
+    scenario = tmp_path / "v_const.json"
+    harness.write_scenario(sf, scenario)
+    code = main(["plan", "--scenario", str(scenario), "--algorithm", "rrt",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(r"planner: v_const must be > 0", err)
+
+
 def test_internal_error_exit(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")

@@ -364,6 +364,12 @@ GOLDEN_DIGESTS = [
     pytest.param("example1", "rrt-star", "delta_d", 1.0, 0,
                  "aabaf5983ff4604b26b002c33529dea37ff10485fb7f8348c250d12f2d286580",
                  id="example1-rrt-star-delta_d1.0-seed0"),
+    pytest.param("example1", "rrt", "delta_d", 0.25, 0,
+                 "14acc512b1036d45c069062318f1d8eb3453235e7b2a31ca0d5f22a3fe7023c3",
+                 id="example1-rrt-delta_d0.25-seed0"),
+    pytest.param("example1", "rrt-star", "delta_d", 0.25, 1,
+                 "37df1d8b69b06cf533e4fb1641f8bc784994f190f1a61779083320a72036f8d1",
+                 id="example1-rrt-star-delta_d0.25-seed1"),
 ]
 
 
