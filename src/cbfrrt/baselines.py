@@ -27,6 +27,8 @@ Point = tuple[float, float]
 
 @dataclass(frozen=True)
 class BaselineParams:
+    """Tunables of one baseline run; a bad field raises ValueError on build."""
+
     delta_d: float = 0.25
     max_iters: int = 2_000
     seed: int = 0
@@ -37,7 +39,7 @@ class BaselineParams:
     rewire_gamma: float = 2.0
     goal_bias: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if not self.delta_d > 0.0:
             raise ValueError(f"delta_d must be > 0, got {self.delta_d}")
         if self.max_iters < 1:
@@ -202,7 +204,6 @@ def _sample_point(
 def rrt_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
     """Classic RRT: sample, nearest, steer, end-point check, add; stop at the
     first vertex within epsilon of the goal."""
-    params.validate()
     require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal
@@ -240,7 +241,6 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
     min(rewire_gamma * sqrt(log n / n), delta_d), so every edge in the tree
     keeps length <= delta_d.
     """
-    params.validate()
     require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal

@@ -67,7 +67,10 @@ def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     try:
         if "," in text:
-            return [int(part) for part in text.split(",") if part.strip() != ""]
+            seeds = [int(part) for part in text.split(",") if part.strip() != ""]
+            if not seeds:
+                raise ScenarioError(f"--seeds: the list has no entries, got {text!r}")
+            return seeds
         n = int(text)
     except ValueError as e:
         raise ScenarioError(f"--seeds: expected a count or comma list, got {text!r}") from e

@@ -36,7 +36,7 @@ from .dynamics import (
     Trajectory,
     obstacle_center_at,
 )
-from .planner import PlannerParams, PlanTree, Scenario, plan, validate_scenario
+from .planner import PlannerParams, PlanTree, Scenario, plan
 from .safety import EcbfGains
 
 ALGORITHMS = ("cbf-rrt", "rrt", "rrt-star")
@@ -228,14 +228,12 @@ def load_scenario(path) -> ScenarioFile:
     try:
         gains = EcbfGains(values.pop("k1"), values.pop("k2"))
         params = PlannerParams(gains=gains, **values)
-        params.validate()
     except ValueError as e:
         raise ScenarioValidationError(f"planner: {e}") from e
 
-    baseline = BaselineParams(**_parse_block(doc, "baseline", BASELINE_FIELDS,
-                                             BaselineParams()))
+    values = _parse_block(doc, "baseline", BASELINE_FIELDS, BaselineParams())
     try:
-        baseline.validate()
+        baseline = BaselineParams(**values)
     except ValueError as e:
         raise ScenarioValidationError(f"baseline: {e}") from e
 
@@ -243,13 +241,11 @@ def load_scenario(path) -> ScenarioFile:
     if not isinstance(metadata, dict):
         _fail("metadata", "expected an object")
 
-    scenario = Scenario(
-        x_init=RobotState(*x_init),
-        t_init=t_init,
-        x_goal=(x_goal[0], x_goal[1]),
-        obstacles=tuple(obstacles),
-        params=params,
-    )
+    try:
+        scenario = Scenario(x_init=RobotState(*x_init), t_init=t_init, x_goal=x_goal,
+                            obstacles=tuple(obstacles), params=params)
+    except ValueError as e:
+        raise InfeasibleScenarioError(str(e)) from e
     _check_feasibility(scenario, goal_horizon)
     return ScenarioFile(
         scenario=scenario,
@@ -261,10 +257,7 @@ def load_scenario(path) -> ScenarioFile:
 
 
 def _check_feasibility(scenario: Scenario, goal_horizon: float):
-    try:
-        validate_scenario(scenario)
-    except ValueError as e:
-        raise InfeasibleScenarioError(str(e)) from e
+    """Reject an obstacle that enters the goal disk within goal_horizon."""
     t0 = scenario.t_init
     for i, obstacle in enumerate(scenario.obstacles):
         a = obstacle_center_at(obstacle, t0)
@@ -377,19 +370,17 @@ def execute(
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     _check_seed(seed, "seed")
     scenario = scenario_file.scenario
-    params = replace(scenario.params, seed=seed)
-    if dt is not None:
-        params = replace(params, dt=dt)
-    if algorithm == "cbf-rrt" and max_iters is not None:
-        params = replace(params, max_iters=max_iters)
-    scenario = replace(scenario, params=params)
-    baseline = replace(scenario_file.baseline, seed=seed)
-    if max_iters is not None:
-        baseline = replace(baseline, max_iters=max_iters)
     try:
-        validate_scenario(scenario)
+        params = replace(scenario.params, seed=seed)
+        if dt is not None:
+            params = replace(params, dt=dt)
+        if algorithm == "cbf-rrt" and max_iters is not None:
+            params = replace(params, max_iters=max_iters)
+        scenario = replace(scenario, params=params)
+        baseline = replace(scenario_file.baseline, seed=seed)
+        if max_iters is not None:
+            baseline = replace(baseline, max_iters=max_iters)
         if algorithm != "cbf-rrt":
-            baseline.validate()
             require_static(scenario.obstacles)
     except ValueError as e:
         raise ScenarioValidationError(str(e)) from e
@@ -478,7 +469,7 @@ def format_trajectory_csv(trajectory: Optional[Trajectory]) -> str:
 
 def read_trajectory_csv(path) -> Trajectory:
     """Parse a trajectory CSV. Raises ValueError, naming the line and column,
-    for a non-finite field or a t smaller than the previous row's."""
+    for a field that is not a finite number or a t below the previous row's."""
     path = Path(path)
     columns = TRAJECTORY_HEADER.split(",")
     with path.open(newline="") as f:
@@ -494,10 +485,15 @@ def read_trajectory_csv(path) -> Trajectory:
             if len(row) != 6:
                 raise ValueError(f"{path}: expected 6 columns, got {row!r}")
             where = f"{path}, line {reader.line_num}"
-            values = [float(field) for field in row]
-            for name, value in zip(columns, values):
-                if not math.isfinite(value):
-                    raise ValueError(f"{where}: {name} must be finite, got {value!r}")
+            values = []
+            for name, field in zip(columns, row):
+                try:
+                    values.append(float(field))
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: {name} must be a number, got {field!r}") from None
+                if not math.isfinite(values[-1]):
+                    raise ValueError(f"{where}: {name} must be finite, got {values[-1]!r}")
             t = values[0]
             if data and t < data[-6]:
                 raise ValueError(f"{where}: t={t!r} is before the previous "
@@ -508,11 +504,11 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def _format_tree_json(algorithm: str, tree) -> str:
     if isinstance(tree, PlanTree):
-        vertices = [
+        vertices = json.dumps([
             {"id": v.id, "x1": v.state.x1, "x2": v.state.x2,
              "theta": v.state.theta, "t": v.time, "parent": v.parent}
             for v in tree.vertices
-        ]
+        ])
         # json.dumps' layout of each edge, its samples written with %r as in
         # format_trajectory_csv; one format string per edge length.
         formats = {}
@@ -526,19 +522,17 @@ def _format_tree_json(algorithm: str, tree) -> str:
             parts.append(formats[n] % (v.id, v.parent, v.id, *edge.data))
         edges = "[" + ", ".join(parts) + "]"
     else:
+        # The same layout with %r and %d; the root's parent is None, "null".
         n = len(tree)
-        vertices = [
-            {"id": i, "x": x, "y": y, "parent": parent, "cost": cost}
-            for i, x, y, parent, cost in zip(range(n), tree.xs[:n].tolist(),
-                                             tree.ys[:n].tolist(), tree.parents,
-                                             tree.costs)
-        ]
-        edges = json.dumps([
-            {"parent": tree.parents[i], "child": i}
-            for i in range(1, len(tree))
-        ])
+        rows = zip(range(n), tree.xs[:n].tolist(), tree.ys[:n].tolist(),
+                   ["null", *tree.parents[1:]], tree.costs)
+        vertices = "[" + ", ".join(
+            ['{"id": %d, "x": %r, "y": %r, "parent": %s, "cost": %r}' % row
+             for row in rows]) + "]"
+        edges = "[" + ", ".join(['{"parent": %d, "child": %d}' % (p, i)
+                                 for i, p in enumerate(tree.parents[1:], 1)]) + "]"
     return '{"algorithm": %s, "vertices": %s, "edges": %s}\n' % (
-        json.dumps(algorithm), json.dumps(vertices), edges)
+        json.dumps(algorithm), vertices, edges)
 
 
 def format_report_json(report: RunReport) -> str:

@@ -44,7 +44,7 @@ class PlannerParams:
 
     omega_ref_range, when set, draws the reference angular rate uniformly
     from that interval each expansion instead of using the constant
-    omega_ref.
+    omega_ref. Construction and replace raise ValueError on a bad field.
     """
 
     t_h: float = 0.5
@@ -62,7 +62,7 @@ class PlannerParams:
     seed: int = 0
     omega_ref_range: Optional[tuple[float, float]] = None
 
-    def validate(self):
+    def __post_init__(self):
         if not self.t_h > 0.0:
             raise ValueError(f"t_h must be > 0, got {self.t_h}")
         if not self.dt > 0.0:
@@ -79,17 +79,27 @@ class PlannerParams:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.omega_bounds[0] > self.omega_bounds[1]:
             raise ValueError(f"omega_bounds reversed: {self.omega_bounds}")
+        ref_range = self.omega_ref_range
+        if ref_range is not None and ref_range[0] > ref_range[1]:
+            raise ValueError(f"omega_ref_range reversed: {ref_range}")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full problem description: start, goal, obstacles, and parameters."""
+    """Start, goal, obstacles and parameters; the start is finite and clear."""
 
     x_init: RobotState
     t_init: float
     x_goal: tuple[float, float]
     obstacles: tuple[CircularObstacle, ...]
     params: PlannerParams
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.x_init)):
+            raise ValueError("x_init must be finite")
+        for i, obstacle in enumerate(self.obstacles):
+            if barrier_value(self.x_init, obstacle, self.t_init) < 0.0:
+                raise ValueError(f"x_init lies inside obstacles[{i}] at t_init")
 
 
 class Vertex(NamedTuple):
@@ -273,17 +283,6 @@ def _same_node(a, b) -> bool:
     return all(abs(p - q) <= 1e-9 for p, q in zip(a, b))
 
 
-def validate_scenario(scenario: Scenario):
-    """Reject scenarios violating the planner's preconditions."""
-    scenario.params.validate()
-    for f in (scenario.x_init.x1, scenario.x_init.x2, scenario.x_init.theta):
-        if not math.isfinite(f):
-            raise ValueError("x_init must be finite")
-    for i, obstacle in enumerate(scenario.obstacles):
-        if barrier_value(scenario.x_init, obstacle, scenario.t_init) < 0.0:
-            raise ValueError(f"x_init lies inside obstacles[{i}] at t_init")
-
-
 def plan(scenario: Scenario) -> PlanResult:
     """Run CBF-RRT on the scenario until the goal region is reached or the
     iteration budget is exhausted.
@@ -292,7 +291,6 @@ def plan(scenario: Scenario) -> PlanResult:
     clear every disk with margin) add nothing to the tree but still consume
     an iteration, so the loop always terminates.
     """
-    validate_scenario(scenario)
     params = scenario.params
     goal = scenario.x_goal
     rng = np.random.default_rng(params.seed)

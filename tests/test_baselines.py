@@ -215,9 +215,9 @@ def test_rrt_goal_bias_shortens_search():
 
 def test_rrt_goal_bias_validation():
     with pytest.raises(ValueError):
-        baseline_params(goal_bias=1.0).validate()
+        baseline_params(goal_bias=1.0)
     with pytest.raises(ValueError):
-        baseline_params(goal_bias=-0.1).validate()
+        baseline_params(goal_bias=-0.1)
 
 
 def test_rrt_exhausts_when_goal_unreachable():
@@ -287,5 +287,27 @@ def test_rrt_star_deterministic():
 
 def test_baseline_params_validation():
     with pytest.raises(ValueError):
-        BaselineParams(delta_d=0.0, max_iters=100, seed=0, sample_bounds=BOUNDS).validate()
-    baseline_params().validate()
+        BaselineParams(delta_d=0.0, max_iters=100, seed=0, sample_bounds=BOUNDS)
+    baseline_params()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param({"delta_d": 0.0}, r"^delta_d must be > 0", id="delta_d"),
+        pytest.param({"max_iters": 0}, r"^max_iters must be >= 1", id="max_iters"),
+        pytest.param({"sample_bounds": ((1.0, -1.0), (-1.0, 3.0))},
+                     r"^sample_bounds reversed", id="sample_bounds-x"),
+        pytest.param({"sample_bounds": ((-1.0, 3.0), (1.0, -1.0))},
+                     r"^sample_bounds reversed", id="sample_bounds-y"),
+        pytest.param({"goal_bias": 1.0}, r"^goal_bias must be in \[0, 1\)",
+                     id="goal_bias"),
+        pytest.param({"rewire_gamma": -1.0}, r"^rewire_gamma must be >= 0",
+                     id="rewire_gamma"),
+    ],
+)
+def test_baseline_checks_fire_on_construction_and_replace(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        baseline_params(**overrides)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(baseline_params(), **overrides)

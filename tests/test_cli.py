@@ -33,6 +33,16 @@ def long_step_scenario(tmp_path, example1_file):
     return str(p)
 
 
+def example1_with(tmp_path, **planner):
+    """example1 written with the given planner fields, bypassing the
+    dataclasses, which refuse to hold an out-of-range value."""
+    doc = json.loads(pathlib.Path(EXAMPLE1).read_text())
+    doc["planner"].update(planner)
+    path = tmp_path / "example1_with.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_plan_success_exit_and_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["plan", "--scenario", EXAMPLE1, "--seed", "0", "--out", str(out)])
@@ -113,6 +123,9 @@ def test_plan_bad_overrides(tmp_path):
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
                       "--seeds", "0,-1"], None, r"seeds\[1\]: must be >= 0, got -1",
                      id="negative-seed-in-list"),
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                      "--seeds", ","], None, r"--seeds: the list has no entries",
+                     id="empty-seed-list"),
     ],
 )
 def test_invalid_run_input_exits_3(tmp_path, monkeypatch, capsys, argv,
@@ -127,19 +140,23 @@ def test_invalid_run_input_exits_3(tmp_path, monkeypatch, capsys, argv,
 
 
 @pytest.mark.parametrize("v_const", [0.0, -1.0])
-def test_nonpositive_v_const_exits_3(tmp_path, capsys, example1_file, v_const):
-    params = dataclasses.replace(example1_file.scenario.params, v_const=v_const)
-    sf = dataclasses.replace(
-        example1_file,
-        scenario=dataclasses.replace(example1_file.scenario, params=params))
-    scenario = tmp_path / "v_const.json"
-    harness.write_scenario(sf, scenario)
-    code = main(["plan", "--scenario", str(scenario), "--algorithm", "rrt",
+def test_nonpositive_v_const_exits_3(tmp_path, capsys, v_const):
+    scenario = example1_with(tmp_path, v_const=v_const)
+    code = main(["plan", "--scenario", scenario, "--algorithm", "rrt",
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert re.search(r"planner: v_const must be > 0", err)
+
+
+def test_reversed_omega_ref_range_exits_3(tmp_path, capsys):
+    scenario = example1_with(tmp_path, omega_ref_range=[1.0, -1.0])
+    code = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(r"planner: omega_ref_range reversed", err)
 
 
 def test_internal_error_exit(tmp_path, monkeypatch, capsys):
@@ -191,6 +208,8 @@ VALID_ROWS = ["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"]
                      r"line 3: t=0\.0 is before", id="t-decreases"),
         pytest.param(["0.0,0.5,nan,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"], [],
                      r"line 2: x2 must be finite", id="nan-coordinate"),
+        pytest.param(["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,abc,0.5,0.0,1.0,0.0"], [],
+                     r"line 3: x1 must be a number, got 'abc'", id="non-numeric-field"),
         pytest.param(VALID_ROWS, ["--dt-audit", "nan"],
                      r"--dt-audit must be finite and > 0, got nan", id="dt-audit-nan"),
         # would sample only the two end points and pass

@@ -23,7 +23,6 @@ from cbfrrt.planner import (
     reference_sample,
     safe_steer,
     state_sample,
-    validate_scenario,
     vertices_sample,
 )
 from cbfrrt.qp import solve_scalar_qp
@@ -41,21 +40,63 @@ def straight_edge(tree, parent_id, params):
 
 
 def test_params_validation():
-    PlannerParams().validate()
+    PlannerParams()
     with pytest.raises(ValueError):
-        PlannerParams(t_h=0.0).validate()
+        PlannerParams(t_h=0.0)
     with pytest.raises(ValueError):
-        PlannerParams(dt=-0.1).validate()
+        PlannerParams(dt=-0.1)
     with pytest.raises(ValueError):
-        PlannerParams(dt=0.6, t_h=0.5).validate()
+        PlannerParams(dt=0.6, t_h=0.5)
     with pytest.raises(ValueError):
-        PlannerParams(sigma2=-1.0).validate()
+        PlannerParams(sigma2=-1.0)
     with pytest.raises(ValueError):
-        PlannerParams(epsilon=0.0).validate()
+        PlannerParams(epsilon=0.0)
     with pytest.raises(ValueError):
-        PlannerParams(max_iters=0).validate()
+        PlannerParams(max_iters=0)
     with pytest.raises(ValueError):
-        PlannerParams(omega_bounds=(1.0, -1.0)).validate()
+        PlannerParams(omega_bounds=(1.0, -1.0))
+    with pytest.raises(ValueError):
+        PlannerParams(omega_ref_range=(1.0, -1.0))
+
+
+SAFE_START = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0),
+                      (CircularObstacle((1.0, 1.0), (0.0, 0.0), 0.2),), PlannerParams())
+
+
+@pytest.mark.parametrize(
+    "valid, overrides, message",
+    [
+        pytest.param(PlannerParams(), {"t_h": 0.0}, r"^t_h must be > 0", id="t_h"),
+        pytest.param(PlannerParams(), {"dt": -0.1}, r"^dt must be > 0", id="dt"),
+        pytest.param(PlannerParams(), {"dt": 0.6}, r"^dt must be <= t_h", id="dt-above-t_h"),
+        pytest.param(PlannerParams(), {"sigma2": -1.0}, r"^sigma2 must be >= 0", id="sigma2"),
+        pytest.param(PlannerParams(), {"epsilon": 0.0}, r"^epsilon must be > 0",
+                     id="epsilon"),
+        pytest.param(PlannerParams(), {"v_const": 0.0}, r"^v_const must be > 0",
+                     id="v_const"),
+        pytest.param(PlannerParams(), {"max_iters": 0}, r"^max_iters must be >= 1",
+                     id="max_iters"),
+        pytest.param(PlannerParams(), {"omega_bounds": (1.0, -1.0)},
+                     r"^omega_bounds reversed", id="omega_bounds"),
+        pytest.param(PlannerParams(), {"omega_ref_range": (1.0, -1.0)},
+                     r"^omega_ref_range reversed: \(1\.0, -1\.0\)", id="omega_ref_range"),
+        pytest.param(SAFE_START, {"x_init": RobotState(0.0, math.nan, 0.0)},
+                     r"^x_init must be finite", id="x_init-nan"),
+        pytest.param(SAFE_START, {"x_init": RobotState(1.1, 1.0, 0.0)},
+                     r"^x_init lies inside obstacles\[0\]", id="x_init-in-disk"),
+        pytest.param(SAFE_START,
+                     {"obstacles": (CircularObstacle((0.0, 0.1), (0.0, 0.0), 0.2),)},
+                     r"^x_init lies inside obstacles\[0\]", id="disk-over-start"),
+    ],
+)
+def test_checks_fire_on_construction_and_replace(valid, overrides, message):
+    # valid by construction: building the object and replacing a field of a
+    # valid one run the same check, and the message names the field
+    fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+    with pytest.raises(ValueError, match=message):
+        type(valid)(**{**fields, **overrides})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(valid, **overrides)
 
 
 # ---------------------------------------------------------------- sampling
@@ -257,9 +298,8 @@ def test_extract_path_unknown_vertex():
 def test_validate_scenario_rejects_unsafe_start():
     params = PlannerParams()
     ob = CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2)
-    sc = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0), (ob,), params)
     with pytest.raises(ValueError, match=r"obstacles\[0\]"):
-        validate_scenario(sc)
+        Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0), (ob,), params)
 
 
 def test_gains_reject_nonpositive_values():
