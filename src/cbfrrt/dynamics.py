@@ -105,7 +105,8 @@ class Trajectory:
         return total
 
 
-Controller = Callable[[RobotState, float], Optional[ControlInput]]
+# A controller may return any (v, omega) pair: a ControlInput or a plain tuple.
+Controller = Callable[[RobotState, float], Optional[tuple[float, float]]]
 
 
 def obstacle_center_at(obstacle: CircularObstacle, t: float) -> tuple[float, float]:
@@ -116,8 +117,9 @@ def obstacle_center_at(obstacle: CircularObstacle, t: float) -> tuple[float, flo
     )
 
 
-def rk4_step(state: RobotState, control: ControlInput, dt: float) -> RobotState:
-    """One classical 4th-order Runge-Kutta step under zero-order-hold control."""
+def rk4_step(state: RobotState, control: tuple[float, float], dt: float) -> RobotState:
+    """One classical 4th-order Runge-Kutta step under zero-order-hold control
+    (v, omega)."""
     x1, x2, th = state
     v, w = control
 
@@ -132,11 +134,13 @@ def rk4_step(state: RobotState, control: ControlInput, dt: float) -> RobotState:
     k4x = v * math.cos(th4)
     k4y = v * math.sin(th4)
 
-    return RobotState(
+    # tuple.__new__ skips the Python-level NamedTuple __new__, which would
+    # run once per node; the result is still a RobotState.
+    return tuple.__new__(RobotState, (
         x1 + dt / 6.0 * (k1x + 4.0 * k2x + k4x),
         x2 + dt / 6.0 * (k1y + 4.0 * k2y + k4y),
         th4,
-    )
+    ))
 
 
 def integrate_closed_loop(
@@ -148,8 +152,9 @@ def integrate_closed_loop(
 ) -> Optional[Trajectory]:
     """Integrate the closed loop over [t0, t0 + horizon] with step dt.
 
-    The controller is queried at each node and may return None (e.g. an
-    infeasible safety QP); in that case the whole trajectory is discarded and
+    The controller is queried at each node and returns a (v, omega) pair,
+    a ControlInput or any other 2-sequence of floats, or None (e.g. an
+    infeasible safety QP); on None the whole trajectory is discarded and
     None is returned. Steps are uniform except the last, which is shortened
     so the final timestamp equals t0 + horizon exactly.
 
@@ -158,7 +163,7 @@ def integrate_closed_loop(
         t0: start time.
         horizon: integration span (> 0).
         dt: step size (> 0).
-        controller: maps (state, t) to a ControlInput, or None on failure.
+        controller: maps (state, t) to a (v, omega) pair, or None on failure.
 
     Returns:
         Trajectory with len = number of nodes, or None if the controller

@@ -22,7 +22,6 @@ import statistics
 import tempfile
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -504,22 +503,36 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def _format_tree_json(algorithm: str, tree) -> str:
     if isinstance(tree, PlanTree):
-        vertices = json.dumps([
-            {"id": v.id, "x1": v.state.x1, "x2": v.state.x2,
-             "theta": v.state.theta, "t": v.time, "parent": v.parent}
-            for v in tree.vertices
-        ])
-        # json.dumps' layout of each edge, its samples written with %r as in
-        # format_trajectory_csv; one format string per edge length.
+        # json.dumps' layout, floats written with %r as in
+        # format_trajectory_csv. Each vertex's (t, x1, x2, theta) is
+        # formatted once: the strings are its entry in the vertex list, the
+        # last node of its own edge and the first (t, x1, x2) of every child
+        # edge, which PlanTree keeps the same floats.
+        vs = tree.vertices
+        text = " ".join(["%r %r %r %r"] * len(vs)) % tuple(
+            [x for v in vs for x in (v.time, *v.state)])
+        strs = text.split(" ")
+        ts, x1s, x2s, thetas = strs[0::4], strs[1::4], strs[2::4], strs[3::4]
+        rows = zip(range(len(vs)), x1s, x2s, thetas, ts,
+                   ["null", *[v.parent for v in vs[1:]]])
+        vertices = "[" + ", ".join(
+            ['{"id": %d, "x1": %s, "x2": %s, "theta": %s, "t": %s, "parent": %s}'
+             % row for row in rows]) + "]"
+        # One format string per edge length.
         formats = {}
         parts = []
-        for v, edge in zip(tree.vertices[1:], tree.edges[1:]):
+        for c, (v, edge) in enumerate(zip(vs[1:], tree.edges[1:]), 1):
             n = len(edge)
             if n not in formats:
-                samples = ", ".join(["[%r, %r, %r, %r, %r, %r]"] * n)
+                samples = ", ".join(["[%s, %s, %s, %r, %r, %r]"]
+                                    + ["[%r, %r, %r, %r, %r, %r]"] * (n - 2)
+                                    + ["[%s, %s, %s, %s, %r, %r]"])
                 formats[n] = ('{"id": %d, "parent": %d, "child": %d, "samples": ['
                               + samples + "]}")
-            parts.append(formats[n] % (v.id, v.parent, v.id, *edge.data))
+            p, data = v.parent, edge.data
+            parts.append(formats[n] % (
+                c, p, c, ts[p], x1s[p], x2s[p], *data[3:-6],
+                ts[c], x1s[c], x2s[c], thetas[c], data[-2], data[-1]))
         edges = "[" + ", ".join(parts) + "]"
     else:
         # The same layout with %r and %d; the root's parent is None, "null".
@@ -559,9 +572,9 @@ def _apply_step(scenario_file: ScenarioFile, algorithm: str, step: float) -> Sce
 
 def _compare_task(scenario_file: ScenarioFile, algorithm: str, step: float,
                   seed: int):
+    """One run of the sweep; scenario_file already has the step applied."""
     try:
-        report, _, _ = execute(_apply_step(scenario_file, algorithm, step),
-                               algorithm, seed)
+        report, _, _ = execute(scenario_file, algorithm, seed)
         return (algorithm, step, seed, report, None)
     except Exception as e:  # propagate into the table, not up the stack
         return (algorithm, step, seed, None, f"{type(e).__name__}: {e}")
@@ -585,8 +598,9 @@ def compare(
     env var, or the CPU count); results are sorted by (algorithm, step, seed)
     before aggregation so the table is deterministic either way. Per-run
     exceptions become the `errors` count instead of aborting the sweep.
-    A negative seed or a malformed CBFRRT_THREADS raises
-    ScenarioValidationError before any run starts.
+    A negative seed, a step the scenario rejects (naming sweep[i].step) or a
+    malformed CBFRRT_THREADS raises ScenarioValidationError before any run
+    starts.
     """
     if not seeds:
         raise ValueError("seeds list must not be empty")
@@ -594,9 +608,15 @@ def compare(
         _check_seed(seed, f"seeds[{i}]")
     if not sweep:
         raise ValueError("sweep must not be empty")
-    for algorithm, _step in sweep:
+    stepped = {}
+    for i, (algorithm, step) in enumerate(sweep):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r} in sweep")
+        try:
+            stepped[algorithm, float(step)] = _apply_step(
+                scenario_file, algorithm, float(step))
+        except ValueError as e:
+            raise ScenarioValidationError(f"sweep[{i}].step: {e}") from e
 
     tasks = [(algorithm, float(step), int(seed))
              for algorithm, step in sweep for seed in seeds]
@@ -606,15 +626,14 @@ def compare(
             raise ScenarioValidationError(
                 f"CBFRRT_THREADS: expected a non-negative integer, got {text!r}")
         threads = int(text) or os.cpu_count() or 1
+    files = [stepped[a, st] for a, st, _ in tasks]
     if threads > 1 and len(tasks) > 1:
+        # Imported here, its one use: it would cost every `import cbfrrt`.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            results = list(pool.map(
-                _compare_task,
-                [scenario_file] * len(tasks),
-                *zip(*tasks),
-            ))
+            results = list(pool.map(_compare_task, files, *zip(*tasks)))
     else:
-        results = [_compare_task(scenario_file, a, st, sd) for a, st, sd in tasks]
+        results = [_compare_task(f, *task) for f, task in zip(files, tasks)]
     results.sort(key=lambda r: (r[0], r[1], r[2]))
 
     rows = []

@@ -112,10 +112,16 @@ class Vertex(NamedTuple):
 class PlanTree:
     """Rooted tree of (state, time) vertices, stored densely: vertices[i] has
     id i, and edges[i] is the steering trajectory from its parent to it
-    (None for the root)."""
+    (None for the root).
+
+    Every edge has at least two nodes; its first (t, x1, x2) are its
+    parent's and its last (t, x1, x2, theta) its child's, the same floats
+    (tree.json writes each of them once per vertex). The root is stored as
+    Python floats for that reason."""
 
     def __init__(self, root_state: RobotState, root_time: float):
-        self.vertices: list[Vertex] = [Vertex(0, root_state, root_time)]
+        root_state = RobotState(*map(float, root_state))
+        self.vertices: list[Vertex] = [Vertex(0, root_state, float(root_time))]
         self.edges: list[Optional[Trajectory]] = [None]
 
     def __len__(self) -> int:
@@ -161,17 +167,19 @@ def state_sample(
     """Copy of vertex with the free heading redrawn ~ Normal(goal heading, sigma2)."""
     theta_goal = goal_heading(vertex.state.position(), goal)
     theta = float(rng.normal(theta_goal, math.sqrt(sigma2)))
-    state = RobotState(vertex.state.x1, vertex.state.x2, theta)
-    return Vertex(vertex.id, state, vertex.time, vertex.parent)
+    # tuple.__new__ here and in reference_sample: no Python-level NamedTuple
+    # __new__ per iteration.
+    state = tuple.__new__(RobotState, (vertex.state.x1, vertex.state.x2, theta))
+    return tuple.__new__(Vertex, (vertex.id, state, vertex.time, vertex.parent))
 
 
 def reference_sample(rng: np.random.Generator, params: PlannerParams) -> ControlInput:
     """Reference control for this expansion: constant (v_const, omega_ref)
     unless omega_ref_range requests a uniform draw for the angular rate."""
     if params.omega_ref_range is None:
-        return ControlInput(params.v_const, params.omega_ref)
+        return tuple.__new__(ControlInput, (params.v_const, params.omega_ref))
     lo, hi = params.omega_ref_range
-    return ControlInput(params.v_const, float(rng.uniform(lo, hi)))
+    return tuple.__new__(ControlInput, (params.v_const, float(rng.uniform(lo, hi))))
 
 
 def safe_steer(
@@ -202,13 +210,13 @@ def safe_steer(
     bounds = params.omega_bounds
     v, omega_ref = u_ref
 
-    def controller(state: RobotState, t: float) -> Optional[ControlInput]:
+    def controller(state: RobotState, t: float) -> Optional[tuple[float, float]]:
         omega = solve_scalar_qp(
             omega_ref, bounds, constraint_rows(state, v, obstacles, t, gains)
         )
         if omega is None:
             return None
-        return ControlInput(v, omega)
+        return (v, omega)
 
     trajectory = integrate_closed_loop(
         vertex.state, vertex.time, t_h, params.dt, controller
@@ -217,7 +225,9 @@ def safe_steer(
         return None
     if not _edge_clears_obstacles(trajectory, obstacles, v, params.dt):
         return None
-    return trajectory, trajectory.final_state(), vertex.time + t_h
+    # t_end is vertex.time + t_h, read back from the buffer: the child vertex
+    # holds the very floats of its edge's final node.
+    return trajectory, trajectory.final_state(), trajectory.t_end
 
 
 def _edge_clears_obstacles(

@@ -5,6 +5,7 @@ oracle for a behaviour the package implements another way.
 """
 
 import itertools
+import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from cbfrrt.dynamics import (
     TrajectorySample,
     obstacle_center_at,
 )
+from cbfrrt.planner import PlanTree
 from cbfrrt.qp import TOL_ZERO
 from cbfrrt.safety import EcbfGains, barrier_value
 
@@ -280,3 +282,27 @@ def solve_box_qp(
         return None
     _, subset, u = best
     return BoxQpSolution(u_star=tuple(float(x) for x in u), active_set=subset)
+
+
+def tree_json_reference(algorithm: str, tree) -> str:
+    """tree.json as json.dumps of its document, every edge node read from
+    the edge's own buffer; harness._format_tree_json writes the same bytes
+    with format strings."""
+    if isinstance(tree, PlanTree):
+        vertices = [{"id": v.id, "x1": v.state.x1, "x2": v.state.x2,
+                     "theta": v.state.theta, "t": v.time, "parent": v.parent}
+                    for v in tree.vertices]
+        edges = [{"id": v.id, "parent": v.parent, "child": v.id,
+                  "samples": [list(edge.data[i:i + 6])
+                              for i in range(0, len(edge.data), 6)]}
+                 for v, edge in zip(tree.vertices[1:], tree.edges[1:])]
+    else:
+        n = len(tree)
+        vertices = [{"id": i, "x": x, "y": y, "parent": parent, "cost": cost}
+                    for i, x, y, parent, cost in zip(
+                        range(n), tree.xs[:n].tolist(), tree.ys[:n].tolist(),
+                        tree.parents, tree.costs)]
+        edges = [{"parent": parent, "child": i}
+                 for i, parent in enumerate(tree.parents[1:], 1)]
+    doc = {"algorithm": algorithm, "vertices": vertices, "edges": edges}
+    return json.dumps(doc) + "\n"

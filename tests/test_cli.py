@@ -20,6 +20,8 @@ SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 EXAMPLE1 = str(SCENARIO_DIR / "example1.json")
 EXAMPLE2 = str(SCENARIO_DIR / "example2.json")
 SWEEP = str(SCENARIO_DIR / "comparison_sweep.json")
+# a 0.01 s cbf-rrt horizon, below example1's dt of 0.02 s
+BAD_STEP_SWEEP = str(pathlib.Path(__file__).parent / "data" / "bad_step_sweep.json")
 
 
 def long_step_scenario(tmp_path, example1_file):
@@ -126,6 +128,9 @@ def test_plan_bad_overrides(tmp_path):
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
                       "--seeds", ","], None, r"--seeds: the list has no entries",
                      id="empty-seed-list"),
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", BAD_STEP_SWEEP,
+                      "--seeds", "2", "--threads", "1"], None,
+                     r"sweep\[0\]\.step: dt must be <= t_h", id="sweep-step-below-dt"),
     ],
 )
 def test_invalid_run_input_exits_3(tmp_path, monkeypatch, capsys, argv,

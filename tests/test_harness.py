@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from array import array
 
+import numpy as np
 import pytest
 
 import cbfrrt
@@ -11,6 +16,7 @@ from cbfrrt.dynamics import (
     CircularObstacle,
     ControlInput,
     RobotState,
+    Trajectory,
     TrajectorySample,
 )
 from cbfrrt.harness import (
@@ -18,6 +24,7 @@ from cbfrrt.harness import (
     InfeasibleScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
+    _format_tree_json,
     audit_trajectory,
     compare,
     execute,
@@ -28,9 +35,9 @@ from cbfrrt.harness import (
     run,
     write_scenario,
 )
-from cbfrrt.planner import PlannerParams
+from cbfrrt.planner import PlannerParams, PlanTree
 from cbfrrt.safety import EcbfGains
-from oracles import trajectory_from_samples
+from oracles import trajectory_from_samples, tree_json_reference
 
 SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 
@@ -390,6 +397,35 @@ def test_artifacts_match_golden_digests(tmp_path, name, algorithm, field, value,
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, algorithms", [
+    ("example1", ("cbf-rrt", "rrt", "rrt-star")),
+    ("example2", ("cbf-rrt",)),
+])
+def test_tree_json_matches_plain_json_dumps(name, algorithms):
+    sf = load_scenario(SCENARIO_DIR / f"{name}.json")
+    for algorithm in algorithms:
+        for seed in range(4):
+            _, _, tree = execute(sf, algorithm, seed)
+            assert (_format_tree_json(algorithm, tree)
+                    == tree_json_reference(algorithm, tree))
+
+
+def test_tree_json_of_a_hand_built_tree():
+    # -0.0, 1e16 and 1e-05 are written as json.dumps writes them; the root,
+    # given as numpy floats and an int, is stored and written as floats
+    tree = PlanTree(RobotState(np.float64(-0.0), 10**16, np.float64(1e-05)), 0)
+    tree.add_child(0, RobotState(1e16, -0.0, 1e-05), 0.5, Trajectory(array("d", [
+        0.0, -0.0, 1e16, 1e-05, 1.0, -0.0,
+        0.25, 1e-05, -1e16, 2.5, 1.0, 1e16,
+        0.5, 1e16, -0.0, 1e-05, 1.0, 1e16])))
+    tree.add_child(1, RobotState(-1e16, 1e-05, -0.0), 1.0, Trajectory(array("d", [
+        0.5, 1e16, -0.0, -2.0, 1e-05, -0.0,
+        1.0, -1e16, 1e-05, -0.0, 1e-05, -0.0])))
+    text = _format_tree_json("cbf-rrt", tree)
+    assert text == tree_json_reference("cbf-rrt", tree)
+    assert json.loads(text)["vertices"][0]["x2"] == 1e16
+
+
 # ---------------------------------------------------------------- compare
 
 
@@ -440,6 +476,25 @@ def test_compare_rows_sorted_and_complete(tmp_path, example1_file):
     steps = [float(l.split(",")[1]) for l in lines]
     assert steps == sorted(steps)
     assert len(lines) == 2
+
+
+def test_compare_rejects_a_step_the_scenario_rejects(tmp_path, example1_file):
+    # example1's dt is 0.02: a 0.01 s horizon is refused before any run
+    with pytest.raises(ScenarioValidationError, match=r"^sweep\[1\]\.step: dt must be <= t_h"):
+        compare(example1_file, [("rrt", 0.25), ("cbf-rrt", 0.01)], [0],
+                tmp_path / "c.csv", threads=1)
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # compare imports it on use; every `import cbfrrt` would pay for it
+    src = pathlib.Path(cbfrrt.__file__).resolve().parent.parent
+    code = ("import sys, cbfrrt; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_load_sweep_bundled():

@@ -386,6 +386,25 @@ def test_plan_counts_are_pinned(request, scenario_name, t_h, seed, iterations, v
     assert len(result.tree) == vertices
 
 
+@pytest.mark.parametrize("scenario_name, t_h", [("example1", 0.25), ("example2", None)])
+def test_edges_start_at_parent_and_end_at_child(request, scenario_name, t_h):
+    # tree.json formats each vertex's floats once and reuses them for these
+    # nodes, so they must be bit-equal, not merely close (repr tells -0.0 apart)
+    sc = request.getfixturevalue(f"{scenario_name}_file").scenario
+    for seed in range(3):
+        params = dataclasses.replace(sc.params, seed=seed, max_iters=600)
+        if t_h is not None:
+            params = dataclasses.replace(params, t_h=t_h)
+        tree = plan(dataclasses.replace(sc, params=params)).tree
+        assert len(tree) > 50
+        for child, edge in zip(tree.vertices[1:], tree.edges[1:]):
+            parent = tree.vertices[child.parent]
+            d = edge.data
+            assert len(edge) >= 2
+            assert list(map(repr, d[:3])) == list(map(repr, (parent.time, *parent.state[:2])))
+            assert list(map(repr, d[-6:-2])) == list(map(repr, (child.time, *child.state)))
+
+
 def test_plan_goal_already_reached():
     params = PlannerParams()
     sc = Scenario(RobotState(2.0, 2.05, 0.0), 0.0, (2.0, 2.0), (), params)
