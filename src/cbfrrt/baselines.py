@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class BaselineParams:
             raise ValueError(f"rewire_gamma must be >= 0, got {self.rewire_gamma}")
 
 
-class GeomVertex(NamedTuple):
-    id: int
-    position: Point
-    parent: Optional[int] = None
-    cost: float = 0.0
-
-
 class GeomTree:
     """Workspace tree whose positions are two preallocated columns, xs and
     ys, so a distance scan reads contiguous memory."""
@@ -84,9 +77,6 @@ class GeomTree:
         dx = self.xs[: self.n] - point[0]
         dy = self.ys[: self.n] - point[1]
         return dx * dx + dy * dy
-
-    def vertex(self, vid: int) -> GeomVertex:
-        return GeomVertex(vid, self.position(vid), self.parents[vid], self.costs[vid])
 
     def add(self, position: Point, parent: int, cost: float) -> int:
         vid = self.n
@@ -127,8 +117,6 @@ class BaselineResult:
     path: Optional[list[int]]
     iterations: int
     cost: Optional[float] = None
-    first_solution_iteration: Optional[int] = None
-    first_solution_cost: Optional[float] = None
 
 
 def random_state(
@@ -140,9 +128,10 @@ def random_state(
     return (float(rng.uniform(x_lo, x_hi)), float(rng.uniform(y_lo, y_hi)))
 
 
-def nearest_neighbor(tree: GeomTree, sample: Point) -> GeomVertex:
-    """Linear-scan nearest vertex; ties go to the lowest id (argmin order)."""
-    return tree.vertex(int(tree.sq_dists(sample).argmin()))
+def nearest_neighbor(tree: GeomTree, sample: Point) -> int:
+    """Id of the linear-scan nearest vertex; ties go to the lowest id
+    (argmin order)."""
+    return int(tree.sq_dists(sample).argmin())
 
 
 def near_set(tree: GeomTree, point: Point,
@@ -212,32 +201,30 @@ def rrt_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
     tree = GeomTree(root, params.max_iters + 1)
 
     if (root[0] - goal[0]) ** 2 + (root[1] - goal[1]) ** 2 <= eps2:
-        return BaselineResult(True, tree, [0], 0, cost=0.0,
-                              first_solution_iteration=0, first_solution_cost=0.0)
+        return BaselineResult(True, tree, [0], 0, cost=0.0)
 
     for iteration in range(1, params.max_iters + 1):
         sample = _sample_point(goal, params, rng)
         nn = nearest_neighbor(tree, sample)
-        if sample == nn.position:
+        x_nn = tree.position(nn)
+        if sample == x_nn:
             continue
-        x_new = steer_straight(nn.position, sample, params.delta_d)
+        x_new = steer_straight(x_nn, sample, params.delta_d)
         if not endpoint_collision_check(x_new, scenario.obstacles):
             continue
-        step = math.hypot(x_new[0] - nn.position[0], x_new[1] - nn.position[1])
-        vid = tree.add(x_new, nn.id, nn.cost + step)
+        step = math.hypot(x_new[0] - x_nn[0], x_new[1] - x_nn[1])
+        vid = tree.add(x_new, nn, tree.costs[nn] + step)
         if (x_new[0] - goal[0]) ** 2 + (x_new[1] - goal[1]) ** 2 <= eps2:
-            cost = tree.costs[vid]
             return BaselineResult(True, tree, tree.root_path(vid), iteration,
-                                  cost=cost, first_solution_iteration=iteration,
-                                  first_solution_cost=cost)
+                                  cost=tree.costs[vid])
     return BaselineResult(False, tree, None, params.max_iters)
 
 
 def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
     """RRT* (choose-parent + rewire) with the same end-point-only checks.
 
-    Runs the full iteration budget to keep refining cost; the first solution
-    found is recorded alongside the final best path. Rewire radius is
+    Runs the full iteration budget to keep refining cost and returns the
+    cheapest path to a goal vertex. Rewire radius is
     min(rewire_gamma * sqrt(log n / n), delta_d), so every edge in the tree
     keeps length <= delta_d.
     """
@@ -248,19 +235,17 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
     rng = np.random.default_rng(params.seed)
     tree = GeomTree(root, params.max_iters + 1)
     goal_ids: list[int] = []
-    first_iter: Optional[int] = None
-    first_cost: Optional[float] = None
 
     if (root[0] - goal[0]) ** 2 + (root[1] - goal[1]) ** 2 <= eps2:
-        return BaselineResult(True, tree, [0], 0, cost=0.0,
-                              first_solution_iteration=0, first_solution_cost=0.0)
+        return BaselineResult(True, tree, [0], 0, cost=0.0)
 
-    for iteration in range(1, params.max_iters + 1):
+    for _ in range(params.max_iters):
         sample = _sample_point(goal, params, rng)
         nn = nearest_neighbor(tree, sample)
-        if sample == nn.position:
+        x_nn = tree.position(nn)
+        if sample == x_nn:
             continue
-        x_new = steer_straight(nn.position, sample, params.delta_d)
+        x_new = steer_straight(x_nn, sample, params.delta_d)
         if not endpoint_collision_check(x_new, scenario.obstacles):
             continue
 
@@ -271,9 +256,8 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
 
         # choose-parent: cheapest connection among the near set (falling back
         # to the nearest vertex when the near set is empty)
-        parent = nn.id
-        step = float(dists[nn.id])
-        best_cost = tree.costs[nn.id] + step
+        parent = nn
+        best_cost = tree.costs[nn] + float(dists[nn])
         for j in near:
             c = tree.costs[j] + float(dists[j])
             if c < best_cost - 1e-12:
@@ -291,13 +275,9 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
 
         if (x_new[0] - goal[0]) ** 2 + (x_new[1] - goal[1]) ** 2 <= eps2:
             goal_ids.append(vid)
-            if first_iter is None:
-                first_iter = iteration
-                first_cost = tree.costs[vid]
 
     if not goal_ids:
         return BaselineResult(False, tree, None, params.max_iters)
     best = min(goal_ids, key=lambda g: tree.costs[g])
     return BaselineResult(True, tree, tree.root_path(best), params.max_iters,
-                          cost=tree.costs[best], first_solution_iteration=first_iter,
-                          first_solution_cost=first_cost)
+                          cost=tree.costs[best])

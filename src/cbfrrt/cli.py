@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory for artifacts")
     p.add_argument("--dt", type=float, default=None,
-                   help="override the integration step (cbf-rrt)")
+                   help="override the integration step (cbf-rrt only; "
+                        "rrt and rrt-star exit 3)")
     p.add_argument("--max-iters", type=int, default=None,
                    help="override the iteration budget")
 
@@ -140,10 +141,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_audit(args)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except FileNotFoundError as e:
+    except (ScenarioError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except Exception:

@@ -270,30 +270,6 @@ def _check_feasibility(scenario: Scenario, goal_horizon: float):
             )
 
 
-def write_scenario(scenario_file: ScenarioFile, path):
-    """Inverse of load_scenario; round-trips field-for-field."""
-    s = scenario_file.scenario
-    doc = {
-        "schema": 1,
-        "name": scenario_file.name,
-        "x_init": [s.x_init.x1, s.x_init.x2, s.x_init.theta],
-        "t_init": s.t_init,
-        "x_goal": list(s.x_goal),
-        "goal_horizon": scenario_file.goal_horizon,
-        "obstacles": [
-            {"center": list(o.center0), "radius": o.radius,
-             "velocity": list(o.velocity)}
-            for o in s.obstacles
-        ],
-        "planner": {key: value for key, value
-                    in _block_values(s.params, PLANNER_FIELDS).items()
-                    if value is not None},
-        "baseline": _block_values(scenario_file.baseline, BASELINE_FIELDS),
-        "metadata": scenario_file.metadata,
-    }
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # auditing
 
@@ -302,17 +278,18 @@ def audit_trajectory(
     trajectory: Trajectory,
     obstacles: Sequence[CircularObstacle],
     dt_audit: float,
-    tol: float = AUDIT_TOL,
 ) -> tuple[bool, Optional[float]]:
     """Independently verify a trajectory against the obstacles.
 
     Interpolates the trajectory linearly at dt_audit spacing (plus the exact
     final time) and evaluates every barrier at the matching obstacle time.
-    Returns (pass, min_barrier); an empty trajectory trivially passes with
-    min_barrier None.
+    Returns (pass, min_barrier), pass meaning min_barrier >= AUDIT_TOL; an
+    empty trajectory trivially passes with min_barrier None. A dt_audit that
+    is not finite and > 0 raises ValueError: an infinite one would sample
+    the end points alone.
     """
-    if not dt_audit > 0.0:
-        raise ValueError(f"dt_audit must be > 0, got {dt_audit}")
+    if not (math.isfinite(dt_audit) and dt_audit > 0.0):
+        raise ValueError(f"dt_audit must be finite and > 0, got {dt_audit}")
     if not trajectory or not obstacles:
         return True, None
     rows = np.frombuffer(trajectory.data).reshape(-1, 6)
@@ -328,7 +305,7 @@ def audit_trajectory(
         c2 = obstacle.center0[1] + obstacle.velocity[1] * taus
         h = (xi1 - c1) ** 2 + (xi2 - c2) ** 2 - obstacle.radius ** 2
         min_h = min(min_h, float(h.min()))
-    return min_h >= tol, min_h
+    return min_h >= AUDIT_TOL, min_h
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +341,14 @@ def execute(
     where trajectory is None on failure and tree is the planner's tree object.
 
     Raises ScenarioValidationError when the seed, the overrides, or the
-    scenario for a baseline (moving obstacles), are invalid."""
+    scenario for a baseline (moving obstacles), are invalid. dt is a
+    cbf-rrt override only: a baseline's audit samples at the scenario's
+    dt / 4, which a dt override would coarsen."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     _check_seed(seed, "seed")
+    if dt is not None and algorithm != "cbf-rrt":
+        _fail("dt", f"overrides the cbf-rrt integration step only, not {algorithm}'s")
     scenario = scenario_file.scenario
     try:
         params = replace(scenario.params, seed=seed)
@@ -598,9 +579,10 @@ def compare(
     env var, or the CPU count); results are sorted by (algorithm, step, seed)
     before aggregation so the table is deterministic either way. Per-run
     exceptions become the `errors` count instead of aborting the sweep.
-    A negative seed, a step the scenario rejects (naming sweep[i].step) or a
-    malformed CBFRRT_THREADS raises ScenarioValidationError before any run
-    starts.
+    A negative seed, a step the scenario rejects (naming sweep[i].step), a
+    baseline entry on a scenario with a moving disk (naming
+    sweep[i].algorithm) or a malformed CBFRRT_THREADS raises
+    ScenarioValidationError before any run starts.
     """
     if not seeds:
         raise ValueError("seeds list must not be empty")
@@ -617,6 +599,11 @@ def compare(
                 scenario_file, algorithm, float(step))
         except ValueError as e:
             raise ScenarioValidationError(f"sweep[{i}].step: {e}") from e
+        if algorithm != "cbf-rrt":
+            try:
+                require_static(scenario_file.scenario.obstacles)
+            except ValueError as e:
+                raise ScenarioValidationError(f"sweep[{i}].algorithm: {e}") from e
 
     tasks = [(algorithm, float(step), int(seed))
              for algorithm, step in sweep for seed in seeds]
@@ -665,10 +652,9 @@ def compare(
     for row in rows:
         writer.writerow(row)
     text = buf.getvalue()
-    if out_path is not None:
-        out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_path, text)
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _atomic_write(out_path, text)
     return text
 
 

@@ -116,8 +116,10 @@ class PlanTree:
 
     Every edge has at least two nodes; its first (t, x1, x2) are its
     parent's and its last (t, x1, x2, theta) its child's, the same floats
-    (tree.json writes each of them once per vertex). The root is stored as
-    Python floats for that reason."""
+    (tree.json writes each of them once per vertex). add_child reads the
+    child from its edge's last node, so the child half holds by
+    construction; an edge safe_steer made from the parent starts at the
+    parent's floats, and the root is stored as Python floats for that."""
 
     def __init__(self, root_state: RobotState, root_time: float):
         root_state = RobotState(*map(float, root_state))
@@ -127,9 +129,10 @@ class PlanTree:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def add_child(self, parent_id: int, state: RobotState, time: float,
-                  edge: Trajectory) -> Vertex:
-        vertex = Vertex(len(self.vertices), state, time, parent=parent_id)
+    def add_child(self, parent_id: int, edge: Trajectory) -> Vertex:
+        """Add the vertex at edge's last node, reached from parent_id."""
+        vertex = Vertex(len(self.vertices), edge.final_state(), edge.t_end,
+                        parent=parent_id)
         self.vertices.append(vertex)
         self.edges.append(edge)
         return vertex
@@ -139,7 +142,6 @@ class PlanTree:
 class PlanResult:
     success: bool
     tree: PlanTree
-    path: Optional[list[int]]
     controls: Optional[Trajectory]
     iterations: int
 
@@ -188,8 +190,9 @@ def safe_steer(
     u_ref: ControlInput,
     obstacles: Sequence[CircularObstacle],
     params: PlannerParams,
-) -> Optional[tuple[Trajectory, RobotState, float]]:
-    """Steer from vertex for one horizon under the per-node safety QP.
+) -> Optional[Trajectory]:
+    """Steer from vertex for one horizon under the per-node safety QP; the
+    edge's last node is the new vertex.
 
     At every integration node the barrier rows are rebuilt for the current
     state and time and the scalar QP projects omega_ref onto the feasible
@@ -225,9 +228,7 @@ def safe_steer(
         return None
     if not _edge_clears_obstacles(trajectory, obstacles, v, params.dt):
         return None
-    # t_end is vertex.time + t_h, read back from the buffer: the child vertex
-    # holds the very floats of its edge's final node.
-    return trajectory, trajectory.final_state(), trajectory.t_end
+    return trajectory
 
 
 def _edge_clears_obstacles(
@@ -272,25 +273,18 @@ def goal_check(
 def extract_path(tree: PlanTree, goal_vertex: int) -> Trajectory:
     """Concatenate edge trajectories from the root to goal_vertex.
 
-    Junction samples (each edge starts where its parent edge ended) are
-    deduplicated, keeping the child edge's sample since it carries the
-    control actually applied next. A root-only path yields an empty
-    trajectory.
+    Each edge starts at its parent's node, which is the last node of the
+    edge before it; that junction node is dropped from the earlier edge,
+    keeping the child edge's copy since it carries the control actually
+    applied next. A root-only path yields an empty trajectory.
     """
     if not 0 <= goal_vertex < len(tree):
         raise KeyError(f"unknown vertex id {goal_vertex}")
     out = array("d")
     for vid in _root_path(tree, goal_vertex)[1:]:
-        edge = tree.edges[vid].data
-        if out and _same_node(out[-6:-3], edge[:3]):
-            del out[-6:]  # keep the child's control at the junction
-        out += edge
+        del out[-6:]  # keep the child's control at the junction
+        out += tree.edges[vid].data
     return Trajectory(out)
-
-
-def _same_node(a, b) -> bool:
-    """(t, x1, x2) of two nodes agree to 1e-9."""
-    return all(abs(p - q) <= 1e-9 for p, q in zip(a, b))
 
 
 def plan(scenario: Scenario) -> PlanResult:
@@ -309,21 +303,19 @@ def plan(scenario: Scenario) -> PlanResult:
     dx = scenario.x_init.x1 - goal[0]
     dy = scenario.x_init.x2 - goal[1]
     if math.hypot(dx, dy) <= params.epsilon:
-        return PlanResult(True, tree, [0], extract_path(tree, 0), 0)
+        return PlanResult(True, tree, extract_path(tree, 0), 0)
 
     for iteration in range(1, params.max_iters + 1):
         picked = vertices_sample(tree, rng)
         expanding = state_sample(picked, goal, params.sigma2, rng)
         u_ref = reference_sample(rng, params)
-        steered = safe_steer(expanding, params.t_h, u_ref, scenario.obstacles, params)
-        if steered is None:
+        edge = safe_steer(expanding, params.t_h, u_ref, scenario.obstacles, params)
+        if edge is None:
             continue
-        trajectory, x_new, t_new = steered
-        child = tree.add_child(picked.id, x_new, t_new, trajectory)
-        if goal_check(trajectory, goal, params.epsilon):
-            path_ids = _root_path(tree, child.id)
-            return PlanResult(True, tree, path_ids, extract_path(tree, child.id), iteration)
-    return PlanResult(False, tree, None, None, params.max_iters)
+        child = tree.add_child(picked.id, edge)
+        if goal_check(edge, goal, params.epsilon):
+            return PlanResult(True, tree, extract_path(tree, child.id), iteration)
+    return PlanResult(False, tree, None, params.max_iters)
 
 
 def _root_path(tree: PlanTree, vertex_id: int) -> list[int]:

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 None of these run in the planner or the harness; each is an independent
-oracle for a behaviour the package implements another way.
+oracle for a behaviour the package implements another way, except
+write_scenario, the inverse of load_scenario, which only tests need.
 """
 
 import itertools
@@ -9,6 +10,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -22,7 +24,8 @@ from cbfrrt.dynamics import (
     TrajectorySample,
     obstacle_center_at,
 )
-from cbfrrt.planner import PlanTree
+from cbfrrt.harness import BASELINE_FIELDS, PLANNER_FIELDS, ScenarioFile, _block_values
+from cbfrrt.planner import PlanTree, _root_path
 from cbfrrt.qp import TOL_ZERO
 from cbfrrt.safety import EcbfGains, barrier_value
 
@@ -306,3 +309,40 @@ def tree_json_reference(algorithm: str, tree) -> str:
                  for i, parent in enumerate(tree.parents[1:], 1)]
     doc = {"algorithm": algorithm, "vertices": vertices, "edges": edges}
     return json.dumps(doc) + "\n"
+
+
+def extract_path_reference(tree: PlanTree, goal_vertex: int) -> Trajectory:
+    """Root-to-vertex path that drops a junction node only when the earlier
+    edge's last (t, x1, x2) and the later edge's first agree to 1e-9;
+    planner.extract_path drops it unconditionally."""
+    out = array("d")
+    for vid in _root_path(tree, goal_vertex)[1:]:
+        edge = tree.edges[vid].data
+        if out and all(abs(p - q) <= 1e-9 for p, q in zip(out[-6:-3], edge[:3])):
+            del out[-6:]
+        out += edge
+    return Trajectory(out)
+
+
+def write_scenario(scenario_file: ScenarioFile, path):
+    """Inverse of harness.load_scenario; round-trips field-for-field."""
+    s = scenario_file.scenario
+    doc = {
+        "schema": 1,
+        "name": scenario_file.name,
+        "x_init": [s.x_init.x1, s.x_init.x2, s.x_init.theta],
+        "t_init": s.t_init,
+        "x_goal": list(s.x_goal),
+        "goal_horizon": scenario_file.goal_horizon,
+        "obstacles": [
+            {"center": list(o.center0), "radius": o.radius,
+             "velocity": list(o.velocity)}
+            for o in s.obstacles
+        ],
+        "planner": {key: value for key, value
+                    in _block_values(s.params, PLANNER_FIELDS).items()
+                    if value is not None},
+        "baseline": _block_values(scenario_file.baseline, BASELINE_FIELDS),
+        "metadata": scenario_file.metadata,
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -66,10 +66,10 @@ def test_random_state_reproducible():
 def test_nearest_neighbor_basic_and_ties():
     tree = GeomTree((0.0, 0.0), capacity=4)
     tree.add((2.0, 0.0), 0, 2.0)
-    assert nearest_neighbor(tree, (0.4, 0.0)).id == 0
-    assert nearest_neighbor(tree, (1.9, 0.0)).id == 1
+    assert nearest_neighbor(tree, (0.4, 0.0)) == 0
+    assert nearest_neighbor(tree, (1.9, 0.0)) == 1
     # exact tie at the midpoint goes to the lower id
-    assert nearest_neighbor(tree, (1.0, 0.0)).id == 0
+    assert nearest_neighbor(tree, (1.0, 0.0)) == 0
 
 
 coordinates = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -104,7 +104,7 @@ def test_distance_scans_match_einsum_oracle_bit_for_bit(case, data):
         tree.add(p, 0, 0.0)
     rows = np.array(pts, dtype=float)
 
-    assert nearest_neighbor(tree, query).id == nearest_neighbor_reference(rows, query)
+    assert nearest_neighbor(tree, query) == nearest_neighbor_reference(rows, query)
 
     want_dists, _ = near_set_reference(rows, query, 0.0)
     # a radius of 0, one equal to a vertex's distance (the <= boundary), or any
@@ -244,21 +244,36 @@ def test_rrt_star_free_space_near_optimal():
     assert straight - 0.15 - 1e-9 <= res.cost <= 1.05 * straight
 
 
+def first_solution(seed, **kw):
+    """RRT*'s first solution: rrt and rrt-star add the same positions in the
+    same order at a fixed seed (rewiring changes only parents and costs), so
+    rrt-star cut off at rrt's iteration count stops right at it. Returns
+    (rrt result, that cut-off rrt-star result)."""
+    r = rrt_plan(world1_scenario(), baseline_params(seed=seed, **kw))
+    cut = rrt_star_plan(world1_scenario(),
+                        baseline_params(seed=seed, **{**kw, "max_iters": r.iterations}))
+    return r, cut
+
+
 def test_rrt_star_zero_radius_matches_rrt_first_solution():
     for seed in (0, 1, 2):
-        r = rrt_plan(world1_scenario(), baseline_params(seed=seed))
-        s = rrt_star_plan(world1_scenario(), baseline_params(seed=seed, rewire_gamma=0.0))
-        assert s.first_solution_iteration == r.iterations
-        assert s.first_solution_cost == pytest.approx(r.cost, rel=1e-12)
+        r, s = first_solution(seed, rewire_gamma=0.0)
+        assert r.success and s.success
+        # one iteration fewer and rrt-star has not reached the goal yet
+        earlier = rrt_star_plan(world1_scenario(), baseline_params(
+            seed=seed, rewire_gamma=0.0, max_iters=r.iterations - 1))
+        assert not earlier.success
+        assert s.cost == pytest.approx(r.cost, rel=1e-12)
 
 
 def test_rrt_star_runs_full_budget_and_refines():
     res = rrt_star_plan(world1_scenario(), baseline_params(seed=0, max_iters=1500))
     assert res.success
     assert res.iterations == 1500
-    assert res.cost <= res.first_solution_cost + 1e-12
+    rrt_res, first = first_solution(0, max_iters=1500)
+    assert first.success
+    assert res.cost <= first.cost + 1e-12
     # keeps inserting after the first solution instead of stopping there
-    rrt_res = rrt_plan(world1_scenario(), baseline_params(seed=0, max_iters=1500))
     assert len(res.tree) > len(rrt_res.tree)
 
 

@@ -15,6 +15,7 @@ from cbfrrt.cli import (
     EXIT_OK,
     main,
 )
+from oracles import write_scenario
 
 SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 EXAMPLE1 = str(SCENARIO_DIR / "example1.json")
@@ -31,7 +32,7 @@ def long_step_scenario(tmp_path, example1_file):
         baseline=dataclasses.replace(example1_file.baseline, delta_d=1.0),
     )
     p = tmp_path / "long_step.json"
-    harness.write_scenario(sf, p)
+    write_scenario(sf, p)
     return str(p)
 
 
@@ -131,6 +132,14 @@ def test_plan_bad_overrides(tmp_path):
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", BAD_STEP_SWEEP,
                       "--seeds", "2", "--threads", "1"], None,
                      r"sweep\[0\]\.step: dt must be <= t_h", id="sweep-step-below-dt"),
+        pytest.param(["compare", "--scenario", EXAMPLE2, "--sweep", SWEEP,
+                      "--seeds", "2", "--threads", "1"], None,
+                     r"sweep\[1\]\.algorithm.*obstacles\[0\] moves",
+                     id="sweep-baseline-on-moving-disk"),
+        pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt",
+                      "--dt", "0.5"], None, r"dt: .*cbf-rrt", id="dt-for-rrt"),
+        pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt-star",
+                      "--dt", "0.5"], None, r"dt: .*cbf-rrt", id="dt-for-rrt-star"),
     ],
 )
 def test_invalid_run_input_exits_3(tmp_path, monkeypatch, capsys, argv,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import cbfrrt
+from cbfrrt import harness
 from cbfrrt.baselines import BaselineParams
 from cbfrrt.dynamics import (
     CircularObstacle,
@@ -33,11 +35,10 @@ from cbfrrt.harness import (
     load_sweep,
     read_trajectory_csv,
     run,
-    write_scenario,
 )
 from cbfrrt.planner import PlannerParams, PlanTree
 from cbfrrt.safety import EcbfGains
-from oracles import trajectory_from_samples, tree_json_reference
+from oracles import trajectory_from_samples, tree_json_reference, write_scenario
 
 SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 
@@ -247,6 +248,13 @@ def test_audit_empty_and_obstacle_free():
 def test_audit_rejects_bad_dt():
     with pytest.raises(ValueError):
         audit_trajectory(trajectory_from_samples([]), (), 0.0)
+    # an infinite spacing would sample the two end points alone, and this
+    # line crosses the disk between them
+    traj = straight_line_trajectory((-1.0, 0.0), (1.0, 0.0), 2)
+    obstacles = (CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2),)
+    for dt_audit in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match=r"^dt_audit must be finite and > 0"):
+            audit_trajectory(traj, obstacles, dt_audit)
 
 
 # ---------------------------------------------------------------- serialization
@@ -414,11 +422,11 @@ def test_tree_json_of_a_hand_built_tree():
     # -0.0, 1e16 and 1e-05 are written as json.dumps writes them; the root,
     # given as numpy floats and an int, is stored and written as floats
     tree = PlanTree(RobotState(np.float64(-0.0), 10**16, np.float64(1e-05)), 0)
-    tree.add_child(0, RobotState(1e16, -0.0, 1e-05), 0.5, Trajectory(array("d", [
+    tree.add_child(0, Trajectory(array("d", [
         0.0, -0.0, 1e16, 1e-05, 1.0, -0.0,
         0.25, 1e-05, -1e16, 2.5, 1.0, 1e16,
         0.5, 1e16, -0.0, 1e-05, 1.0, 1e16])))
-    tree.add_child(1, RobotState(-1e16, 1e-05, -0.0), 1.0, Trajectory(array("d", [
+    tree.add_child(1, Trajectory(array("d", [
         0.5, 1e16, -0.0, -2.0, 1e-05, -0.0,
         1.0, -1e16, 1e-05, -0.0, 1e-05, -0.0])))
     text = _format_tree_json("cbf-rrt", tree)
@@ -458,9 +466,14 @@ def test_compare_empty_seeds(tmp_path, example1_file):
         compare(example1_file, [("rrt", 0.25)], [], tmp_path / "c.csv")
 
 
-def test_compare_propagates_run_errors_into_table(tmp_path, example2_file):
-    # baselines cannot handle the moving obstacle: the cell records errors
-    table = compare(example2_file, [("rrt", 0.25)], [0, 1], tmp_path / "c.csv", threads=1)
+def test_compare_propagates_run_errors_into_table(tmp_path, monkeypatch, example2_file):
+    # a run that raises is counted in the cell's errors, not raised
+    def boom(scenario):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(harness, "plan", boom)
+    table = compare(example2_file, [("cbf-rrt", 0.25)], [0, 1], tmp_path / "c.csv",
+                    threads=1)
     line = table.strip().splitlines()[1]
     fields = line.split(",")
     assert int(fields[3]) == 0  # successes

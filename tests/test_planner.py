@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -27,13 +28,13 @@ from cbfrrt.planner import (
 )
 from cbfrrt.qp import solve_scalar_qp
 from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows
+from oracles import extract_path_reference
 
 
 def straight_edge(tree, parent_id, params):
     parent = tree.vertices[parent_id]
-    out = safe_steer(parent, params.t_h, ControlInput(1.0, 0.0), (), params)
-    traj, x_new, t_new = out
-    return tree.add_child(parent_id, x_new, t_new, traj)
+    edge = safe_steer(parent, params.t_h, ControlInput(1.0, 0.0), (), params)
+    return tree.add_child(parent_id, edge)
 
 
 # ---------------------------------------------------------------- params
@@ -183,7 +184,8 @@ def test_reference_sample_uniform_hook():
 def test_safe_steer_free_space_straight():
     params = PlannerParams()
     v0 = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
-    traj, x_new, t_new = safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (), params)
+    traj = safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (), params)
+    x_new, t_new = traj.final_state(), traj.t_end
     assert x_new.x1 == pytest.approx(0.5, abs=1e-9)
     assert x_new.x2 == pytest.approx(0.0, abs=1e-15)
     assert x_new.theta == 0.0
@@ -202,9 +204,9 @@ def test_safe_steer_swerves_around_offset_obstacle():
     params = PlannerParams()
     v0 = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
     ob = CircularObstacle((0.5, 0.15), (0.0, 0.0), 0.2)
-    out = safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (ob,), params)
-    assert out is not None
-    traj, x_new, t_new = out
+    traj = safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (ob,), params)
+    assert traj is not None
+    x_new, t_new = traj.final_state(), traj.t_end
     assert x_new.theta != 0.0  # the filter had to steer
     assert min(barrier_value(s.state, ob, s.t) for s in traj.samples) >= 0.0
     assert t_new == 0.5
@@ -250,7 +252,7 @@ def test_safe_steer_rejects_grazing_below_margin():
 def test_goal_check():
     params = PlannerParams()
     v0 = Vertex(0, RobotState(1.9, 2.0, 0.0), 0.0)
-    traj, _, _ = safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (), params)
+    traj = safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (), params)
     assert goal_check(traj, (2.0, 2.0), 0.15)
     assert not goal_check(traj, (5.0, 5.0), 0.15)
     # interior node inside the goal disk counts even if the endpoint leaves it
@@ -262,7 +264,8 @@ def test_goal_check_interior_only():
     # straight edge passing through the disk and out the far side
     params = PlannerParams(t_h=1.0)
     v0 = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
-    traj, x_new, _ = safe_steer(v0, 1.0, ControlInput(1.0, 0.0), (), params)
+    traj = safe_steer(v0, 1.0, ControlInput(1.0, 0.0), (), params)
+    x_new = traj.final_state()
     assert math.hypot(x_new.x1 - 0.5, x_new.x2) > 0.15
     assert goal_check(traj, (0.5, 0.0), 0.15)
 
@@ -290,6 +293,29 @@ def test_extract_path_unknown_vertex():
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
     with pytest.raises(KeyError):
         extract_path(tree, 99)
+
+
+def test_add_child_reads_the_child_from_its_edge():
+    params = PlannerParams()
+    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
+    child = straight_edge(tree, 0, params)
+    edge = tree.edges[child.id]
+    assert child == Vertex(1, edge.final_state(), edge.t_end, parent=0)
+    assert tree.vertices[1] is child
+
+
+@pytest.mark.parametrize("scenario_name, t_h", [("example1", 0.25), ("example2", None)])
+def test_extract_path_matches_the_junction_testing_reference(request, scenario_name, t_h):
+    # the unconditional junction drop equals the old 1e-9 junction test on
+    # every root path of plan's trees
+    sc = request.getfixturevalue(f"{scenario_name}_file").scenario
+    for seed in range(4):
+        params = dataclasses.replace(sc.params, seed=seed)
+        if t_h is not None:
+            params = dataclasses.replace(params, t_h=t_h)
+        tree = plan(dataclasses.replace(sc, params=params)).tree
+        for vid in range(len(tree)):
+            assert extract_path(tree, vid).data == extract_path_reference(tree, vid).data
 
 
 # ---------------------------------------------------------------- plan
@@ -341,10 +367,12 @@ def test_plan_reaches_goal_and_tree_is_consistent(example1_file):
             assert lo - 1e-12 <= s.control.omega <= hi + 1e-12
             assert s.control.v == sc.params.v_const
 
-    # goal correctness on the extracted path
+    # goal correctness on the extracted path, which runs from the root to
+    # the last vertex added
     assert goal_check(result.controls, sc.x_goal, sc.params.epsilon)
-    assert result.path[0] == 0
-    assert result.path[-1] == max(result.path)
+    root = tree.vertices[0]
+    assert result.controls.data[:3] == array("d", (root.time, *root.state[:2]))
+    assert result.controls.data == extract_path(tree, len(tree) - 1).data
 
 
 def test_plan_edges_stay_safe(example1_file):
@@ -411,7 +439,7 @@ def test_plan_goal_already_reached():
     result = plan(sc)
     assert result.success
     assert result.iterations == 0
-    assert result.path == [0]
+    assert len(result.tree) == 1
     assert len(result.controls) == 0
 
 
@@ -421,7 +449,6 @@ def test_plan_exhausts_budget(example1_file):
     result = plan(sc)
     assert not result.success
     assert result.iterations == 3
-    assert result.path is None
     assert result.controls is None
 
 
