@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import CircularObstacle
-from .planner import Scenario
+from .planner import Scenario, root_path
 
 Point = tuple[float, float]
 
@@ -101,13 +101,6 @@ class GeomTree:
             w = stack.pop()
             self.costs[w] += delta
             stack.extend(self.children[w])
-
-    def root_path(self, vid: int) -> list[int]:
-        ids = [vid]
-        while self.parents[ids[-1]] is not None:
-            ids.append(self.parents[ids[-1]])
-        ids.reverse()
-        return ids
 
 
 @dataclass
@@ -215,7 +208,7 @@ def rrt_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
         step = math.hypot(x_new[0] - x_nn[0], x_new[1] - x_nn[1])
         vid = tree.add(x_new, nn, tree.costs[nn] + step)
         if (x_new[0] - goal[0]) ** 2 + (x_new[1] - goal[1]) ** 2 <= eps2:
-            return BaselineResult(True, tree, tree.root_path(vid), iteration,
+            return BaselineResult(True, tree, root_path(tree.parents, vid), iteration,
                                   cost=tree.costs[vid])
     return BaselineResult(False, tree, None, params.max_iters)
 
@@ -279,5 +272,5 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
     if not goal_ids:
         return BaselineResult(False, tree, None, params.max_iters)
     best = min(goal_ids, key=lambda g: tree.costs[g])
-    return BaselineResult(True, tree, tree.root_path(best), params.max_iters,
+    return BaselineResult(True, tree, root_path(tree.parents, best), params.max_iters,
                           cost=tree.costs[best])

@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="either a count N (seeds 0..N-1) or a comma list like 3,7,9")
     c.add_argument("--out", required=True, help="output directory")
     c.add_argument("--threads", type=int, default=None,
-                   help="parallel runs (default: CBFRRT_THREADS or CPU count)")
+                   help="parallel runs (default: CPU count)")
 
     a = sub.add_parser("audit", help="re-check a trajectory CSV against a scenario")
     a.add_argument("--trajectory", required=True, help="trajectory CSV file")
@@ -86,10 +86,11 @@ def _cmd_plan(args) -> int:
                          dt=args.dt, max_iters=args.max_iters)
     if report.success:
         audit = "pass" if report.audit_pass else "FAIL"
+        barrier = "n/a" if report.min_barrier is None else f"{report.min_barrier:.6f}"
         print(f"{args.algorithm} seed={args.seed}: reached goal in "
               f"{report.iterations} iterations ({report.vertices} vertices), "
               f"path {report.path_length:.3f} m / {report.path_duration:.3f} s, "
-              f"min barrier {report.min_barrier:.6f} m^2, audit {audit}, "
+              f"min barrier {barrier} m^2, audit {audit}, "
               f"wall {report.wall_time:.3f} s")
         print(f"artifacts written to {Path(args.out).resolve()}")
         return EXIT_OK if report.audit_pass else EXIT_AUDIT_FAIL
@@ -116,17 +117,17 @@ def _cmd_compare(args) -> int:
 
 def _cmd_audit(args) -> int:
     scenario_file = harness.load_scenario(args.scenario)
-    try:
-        trajectory = harness.read_trajectory_csv(args.trajectory)
-    except (OSError, ValueError) as e:
-        raise ScenarioError(f"--trajectory: {e}") from e
     dt_audit = args.dt_audit
     if dt_audit is None:
         dt_audit = scenario_file.scenario.params.dt / 4.0
     elif not (math.isfinite(dt_audit) and dt_audit > 0):
         raise ScenarioError(f"--dt-audit must be finite and > 0, got {dt_audit}")
-    ok, min_barrier = harness.audit_trajectory(
-        trajectory, scenario_file.scenario.obstacles, dt_audit)
+    try:
+        trajectory = harness.read_trajectory_csv(args.trajectory)
+        ok, min_barrier = harness.audit_trajectory(
+            trajectory, scenario_file.scenario.obstacles, dt_audit)
+    except (OSError, ValueError) as e:
+        raise ScenarioError(f"--trajectory: {e}") from e
     shown = "n/a" if min_barrier is None else f"{min_barrier:.9f}"
     print(f"audit {'pass' if ok else 'FAIL'}: min barrier {shown} m^2 "
           f"over {len(trajectory)} samples at dt_audit={dt_audit}")

@@ -92,10 +92,6 @@ class Trajectory:
     def t_end(self) -> float:
         return self.data[-6]
 
-    def final_state(self) -> RobotState:
-        d = self.data
-        return RobotState(d[-5], d[-4], d[-3])
-
     def path_length(self) -> float:
         x1 = self.data[1::6]
         x2 = self.data[2::6]

@@ -283,14 +283,17 @@ def audit_trajectory(
 
     Interpolates the trajectory linearly at dt_audit spacing (plus the exact
     final time) and evaluates every barrier at the matching obstacle time.
-    Returns (pass, min_barrier), pass meaning min_barrier >= AUDIT_TOL; an
-    empty trajectory trivially passes with min_barrier None. A dt_audit that
-    is not finite and > 0 raises ValueError: an infinite one would sample
-    the end points alone.
+    Returns (pass, min_barrier), pass meaning min_barrier >= AUDIT_TOL; with
+    no obstacles the trajectory passes with min_barrier None. A trajectory
+    with no nodes raises ValueError (every planned path has at least its
+    start), as does a dt_audit that is not finite and > 0: an infinite one
+    would sample the end points alone.
     """
     if not (math.isfinite(dt_audit) and dt_audit > 0.0):
         raise ValueError(f"dt_audit must be finite and > 0, got {dt_audit}")
-    if not trajectory or not obstacles:
+    if not trajectory:
+        raise ValueError("the trajectory has no nodes to audit")
+    if not obstacles:
         return True, None
     rows = np.frombuffer(trajectory.data).reshape(-1, 6)
     ts, x1, x2 = rows[:, 0], rows[:, 1], rows[:, 2]
@@ -376,7 +379,7 @@ def execute(
     if result.success and algorithm == "cbf-rrt":
         trajectory = result.controls
         path_length = trajectory.path_length()
-        path_duration = trajectory.t_end - trajectory.t0 if trajectory else 0.0
+        path_duration = trajectory.t_end - trajectory.t0
     elif result.success:
         points = [result.tree.position(v) for v in result.path]
         trajectory = _polyline_trajectory(
@@ -485,24 +488,22 @@ def read_trajectory_csv(path) -> Trajectory:
 def _format_tree_json(algorithm: str, tree) -> str:
     if isinstance(tree, PlanTree):
         # json.dumps' layout, floats written with %r as in
-        # format_trajectory_csv. Each vertex's (t, x1, x2, theta) is
-        # formatted once: the strings are its entry in the vertex list, the
-        # last node of its own edge and the first (t, x1, x2) of every child
-        # edge, which PlanTree keeps the same floats.
-        vs = tree.vertices
-        text = " ".join(["%r %r %r %r"] * len(vs)) % tuple(
-            [x for v in vs for x in (v.time, *v.state)])
+        # format_trajectory_csv. Each vertex's (t, x1, x2, theta), the last
+        # node of its own edge, is formatted once: the strings are its entry
+        # in the vertex list, that last node and the first (t, x1, x2) of
+        # every child edge, which are the same floats.
+        text = " ".join(["%r %r %r %r"] * len(tree)) % tuple(
+            [x for edge in tree.edges for x in edge.data[-6:-2]])
         strs = text.split(" ")
         ts, x1s, x2s, thetas = strs[0::4], strs[1::4], strs[2::4], strs[3::4]
-        rows = zip(range(len(vs)), x1s, x2s, thetas, ts,
-                   ["null", *[v.parent for v in vs[1:]]])
+        rows = zip(range(len(tree)), x1s, x2s, thetas, ts, ["null", *tree.parents[1:]])
         vertices = "[" + ", ".join(
             ['{"id": %d, "x1": %s, "x2": %s, "theta": %s, "t": %s, "parent": %s}'
              % row for row in rows]) + "]"
         # One format string per edge length.
         formats = {}
         parts = []
-        for c, (v, edge) in enumerate(zip(vs[1:], tree.edges[1:]), 1):
+        for c, (p, edge) in enumerate(zip(tree.parents[1:], tree.edges[1:]), 1):
             n = len(edge)
             if n not in formats:
                 samples = ", ".join(["[%s, %s, %s, %r, %r, %r]"]
@@ -510,7 +511,7 @@ def _format_tree_json(algorithm: str, tree) -> str:
                                     + ["[%s, %s, %s, %s, %r, %r]"])
                 formats[n] = ('{"id": %d, "parent": %d, "child": %d, "samples": ['
                               + samples + "]}")
-            p, data = v.parent, edge.data
+            data = edge.data
             parts.append(formats[n] % (
                 c, p, c, ts[p], x1s[p], x2s[p], *data[3:-6],
                 ts[c], x1s[c], x2s[c], thetas[c], data[-2], data[-1]))
@@ -575,14 +576,13 @@ def compare(
     """Run the (algorithm, step) x seeds cross-product and write one
     aggregate CSV row per sweep entry.
 
-    Runs may execute in parallel (capped by `threads`, the CBFRRT_THREADS
-    env var, or the CPU count); results are sorted by (algorithm, step, seed)
-    before aggregation so the table is deterministic either way. Per-run
-    exceptions become the `errors` count instead of aborting the sweep.
-    A negative seed, a step the scenario rejects (naming sweep[i].step), a
-    baseline entry on a scenario with a moving disk (naming
-    sweep[i].algorithm) or a malformed CBFRRT_THREADS raises
-    ScenarioValidationError before any run starts.
+    Runs may execute in parallel (capped by `threads`, or by the CPU count
+    when it is None); results are sorted by (algorithm, step, seed) before
+    aggregation so the table is deterministic either way. Per-run exceptions
+    become the `errors` count instead of aborting the sweep. A negative
+    seed, a step the scenario rejects (naming sweep[i].step) or a baseline
+    entry on a scenario with a moving disk (naming sweep[i].algorithm)
+    raises ScenarioValidationError before any run starts.
     """
     if not seeds:
         raise ValueError("seeds list must not be empty")
@@ -608,11 +608,7 @@ def compare(
     tasks = [(algorithm, float(step), int(seed))
              for algorithm, step in sweep for seed in seeds]
     if threads is None:
-        text = os.environ.get("CBFRRT_THREADS", "0")
-        if not text.strip().isdecimal():
-            raise ScenarioValidationError(
-                f"CBFRRT_THREADS: expected a non-negative integer, got {text!r}")
-        threads = int(text) or os.cpu_count() or 1
+        threads = os.cpu_count() or 1
     files = [stepped[a, st] for a, st, _ in tasks]
     if threads > 1 and len(tasks) > 1:
         # Imported here, its one use: it would cost every `import cbfrrt`.

@@ -8,10 +8,11 @@ every QP along the way was feasible and the integrated edge clears every
 disk with margin (see safe_steer for why QP feasibility alone is not
 enough).
 
-Vertices carry (state, time) because obstacles move: a vertex is only known
-to be safe at its own timestamp. Headings stored on vertices are the arrival
-headings; expansion overwrites them (the heading is a free variable, so edge
-start states match their parent vertex in position and time, not heading).
+A vertex is the last node of the edge that reached it, so it carries
+(state, time): obstacles move, and a vertex is only known to be safe at its
+own timestamp. Its heading is the arrival heading; expansion overwrites it
+(the heading is a free variable, so edge start states match their parent
+vertex in position and time, not heading).
 
 Randomness is a single seeded generator per plan() call, consumed in a fixed
 order (vertex draw, then heading draw, then reference draw, each iteration),
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -102,40 +103,30 @@ class Scenario:
                 raise ValueError(f"x_init lies inside obstacles[{i}] at t_init")
 
 
-class Vertex(NamedTuple):
-    id: int
-    state: RobotState
-    time: float
-    parent: Optional[int] = None
-
-
 class PlanTree:
-    """Rooted tree of (state, time) vertices, stored densely: vertices[i] has
-    id i, and edges[i] is the steering trajectory from its parent to it
-    (None for the root).
+    """Rooted tree stored as two parallel lists: parents[i] is vertex i's
+    parent (None for the root) and edges[i] the steering trajectory that
+    reached it. Vertex i is the last node (t, x1, x2, theta) of edges[i];
+    edges[0] is the root's one-node trajectory (t_init, *x_init, 0.0, 0.0).
 
-    Every edge has at least two nodes; its first (t, x1, x2) are its
-    parent's and its last (t, x1, x2, theta) its child's, the same floats
-    (tree.json writes each of them once per vertex). add_child reads the
-    child from its edge's last node, so the child half holds by
-    construction; an edge safe_steer made from the parent starts at the
-    parent's floats, and the root is stored as Python floats for that."""
+    Every other edge has at least two nodes and, steered from its parent's
+    last node, starts at the parent's (t, x1, x2) floats (tree.json writes
+    those floats once per vertex)."""
 
     def __init__(self, root_state: RobotState, root_time: float):
-        root_state = RobotState(*map(float, root_state))
-        self.vertices: list[Vertex] = [Vertex(0, root_state, float(root_time))]
-        self.edges: list[Optional[Trajectory]] = [None]
+        self.parents: list[Optional[int]] = [None]
+        self.edges: list[Trajectory] = [
+            Trajectory(array("d", (root_time, *root_state, 0.0, 0.0)))]
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.edges)
 
-    def add_child(self, parent_id: int, edge: Trajectory) -> Vertex:
-        """Add the vertex at edge's last node, reached from parent_id."""
-        vertex = Vertex(len(self.vertices), edge.final_state(), edge.t_end,
-                        parent=parent_id)
-        self.vertices.append(vertex)
+    def add_child(self, parent_id: int, edge: Trajectory) -> int:
+        """Add the vertex at edge's last node, reached from parent_id; return
+        its id."""
+        self.parents.append(parent_id)
         self.edges.append(edge)
-        return vertex
+        return len(self.edges) - 1
 
 
 @dataclass
@@ -146,9 +137,9 @@ class PlanResult:
     iterations: int
 
 
-def vertices_sample(tree: PlanTree, rng: np.random.Generator) -> Vertex:
-    """Draw a vertex uniformly from the tree (probability 1/N each)."""
-    return tree.vertices[int(rng.integers(0, len(tree)))]
+def vertices_sample(tree: PlanTree, rng: np.random.Generator) -> int:
+    """Draw a vertex id uniformly from the tree (probability 1/N each)."""
+    return int(rng.integers(0, len(tree)))
 
 
 def goal_heading(position: tuple[float, float], goal: tuple[float, float]) -> float:
@@ -161,18 +152,17 @@ def goal_heading(position: tuple[float, float], goal: tuple[float, float]) -> fl
 
 
 def state_sample(
-    vertex: Vertex,
+    position: tuple[float, float],
     goal: tuple[float, float],
     sigma2: float,
     rng: np.random.Generator,
-) -> Vertex:
-    """Copy of vertex with the free heading redrawn ~ Normal(goal heading, sigma2)."""
-    theta_goal = goal_heading(vertex.state.position(), goal)
-    theta = float(rng.normal(theta_goal, math.sqrt(sigma2)))
+) -> RobotState:
+    """The state at position with the free heading drawn ~ Normal(goal
+    heading, sigma2)."""
+    theta = float(rng.normal(goal_heading(position, goal), math.sqrt(sigma2)))
     # tuple.__new__ here and in reference_sample: no Python-level NamedTuple
     # __new__ per iteration.
-    state = tuple.__new__(RobotState, (vertex.state.x1, vertex.state.x2, theta))
-    return tuple.__new__(Vertex, (vertex.id, state, vertex.time, vertex.parent))
+    return tuple.__new__(RobotState, (*position, theta))
 
 
 def reference_sample(rng: np.random.Generator, params: PlannerParams) -> ControlInput:
@@ -185,14 +175,15 @@ def reference_sample(rng: np.random.Generator, params: PlannerParams) -> Control
 
 
 def safe_steer(
-    vertex: Vertex,
+    state: RobotState,
+    t: float,
     t_h: float,
     u_ref: ControlInput,
     obstacles: Sequence[CircularObstacle],
     params: PlannerParams,
 ) -> Optional[Trajectory]:
-    """Steer from vertex for one horizon under the per-node safety QP; the
-    edge's last node is the new vertex.
+    """Steer from state at time t for one horizon under the per-node safety
+    QP; the edge's last node is the new vertex.
 
     At every integration node the barrier rows are rebuilt for the current
     state and time and the scalar QP projects omega_ref onto the feasible
@@ -221,9 +212,7 @@ def safe_steer(
             return None
         return (v, omega)
 
-    trajectory = integrate_closed_loop(
-        vertex.state, vertex.time, t_h, params.dt, controller
-    )
+    trajectory = integrate_closed_loop(state, t, t_h, params.dt, controller)
     if trajectory is None:
         return None
     if not _edge_clears_obstacles(trajectory, obstacles, v, params.dt):
@@ -270,18 +259,27 @@ def goal_check(
     return False
 
 
+def root_path(parents: Sequence[Optional[int]], vid: int) -> list[int]:
+    """Vertex ids from the root (whose parent is None) down to vid."""
+    ids = [vid]
+    while (parent := parents[ids[-1]]) is not None:
+        ids.append(parent)
+    ids.reverse()
+    return ids
+
+
 def extract_path(tree: PlanTree, goal_vertex: int) -> Trajectory:
     """Concatenate edge trajectories from the root to goal_vertex.
 
     Each edge starts at its parent's node, which is the last node of the
     edge before it; that junction node is dropped from the earlier edge,
     keeping the child edge's copy since it carries the control actually
-    applied next. A root-only path yields an empty trajectory.
+    applied next. A root-only path is the root's one node.
     """
     if not 0 <= goal_vertex < len(tree):
         raise KeyError(f"unknown vertex id {goal_vertex}")
-    out = array("d")
-    for vid in _root_path(tree, goal_vertex)[1:]:
+    out = array("d", tree.edges[0].data)
+    for vid in root_path(tree.parents, goal_vertex)[1:]:
         del out[-6:]  # keep the child's control at the junction
         out += tree.edges[vid].data
     return Trajectory(out)
@@ -307,20 +305,13 @@ def plan(scenario: Scenario) -> PlanResult:
 
     for iteration in range(1, params.max_iters + 1):
         picked = vertices_sample(tree, rng)
-        expanding = state_sample(picked, goal, params.sigma2, rng)
+        t, x1, x2 = tree.edges[picked].data[-6:-3]
+        state = state_sample((x1, x2), goal, params.sigma2, rng)
         u_ref = reference_sample(rng, params)
-        edge = safe_steer(expanding, params.t_h, u_ref, scenario.obstacles, params)
+        edge = safe_steer(state, t, params.t_h, u_ref, scenario.obstacles, params)
         if edge is None:
             continue
-        child = tree.add_child(picked.id, edge)
+        child = tree.add_child(picked, edge)
         if goal_check(edge, goal, params.epsilon):
-            return PlanResult(True, tree, extract_path(tree, child.id), iteration)
+            return PlanResult(True, tree, extract_path(tree, child), iteration)
     return PlanResult(False, tree, None, params.max_iters)
-
-
-def _root_path(tree: PlanTree, vertex_id: int) -> list[int]:
-    ids = [vertex_id]
-    while (parent := tree.vertices[ids[-1]].parent) is not None:
-        ids.append(parent)
-    ids.reverse()
-    return ids

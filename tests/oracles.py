@@ -25,7 +25,7 @@ from cbfrrt.dynamics import (
     obstacle_center_at,
 )
 from cbfrrt.harness import BASELINE_FIELDS, PLANNER_FIELDS, ScenarioFile, _block_values
-from cbfrrt.planner import PlanTree, _root_path
+from cbfrrt.planner import PlanTree, root_path
 from cbfrrt.qp import TOL_ZERO
 from cbfrrt.safety import EcbfGains, barrier_value
 
@@ -292,13 +292,16 @@ def tree_json_reference(algorithm: str, tree) -> str:
     the edge's own buffer; harness._format_tree_json writes the same bytes
     with format strings."""
     if isinstance(tree, PlanTree):
-        vertices = [{"id": v.id, "x1": v.state.x1, "x2": v.state.x2,
-                     "theta": v.state.theta, "t": v.time, "parent": v.parent}
-                    for v in tree.vertices]
-        edges = [{"id": v.id, "parent": v.parent, "child": v.id,
-                  "samples": [list(edge.data[i:i + 6])
-                              for i in range(0, len(edge.data), 6)]}
-                 for v, edge in zip(tree.vertices[1:], tree.edges[1:])]
+        nodes = [edge.data[-6:-2] for edge in tree.edges]
+        vertices = [{"id": i, "x1": x1, "x2": x2, "theta": theta, "t": t,
+                     "parent": parent}
+                    for i, ((t, x1, x2, theta), parent)
+                    in enumerate(zip(nodes, tree.parents))]
+        edges = [{"id": i, "parent": parent, "child": i,
+                  "samples": [list(edge.data[j:j + 6])
+                              for j in range(0, len(edge.data), 6)]}
+                 for i, (parent, edge)
+                 in enumerate(zip(tree.parents[1:], tree.edges[1:]), 1)]
     else:
         n = len(tree)
         vertices = [{"id": i, "x": x, "y": y, "parent": parent, "cost": cost}
@@ -312,11 +315,11 @@ def tree_json_reference(algorithm: str, tree) -> str:
 
 
 def extract_path_reference(tree: PlanTree, goal_vertex: int) -> Trajectory:
-    """Root-to-vertex path that drops a junction node only when the earlier
-    edge's last (t, x1, x2) and the later edge's first agree to 1e-9;
-    planner.extract_path drops it unconditionally."""
-    out = array("d")
-    for vid in _root_path(tree, goal_vertex)[1:]:
+    """Root-to-vertex path, from the root's one node, that drops a junction
+    node only when the earlier edge's last (t, x1, x2) and the later edge's
+    first agree to 1e-9; planner.extract_path drops it unconditionally."""
+    out = array("d", tree.edges[0].data)
+    for vid in root_path(tree.parents, goal_vertex)[1:]:
         edge = tree.edges[vid].data
         if out and all(abs(p - q) <= 1e-9 for p, q in zip(out[-6:-3], edge[:3])):
             del out[-6:]

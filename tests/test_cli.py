@@ -36,11 +36,12 @@ def long_step_scenario(tmp_path, example1_file):
     return str(p)
 
 
-def example1_with(tmp_path, **planner):
-    """example1 written with the given planner fields, bypassing the
-    dataclasses, which refuse to hold an out-of-range value."""
+def example1_with(tmp_path, planner=None, **fields):
+    """example1 written with the given top-level and planner fields,
+    bypassing the dataclasses, which refuse to hold an out-of-range value."""
     doc = json.loads(pathlib.Path(EXAMPLE1).read_text())
-    doc["planner"].update(planner)
+    doc["planner"].update(planner or {})
+    doc.update(fields)
     path = tmp_path / "example1_with.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -84,6 +85,33 @@ def test_plan_unsafe_baseline_exit(tmp_path, capsys, example1_file):
     assert report["audit_pass"] is False
 
 
+@pytest.mark.parametrize("algorithm", ["cbf-rrt", "rrt"])
+def test_plan_without_obstacles_prints_na(tmp_path, capsys, algorithm):
+    # with no disk the audit has no barrier to report
+    scenario = example1_with(tmp_path, obstacles=[])
+    code = main(["plan", "--scenario", scenario, "--algorithm", algorithm,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert "min barrier n/a m^2, audit pass" in capsys.readouterr().out
+
+
+def test_start_at_goal_runs_agree_across_planners(tmp_path, capsys):
+    # a root-only path is the start node, whichever planner found it
+    scenario = example1_with(tmp_path, x_init=[1.95, 1.95, 0.0])
+    written = []
+    for algorithm in harness.ALGORITHMS:
+        out = tmp_path / algorithm
+        code = main(["plan", "--scenario", scenario, "--algorithm", algorithm,
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        written.append((out / "trajectory.csv").read_text())
+    assert written == [f"{harness.TRAJECTORY_HEADER}\n0.0,1.95,1.95,0.0,0.0,0.0\n"] * 3
+    code = main(["audit", "--trajectory", str(tmp_path / "cbf-rrt" / "trajectory.csv"),
+                 "--scenario", scenario])
+    assert code == EXIT_OK
+    assert "over 1 samples" in capsys.readouterr().out
+
+
 def test_plan_missing_scenario(tmp_path, capsys):
     code = main(
         ["plan", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
@@ -107,45 +135,36 @@ def test_plan_bad_overrides(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, threads_env, message",
+    "argv, message",
     [
-        pytest.param(["plan", "--scenario", EXAMPLE2, "--algorithm", "rrt"], None,
+        pytest.param(["plan", "--scenario", EXAMPLE2, "--algorithm", "rrt"],
                      r"obstacles\[0\] moves", id="rrt-on-moving-disk"),
-        pytest.param(["plan", "--scenario", EXAMPLE1, "--dt", "0.9"], None,
+        pytest.param(["plan", "--scenario", EXAMPLE1, "--dt", "0.9"],
                      r"dt must be <= t_h", id="dt-above-horizon"),
-        pytest.param(["plan", "--scenario", EXAMPLE1, "--max-iters", "0"], None,
+        pytest.param(["plan", "--scenario", EXAMPLE1, "--max-iters", "0"],
                      r"max_iters must be >= 1", id="zero-max-iters"),
-        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
-                      "--seeds", "1"], "abc", r"CBFRRT_THREADS", id="threads-env"),
-        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
-                      "--seeds", "1"], "-1", r"CBFRRT_THREADS", id="threads-env-negative"),
-        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
-                      "--seeds", "1"], "²", r"CBFRRT_THREADS", id="threads-env-superscript"),
-        pytest.param(["plan", "--scenario", EXAMPLE1, "--seed", "-1"], None,
+        pytest.param(["plan", "--scenario", EXAMPLE1, "--seed", "-1"],
                      r"seed: must be >= 0, got -1", id="negative-seed"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
-                      "--seeds", "0,-1"], None, r"seeds\[1\]: must be >= 0, got -1",
+                      "--seeds", "0,-1"], r"seeds\[1\]: must be >= 0, got -1",
                      id="negative-seed-in-list"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
-                      "--seeds", ","], None, r"--seeds: the list has no entries",
+                      "--seeds", ","], r"--seeds: the list has no entries",
                      id="empty-seed-list"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", BAD_STEP_SWEEP,
-                      "--seeds", "2", "--threads", "1"], None,
+                      "--seeds", "2", "--threads", "1"],
                      r"sweep\[0\]\.step: dt must be <= t_h", id="sweep-step-below-dt"),
         pytest.param(["compare", "--scenario", EXAMPLE2, "--sweep", SWEEP,
-                      "--seeds", "2", "--threads", "1"], None,
+                      "--seeds", "2", "--threads", "1"],
                      r"sweep\[1\]\.algorithm.*obstacles\[0\] moves",
                      id="sweep-baseline-on-moving-disk"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt",
-                      "--dt", "0.5"], None, r"dt: .*cbf-rrt", id="dt-for-rrt"),
+                      "--dt", "0.5"], r"dt: .*cbf-rrt", id="dt-for-rrt"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt-star",
-                      "--dt", "0.5"], None, r"dt: .*cbf-rrt", id="dt-for-rrt-star"),
+                      "--dt", "0.5"], r"dt: .*cbf-rrt", id="dt-for-rrt-star"),
     ],
 )
-def test_invalid_run_input_exits_3(tmp_path, monkeypatch, capsys, argv,
-                                   threads_env, message):
-    if threads_env is not None:
-        monkeypatch.setenv("CBFRRT_THREADS", threads_env)
+def test_invalid_run_input_exits_3(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
@@ -155,7 +174,7 @@ def test_invalid_run_input_exits_3(tmp_path, monkeypatch, capsys, argv,
 
 @pytest.mark.parametrize("v_const", [0.0, -1.0])
 def test_nonpositive_v_const_exits_3(tmp_path, capsys, v_const):
-    scenario = example1_with(tmp_path, v_const=v_const)
+    scenario = example1_with(tmp_path, planner={"v_const": v_const})
     code = main(["plan", "--scenario", scenario, "--algorithm", "rrt",
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID_INPUT
@@ -165,7 +184,7 @@ def test_nonpositive_v_const_exits_3(tmp_path, capsys, v_const):
 
 
 def test_reversed_omega_ref_range_exits_3(tmp_path, capsys):
-    scenario = example1_with(tmp_path, omega_ref_range=[1.0, -1.0])
+    scenario = example1_with(tmp_path, planner={"omega_ref_range": [1.0, -1.0]})
     code = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
@@ -224,6 +243,8 @@ VALID_ROWS = ["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"]
                      r"line 2: x2 must be finite", id="nan-coordinate"),
         pytest.param(["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,abc,0.5,0.0,1.0,0.0"], [],
                      r"line 3: x1 must be a number, got 'abc'", id="non-numeric-field"),
+        # failed runs write a header-only file; there is nothing to certify
+        pytest.param([], [], r"--trajectory: .*no nodes", id="header-only"),
         pytest.param(VALID_ROWS, ["--dt-audit", "nan"],
                      r"--dt-audit must be finite and > 0, got nan", id="dt-audit-nan"),
         # would sample only the two end points and pass

@@ -90,7 +90,7 @@ def test_integrate_straight_line():
         RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.1, lambda s, t: ControlInput(1.0, 0.0)
     )
     assert len(traj) == 6
-    final = traj.final_state()
+    final = traj.samples[-1].state
     assert final.x1 == pytest.approx(0.5, abs=1e-12)
     assert final.x2 == 0.0
     assert traj.t_end == 0.5
@@ -203,7 +203,6 @@ def test_trajectory_metrics_match_the_samples_view():
     for a, b in zip(samples, samples[1:]):
         length += math.hypot(b.state.x1 - a.state.x1, b.state.x2 - a.state.x2)
     assert traj.path_length() == length  # same summation order, so exact
-    assert traj.final_state() == samples[-1].state
     assert traj.t_end == samples[-1].t == 2.3
     assert traj.t0 == samples[0].t == 1.0
 
@@ -215,7 +214,7 @@ def test_integration_follows_exact_arc_over_many_steps():
         RobotState(0.0, 0.0, 0.5), 0.0, 1.0, 0.02, lambda s, t: ControlInput(v, omega)
     )
     exact = arc_endpoint(RobotState(0.0, 0.0, 0.5), v, omega, 1.0)
-    final = traj.final_state()
+    final = traj.samples[-1].state
     assert final.x1 == pytest.approx(exact.x1, abs=1e-7)
     assert final.x2 == pytest.approx(exact.x2, abs=1e-7)
     assert final.theta == pytest.approx(exact.theta, abs=1e-12)

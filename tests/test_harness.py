@@ -240,7 +240,9 @@ def test_audit_moving_obstacle_times():
 
 
 def test_audit_empty_and_obstacle_free():
-    assert audit_trajectory(trajectory_from_samples([]), (), 0.01) == (True, None)
+    # every planned path has at least its start node, so no nodes is an error
+    with pytest.raises(ValueError, match=r"no nodes"):
+        audit_trajectory(trajectory_from_samples([]), (), 0.01)
     traj = straight_line_trajectory((0.0, 0.0), (1.0, 0.0), 5)
     assert audit_trajectory(traj, (), 0.01) == (True, None)
 

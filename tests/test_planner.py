@@ -15,13 +15,12 @@ from cbfrrt.planner import (
     PlannerParams,
     PlanTree,
     Scenario,
-    Vertex,
-    _root_path,
     extract_path,
     goal_check,
     goal_heading,
     plan,
     reference_sample,
+    root_path,
     safe_steer,
     state_sample,
     vertices_sample,
@@ -32,8 +31,9 @@ from oracles import extract_path_reference
 
 
 def straight_edge(tree, parent_id, params):
-    parent = tree.vertices[parent_id]
-    edge = safe_steer(parent, params.t_h, ControlInput(1.0, 0.0), (), params)
+    t, x1, x2, theta = tree.edges[parent_id].data[-6:-2]
+    edge = safe_steer(RobotState(x1, x2, theta), t, params.t_h,
+                      ControlInput(1.0, 0.0), (), params)
     return tree.add_child(parent_id, edge)
 
 
@@ -107,7 +107,7 @@ def test_vertices_sample_single_vertex():
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert vertices_sample(tree, rng).id == 0
+        assert vertices_sample(tree, rng) == 0
 
 
 def test_vertices_sample_uniform_frequencies():
@@ -118,7 +118,7 @@ def test_vertices_sample_uniform_frequencies():
     rng = np.random.default_rng(123)
     counts = np.zeros(4)
     for _ in range(10_000):
-        counts[vertices_sample(tree, rng).id] += 1
+        counts[vertices_sample(tree, rng)] += 1
     # binomial 3-sigma band around 2500
     assert np.all(np.abs(counts - 2500) <= 150)
 
@@ -129,9 +129,9 @@ def test_vertices_sample_deterministic():
     for _ in range(3):
         straight_edge(tree, len(tree) - 1, params)
     rng = np.random.default_rng(5)
-    seq1 = [vertices_sample(tree, rng).id for _ in range(20)]
+    seq1 = [vertices_sample(tree, rng) for _ in range(20)]
     rng = np.random.default_rng(5)
-    seq2 = [vertices_sample(tree, rng).id for _ in range(20)]
+    seq2 = [vertices_sample(tree, rng) for _ in range(20)]
     assert seq1 == seq2
 
 
@@ -144,18 +144,15 @@ def test_goal_heading_quadrants():
 
 
 def test_state_sample_degenerate_variance():
-    v = Vertex(0, RobotState(0.0, 0.0, 2.0), 0.7)
-    out = state_sample(v, (1.0, 1.0), 0.0, np.random.default_rng(0))
-    assert out.state.theta == pytest.approx(math.pi / 4)
-    assert (out.state.x1, out.state.x2) == (0.0, 0.0)
-    assert out.time == 0.7
-    assert out.id == 0
+    out = state_sample((0.0, 0.0), (1.0, 1.0), 0.0, np.random.default_rng(0))
+    assert type(out) is RobotState
+    assert out.theta == pytest.approx(math.pi / 4)
+    assert (out.x1, out.x2) == (0.0, 0.0)
 
 
 def test_state_sample_mean():
-    v = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
     rng = np.random.default_rng(42)
-    draws = [state_sample(v, (1.0, 1.0), 0.2, rng).state.theta for _ in range(10_000)]
+    draws = [state_sample((0.0, 0.0), (1.0, 1.0), 0.2, rng).theta for _ in range(10_000)]
     band = 3.0 * math.sqrt(0.2 / 10_000)
     assert abs(np.mean(draws) - math.pi / 4) <= band
 
@@ -183,9 +180,9 @@ def test_reference_sample_uniform_hook():
 
 def test_safe_steer_free_space_straight():
     params = PlannerParams()
-    v0 = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
-    traj = safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (), params)
-    x_new, t_new = traj.final_state(), traj.t_end
+    x0 = RobotState(0.0, 0.0, 0.0)
+    traj = safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (), params)
+    x_new, t_new = traj.samples[-1].state, traj.t_end
     assert x_new.x1 == pytest.approx(0.5, abs=1e-9)
     assert x_new.x2 == pytest.approx(0.0, abs=1e-15)
     assert x_new.theta == 0.0
@@ -195,23 +192,23 @@ def test_safe_steer_free_space_straight():
 
 def test_safe_steer_head_on_fails_before_contact():
     params = PlannerParams()
-    v0 = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
+    x0 = RobotState(0.0, 0.0, 0.0)
     ob = CircularObstacle((1.0, 0.0), (0.0, 0.0), 0.2)
-    assert safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (ob,), params) is None
+    assert safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (ob,), params) is None
 
 
 def test_safe_steer_swerves_around_offset_obstacle():
     params = PlannerParams()
-    v0 = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
+    x0 = RobotState(0.0, 0.0, 0.0)
     ob = CircularObstacle((0.5, 0.15), (0.0, 0.0), 0.2)
-    traj = safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (ob,), params)
+    traj = safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (ob,), params)
     assert traj is not None
-    x_new, t_new = traj.final_state(), traj.t_end
+    x_new, t_new = traj.samples[-1].state, traj.t_end
     assert x_new.theta != 0.0  # the filter had to steer
     assert min(barrier_value(s.state, ob, s.t) for s in traj.samples) >= 0.0
     assert t_new == 0.5
     # edge starts exactly at the vertex
-    assert traj.samples[0].state == v0.state
+    assert traj.samples[0].state == x0
     assert traj.samples[0].t == 0.0
 
 
@@ -221,17 +218,17 @@ def test_safe_steer_rejects_feasible_but_penetrating_edge():
     # into the disk and the steering call must refuse the edge
     params = PlannerParams(gains=EcbfGains(0.6, 1.5), t_h=1.0)
     ob = CircularObstacle((0.6, 0.15), (0.0, 0.0), 0.2)
-    v0 = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
+    x0 = RobotState(0.0, 0.0, 0.0)
 
     def raw_controller(state, t):
         rows = constraint_rows(state, 1.0, (ob,), t, params.gains)
         omega_star = solve_scalar_qp(0.0, params.omega_bounds, rows)
         return None if omega_star is None else ControlInput(1.0, omega_star)
 
-    raw = integrate_closed_loop(v0.state, 0.0, params.t_h, params.dt, raw_controller)
+    raw = integrate_closed_loop(x0, 0.0, params.t_h, params.dt, raw_controller)
     assert raw is not None  # every QP was feasible...
     assert min(barrier_value(s.state, ob, s.t) for s in raw.samples) < 0.0  # ...yet it collides
-    assert safe_steer(v0, params.t_h, ControlInput(1.0, 0.0), (ob,), params) is None
+    assert safe_steer(x0, 0.0, params.t_h, ControlInput(1.0, 0.0), (ob,), params) is None
 
 
 def test_safe_steer_rejects_grazing_below_margin():
@@ -240,10 +237,10 @@ def test_safe_steer_rejects_grazing_below_margin():
     # is inside (h = -6e-5 at x = 0.25); only the node margin catches this
     params = PlannerParams()
     ob = CircularObstacle((0.25, 0.19985), (0.0, 0.0), 0.2)
-    v0 = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
+    x0 = RobotState(0.0, 0.0, 0.0)
     assert barrier_value(RobotState(0.24, 0.0, 0.0), ob, 0.0) > 0.0
     assert barrier_value(RobotState(0.25, 0.0, 0.0), ob, 0.0) < 0.0
-    assert safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (ob,), params) is None
+    assert safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (ob,), params) is None
 
 
 # ---------------------------------------------------------------- goal / path
@@ -251,36 +248,38 @@ def test_safe_steer_rejects_grazing_below_margin():
 
 def test_goal_check():
     params = PlannerParams()
-    v0 = Vertex(0, RobotState(1.9, 2.0, 0.0), 0.0)
-    traj = safe_steer(v0, 0.5, ControlInput(1.0, 0.0), (), params)
+    x0 = RobotState(1.9, 2.0, 0.0)
+    traj = safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (), params)
     assert goal_check(traj, (2.0, 2.0), 0.15)
     assert not goal_check(traj, (5.0, 5.0), 0.15)
     # interior node inside the goal disk counts even if the endpoint leaves it
-    assert math.hypot(traj.final_state().x1 - 2.2, traj.final_state().x2 - 2.0) > 0.15
+    x_new = traj.samples[-1].state
+    assert math.hypot(x_new.x1 - 2.2, x_new.x2 - 2.0) > 0.15
     assert goal_check(traj, (2.2, 2.0), 0.15)
 
 
 def test_goal_check_interior_only():
     # straight edge passing through the disk and out the far side
     params = PlannerParams(t_h=1.0)
-    v0 = Vertex(0, RobotState(0.0, 0.0, 0.0), 0.0)
-    traj = safe_steer(v0, 1.0, ControlInput(1.0, 0.0), (), params)
-    x_new = traj.final_state()
+    x0 = RobotState(0.0, 0.0, 0.0)
+    traj = safe_steer(x0, 0.0, 1.0, ControlInput(1.0, 0.0), (), params)
+    x_new = traj.samples[-1].state
     assert math.hypot(x_new.x1 - 0.5, x_new.x2) > 0.15
     assert goal_check(traj, (0.5, 0.0), 0.15)
 
 
 def test_extract_path_root_only():
-    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
-    assert len(extract_path(tree, 0)) == 0
+    # the root's one node, as a baseline writes a one-point path
+    tree = PlanTree(RobotState(1.0, 2.0, 3.0), 4.0)
+    assert extract_path(tree, 0).data == array("d", (4.0, 1.0, 2.0, 3.0, 0.0, 0.0))
 
 
 def test_extract_path_two_edges():
     params = PlannerParams(dt=0.1)
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
     v1 = straight_edge(tree, 0, params)
-    v2 = straight_edge(tree, v1.id, params)
-    path = extract_path(tree, v2.id)
+    v2 = straight_edge(tree, v1, params)
+    path = extract_path(tree, v2)
     # 6 + 6 samples with the junction deduplicated
     assert len(path) == 11
     assert path.t0 == 0.0
@@ -298,10 +297,13 @@ def test_extract_path_unknown_vertex():
 def test_add_child_reads_the_child_from_its_edge():
     params = PlannerParams()
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
-    child = straight_edge(tree, 0, params)
-    edge = tree.edges[child.id]
-    assert child == Vertex(1, edge.final_state(), edge.t_end, parent=0)
-    assert tree.vertices[1] is child
+    t, x1, x2, theta = tree.edges[0].data[-6:-2]
+    edge = safe_steer(RobotState(x1, x2, theta), t, params.t_h,
+                      ControlInput(1.0, 0.0), (), params)
+    # the child is the edge's last node: the edge itself is stored, uncopied
+    assert tree.add_child(0, edge) == 1
+    assert tree.edges[1] is edge
+    assert tree.parents == [None, 0]
 
 
 @pytest.mark.parametrize("scenario_name, t_h", [("example1", 0.25), ("example2", None)])
@@ -344,23 +346,17 @@ def test_plan_reaches_goal_and_tree_is_consistent(example1_file):
     tree = result.tree
 
     # single root, connected, acyclic; vertex times follow depth * t_h
-    assert tree.edges[0] is None
-    for vid, v in enumerate(tree.vertices):
-        assert v.id == vid
-        if vid == 0:
-            assert v.parent is None
-            continue
-        assert 0 <= v.parent < vid
-        depth = len(_root_path(tree, vid)) - 1
-        assert v.time == pytest.approx(sc.t_init + depth * sc.params.t_h, abs=1e-9)
+    assert len(tree.parents) == len(tree.edges) == len(tree)
+    assert tree.parents[0] is None
+    assert tree.edges[0].data == array("d", (sc.t_init, *sc.x_init, 0.0, 0.0))
+    for vid in range(1, len(tree)):
+        parent = tree.parents[vid]
+        assert 0 <= parent < vid
         edge = tree.edges[vid]
-        parent = tree.vertices[v.parent]
-        # edge endpoints must match parent (position, time) and child exactly
-        assert edge.samples[0].t == pytest.approx(parent.time, abs=1e-9)
-        assert edge.samples[0].state.x1 == pytest.approx(parent.state.x1, abs=1e-9)
-        assert edge.samples[0].state.x2 == pytest.approx(parent.state.x2, abs=1e-9)
-        assert edge.samples[-1].t == pytest.approx(v.time, abs=1e-9)
-        assert edge.samples[-1].state == v.state
+        depth = len(root_path(tree.parents, vid)) - 1
+        assert edge.t_end == pytest.approx(sc.t_init + depth * sc.params.t_h, abs=1e-9)
+        # the edge starts at its parent's (time, position)
+        assert edge.data[:3] == tree.edges[parent].data[-6:-3]
         # every applied control respects the box
         lo, hi = sc.params.omega_bounds
         for s in edge.samples:
@@ -370,8 +366,7 @@ def test_plan_reaches_goal_and_tree_is_consistent(example1_file):
     # goal correctness on the extracted path, which runs from the root to
     # the last vertex added
     assert goal_check(result.controls, sc.x_goal, sc.params.epsilon)
-    root = tree.vertices[0]
-    assert result.controls.data[:3] == array("d", (root.time, *root.state[:2]))
+    assert result.controls.data[:3] == tree.edges[0].data[:3]
     assert result.controls.data == extract_path(tree, len(tree) - 1).data
 
 
@@ -393,7 +388,8 @@ def test_plan_is_deterministic(example1_file):
     b = plan(sc)
     assert a.iterations == b.iterations
     assert len(a.tree) == len(b.tree)
-    assert a.tree.vertices[len(a.tree) - 1] == b.tree.vertices[len(b.tree) - 1]
+    assert a.tree.parents == b.tree.parents
+    assert a.tree.edges[-1].data == b.tree.edges[-1].data
     assert [s.t for s in a.controls.samples] == [s.t for s in b.controls.samples]
 
 
@@ -416,8 +412,9 @@ def test_plan_counts_are_pinned(request, scenario_name, t_h, seed, iterations, v
 
 @pytest.mark.parametrize("scenario_name, t_h", [("example1", 0.25), ("example2", None)])
 def test_edges_start_at_parent_and_end_at_child(request, scenario_name, t_h):
-    # tree.json formats each vertex's floats once and reuses them for these
-    # nodes, so they must be bit-equal, not merely close (repr tells -0.0 apart)
+    # tree.json formats each vertex's floats, its edge's last node, once and
+    # reuses them for the first node of every child edge, so the two must be
+    # bit-equal, not merely close (repr tells -0.0 apart)
     sc = request.getfixturevalue(f"{scenario_name}_file").scenario
     for seed in range(3):
         params = dataclasses.replace(sc.params, seed=seed, max_iters=600)
@@ -425,12 +422,10 @@ def test_edges_start_at_parent_and_end_at_child(request, scenario_name, t_h):
             params = dataclasses.replace(params, t_h=t_h)
         tree = plan(dataclasses.replace(sc, params=params)).tree
         assert len(tree) > 50
-        for child, edge in zip(tree.vertices[1:], tree.edges[1:]):
-            parent = tree.vertices[child.parent]
-            d = edge.data
+        for parent, edge in zip(tree.parents[1:], tree.edges[1:]):
             assert len(edge) >= 2
-            assert list(map(repr, d[:3])) == list(map(repr, (parent.time, *parent.state[:2])))
-            assert list(map(repr, d[-6:-2])) == list(map(repr, (child.time, *child.state)))
+            assert (list(map(repr, edge.data[:3]))
+                    == list(map(repr, tree.edges[parent].data[-6:-3])))
 
 
 def test_plan_goal_already_reached():
@@ -440,7 +435,8 @@ def test_plan_goal_already_reached():
     assert result.success
     assert result.iterations == 0
     assert len(result.tree) == 1
-    assert len(result.controls) == 0
+    # the path is the root node
+    assert result.controls.data == array("d", (0.0, 2.0, 2.05, 0.0, 0.0, 0.0))
 
 
 def test_plan_exhausts_budget(example1_file):

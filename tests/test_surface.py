@@ -4,14 +4,22 @@ Every module-level function and class in src/cbfrrt must be read somewhere
 in the package besides its own definition, or be exported in
 cbfrrt.__all__. A name counts as read where it appears as a Name or as an
 attribute (`harness.load_sweep`); an import does not count.
+
+Every method or property of a class in src/cbfrrt, dunders aside, must be
+read as an attribute (`trajectory.t_end`) in the package besides its own
+definition, or in the benchmark (perfbench/*.py), whose reads count too.
+Methods are matched by name, so a read of one class's `position` counts for
+every class that defines one.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import cbfrrt
 
 PACKAGE = pathlib.Path(cbfrrt.__file__).parent
+BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _read_names(node) -> set[str]:
@@ -22,6 +30,10 @@ def _read_names(node) -> set[str]:
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
     return names
+
+
+def _parse(paths) -> list[ast.Module]:
+    return [ast.parse(path.read_text(), filename=str(path)) for path in sorted(paths)]
 
 
 def test_every_definition_is_read_or_exported():
@@ -38,5 +50,25 @@ def test_every_definition_is_read_or_exported():
         f"{module}.{name}" for module, name, node in definitions
         if name not in cbfrrt.__all__
         and not any(name in read[id(stmt)] for stmt in statements if stmt is not node)
+    ]
+    assert unread == []
+
+
+def test_every_method_is_read():
+    package = _parse(PACKAGE.glob("*.py"))
+    methods = [
+        (cls.name, stmt)
+        for module in package for cls in ast.walk(module) if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+    ]
+    reads = Counter(sub.attr for module in package + _parse(BENCHMARK.glob("*.py"))
+                    for sub in ast.walk(module) if isinstance(sub, ast.Attribute))
+    unread = [
+        f"{cls}.{method.name}" for cls, method in methods
+        if reads[method.name] == sum(isinstance(sub, ast.Attribute)
+                                     and sub.attr == method.name
+                                     for sub in ast.walk(method))
     ]
     assert unread == []
