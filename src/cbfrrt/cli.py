@@ -105,8 +105,6 @@ def _cmd_compare(args) -> int:
     scenario_file = harness.load_scenario(args.scenario)
     sweep = harness.load_sweep(args.sweep)
     seeds = _parse_seeds(args.seeds)
-    if args.threads is not None and args.threads < 1:
-        raise ScenarioError(f"--threads must be >= 1, got {args.threads}")
     out_path = Path(args.out) / "comparison.csv"
     table = harness.compare(scenario_file, sweep, seeds, out_path,
                             threads=args.threads)

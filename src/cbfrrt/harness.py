@@ -411,10 +411,13 @@ def run(
     (deterministic) and timing.json (wall clock, volatile) in out_dir."""
     report, trajectory, tree = execute(scenario_file, algorithm, seed,
                                        dt=dt, max_iters=max_iters)
+    params = scenario_file.scenario.params
+    if dt is not None:
+        params = replace(params, dt=dt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "trajectory.csv", format_trajectory_csv(trajectory))
-    _atomic_write(out / "tree.json", _format_tree_json(algorithm, tree))
+    _atomic_write(out / "tree.json", _format_tree_json(algorithm, tree, params))
     _atomic_write(out / "report.json", format_report_json(report))
     _atomic_write(out / "timing.json",
                   json.dumps({"wall_time_s": report.wall_time}, indent=2) + "\n")
@@ -485,37 +488,44 @@ def read_trajectory_csv(path) -> Trajectory:
     return Trajectory(data)
 
 
-def _format_tree_json(algorithm: str, tree) -> str:
+def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> str:
+    """tree.json in json.dumps' layout, floats written with %r as in
+    format_trajectory_csv; params are the run's effective planner params.
+
+    A cbf-rrt document is schema 2. It writes the run's dt, t_h and v
+    (v_const), the vertices, and of each edge only what the closed-loop
+    integration leaves open: theta0, the resampled start heading; x1 and x2
+    of the inner nodes; omega, the applied controls, one per step. The rest
+    of an edge follows bit for bit (see integrate_closed_loop and rk4_step):
+    its first (t, x1, x2) is the parent vertex and its last node the child
+    vertex; inner node k sits at t0 + k*dt; every v is v_const; theta[k+1]
+    is theta[k] + step*omega[k], the step being dt or the shorter tail; and
+    the last node repeats the last omega.
+    """
     if isinstance(tree, PlanTree):
-        # json.dumps' layout, floats written with %r as in
-        # format_trajectory_csv. Each vertex's (t, x1, x2, theta), the last
-        # node of its own edge, is formatted once: the strings are its entry
-        # in the vertex list, that last node and the first (t, x1, x2) of
-        # every child edge, which are the same floats.
-        text = " ".join(["%r %r %r %r"] * len(tree)) % tuple(
-            [x for edge in tree.edges for x in edge.data[-6:-2]])
-        strs = text.split(" ")
-        ts, x1s, x2s, thetas = strs[0::4], strs[1::4], strs[2::4], strs[3::4]
-        rows = zip(range(len(tree)), x1s, x2s, thetas, ts, ["null", *tree.parents[1:]])
+        # A vertex is the last node (t, x1, x2, theta) of its own edge.
         vertices = "[" + ", ".join(
-            ['{"id": %d, "x1": %s, "x2": %s, "theta": %s, "t": %s, "parent": %s}'
-             % row for row in rows]) + "]"
-        # One format string per edge length.
+            ['{"id": %d, "x1": %r, "x2": %r, "theta": %r, "t": %r, "parent": %s}']
+            * len(tree)) % tuple(
+            [x for i, (p, edge) in enumerate(zip(["null", *tree.parents[1:]],
+                                                 tree.edges))
+             for x in (i, *edge.data[-5:-2], edge.data[-6], p)]) + "]"
+        # One format string per edge length n: n - 2 inner nodes, n - 1 steps.
         formats = {}
         parts = []
         for c, (p, edge) in enumerate(zip(tree.parents[1:], tree.edges[1:]), 1):
             n = len(edge)
             if n not in formats:
-                samples = ", ".join(["[%s, %s, %s, %r, %r, %r]"]
-                                    + ["[%r, %r, %r, %r, %r, %r]"] * (n - 2)
-                                    + ["[%s, %s, %s, %s, %r, %r]"])
-                formats[n] = ('{"id": %d, "parent": %d, "child": %d, "samples": ['
-                              + samples + "]}")
+                inner = ", ".join(["%r"] * (n - 2))
+                formats[n] = ('{"id": %d, "parent": %d, "child": %d, "theta0": %r, '
+                              '"x1": [' + inner + '], "x2": [' + inner + '], '
+                              '"omega": [' + ", ".join(["%r"] * (n - 1)) + "]}")
             data = edge.data
-            parts.append(formats[n] % (
-                c, p, c, ts[p], x1s[p], x2s[p], *data[3:-6],
-                ts[c], x1s[c], x2s[c], thetas[c], data[-2], data[-1]))
+            parts.append(formats[n] % (c, p, c, data[3], *data[7:-6:6],
+                                       *data[8:-6:6], *data[5:-6:6]))
         edges = "[" + ", ".join(parts) + "]"
+        header = '"schema": 2, "dt": %r, "t_h": %r, "v": %r, ' % (
+            params.dt, params.t_h, params.v_const)
     else:
         # The same layout with %r and %d; the root's parent is None, "null".
         n = len(tree)
@@ -526,8 +536,9 @@ def _format_tree_json(algorithm: str, tree) -> str:
              for row in rows]) + "]"
         edges = "[" + ", ".join(['{"parent": %d, "child": %d}' % (p, i)
                                  for i, p in enumerate(tree.parents[1:], 1)]) + "]"
-    return '{"algorithm": %s, "vertices": %s, "edges": %s}\n' % (
-        json.dumps(algorithm), vertices, edges)
+        header = ""
+    return '{"algorithm": %s, %s"vertices": %s, "edges": %s}\n' % (
+        json.dumps(algorithm), header, vertices, edges)
 
 
 def format_report_json(report: RunReport) -> str:
@@ -580,12 +591,15 @@ def compare(
     when it is None); results are sorted by (algorithm, step, seed) before
     aggregation so the table is deterministic either way. Per-run exceptions
     become the `errors` count instead of aborting the sweep. A negative
-    seed, a step the scenario rejects (naming sweep[i].step) or a baseline
-    entry on a scenario with a moving disk (naming sweep[i].algorithm)
-    raises ScenarioValidationError before any run starts.
+    seed, a thread count below 1, a step the scenario rejects (naming
+    sweep[i].step) or a baseline entry on a scenario with a moving disk
+    (naming sweep[i].algorithm) raises ScenarioValidationError before any
+    run starts.
     """
     if not seeds:
         raise ValueError("seeds list must not be empty")
+    if threads is not None and threads < 1:
+        _fail("threads", f"must be >= 1, got {threads}")
     for i, seed in enumerate(seeds):
         _check_seed(seed, f"seeds[{i}]")
     if not sweep:

@@ -25,7 +25,7 @@ from cbfrrt.dynamics import (
     obstacle_center_at,
 )
 from cbfrrt.harness import BASELINE_FIELDS, PLANNER_FIELDS, ScenarioFile, _block_values
-from cbfrrt.planner import PlanTree, root_path
+from cbfrrt.planner import PlannerParams, PlanTree, root_path
 from cbfrrt.qp import TOL_ZERO
 from cbfrrt.safety import EcbfGains, barrier_value
 
@@ -287,16 +287,20 @@ def solve_box_qp(
     return BoxQpSolution(u_star=tuple(float(x) for x in u), active_set=subset)
 
 
-def tree_json_reference(algorithm: str, tree) -> str:
-    """tree.json as json.dumps of its document, every edge node read from
-    the edge's own buffer; harness._format_tree_json writes the same bytes
-    with format strings."""
+def _plan_tree_vertices(tree: PlanTree) -> list[dict]:
+    """A cbf-rrt tree's vertex list: each vertex the last node of its edge."""
+    nodes = [edge.data[-6:-2] for edge in tree.edges]
+    return [{"id": i, "x1": x1, "x2": x2, "theta": theta, "t": t, "parent": parent}
+            for i, ((t, x1, x2, theta), parent) in enumerate(zip(nodes, tree.parents))]
+
+
+def full_tree_json_reference(algorithm: str, tree) -> str:
+    """tree.json with every edge node read from the edge's own buffer: the
+    document written before schema 2, json.dumps of dicts, each cbf-rrt edge
+    a "samples" list of (t, x1, x2, theta, v, omega) rows. The baseline
+    documents are still written this way."""
     if isinstance(tree, PlanTree):
-        nodes = [edge.data[-6:-2] for edge in tree.edges]
-        vertices = [{"id": i, "x1": x1, "x2": x2, "theta": theta, "t": t,
-                     "parent": parent}
-                    for i, ((t, x1, x2, theta), parent)
-                    in enumerate(zip(nodes, tree.parents))]
+        vertices = _plan_tree_vertices(tree)
         edges = [{"id": i, "parent": parent, "child": i,
                   "samples": [list(edge.data[j:j + 6])
                               for j in range(0, len(edge.data), 6)]}
@@ -312,6 +316,94 @@ def tree_json_reference(algorithm: str, tree) -> str:
                  for i, parent in enumerate(tree.parents[1:], 1)]
     doc = {"algorithm": algorithm, "vertices": vertices, "edges": edges}
     return json.dumps(doc) + "\n"
+
+
+def tree_json_reference(algorithm: str, tree, params: PlannerParams) -> str:
+    """tree.json as json.dumps of its document; harness._format_tree_json
+    writes the same bytes with format strings. A cbf-rrt document is schema
+    2: the run's dt, t_h and v_const, the vertices as before, and per edge
+    theta0, the inner nodes' x1 and x2, and the applied omegas."""
+    if not isinstance(tree, PlanTree):
+        return full_tree_json_reference(algorithm, tree)
+    edges = [{"id": i, "parent": parent, "child": i, "theta0": edge.data[3],
+              "x1": list(edge.data[7:-6:6]), "x2": list(edge.data[8:-6:6]),
+              "omega": list(edge.data[5:-6:6])}
+             for i, (parent, edge)
+             in enumerate(zip(tree.parents[1:], tree.edges[1:]), 1)]
+    doc = {"algorithm": algorithm, "schema": 2, "dt": params.dt,
+           "t_h": params.t_h, "v": params.v_const,
+           "vertices": _plan_tree_vertices(tree), "edges": edges}
+    return json.dumps(doc) + "\n"
+
+
+def expand_tree_json(text: str) -> str:
+    """The full document (full_tree_json_reference's bytes) rebuilt from a
+    tree.json. A schema-2 edge's dropped floats are recomputed by the rules
+    of dynamics.integrate_closed_loop and rk4_step: the first node's
+    (t, x1, x2) is the parent vertex, the last node the child vertex; inner
+    node k's t is t0 + k*dt and its theta theta[k-1] + dt*omega[k-1]; every
+    v is v_const; the last node repeats the last omega. A document without
+    a schema key is the full document already."""
+    doc = json.loads(text)
+    if doc.get("schema") != 2:
+        return json.dumps(doc) + "\n"
+    dt, v = doc["dt"], doc["v"]
+    vertices = doc["vertices"]
+    edges = []
+    for edge in doc["edges"]:
+        first, last = vertices[edge["parent"]], vertices[edge["child"]]
+        t0, omega = first["t"], edge["omega"]
+        theta = edge["theta0"]
+        samples = [[t0, first["x1"], first["x2"], theta, v, omega[0]]]
+        for k, (x1, x2) in enumerate(zip(edge["x1"], edge["x2"]), 1):
+            theta = theta + dt * omega[k - 1]
+            samples.append([t0 + k * dt, x1, x2, theta, v, omega[k]])
+        samples.append([last["t"], last["x1"], last["x2"], last["theta"], v,
+                        omega[-1]])
+        edges.append({"id": edge["id"], "parent": edge["parent"],
+                      "child": edge["child"], "samples": samples})
+    doc = {"algorithm": doc["algorithm"], "vertices": vertices, "edges": edges}
+    return json.dumps(doc) + "\n"
+
+
+def closed_loop_grid(t0: float, horizon: float, dt: float):
+    """Node times and step lengths of dynamics.integrate_closed_loop over
+    [t0, t0 + horizon]: uniform dt steps, then a shorter tail step when dt
+    does not divide the horizon, the last node landing on t0 + horizon."""
+    n_full = math.floor(horizon / dt + 1e-9)
+    remainder = horizon - n_full * dt
+    steps = [dt] * n_full
+    if remainder > 1e-9 * max(1.0, abs(horizon)):
+        steps.append(remainder)
+    times = [t0] + [t0 + k * dt for k in range(1, len(steps))] + [t0 + horizon]
+    return times, steps
+
+
+def integration_rule_violations(tree: PlanTree, params: PlannerParams) -> list[str]:
+    """What a schema-2 tree.json leaves out of each non-root edge, checked
+    on the edge's own buffer: t on closed_loop_grid, v == v_const,
+    theta[k+1] == theta[k] + step[k]*omega[k], and the last omega repeating
+    the one before. Floats are compared by repr, so -0.0 is not 0.0.
+    Returns one line per broken rule, empty when every edge obeys them."""
+    problems = []
+    for vid, edge in enumerate(tree.edges[1:], 1):
+        d = edge.data
+        times, steps = closed_loop_grid(d[0], params.t_h, params.dt)
+        thetas, omegas = d[3::6], d[5::6]
+        if len(steps) != len(edge) - 1:
+            problems.append(f"edge {vid}: {len(edge)} nodes for {len(steps)} steps")
+            continue
+        if list(map(repr, d[0::6])) != list(map(repr, times)):
+            problems.append(f"edge {vid}: t off the integration grid")
+        if any(repr(v) != repr(params.v_const) for v in d[4::6]):
+            problems.append(f"edge {vid}: v is not v_const")
+        for k, step in enumerate(steps):
+            if repr(thetas[k + 1]) != repr(thetas[k] + step * omegas[k]):
+                problems.append(f"edge {vid}: theta[{k + 1}] is not "
+                                f"theta[{k}] + step*omega[{k}]")
+        if repr(omegas[-1]) != repr(omegas[-2]):
+            problems.append(f"edge {vid}: the last omega does not repeat")
+    return problems
 
 
 def extract_path_reference(tree: PlanTree, goal_vertex: int) -> Trajectory:

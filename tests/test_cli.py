@@ -158,6 +158,9 @@ def test_plan_bad_overrides(tmp_path):
                       "--seeds", "2", "--threads", "1"],
                      r"sweep\[1\]\.algorithm.*obstacles\[0\] moves",
                      id="sweep-baseline-on-moving-disk"),
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                      "--seeds", "2", "--threads", "0"],
+                     r"threads: must be >= 1, got 0", id="zero-threads"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt",
                       "--dt", "0.5"], r"dt: .*cbf-rrt", id="dt-for-rrt"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt-star",

@@ -38,7 +38,14 @@ from cbfrrt.harness import (
 )
 from cbfrrt.planner import PlannerParams, PlanTree
 from cbfrrt.safety import EcbfGains
-from oracles import trajectory_from_samples, tree_json_reference, write_scenario
+from oracles import (
+    expand_tree_json,
+    full_tree_json_reference,
+    integration_rule_violations,
+    trajectory_from_samples,
+    tree_json_reference,
+    write_scenario,
+)
 
 SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 
@@ -371,28 +378,35 @@ def test_run_baseline_tree_artifact(tmp_path, example1_file):
 # sha256 of report.json + tree.json + trajectory.csv, concatenated in that
 # order. Pinned from the tuple-per-sample trajectories that preceded the flat
 # buffer; a change to any artifact byte must say why where it updates these.
+# A cbf-rrt tree.json is hashed as expand_tree_json rebuilds it: the full
+# document written before schema 2, so these pins hold unedited. Its raw
+# schema-2 bytes are pinned apart (the last column), because the expander's
+# json.loads would hide a change of layout.
 GOLDEN_DIGESTS = [
     pytest.param("example1", "cbf-rrt", "t_h", 0.25, 2,
                  "7d04911c2ddbacf7f452a4f3ed0415703ae1b504502e1891131ea7a609ac9a67",
+                 "aff2cc11c3536583f54d54cea52508277616d81d68c45d4d27a7c5ffa7892256",
                  id="example1-cbf-rrt-t_h0.25-seed2"),
     pytest.param("example2", "cbf-rrt", None, None, 0,
                  "f963c47c568d7fabde281cb27055d515fb1d3b01ad32d2a4e35d5c653c9d107b",
+                 "ab626da2d1e0d3385387490450a1e32cad67729208ddc8a1efe2852de106a03b",
                  id="example2-cbf-rrt-seed0"),
     pytest.param("example1", "rrt-star", "delta_d", 1.0, 0,
                  "aabaf5983ff4604b26b002c33529dea37ff10485fb7f8348c250d12f2d286580",
-                 id="example1-rrt-star-delta_d1.0-seed0"),
+                 None, id="example1-rrt-star-delta_d1.0-seed0"),
     pytest.param("example1", "rrt", "delta_d", 0.25, 0,
                  "14acc512b1036d45c069062318f1d8eb3453235e7b2a31ca0d5f22a3fe7023c3",
-                 id="example1-rrt-delta_d0.25-seed0"),
+                 None, id="example1-rrt-delta_d0.25-seed0"),
     pytest.param("example1", "rrt-star", "delta_d", 0.25, 1,
                  "37df1d8b69b06cf533e4fb1641f8bc784994f190f1a61779083320a72036f8d1",
-                 id="example1-rrt-star-delta_d0.25-seed1"),
+                 None, id="example1-rrt-star-delta_d0.25-seed1"),
 ]
 
 
-@pytest.mark.parametrize("name, algorithm, field, value, seed, digest", GOLDEN_DIGESTS)
+@pytest.mark.parametrize("name, algorithm, field, value, seed, digest, raw_tree_digest",
+                         GOLDEN_DIGESTS)
 def test_artifacts_match_golden_digests(tmp_path, name, algorithm, field, value,
-                                        seed, digest):
+                                        seed, digest, raw_tree_digest):
     sf = load_scenario(SCENARIO_DIR / f"{name}.json")
     if field == "t_h":
         params = dataclasses.replace(sf.scenario.params, t_h=value)
@@ -402,8 +416,12 @@ def test_artifacts_match_golden_digests(tmp_path, name, algorithm, field, value,
         sf = dataclasses.replace(
             sf, baseline=dataclasses.replace(sf.baseline, delta_d=value))
     run(sf, algorithm, seed, tmp_path)
-    blob = b"".join((tmp_path / artifact).read_bytes()
-                    for artifact in ("report.json", "tree.json", "trajectory.csv"))
+    tree = (tmp_path / "tree.json").read_bytes()
+    if raw_tree_digest is not None:
+        assert hashlib.sha256(tree).hexdigest() == raw_tree_digest
+        tree = expand_tree_json(tree.decode()).encode()
+    blob = b"".join(((tmp_path / "report.json").read_bytes(), tree,
+                     (tmp_path / "trajectory.csv").read_bytes()))
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
@@ -412,28 +430,54 @@ def test_artifacts_match_golden_digests(tmp_path, name, algorithm, field, value,
     ("example2", ("cbf-rrt",)),
 ])
 def test_tree_json_matches_plain_json_dumps(name, algorithms):
+    # the writer is json.dumps of the schema-2 document, and expanding it
+    # gives the full document of the same tree
     sf = load_scenario(SCENARIO_DIR / f"{name}.json")
+    params = sf.scenario.params
     for algorithm in algorithms:
         for seed in range(4):
             _, _, tree = execute(sf, algorithm, seed)
-            assert (_format_tree_json(algorithm, tree)
-                    == tree_json_reference(algorithm, tree))
+            text = _format_tree_json(algorithm, tree, params)
+            assert text == tree_json_reference(algorithm, tree, params)
+            assert expand_tree_json(text) == full_tree_json_reference(algorithm, tree)
+
+
+def test_tree_json_of_a_run_with_a_dt_override(tmp_path, example1_file):
+    # run writes the override: 0.25 = 8 * 0.03 + 0.01, a 0.01 s tail step
+    params = dataclasses.replace(example1_file.scenario.params, t_h=0.25)
+    sf = dataclasses.replace(
+        example1_file, scenario=dataclasses.replace(example1_file.scenario, params=params))
+    run(sf, "cbf-rrt", 0, tmp_path, dt=0.03)
+    text = (tmp_path / "tree.json").read_text()
+    assert json.loads(text)["dt"] == 0.03
+    _, _, tree = execute(sf, "cbf-rrt", 0, dt=0.03)
+    assert expand_tree_json(text) == full_tree_json_reference("cbf-rrt", tree)
 
 
 def test_tree_json_of_a_hand_built_tree():
-    # -0.0, 1e16 and 1e-05 are written as json.dumps writes them; the root,
-    # given as numpy floats and an int, is stored and written as floats
+    # -0.0, 1e16 and 1e-05 are written as json.dumps writes them, in x1, x2,
+    # theta0 and omega; the root, given as numpy floats and an int, is
+    # stored and written as floats. The edges obey the integration rules
+    # (two dt steps of 0.25 s), so the expander rebuilds them exactly.
+    params = PlannerParams(t_h=0.5, dt=0.25, v_const=1e-05)
     tree = PlanTree(RobotState(np.float64(-0.0), 10**16, np.float64(1e-05)), 0)
     tree.add_child(0, Trajectory(array("d", [
-        0.0, -0.0, 1e16, 1e-05, 1.0, -0.0,
-        0.25, 1e-05, -1e16, 2.5, 1.0, 1e16,
-        0.5, 1e16, -0.0, 1e-05, 1.0, 1e16])))
+        0.0, -0.0, 1e16, -0.0, 1e-05, -0.0,
+        0.25, 1e-05, -1e16, -0.0, 1e-05, 1e16,
+        0.5, 1e16, -0.0, 2.5e15, 1e-05, 1e16])))
+    theta1 = 1e-05 + 0.25 * 1e-05
     tree.add_child(1, Trajectory(array("d", [
-        0.5, 1e16, -0.0, -2.0, 1e-05, -0.0,
-        1.0, -1e16, 1e-05, -0.0, 1e-05, -0.0])))
-    text = _format_tree_json("cbf-rrt", tree)
-    assert text == tree_json_reference("cbf-rrt", tree)
-    assert json.loads(text)["vertices"][0]["x2"] == 1e16
+        0.5, 1e16, -0.0, 1e-05, 1e-05, 1e-05,
+        0.75, -0.0, 1e16, theta1, 1e-05, -0.0,
+        1.0, -1e16, 1e-05, theta1, 1e-05, -0.0])))
+    assert integration_rule_violations(tree, params) == []
+    text = _format_tree_json("cbf-rrt", tree, params)
+    assert text == tree_json_reference("cbf-rrt", tree, params)
+    assert expand_tree_json(text) == full_tree_json_reference("cbf-rrt", tree)
+    doc = json.loads(text)
+    assert doc["vertices"][0]["x2"] == 1e16
+    assert [e["theta0"] for e in doc["edges"]] == [-0.0, 1e-05]
+    assert '"x1": [1e-05], "x2": [-1e+16], "omega": [-0.0, 1e+16]' in text
 
 
 # ---------------------------------------------------------------- compare
@@ -498,6 +542,16 @@ def test_compare_rejects_a_step_the_scenario_rejects(tmp_path, example1_file):
     with pytest.raises(ScenarioValidationError, match=r"^sweep\[1\]\.step: dt must be <= t_h"):
         compare(example1_file, [("rrt", 0.25), ("cbf-rrt", 0.01)], [0],
                 tmp_path / "c.csv", threads=1)
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_compare_rejects_a_thread_count_below_1(tmp_path, example1_file, threads):
+    # refused before any run, as `cbfrrt compare --threads 0` is
+    with pytest.raises(ScenarioValidationError,
+                       match=rf"^threads: must be >= 1, got {threads}$"):
+        compare(example1_file, [("rrt", 0.25)], [0, 1], tmp_path / "c.csv",
+                threads=threads)
     assert not (tmp_path / "c.csv").exists()
 
 

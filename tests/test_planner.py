@@ -27,7 +27,7 @@ from cbfrrt.planner import (
 )
 from cbfrrt.qp import solve_scalar_qp
 from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows
-from oracles import extract_path_reference
+from oracles import extract_path_reference, integration_rule_violations
 
 
 def straight_edge(tree, parent_id, params):
@@ -412,9 +412,9 @@ def test_plan_counts_are_pinned(request, scenario_name, t_h, seed, iterations, v
 
 @pytest.mark.parametrize("scenario_name, t_h", [("example1", 0.25), ("example2", None)])
 def test_edges_start_at_parent_and_end_at_child(request, scenario_name, t_h):
-    # tree.json formats each vertex's floats, its edge's last node, once and
-    # reuses them for the first node of every child edge, so the two must be
-    # bit-equal, not merely close (repr tells -0.0 apart)
+    # a schema-2 tree.json writes no first node: it is rebuilt from the
+    # parent vertex, its edge's last node, so the two must be bit-equal, not
+    # merely close (repr tells -0.0 apart)
     sc = request.getfixturevalue(f"{scenario_name}_file").scenario
     for seed in range(3):
         params = dataclasses.replace(sc.params, seed=seed, max_iters=600)
@@ -426,6 +426,28 @@ def test_edges_start_at_parent_and_end_at_child(request, scenario_name, t_h):
             assert len(edge) >= 2
             assert (list(map(repr, edge.data[:3]))
                     == list(map(repr, tree.edges[parent].data[-6:-3])))
+
+
+@pytest.mark.parametrize("scenario_name, t_h, dt", [
+    ("example1", 0.25, None),
+    ("example1", 0.5, None),
+    ("example2", None, None),
+    # 0.25 = 8 * 0.03 + 0.01: every edge ends on a 0.01 s tail step
+    ("example1", 0.25, 0.03),
+])
+def test_edges_follow_the_integration_rules(request, scenario_name, t_h, dt):
+    # a schema-2 tree.json writes no t, no v, no inner theta and no last
+    # omega: each must follow from the integration, bit for bit
+    sc = request.getfixturevalue(f"{scenario_name}_file").scenario
+    for seed in range(2):
+        params = dataclasses.replace(sc.params, seed=seed, max_iters=600)
+        if t_h is not None:
+            params = dataclasses.replace(params, t_h=t_h)
+        if dt is not None:
+            params = dataclasses.replace(params, dt=dt)
+        tree = plan(dataclasses.replace(sc, params=params)).tree
+        assert len(tree) > 20
+        assert integration_rule_violations(tree, params) == []
 
 
 def test_plan_goal_already_reached():
