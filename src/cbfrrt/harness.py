@@ -13,6 +13,7 @@ run). All files are written atomically (temp + rename).
 
 from __future__ import annotations
 
+import binascii
 import csv
 import io
 import json
@@ -489,56 +490,53 @@ def read_trajectory_csv(path) -> Trajectory:
 
 
 def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> str:
-    """tree.json in json.dumps' layout, floats written with %r as in
-    format_trajectory_csv; params are the run's effective planner params.
+    """tree.json, schema 3: one JSON object whose float columns are base64
+    strings of little-endian float64 ('<f8'), so every float is written bit
+    for bit and none as decimal text; params are the run's effective planner
+    params. parents[i] is vertex i's parent (None for the root), and edge i
+    runs from parents[i] to i.
 
-    A cbf-rrt document is schema 2. It writes the run's dt, t_h and v
-    (v_const), the vertices, and of each edge only what the closed-loop
-    integration leaves open: theta0, the resampled start heading; x1 and x2
-    of the inner nodes; omega, the applied controls, one per step. The rest
-    of an edge follows bit for bit (see integrate_closed_loop and rk4_step):
-    its first (t, x1, x2) is the parent vertex and its last node the child
-    vertex; inner node k sits at t0 + k*dt; every v is v_const; theta[k+1]
-    is theta[k] + step*omega[k], the step being dt or the shorter tail; and
-    the last node repeats the last omega.
+    A baseline document writes the vertex columns xs, ys and costs. A cbf-rrt
+    document writes the run's dt, t_h and v (v_const); nodes, the node count
+    n of each non-root edge; the vertex columns t, x1, x2 and theta, a vertex
+    being the last node of its edge; and, over the non-root edges in order,
+    only what the closed-loop integration leaves open: theta0, the resampled
+    start heading; inner_x1 and inner_x2, of the n - 2 inner nodes; omega,
+    the n - 1 applied controls. The rest of an edge follows bit for bit (see
+    integrate_closed_loop and rk4_step): its first (t, x1, x2) is the parent
+    vertex and its last node the child vertex; inner node k sits at
+    t0 + k*dt; every v is v_const; theta[k+1] is theta[k] + step*omega[k],
+    the step being dt or the shorter tail; and the last node repeats the
+    last omega.
     """
     if isinstance(tree, PlanTree):
-        # A vertex is the last node (t, x1, x2, theta) of its own edge.
-        vertices = "[" + ", ".join(
-            ['{"id": %d, "x1": %r, "x2": %r, "theta": %r, "t": %r, "parent": %s}']
-            * len(tree)) % tuple(
-            [x for i, (p, edge) in enumerate(zip(["null", *tree.parents[1:]],
-                                                 tree.edges))
-             for x in (i, *edge.data[-5:-2], edge.data[-6], p)]) + "]"
-        # One format string per edge length n: n - 2 inner nodes, n - 1 steps.
-        formats = {}
-        parts = []
-        for c, (p, edge) in enumerate(zip(tree.parents[1:], tree.edges[1:]), 1):
-            n = len(edge)
-            if n not in formats:
-                inner = ", ".join(["%r"] * (n - 2))
-                formats[n] = ('{"id": %d, "parent": %d, "child": %d, "theta0": %r, '
-                              '"x1": [' + inner + '], "x2": [' + inner + '], '
-                              '"omega": [' + ", ".join(["%r"] * (n - 1)) + "]}")
-            data = edge.data
-            parts.append(formats[n] % (c, p, c, data[3], *data[7:-6:6],
-                                       *data[8:-6:6], *data[5:-6:6]))
-        edges = "[" + ", ".join(parts) + "]"
-        header = '"schema": 2, "dt": %r, "t_h": %r, "v": %r, ' % (
-            params.dt, params.t_h, params.v_const)
+        # Every node of every edge as one (t, x1, x2, theta, v, omega) row.
+        rows = np.frombuffer(b"".join(edge.data for edge in tree.edges)).reshape(-1, 6)
+        lengths = [len(edge) for edge in tree.edges]
+        ends = np.cumsum(lengths)
+        vertices = rows[ends - 1]
+        steps = np.ones(len(rows), bool)  # the rows that start a step
+        steps[ends - 1] = False
+        inner = steps.copy()
+        inner[ends[:-1]] = False
+        head = {"dt": params.dt, "t_h": params.t_h, "v": params.v_const,
+                "parents": tree.parents, "nodes": lengths[1:]}
+        columns = {"t": vertices[:, 0], "x1": vertices[:, 1], "x2": vertices[:, 2],
+                   "theta": vertices[:, 3], "theta0": rows[ends[:-1], 3],
+                   "inner_x1": rows[inner, 1], "inner_x2": rows[inner, 2],
+                   "omega": rows[steps, 5]}
     else:
-        # The same layout with %r and %d; the root's parent is None, "null".
         n = len(tree)
-        rows = zip(range(n), tree.xs[:n].tolist(), tree.ys[:n].tolist(),
-                   ["null", *tree.parents[1:]], tree.costs)
-        vertices = "[" + ", ".join(
-            ['{"id": %d, "x": %r, "y": %r, "parent": %s, "cost": %r}' % row
-             for row in rows]) + "]"
-        edges = "[" + ", ".join(['{"parent": %d, "child": %d}' % (p, i)
-                                 for i, p in enumerate(tree.parents[1:], 1)]) + "]"
-        header = ""
-    return '{"algorithm": %s, %s"vertices": %s, "edges": %s}\n' % (
-        json.dumps(algorithm), header, vertices, edges)
+        head = {"parents": tree.parents}
+        columns = {"xs": tree.xs[:n], "ys": tree.ys[:n], "costs": tree.costs}
+    # base64 needs no JSON escaping, so a column goes between quotes as it
+    # is; json.dumps would spend most of the time scanning its characters.
+    # binascii is base64.b64encode's own encoder and is loaded at start-up;
+    # importing base64 would add about 0.2 MB to a run's peak RSS.
+    return json.dumps({"algorithm": algorithm, "schema": 3, **head})[:-1] + "".join(
+        ', "%s": "%s"' % (key, binascii.b2a_base64(
+            np.ascontiguousarray(column, dtype="<f8").tobytes(), newline=False).decode())
+        for key, column in columns.items()) + "}\n"
 
 
 def format_report_json(report: RunReport) -> str:

@@ -5,9 +5,11 @@ oracle for a behaviour the package implements another way, except
 write_scenario, the inverse of load_scenario, which only tests need.
 """
 
+import base64
 import itertools
 import json
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -297,8 +299,8 @@ def _plan_tree_vertices(tree: PlanTree) -> list[dict]:
 def full_tree_json_reference(algorithm: str, tree) -> str:
     """tree.json with every edge node read from the edge's own buffer: the
     document written before schema 2, json.dumps of dicts, each cbf-rrt edge
-    a "samples" list of (t, x1, x2, theta, v, omega) rows. The baseline
-    documents are still written this way."""
+    a "samples" list of (t, x1, x2, theta, v, omega) rows, and the baseline
+    document written before schema 3."""
     if isinstance(tree, PlanTree):
         vertices = _plan_tree_vertices(tree)
         edges = [{"id": i, "parent": parent, "child": i,
@@ -318,50 +320,89 @@ def full_tree_json_reference(algorithm: str, tree) -> str:
     return json.dumps(doc) + "\n"
 
 
+def pack_f8(values) -> str:
+    """base64 of the values packed one by one as little-endian float64."""
+    values = list(values)
+    return base64.b64encode(struct.pack("<%dd" % len(values), *values)).decode()
+
+
+def unpack_f8(text: str) -> list[float]:
+    """The floats of a base64 '<f8' column; raises on a partial float."""
+    raw = base64.b64decode(text, validate=True)
+    return list(struct.unpack("<%dd" % (len(raw) // 8), raw))
+
+
 def tree_json_reference(algorithm: str, tree, params: PlannerParams) -> str:
-    """tree.json as json.dumps of its document; harness._format_tree_json
-    writes the same bytes with format strings. A cbf-rrt document is schema
-    2: the run's dt, t_h and v_const, the vertices as before, and per edge
-    theta0, the inner nodes' x1 and x2, and the applied omegas."""
+    """tree.json as json.dumps of its schema-3 document, each float column
+    packed value by value with struct; harness._format_tree_json gathers the
+    columns with numpy. A cbf-rrt document writes dt, t_h and v_const, the
+    parents, each non-root edge's node count, the vertex columns, and over
+    those edges theta0, the inner nodes' x1 and x2, and the applied omegas."""
+    doc = {"algorithm": algorithm, "schema": 3}
     if not isinstance(tree, PlanTree):
-        return full_tree_json_reference(algorithm, tree)
-    edges = [{"id": i, "parent": parent, "child": i, "theta0": edge.data[3],
-              "x1": list(edge.data[7:-6:6]), "x2": list(edge.data[8:-6:6]),
-              "omega": list(edge.data[5:-6:6])}
-             for i, (parent, edge)
-             in enumerate(zip(tree.parents[1:], tree.edges[1:]), 1)]
-    doc = {"algorithm": algorithm, "schema": 2, "dt": params.dt,
-           "t_h": params.t_h, "v": params.v_const,
-           "vertices": _plan_tree_vertices(tree), "edges": edges}
+        n = len(tree)
+        doc.update(parents=list(tree.parents), xs=pack_f8(tree.xs[:n].tolist()),
+                   ys=pack_f8(tree.ys[:n].tolist()), costs=pack_f8(tree.costs))
+        return json.dumps(doc) + "\n"
+    edges = [edge.data for edge in tree.edges[1:]]
+    doc.update(dt=params.dt, t_h=params.t_h, v=params.v_const,
+               parents=list(tree.parents), nodes=[len(data) // 6 for data in edges])
+    for key, column in (("t", -6), ("x1", -5), ("x2", -4), ("theta", -3)):
+        doc[key] = pack_f8(edge.data[column] for edge in tree.edges)
+    doc.update(theta0=pack_f8(data[3] for data in edges),
+               inner_x1=pack_f8(x for data in edges for x in data[7:-6:6]),
+               inner_x2=pack_f8(x for data in edges for x in data[8:-6:6]),
+               omega=pack_f8(x for data in edges for x in data[5:-6:6]))
     return json.dumps(doc) + "\n"
 
 
 def expand_tree_json(text: str) -> str:
     """The full document (full_tree_json_reference's bytes) rebuilt from a
-    tree.json. A schema-2 edge's dropped floats are recomputed by the rules
-    of dynamics.integrate_closed_loop and rk4_step: the first node's
-    (t, x1, x2) is the parent vertex, the last node the child vertex; inner
-    node k's t is t0 + k*dt and its theta theta[k-1] + dt*omega[k-1]; every
-    v is v_const; the last node repeats the last omega. A document without
-    a schema key is the full document already."""
+    schema-3 tree.json. A baseline document needs only its columns unpacked.
+    A cbf-rrt edge's dropped floats are recomputed by the rules of
+    dynamics.integrate_closed_loop and rk4_step: the first node's (t, x1, x2)
+    is the parent vertex, the last node the child vertex; inner node k's t
+    is t0 + k*dt and its theta theta[k-1] + dt*omega[k-1]; every v is
+    v_const; the last node repeats the last omega."""
     doc = json.loads(text)
-    if doc.get("schema") != 2:
+    if doc.get("schema") != 3:
+        raise ValueError(f"tree.json schema {doc.get('schema')!r} is not 3")
+    parents = doc["parents"]
+    if doc["algorithm"] != "cbf-rrt":
+        columns = zip(parents, *(unpack_f8(doc[key]) for key in ("xs", "ys", "costs")),
+                      strict=True)
+        vertices = [{"id": i, "x": x, "y": y, "parent": parent, "cost": cost}
+                    for i, (parent, x, y, cost) in enumerate(columns)]
+        edges = [{"parent": parent, "child": i}
+                 for i, parent in enumerate(parents[1:], 1)]
+        doc = {"algorithm": doc["algorithm"], "vertices": vertices, "edges": edges}
         return json.dumps(doc) + "\n"
     dt, v = doc["dt"], doc["v"]
-    vertices = doc["vertices"]
+    columns = zip(parents, *(unpack_f8(doc[key]) for key in ("t", "x1", "x2", "theta")),
+                  strict=True)
+    vertices = [{"id": i, "x1": x1, "x2": x2, "theta": theta, "t": t, "parent": parent}
+                for i, (parent, t, x1, x2, theta) in enumerate(columns)]
+    theta0s, omegas = unpack_f8(doc["theta0"]), unpack_f8(doc["omega"])
+    inner_x1, inner_x2 = unpack_f8(doc["inner_x1"]), unpack_f8(doc["inner_x2"])
     edges = []
-    for edge in doc["edges"]:
-        first, last = vertices[edge["parent"]], vertices[edge["child"]]
-        t0, omega = first["t"], edge["omega"]
-        theta = edge["theta0"]
+    inner = steps = 0
+    for child, (parent, n, theta) in enumerate(
+            zip(parents[1:], doc["nodes"], theta0s, strict=True), 1):
+        first, last = vertices[parent], vertices[child]
+        t0, omega = first["t"], omegas[steps:steps + n - 1]
         samples = [[t0, first["x1"], first["x2"], theta, v, omega[0]]]
-        for k, (x1, x2) in enumerate(zip(edge["x1"], edge["x2"]), 1):
+        for k in range(1, n - 1):
             theta = theta + dt * omega[k - 1]
-            samples.append([t0 + k * dt, x1, x2, theta, v, omega[k]])
+            samples.append([t0 + k * dt, inner_x1[inner + k - 1],
+                            inner_x2[inner + k - 1], theta, v, omega[k]])
         samples.append([last["t"], last["x1"], last["x2"], last["theta"], v,
                         omega[-1]])
-        edges.append({"id": edge["id"], "parent": edge["parent"],
-                      "child": edge["child"], "samples": samples})
+        edges.append({"id": child, "parent": parent, "child": child,
+                      "samples": samples})
+        inner += n - 2
+        steps += n - 1
+    if (inner, steps) != (len(inner_x1), len(omegas)) or len(inner_x2) != inner:
+        raise ValueError("tree.json: edge columns do not match the node counts")
     doc = {"algorithm": doc["algorithm"], "vertices": vertices, "edges": edges}
     return json.dumps(doc) + "\n"
 
@@ -380,7 +421,7 @@ def closed_loop_grid(t0: float, horizon: float, dt: float):
 
 
 def integration_rule_violations(tree: PlanTree, params: PlannerParams) -> list[str]:
-    """What a schema-2 tree.json leaves out of each non-root edge, checked
+    """What a cbf-rrt tree.json leaves out of each non-root edge, checked
     on the edge's own buffer: t on closed_loop_grid, v == v_const,
     theta[k+1] == theta[k] + step[k]*omega[k], and the last omega repeating
     the one before. Floats are compared by repr, so -0.0 is not 0.0.

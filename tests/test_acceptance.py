@@ -219,6 +219,12 @@ def test_criterion_09_comparison_orderings(comparison_rows):
         assert int(rrt["errors"]) == 0 and int(cbf["errors"]) == 0
         assert float(rrt["median_vertices"]) < float(cbf["median_vertices"])
         assert float(rrt["median_wall_time_s"]) < float(cbf["median_wall_time_s"])
+    # at step 1.0 cbf-rrt needs fewer vertices and less time than rrt-star,
+    # the ordering the paper reports (26 vs 494 vertices, 0.281 vs 1.48 s)
+    cbf, rrt_star = cells[("cbf-rrt", 1.0)], cells[("rrt-star", 1.0)]
+    assert int(rrt_star["errors"]) == 0
+    assert float(cbf["median_vertices"]) < float(rrt_star["median_vertices"])
+    assert float(cbf["median_wall_time_s"]) < float(rrt_star["median_wall_time_s"])
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path, example1_file):

@@ -1,9 +1,12 @@
+import base64
 import dataclasses
 import hashlib
 import json
 import math
 import os
 import pathlib
+import re
+import struct
 import subprocess
 import sys
 from array import array
@@ -44,6 +47,7 @@ from oracles import (
     integration_rule_violations,
     trajectory_from_samples,
     tree_json_reference,
+    unpack_f8,
     write_scenario,
 )
 
@@ -361,14 +365,14 @@ def test_run_writes_artifacts(tmp_path, example1_file):
     assert timing["wall_time_s"] == report.wall_time
 
     tree_doc = json.loads((out / "tree.json").read_text())
-    assert len(tree_doc["vertices"]) == report.vertices
+    assert len(tree_doc["parents"]) == report.vertices
 
 
 def test_run_baseline_tree_artifact(tmp_path, example1_file):
     out = tmp_path / "rrt_out"
     report = run(example1_file, "rrt", 0, out)
     tree_doc = json.loads((out / "tree.json").read_text())
-    assert len(tree_doc["vertices"]) == report.vertices
+    assert len(tree_doc["parents"]) == report.vertices
     traj = read_trajectory_csv(out / "trajectory.csv")
     assert len(traj) > 0
     # polyline trajectory is timed by arc length at constant speed
@@ -378,28 +382,31 @@ def test_run_baseline_tree_artifact(tmp_path, example1_file):
 # sha256 of report.json + tree.json + trajectory.csv, concatenated in that
 # order. Pinned from the tuple-per-sample trajectories that preceded the flat
 # buffer; a change to any artifact byte must say why where it updates these.
-# A cbf-rrt tree.json is hashed as expand_tree_json rebuilds it: the full
-# document written before schema 2, so these pins hold unedited. Its raw
-# schema-2 bytes are pinned apart (the last column), because the expander's
-# json.loads would hide a change of layout.
+# tree.json is hashed as expand_tree_json rebuilds it: the full document
+# written before schema 2 (cbf-rrt) and schema 3 (the baselines), so these
+# pins hold unedited. Its raw schema-3 bytes are pinned apart (the last
+# column), because the expander's json.loads would hide a change of layout.
 GOLDEN_DIGESTS = [
     pytest.param("example1", "cbf-rrt", "t_h", 0.25, 2,
                  "7d04911c2ddbacf7f452a4f3ed0415703ae1b504502e1891131ea7a609ac9a67",
-                 "aff2cc11c3536583f54d54cea52508277616d81d68c45d4d27a7c5ffa7892256",
+                 "2b61c18c934550be4dd41bcccb813ab9e324e29dd7dc36130240b2b86b0d2a36",
                  id="example1-cbf-rrt-t_h0.25-seed2"),
     pytest.param("example2", "cbf-rrt", None, None, 0,
                  "f963c47c568d7fabde281cb27055d515fb1d3b01ad32d2a4e35d5c653c9d107b",
-                 "ab626da2d1e0d3385387490450a1e32cad67729208ddc8a1efe2852de106a03b",
+                 "d0c0e3febcd037a125996406a8d4e830942ab58d7f9e79579690378afbb4c39d",
                  id="example2-cbf-rrt-seed0"),
     pytest.param("example1", "rrt-star", "delta_d", 1.0, 0,
                  "aabaf5983ff4604b26b002c33529dea37ff10485fb7f8348c250d12f2d286580",
-                 None, id="example1-rrt-star-delta_d1.0-seed0"),
+                 "474480ebcfb18db278ae873e20db4758f7535c8a6ade71f05e8631d9a482cf01",
+                 id="example1-rrt-star-delta_d1.0-seed0"),
     pytest.param("example1", "rrt", "delta_d", 0.25, 0,
                  "14acc512b1036d45c069062318f1d8eb3453235e7b2a31ca0d5f22a3fe7023c3",
-                 None, id="example1-rrt-delta_d0.25-seed0"),
+                 "92f4d9274ab217529c88b1b7fda8ced58b8ba8e03c094e275408a0794821b2f7",
+                 id="example1-rrt-delta_d0.25-seed0"),
     pytest.param("example1", "rrt-star", "delta_d", 0.25, 1,
                  "37df1d8b69b06cf533e4fb1641f8bc784994f190f1a61779083320a72036f8d1",
-                 None, id="example1-rrt-star-delta_d0.25-seed1"),
+                 "2a9eeb86b0cdabdf4d93f974ef8a19a0f00f06e29cb4167a2013fd779a3c2efd",
+                 id="example1-rrt-star-delta_d0.25-seed1"),
 ]
 
 
@@ -417,10 +424,9 @@ def test_artifacts_match_golden_digests(tmp_path, name, algorithm, field, value,
             sf, baseline=dataclasses.replace(sf.baseline, delta_d=value))
     run(sf, algorithm, seed, tmp_path)
     tree = (tmp_path / "tree.json").read_bytes()
-    if raw_tree_digest is not None:
-        assert hashlib.sha256(tree).hexdigest() == raw_tree_digest
-        tree = expand_tree_json(tree.decode()).encode()
-    blob = b"".join(((tmp_path / "report.json").read_bytes(), tree,
+    assert hashlib.sha256(tree).hexdigest() == raw_tree_digest
+    blob = b"".join(((tmp_path / "report.json").read_bytes(),
+                     expand_tree_json(tree.decode()).encode(),
                      (tmp_path / "trajectory.csv").read_bytes()))
     assert hashlib.sha256(blob).hexdigest() == digest
 
@@ -430,8 +436,9 @@ def test_artifacts_match_golden_digests(tmp_path, name, algorithm, field, value,
     ("example2", ("cbf-rrt",)),
 ])
 def test_tree_json_matches_plain_json_dumps(name, algorithms):
-    # the writer is json.dumps of the schema-2 document, and expanding it
-    # gives the full document of the same tree
+    # the writer is json.dumps of the schema-3 document, its columns packed
+    # value by value as struct '<d' (so the bytes do not depend on the
+    # host's byte order), and expanding it gives the full document
     sf = load_scenario(SCENARIO_DIR / f"{name}.json")
     params = sf.scenario.params
     for algorithm in algorithms:
@@ -455,10 +462,10 @@ def test_tree_json_of_a_run_with_a_dt_override(tmp_path, example1_file):
 
 
 def test_tree_json_of_a_hand_built_tree():
-    # -0.0, 1e16 and 1e-05 are written as json.dumps writes them, in x1, x2,
-    # theta0 and omega; the root, given as numpy floats and an int, is
-    # stored and written as floats. The edges obey the integration rules
-    # (two dt steps of 0.25 s), so the expander rebuilds them exactly.
+    # -0.0, 1e16 and 1e-05 round-trip bit for bit in every column; the root,
+    # given as numpy floats and an int, is stored and written as floats. The
+    # edges obey the integration rules (two dt steps of 0.25 s), so the
+    # expander rebuilds them exactly.
     params = PlannerParams(t_h=0.5, dt=0.25, v_const=1e-05)
     tree = PlanTree(RobotState(np.float64(-0.0), 10**16, np.float64(1e-05)), 0)
     tree.add_child(0, Trajectory(array("d", [
@@ -475,9 +482,49 @@ def test_tree_json_of_a_hand_built_tree():
     assert text == tree_json_reference("cbf-rrt", tree, params)
     assert expand_tree_json(text) == full_tree_json_reference("cbf-rrt", tree)
     doc = json.loads(text)
-    assert doc["vertices"][0]["x2"] == 1e16
-    assert [e["theta0"] for e in doc["edges"]] == [-0.0, 1e-05]
-    assert '"x1": [1e-05], "x2": [-1e+16], "omega": [-0.0, 1e+16]' in text
+    assert (doc["parents"], doc["nodes"]) == ([None, 0, 1], [3, 3])
+    columns = {"t": [0.0, 0.5, 1.0], "x1": [-0.0, 1e16, -1e16],
+               "x2": [1e16, -0.0, 1e-05], "theta": [1e-05, 2.5e15, theta1],
+               "theta0": [-0.0, 1e-05], "inner_x1": [1e-05, -0.0],
+               "inner_x2": [-1e16, 1e16], "omega": [-0.0, 1e16, 1e-05, -0.0]}
+    for key, values in columns.items():
+        assert base64.b64decode(doc[key]) == struct.pack("<%dd" % len(values), *values), key
+
+
+@pytest.mark.parametrize("algorithm", ["cbf-rrt", "rrt"])
+def test_tree_json_of_a_start_at_goal_run(tmp_path, example1_file, algorithm):
+    # a root-only tree: every per-edge column is empty and encodes as ""
+    sf = dataclasses.replace(example1_file, scenario=dataclasses.replace(
+        example1_file.scenario, x_init=RobotState(1.95, 1.95, 0.0)))
+    run(sf, algorithm, 0, tmp_path)
+    text = (tmp_path / "tree.json").read_text()
+    _, _, tree = execute(sf, algorithm, 0)
+    assert len(tree) == 1
+    assert text == tree_json_reference(algorithm, tree, sf.scenario.params)
+    assert expand_tree_json(text) == full_tree_json_reference(algorithm, tree)
+    doc = json.loads(text)
+    assert doc["parents"] == [None]
+    if algorithm == "cbf-rrt":
+        assert doc["nodes"] == []
+        assert [doc[key] for key in ("theta0", "inner_x1", "inner_x2", "omega")] == [""] * 4
+        assert unpack_f8(doc["x1"]) == unpack_f8(doc["x2"]) == [1.95]
+    else:
+        assert unpack_f8(doc["xs"]) == unpack_f8(doc["ys"]) == [1.95]
+        assert unpack_f8(doc["costs"]) == [0.0]
+
+
+def test_readme_decode_reads_a_fresh_tree_json(tmp_path, monkeypatch, example1_file):
+    # the README's numpy decode, run as written, gives the vertices' x1
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    [block] = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S)
+               if "b64decode" in b]
+    monkeypatch.chdir(tmp_path)
+    run(example1_file, "cbf-rrt", 0, "out")
+    namespace = {}
+    exec(block, namespace)
+    _, _, tree = execute(example1_file, "cbf-rrt", 0)
+    x1 = [edge.data[-5] for edge in tree.edges]
+    assert namespace["x1"].tobytes() == struct.pack("<%dd" % len(x1), *x1)
 
 
 # ---------------------------------------------------------------- compare

@@ -1,9 +1,12 @@
 import dataclasses
 import math
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cbfrrt.dynamics import (
     CircularObstacle,
@@ -243,6 +246,58 @@ def test_safe_steer_rejects_grazing_below_margin():
     assert safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (ob,), params) is None
 
 
+
+def _exact(*values):
+    return tuple(Fraction(x) for x in values)
+
+
+# grid values make tight chords likely: unit moves, symmetric end nodes
+_unit = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+_coord = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-5.0, 5.0))
+_fill = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 2.0)),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.floats(1e-3, 1.0),
+       st.tuples(_coord, _coord), st.tuples(_unit, _unit),
+       st.tuples(_coord, _coord), st.tuples(_unit, _unit), _fill)
+# the tight case: h0 = h1 = margin, |delta| = L, minimum exactly 0 at s = 1/2
+@example(1.0, 0.0, 1.0, (-0.5, 0.5), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1.0)
+def test_node_margin_clears_the_chord_between_nodes(v, v_obs, step, p0, robot,
+                                                    c0, disk, fill):
+    # _edge_clears_obstacles' claim, in exact arithmetic. Over one step the
+    # robot moves at most v*step and the disk at most v_obs*step, so their
+    # relative displacement delta is at most L = (v + v_obs)*step. Along the
+    # chord h(s) = (1-s)*h0 + s*h1 - s*(1-s)*|delta|^2, so end nodes with h
+    # at or above the node margin L^2/4 leave the exact minimum >= 0.
+    v, v_obs, step, fill = _exact(v, v_obs, step, fill)
+    (a, b), (c, d) = _exact(*robot), _exact(*disk)
+    assume(a * a + b * b <= 1 and c * c + d * d <= 1)
+    (px, py), (cx, cy) = _exact(*p0), _exact(*c0)
+    r0 = (px - cx, py - cy)
+    delta = (v * step * a - v_obs * step * c, v * step * b - v_obs * step * d)
+    r1 = (r0[0] + delta[0], r0[1] + delta[1])
+    length = (v + v_obs) * step
+    margin = length * length / 4
+    dd = delta[0] ** 2 + delta[1] ** 2
+    assert dd <= length * length
+    # the disk's squared radius puts the nearer end node between h = margin
+    # (fill = 1) and its full clearance (fill = 0)
+    room = min(r0[0] ** 2 + r0[1] ** 2, r1[0] ** 2 + r1[1] ** 2) - margin
+    assume(room >= 0)
+    r2 = fill * room
+
+    def h(s):
+        return (r0[0] + s * delta[0]) ** 2 + (r0[1] + s * delta[1]) ** 2 - r2
+
+    h0, h1 = h(0), h(1)
+    assert min(h0, h1) >= margin
+    s = 0 if dd == 0 else min(max(-(r0[0] * delta[0] + r0[1] * delta[1]) / dd, 0), 1)
+    assert h(s) == (1 - s) * h0 + s * h1 - s * (1 - s) * dd
+    assert h(s) >= 0
+
+
 # ---------------------------------------------------------------- goal / path
 
 
@@ -412,9 +467,9 @@ def test_plan_counts_are_pinned(request, scenario_name, t_h, seed, iterations, v
 
 @pytest.mark.parametrize("scenario_name, t_h", [("example1", 0.25), ("example2", None)])
 def test_edges_start_at_parent_and_end_at_child(request, scenario_name, t_h):
-    # a schema-2 tree.json writes no first node: it is rebuilt from the
-    # parent vertex, its edge's last node, so the two must be bit-equal, not
-    # merely close (repr tells -0.0 apart)
+    # a cbf-rrt tree.json (schema 2 and 3) writes no edge's first node: it
+    # is rebuilt from the parent vertex, its edge's last node, so the two
+    # must be bit-equal, not merely close (repr tells -0.0 apart)
     sc = request.getfixturevalue(f"{scenario_name}_file").scenario
     for seed in range(3):
         params = dataclasses.replace(sc.params, seed=seed, max_iters=600)
@@ -436,8 +491,8 @@ def test_edges_start_at_parent_and_end_at_child(request, scenario_name, t_h):
     ("example1", 0.25, 0.03),
 ])
 def test_edges_follow_the_integration_rules(request, scenario_name, t_h, dt):
-    # a schema-2 tree.json writes no t, no v, no inner theta and no last
-    # omega: each must follow from the integration, bit for bit
+    # a cbf-rrt tree.json (schema 2 and 3) writes no edge's t, v, inner
+    # theta or last omega: each must follow from the integration, bit for bit
     sc = request.getfixturevalue(f"{scenario_name}_file").scenario
     for seed in range(2):
         params = dataclasses.replace(sc.params, seed=seed, max_iters=600)
