@@ -12,7 +12,7 @@ round out the package.
 
 from .baselines import rrt_plan, rrt_star_plan
 from .dynamics import integrate_closed_loop
-from .harness import audit_trajectory, load_scenario, run
+from .harness import audit_trajectory, configure, load_scenario, run
 from .planner import plan, safe_steer
 from .qp import solve_scalar_qp
 from .safety import constraint_rows, ecbf_row
@@ -20,7 +20,7 @@ from .safety import constraint_rows, ecbf_row
 __version__ = "0.1.0"
 
 __all__ = [
-    "load_scenario", "plan", "run", "safe_steer", "constraint_rows", "ecbf_row",
-    "solve_scalar_qp", "integrate_closed_loop", "rrt_plan", "rrt_star_plan",
+    "load_scenario", "configure", "plan", "run", "safe_steer", "constraint_rows",
+    "ecbf_row", "solve_scalar_qp", "integrate_closed_loop", "rrt_plan", "rrt_star_plan",
     "audit_trajectory", "__version__",
 ]

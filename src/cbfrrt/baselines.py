@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import CircularObstacle
-from .planner import Scenario, root_path
+from .planner import Scenario, in_goal_region, root_path
 
 Point = tuple[float, float]
 
@@ -31,7 +31,6 @@ class BaselineParams:
 
     delta_d: float = 0.25
     max_iters: int = 2_000
-    seed: int = 0
     sample_bounds: tuple[tuple[float, float], tuple[float, float]] = (
         (-1.0, 3.0),
         (-1.0, 3.0),
@@ -183,17 +182,16 @@ def _sample_point(
     return random_state(params.sample_bounds, rng)
 
 
-def rrt_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
+def rrt_plan(scenario: Scenario, params: BaselineParams, seed: int = 0) -> BaselineResult:
     """Classic RRT: sample, nearest, steer, end-point check, add; stop at the
     first vertex within epsilon of the goal."""
     require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal
-    eps2 = scenario.params.epsilon ** 2
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     tree = GeomTree(root, params.max_iters + 1)
 
-    if (root[0] - goal[0]) ** 2 + (root[1] - goal[1]) ** 2 <= eps2:
+    if in_goal_region(root, goal, scenario.params.epsilon):
         return BaselineResult(True, tree, [0], 0, cost=0.0)
 
     for iteration in range(1, params.max_iters + 1):
@@ -207,13 +205,14 @@ def rrt_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
             continue
         step = math.hypot(x_new[0] - x_nn[0], x_new[1] - x_nn[1])
         vid = tree.add(x_new, nn, tree.costs[nn] + step)
-        if (x_new[0] - goal[0]) ** 2 + (x_new[1] - goal[1]) ** 2 <= eps2:
+        if in_goal_region(x_new, goal, scenario.params.epsilon):
             return BaselineResult(True, tree, root_path(tree.parents, vid), iteration,
                                   cost=tree.costs[vid])
     return BaselineResult(False, tree, None, params.max_iters)
 
 
-def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
+def rrt_star_plan(scenario: Scenario, params: BaselineParams,
+                  seed: int = 0) -> BaselineResult:
     """RRT* (choose-parent + rewire) with the same end-point-only checks.
 
     Runs the full iteration budget to keep refining cost and returns the
@@ -224,12 +223,11 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
     require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal
-    eps2 = scenario.params.epsilon ** 2
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     tree = GeomTree(root, params.max_iters + 1)
     goal_ids: list[int] = []
 
-    if (root[0] - goal[0]) ** 2 + (root[1] - goal[1]) ** 2 <= eps2:
+    if in_goal_region(root, goal, scenario.params.epsilon):
         return BaselineResult(True, tree, [0], 0, cost=0.0)
 
     for _ in range(params.max_iters):
@@ -266,7 +264,7 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams) -> BaselineResult:
             if c < tree.costs[j] - 1e-12:
                 tree.reparent(j, vid, c)
 
-        if (x_new[0] - goal[0]) ** 2 + (x_new[1] - goal[1]) ** 2 <= eps2:
+        if in_goal_region(x_new, goal, scenario.params.epsilon):
             goal_ids.append(vid)
 
     if not goal_ids:

@@ -81,9 +81,9 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_plan(args) -> int:
-    scenario_file = harness.load_scenario(args.scenario)
-    report = harness.run(scenario_file, args.algorithm, args.seed, args.out,
-                         dt=args.dt, max_iters=args.max_iters)
+    scenario_file = harness.configure(harness.load_scenario(args.scenario), args.algorithm,
+                                      dt=args.dt, max_iters=args.max_iters)
+    report = harness.run(scenario_file, args.algorithm, args.seed, args.out)
     if report.success:
         audit = "pass" if report.audit_pass else "FAIL"
         barrier = "n/a" if report.min_barrier is None else f"{report.min_barrier:.6f}"

@@ -1,10 +1,12 @@
 """Experiment harness: scenario files, runs, comparisons, safety audits.
 
-A scenario JSON file fully describes a problem (start, goal, obstacles,
-planner and baseline parameters); the seed comes from the caller so one file
-drives a whole sweep. Every run re-audits its output trajectory against the
-obstacles by dense interpolation — the report's audit_pass is always computed
-here, never taken from planner-internal flags.
+A run is (configured scenario file, algorithm, seed): a scenario JSON file
+fully describes a problem (start, goal, obstacles, planner and baseline
+parameters), configure applies the run's overrides to it, and the seed
+comes from the caller so one file drives a whole sweep. Every run re-audits
+its output trajectory against the obstacles by dense interpolation — the
+report's audit_pass is always computed here, never taken from
+planner-internal flags.
 
 Reports are split into report.json (deterministic, byte-reproducible for a
 fixed (scenario, algorithm, seed)) and timing.json (wall-clock, varies run to
@@ -145,7 +147,7 @@ def _rectangle(value, path: str) -> tuple[tuple[float, float], tuple[float, floa
 
 # The optional "planner" and "baseline" blocks of a scenario file: field name
 # -> parser, in file order. Every field defaults to the dataclass default;
-# planner k1/k2 are the two EcbfGains fields. The seed is not a file field.
+# planner k1/k2 are the two EcbfGains fields.
 PLANNER_FIELDS = {
     "t_h": _finite, "dt": _finite, "sigma2": _finite, "epsilon": _finite,
     "k1": _finite, "k2": _finite, "v_const": _finite, "omega_ref": _finite,
@@ -334,46 +336,59 @@ def _polyline_trajectory(points: list[tuple[float, float]], t_init: float,
     return Trajectory(data)
 
 
-def execute(
-    scenario_file: ScenarioFile,
-    algorithm: str,
-    seed: int,
-    dt: Optional[float] = None,
-    max_iters: Optional[int] = None,
-):
-    """Run one planner on the scenario. Returns (RunReport, trajectory, tree)
-    where trajectory is None on failure and tree is the planner's tree object.
+def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float] = None,
+              dt: Optional[float] = None,
+              max_iters: Optional[int] = None) -> ScenarioFile:
+    """The scenario file with a run's overrides applied to the algorithm's
+    own params, or the same object when there are none: step is t_h (s) for
+    cbf-rrt and delta_d (m) for the baselines, and max_iters the algorithm's
+    budget. dt overrides the cbf-rrt integration step only: a baseline's
+    audit samples at the scenario's dt / 4, which a dt override would
+    coarsen. Raises ScenarioValidationError naming the override (step, dt or
+    max_iters) that the algorithm or its params reject."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    cbf = algorithm == "cbf-rrt"
+    if dt is not None and not cbf:
+        _fail("dt", f"overrides the cbf-rrt integration step only, not {algorithm}'s")
+    own = scenario_file.scenario.params if cbf else scenario_file.baseline
+    params = own
+    for name, key, value in (("step", "t_h" if cbf else "delta_d", step),
+                             ("dt", "dt", dt), ("max_iters", "max_iters", max_iters)):
+        if value is not None:
+            try:
+                params = replace(params, **{key: value})
+            except ValueError as e:
+                raise ScenarioValidationError(f"{name}: {e}") from e
+    if params is own:
+        return scenario_file
+    if not cbf:
+        return replace(scenario_file, baseline=params)
+    return replace(scenario_file, scenario=replace(scenario_file.scenario, params=params))
 
-    Raises ScenarioValidationError when the seed, the overrides, or the
-    scenario for a baseline (moving obstacles), are invalid. dt is a
-    cbf-rrt override only: a baseline's audit samples at the scenario's
-    dt / 4, which a dt override would coarsen."""
+
+def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
+    """Run one planner on the configured scenario file (see configure).
+    Returns (RunReport, trajectory, tree) where trajectory is None on failure
+    and tree is the planner's tree object. Raises ScenarioValidationError for
+    a negative seed or a baseline on a scenario with a moving obstacle."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     _check_seed(seed, "seed")
-    if dt is not None and algorithm != "cbf-rrt":
-        _fail("dt", f"overrides the cbf-rrt integration step only, not {algorithm}'s")
     scenario = scenario_file.scenario
-    try:
-        params = replace(scenario.params, seed=seed)
-        if dt is not None:
-            params = replace(params, dt=dt)
-        if algorithm == "cbf-rrt" and max_iters is not None:
-            params = replace(params, max_iters=max_iters)
-        scenario = replace(scenario, params=params)
-        baseline = replace(scenario_file.baseline, seed=seed)
-        if max_iters is not None:
-            baseline = replace(baseline, max_iters=max_iters)
-        if algorithm != "cbf-rrt":
+    params = scenario.params
+    if algorithm != "cbf-rrt":
+        try:
             require_static(scenario.obstacles)
-    except ValueError as e:
-        raise ScenarioValidationError(str(e)) from e
+        except ValueError as e:
+            raise ScenarioValidationError(str(e)) from e
 
     start = time.perf_counter()
     if algorithm == "cbf-rrt":
-        result = plan(scenario)
+        result = plan(scenario, seed)
     else:
-        result = (rrt_plan if algorithm == "rrt" else rrt_star_plan)(scenario, baseline)
+        planner = rrt_plan if algorithm == "rrt" else rrt_star_plan
+        result = planner(scenario, scenario_file.baseline, seed)
     wall = time.perf_counter() - start
 
     trajectory = path_length = path_duration = None
@@ -400,25 +415,15 @@ def execute(
     return report, trajectory, result.tree
 
 
-def run(
-    scenario_file: ScenarioFile,
-    algorithm: str,
-    seed: int,
-    out_dir,
-    dt: Optional[float] = None,
-    max_iters: Optional[int] = None,
-) -> RunReport:
+def run(scenario_file: ScenarioFile, algorithm: str, seed: int, out_dir) -> RunReport:
     """execute() plus artifacts: trajectory.csv, tree.json, report.json
     (deterministic) and timing.json (wall clock, volatile) in out_dir."""
-    report, trajectory, tree = execute(scenario_file, algorithm, seed,
-                                       dt=dt, max_iters=max_iters)
-    params = scenario_file.scenario.params
-    if dt is not None:
-        params = replace(params, dt=dt)
+    report, trajectory, tree = execute(scenario_file, algorithm, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "trajectory.csv", format_trajectory_csv(trajectory))
-    _atomic_write(out / "tree.json", _format_tree_json(algorithm, tree, params))
+    _atomic_write(out / "tree.json",
+                  _format_tree_json(algorithm, tree, scenario_file.scenario.params))
     _atomic_write(out / "report.json", format_report_json(report))
     _atomic_write(out / "timing.json",
                   json.dumps({"wall_time_s": report.wall_time}, indent=2) + "\n")
@@ -455,8 +460,8 @@ def format_trajectory_csv(trajectory: Optional[Trajectory]) -> str:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Parse a trajectory CSV. Raises ValueError, naming the line and column,
-    for a field that is not a finite number or a t below the previous row's."""
+    """Parse a trajectory CSV. Raises ValueError naming the line of a row
+    without 6 columns, a non-finite field (and its column) or a t going back."""
     path = Path(path)
     columns = TRAJECTORY_HEADER.split(",")
     with path.open(newline="") as f:
@@ -469,9 +474,9 @@ def read_trajectory_csv(path) -> Trajectory:
         for row in reader:
             if not row:
                 continue
-            if len(row) != 6:
-                raise ValueError(f"{path}: expected 6 columns, got {row!r}")
             where = f"{path}, line {reader.line_num}"
+            if len(row) != 6:
+                raise ValueError(f"{where}: expected 6 columns, got {len(row)}")
             values = []
             for name, field in zip(columns, row):
                 try:
@@ -551,16 +556,6 @@ def format_report_json(report: RunReport) -> str:
 # comparison sweeps
 
 
-def _apply_step(scenario_file: ScenarioFile, algorithm: str, step: float) -> ScenarioFile:
-    """Interpret the sweep step for the given algorithm: steering horizon (s)
-    for cbf-rrt, straight-line step delta_d (m) for the baselines."""
-    if algorithm == "cbf-rrt":
-        scenario = scenario_file.scenario
-        params = replace(scenario.params, t_h=step)
-        return replace(scenario_file, scenario=replace(scenario, params=params))
-    return replace(scenario_file, baseline=replace(scenario_file.baseline, delta_d=step))
-
-
 def _compare_task(scenario_file: ScenarioFile, algorithm: str, step: float,
                   seed: int):
     """One run of the sweep; scenario_file already has the step applied."""
@@ -604,13 +599,11 @@ def compare(
         raise ValueError("sweep must not be empty")
     stepped = {}
     for i, (algorithm, step) in enumerate(sweep):
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r} in sweep")
         try:
-            stepped[algorithm, float(step)] = _apply_step(
-                scenario_file, algorithm, float(step))
-        except ValueError as e:
-            raise ScenarioValidationError(f"sweep[{i}].step: {e}") from e
+            stepped[algorithm, float(step)] = configure(
+                scenario_file, algorithm, step=float(step))
+        except ScenarioValidationError as e:
+            raise ScenarioValidationError(f"sweep[{i}].{e}") from e
         if algorithm != "cbf-rrt":
             try:
                 require_static(scenario_file.scenario.obstacles)

@@ -60,7 +60,6 @@ class PlannerParams:
     # the box; scenario files pin tighter, platform-specific limits.
     omega_bounds: tuple[float, float] = (-10.0, 10.0)
     max_iters: int = 10_000
-    seed: int = 0
     omega_ref_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
@@ -245,10 +244,20 @@ def _edge_clears_obstacles(
     return True
 
 
+def in_goal_region(position: tuple[float, float], goal: tuple[float, float],
+                   epsilon: float) -> bool:
+    """True iff position lies within epsilon of the goal: every planner's one
+    goal-region test (x * x, as ** rounds differently on some floats)."""
+    d1 = position[0] - goal[0]
+    d2 = position[1] - goal[1]
+    return d1 * d1 + d2 * d2 <= epsilon * epsilon
+
+
 def goal_check(
     trajectory: Trajectory, goal: tuple[float, float], epsilon: float
 ) -> bool:
-    """True iff any trajectory node lies within epsilon of the goal position."""
+    """True iff any trajectory node lies within epsilon of the goal position
+    (in_goal_region's arithmetic, inlined: a call per node doubles the cost)."""
     eps2 = epsilon * epsilon
     data = trajectory.data
     for x1, x2 in zip(data[1::6], data[2::6]):
@@ -285,7 +294,7 @@ def extract_path(tree: PlanTree, goal_vertex: int) -> Trajectory:
     return Trajectory(out)
 
 
-def plan(scenario: Scenario) -> PlanResult:
+def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
     """Run CBF-RRT on the scenario until the goal region is reached or the
     iteration budget is exhausted.
 
@@ -295,12 +304,10 @@ def plan(scenario: Scenario) -> PlanResult:
     """
     params = scenario.params
     goal = scenario.x_goal
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     tree = PlanTree(scenario.x_init, scenario.t_init)
 
-    dx = scenario.x_init.x1 - goal[0]
-    dy = scenario.x_init.x2 - goal[1]
-    if math.hypot(dx, dy) <= params.epsilon:
+    if in_goal_region(scenario.x_init.position(), goal, params.epsilon):
         return PlanResult(True, tree, extract_path(tree, 0), 0)
 
     for iteration in range(1, params.max_iters + 1):

@@ -18,7 +18,7 @@ from cbfrrt.baselines import (
     steer_straight,
 )
 from cbfrrt.dynamics import CircularObstacle, RobotState
-from cbfrrt.planner import PlannerParams, Scenario
+from cbfrrt.planner import PlannerParams, Scenario, plan
 from oracles import edge_collision_audit, near_set_reference, nearest_neighbor_reference
 
 WORLD1 = (
@@ -35,7 +35,7 @@ def world1_scenario():
 
 
 def baseline_params(**kw):
-    defaults = dict(delta_d=0.25, max_iters=2000, seed=0, sample_bounds=BOUNDS)
+    defaults = dict(delta_d=0.25, max_iters=2000, sample_bounds=BOUNDS)
     defaults.update(kw)
     return BaselineParams(**defaults)
 
@@ -163,13 +163,13 @@ def test_rrt_reaches_adjacent_goal_quickly():
 def test_rrt_success_rate_small_steps():
     ok = 0
     for seed in range(50):
-        res = rrt_plan(world1_scenario(), baseline_params(seed=seed))
+        res = rrt_plan(world1_scenario(), baseline_params(), seed)
         ok += res.success
     assert ok >= 45  # >= 0.9 empirically
 
 
 def test_rrt_edge_lengths_bounded():
-    res = rrt_plan(world1_scenario(), baseline_params(seed=3))
+    res = rrt_plan(world1_scenario(), baseline_params(), 3)
     tree = res.tree
     for vid in range(1, len(tree)):
         p = tree.position(tree.parents[vid])
@@ -178,7 +178,7 @@ def test_rrt_edge_lengths_bounded():
 
 
 def test_rrt_path_endpoints():
-    res = rrt_plan(world1_scenario(), baseline_params(seed=0))
+    res = rrt_plan(world1_scenario(), baseline_params(), 0)
     assert res.success
     start = res.tree.position(res.path[0])
     end = res.tree.position(res.path[-1])
@@ -187,8 +187,8 @@ def test_rrt_path_endpoints():
 
 
 def test_rrt_deterministic():
-    a = rrt_plan(world1_scenario(), baseline_params(seed=12))
-    b = rrt_plan(world1_scenario(), baseline_params(seed=12))
+    a = rrt_plan(world1_scenario(), baseline_params(), 12)
+    b = rrt_plan(world1_scenario(), baseline_params(), 12)
     assert a.iterations == b.iterations
     assert a.cost == b.cost
     assert len(a.tree) == len(b.tree)
@@ -232,6 +232,22 @@ def test_rrt_exhausts_when_goal_unreachable():
     assert res.path is None
 
 
+@pytest.mark.parametrize("start, inside", [
+    # math.hypot puts it within epsilon, its squared distance is just outside
+    pytest.param((1.8588713883864583, 2.0508204189675183), False, id="hypot-inside"),
+    # d ** 2 puts it outside, d * d inside
+    pytest.param((1.9045559705682538, 2.115717056849161), True, id="pow-outside"),
+])
+def test_planners_agree_on_a_start_at_the_goal_region_boundary(start, inside):
+    # all three test the start and every new vertex as d1*d1 + d2*d2 <= eps*eps
+    sc = Scenario(RobotState(*start, 0.0), 0.0, (2.0, 2.0), (), PlannerParams(max_iters=50))
+    d1, d2 = start[0] - 2.0, start[1] - 2.0
+    assert (d1 * d1 + d2 * d2 <= 0.15 * 0.15) is inside
+    results = [plan(sc), rrt_plan(sc, baseline_params(max_iters=50)),
+               rrt_star_plan(sc, baseline_params(max_iters=50))]
+    assert [r.success and r.iterations == 0 for r in results] == [inside] * 3
+
+
 # ---------------------------------------------------------------- rrt*
 
 
@@ -249,9 +265,9 @@ def first_solution(seed, **kw):
     same order at a fixed seed (rewiring changes only parents and costs), so
     rrt-star cut off at rrt's iteration count stops right at it. Returns
     (rrt result, that cut-off rrt-star result)."""
-    r = rrt_plan(world1_scenario(), baseline_params(seed=seed, **kw))
+    r = rrt_plan(world1_scenario(), baseline_params(**kw), seed)
     cut = rrt_star_plan(world1_scenario(),
-                        baseline_params(seed=seed, **{**kw, "max_iters": r.iterations}))
+                        baseline_params(**{**kw, "max_iters": r.iterations}), seed)
     return r, cut
 
 
@@ -261,13 +277,13 @@ def test_rrt_star_zero_radius_matches_rrt_first_solution():
         assert r.success and s.success
         # one iteration fewer and rrt-star has not reached the goal yet
         earlier = rrt_star_plan(world1_scenario(), baseline_params(
-            seed=seed, rewire_gamma=0.0, max_iters=r.iterations - 1))
+            rewire_gamma=0.0, max_iters=r.iterations - 1), seed)
         assert not earlier.success
         assert s.cost == pytest.approx(r.cost, rel=1e-12)
 
 
 def test_rrt_star_runs_full_budget_and_refines():
-    res = rrt_star_plan(world1_scenario(), baseline_params(seed=0, max_iters=1500))
+    res = rrt_star_plan(world1_scenario(), baseline_params(max_iters=1500), 0)
     assert res.success
     assert res.iterations == 1500
     rrt_res, first = first_solution(0, max_iters=1500)
@@ -278,7 +294,7 @@ def test_rrt_star_runs_full_budget_and_refines():
 
 
 def test_rrt_star_cost_bookkeeping():
-    res = rrt_star_plan(world1_scenario(), baseline_params(seed=4, max_iters=800))
+    res = rrt_star_plan(world1_scenario(), baseline_params(max_iters=800), 4)
     tree = res.tree
     assert tree.costs[0] == 0.0
     for vid in range(1, len(tree)):
@@ -294,15 +310,15 @@ def test_rrt_star_cost_bookkeeping():
 
 
 def test_rrt_star_deterministic():
-    a = rrt_star_plan(world1_scenario(), baseline_params(seed=9, max_iters=600))
-    b = rrt_star_plan(world1_scenario(), baseline_params(seed=9, max_iters=600))
+    a = rrt_star_plan(world1_scenario(), baseline_params(max_iters=600), 9)
+    b = rrt_star_plan(world1_scenario(), baseline_params(max_iters=600), 9)
     assert a.cost == b.cost
     assert len(a.tree) == len(b.tree)
 
 
 def test_baseline_params_validation():
     with pytest.raises(ValueError):
-        BaselineParams(delta_d=0.0, max_iters=100, seed=0, sample_bounds=BOUNDS)
+        BaselineParams(delta_d=0.0, max_iters=100, sample_bounds=BOUNDS)
     baseline_params()
 
 

@@ -246,6 +246,8 @@ VALID_ROWS = ["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"]
                      r"line 2: x2 must be finite", id="nan-coordinate"),
         pytest.param(["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,abc,0.5,0.0,1.0,0.0"], [],
                      r"line 3: x1 must be a number, got 'abc'", id="non-numeric-field"),
+        pytest.param(["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0"], [],
+                     r"line 3: expected 6 columns, got 5$", id="wrong-column-count"),
         # failed runs write a header-only file; there is nothing to certify
         pytest.param([], [], r"--trajectory: .*no nodes", id="header-only"),
         pytest.param(VALID_ROWS, ["--dt-audit", "nan"],

@@ -1,4 +1,5 @@
 import base64
+import collections
 import dataclasses
 import hashlib
 import json
@@ -32,6 +33,7 @@ from cbfrrt.harness import (
     _format_tree_json,
     audit_trajectory,
     compare,
+    configure,
     execute,
     format_trajectory_csv,
     load_scenario,
@@ -39,7 +41,7 @@ from cbfrrt.harness import (
     read_trajectory_csv,
     run,
 )
-from cbfrrt.planner import PlannerParams, PlanTree
+from cbfrrt.planner import PlannerParams, PlanTree, Scenario
 from cbfrrt.safety import EcbfGains
 from oracles import (
     expand_tree_json,
@@ -182,11 +184,14 @@ def test_round_trip_every_block_field(tmp_path, example1_file):
         delta_d=0.3, max_iters=77, sample_bounds=((-2.0, 4.0), (-1.5, 3.5)),
         rewire_gamma=1.25, goal_bias=0.1,
     )
-    # every file field differs from its default (the seed is not a file field)
+    # every field is a file field, and each differs from its default
+    fields = {f.name for obj in (params, baseline, params.gains)
+              for f in dataclasses.fields(obj)} - {"gains"}
+    assert fields == set(harness.PLANNER_FIELDS) | set(harness.BASELINE_FIELDS)
     for obj in (params, baseline, params.gains):
         default = PlannerParams().gains if obj is params.gains else type(obj)()
         for f in dataclasses.fields(obj):
-            if f.name not in ("seed", "gains"):
+            if f.name != "gains":
                 assert getattr(obj, f.name) != getattr(default, f.name), f.name
     sf = dataclasses.replace(
         example1_file, baseline=baseline,
@@ -337,16 +342,95 @@ def test_execute_unknown_algorithm(example1_file):
 
 
 def test_execute_overrides(example1_file):
-    report, _, _ = execute(example1_file, "cbf-rrt", 0, max_iters=1)
+    report, _, _ = execute(configure(example1_file, "cbf-rrt", max_iters=1), "cbf-rrt", 0)
     assert not report.success
     assert report.iterations == 1
-    report, trajectory, _ = execute(example1_file, "cbf-rrt", 0, dt=0.01)
+    report, trajectory, _ = execute(configure(example1_file, "cbf-rrt", dt=0.01),
+                                    "cbf-rrt", 0)
     if trajectory is not None:
         dts = {
             round(b.t - a.t, 9)
             for a, b in zip(trajectory.samples, trajectory.samples[1:])
         }
         assert 0.01 in dts
+
+
+def test_configure_without_overrides_returns_the_same_file(example1_file):
+    for algorithm in harness.ALGORITHMS:
+        assert configure(example1_file, algorithm) is example1_file
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        configure(example1_file, "dijkstra", step=1.0)
+
+
+@pytest.mark.parametrize("algorithm, overrides, planner, baseline", [
+    ("cbf-rrt", dict(step=0.25, dt=0.01, max_iters=7),
+     dict(t_h=0.25, dt=0.01, max_iters=7), None),
+    ("rrt", dict(step=1.0, max_iters=30), None, dict(delta_d=1.0, max_iters=30)),
+    ("rrt-star", dict(max_iters=40), None, dict(max_iters=40)),
+])
+def test_configure_sets_the_algorithms_own_fields(example1_file, algorithm, overrides,
+                                                  planner, baseline):
+    # step is t_h or delta_d, max_iters the algorithm's own budget; the
+    # other algorithm's params stay the file's own object
+    sf = configure(example1_file, algorithm, **overrides)
+    if planner is None:
+        assert sf.scenario is example1_file.scenario
+    else:
+        assert sf.scenario.params == dataclasses.replace(
+            example1_file.scenario.params, **planner)
+    if baseline is None:
+        assert sf.baseline is example1_file.baseline
+    else:
+        assert sf.baseline == dataclasses.replace(example1_file.baseline, **baseline)
+
+
+@pytest.mark.parametrize("algorithm, overrides, message", [
+    ("cbf-rrt", dict(step=0.01), r"^step: dt must be <= t_h"),
+    ("cbf-rrt", dict(dt=0.9), r"^dt: dt must be <= t_h"),
+    ("cbf-rrt", dict(step=0.25, dt=0.3), r"^dt: dt must be <= t_h"),
+    ("cbf-rrt", dict(max_iters=0), r"^max_iters: max_iters must be >= 1"),
+    ("rrt", dict(step=-1.0), r"^step: delta_d must be > 0"),
+    ("rrt-star", dict(max_iters=0), r"^max_iters: max_iters must be >= 1"),
+    ("rrt", dict(dt=0.01), r"^dt: overrides the cbf-rrt integration step only"),
+])
+def test_configure_names_the_rejected_override(example1_file, algorithm, overrides,
+                                               message):
+    with pytest.raises(ScenarioValidationError, match=message):
+        configure(example1_file, algorithm, **overrides)
+
+
+def test_execute_hands_the_planner_the_objects_it_was_given(monkeypatch, example1_file):
+    # a run builds no params and repeats no check: the seed is the planner's
+    # argument, and the scenario and baseline params go through as they are
+    calls = []
+
+    def spy(planner):
+        def call(*args):
+            calls.append(args)
+            return planner(*args)
+        return call
+
+    monkeypatch.setattr(harness, "plan", spy(harness.plan))
+    monkeypatch.setattr(harness, "rrt_star_plan", spy(harness.rrt_star_plan))
+    execute(example1_file, "cbf-rrt", 3)
+    sf = configure(example1_file, "rrt-star", max_iters=50)
+    execute(sf, "rrt-star", 4)
+    assert calls == [(example1_file.scenario, 3), (sf.scenario, sf.baseline, 4)]
+    assert calls[0][0] is example1_file.scenario
+    assert calls[1][0] is example1_file.scenario and calls[1][1] is sf.baseline
+
+
+def test_compare_builds_no_params_per_run(tmp_path, monkeypatch, example1_file):
+    # configure builds each sweep entry's params once; the runs build none
+    built = collections.Counter()
+    for cls in (PlannerParams, BaselineParams, Scenario):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    compare(example1_file, [("cbf-rrt", 1.0), ("rrt", 1.0)], [0, 1], tmp_path / "c.csv",
+            threads=1)
+    assert built == {"PlannerParams": 1, "Scenario": 1, "BaselineParams": 1}
 
 
 def test_run_writes_artifacts(tmp_path, example1_file):
@@ -451,13 +535,11 @@ def test_tree_json_matches_plain_json_dumps(name, algorithms):
 
 def test_tree_json_of_a_run_with_a_dt_override(tmp_path, example1_file):
     # run writes the override: 0.25 = 8 * 0.03 + 0.01, a 0.01 s tail step
-    params = dataclasses.replace(example1_file.scenario.params, t_h=0.25)
-    sf = dataclasses.replace(
-        example1_file, scenario=dataclasses.replace(example1_file.scenario, params=params))
-    run(sf, "cbf-rrt", 0, tmp_path, dt=0.03)
+    sf = configure(example1_file, "cbf-rrt", step=0.25, dt=0.03)
+    run(sf, "cbf-rrt", 0, tmp_path)
     text = (tmp_path / "tree.json").read_text()
     assert json.loads(text)["dt"] == 0.03
-    _, _, tree = execute(sf, "cbf-rrt", 0, dt=0.03)
+    _, _, tree = execute(sf, "cbf-rrt", 0)
     assert expand_tree_json(text) == full_tree_json_reference("cbf-rrt", tree)
 
 
@@ -527,6 +609,22 @@ def test_readme_decode_reads_a_fresh_tree_json(tmp_path, monkeypatch, example1_f
     assert namespace["x1"].tobytes() == struct.pack("<%dd" % len(x1), *x1)
 
 
+def test_readme_python_api_block_runs(tmp_path, monkeypatch):
+    # the README's Python API block, run as written from a directory whose
+    # src/ is the package's parent, so its signatures cannot drift
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    [block] = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S)
+               if "configure(" in b and "load_scenario(" in b]
+    (tmp_path / "src").symlink_to(SCENARIO_DIR.parents[1], target_is_directory=True)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["result"].success
+    assert namespace["coarse"].baseline.delta_d == 1.0
+    for out in ("out", "out-coarse"):
+        assert json.loads((tmp_path / out / "report.json").read_text())["seed"] == 5
+
+
 # ---------------------------------------------------------------- compare
 
 
@@ -561,7 +659,7 @@ def test_compare_empty_seeds(tmp_path, example1_file):
 
 def test_compare_propagates_run_errors_into_table(tmp_path, monkeypatch, example2_file):
     # a run that raises is counted in the cell's errors, not raised
-    def boom(scenario):
+    def boom(scenario, seed):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(harness, "plan", boom)

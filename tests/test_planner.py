@@ -366,11 +366,10 @@ def test_extract_path_matches_the_junction_testing_reference(request, scenario_n
     # the unconditional junction drop equals the old 1e-9 junction test on
     # every root path of plan's trees
     sc = request.getfixturevalue(f"{scenario_name}_file").scenario
+    if t_h is not None:
+        sc = dataclasses.replace(sc, params=dataclasses.replace(sc.params, t_h=t_h))
     for seed in range(4):
-        params = dataclasses.replace(sc.params, seed=seed)
-        if t_h is not None:
-            params = dataclasses.replace(params, t_h=t_h)
-        tree = plan(dataclasses.replace(sc, params=params)).tree
+        tree = plan(sc, seed).tree
         for vid in range(len(tree)):
             assert extract_path(tree, vid).data == extract_path_reference(tree, vid).data
 
@@ -456,10 +455,9 @@ def test_plan_counts_are_pinned(request, scenario_name, t_h, seed, iterations, v
     # a change to any float of the per-node kernel (ECBF rows, QP clamp, RK4,
     # margin check) moves these counts
     sc = request.getfixturevalue(f"{scenario_name}_file").scenario
-    params = dataclasses.replace(sc.params, seed=seed)
     if t_h is not None:
-        params = dataclasses.replace(params, t_h=t_h)
-    result = plan(dataclasses.replace(sc, params=params))
+        sc = dataclasses.replace(sc, params=dataclasses.replace(sc.params, t_h=t_h))
+    result = plan(sc, seed)
     assert result.success
     assert result.iterations == iterations
     assert len(result.tree) == vertices
@@ -471,11 +469,12 @@ def test_edges_start_at_parent_and_end_at_child(request, scenario_name, t_h):
     # is rebuilt from the parent vertex, its edge's last node, so the two
     # must be bit-equal, not merely close (repr tells -0.0 apart)
     sc = request.getfixturevalue(f"{scenario_name}_file").scenario
+    params = dataclasses.replace(sc.params, max_iters=600)
+    if t_h is not None:
+        params = dataclasses.replace(params, t_h=t_h)
+    sc = dataclasses.replace(sc, params=params)
     for seed in range(3):
-        params = dataclasses.replace(sc.params, seed=seed, max_iters=600)
-        if t_h is not None:
-            params = dataclasses.replace(params, t_h=t_h)
-        tree = plan(dataclasses.replace(sc, params=params)).tree
+        tree = plan(sc, seed).tree
         assert len(tree) > 50
         for parent, edge in zip(tree.parents[1:], tree.edges[1:]):
             assert len(edge) >= 2
@@ -494,13 +493,14 @@ def test_edges_follow_the_integration_rules(request, scenario_name, t_h, dt):
     # a cbf-rrt tree.json (schema 2 and 3) writes no edge's t, v, inner
     # theta or last omega: each must follow from the integration, bit for bit
     sc = request.getfixturevalue(f"{scenario_name}_file").scenario
+    params = dataclasses.replace(sc.params, max_iters=600)
+    if t_h is not None:
+        params = dataclasses.replace(params, t_h=t_h)
+    if dt is not None:
+        params = dataclasses.replace(params, dt=dt)
+    sc = dataclasses.replace(sc, params=params)
     for seed in range(2):
-        params = dataclasses.replace(sc.params, seed=seed, max_iters=600)
-        if t_h is not None:
-            params = dataclasses.replace(params, t_h=t_h)
-        if dt is not None:
-            params = dataclasses.replace(params, dt=dt)
-        tree = plan(dataclasses.replace(sc, params=params)).tree
+        tree = plan(sc, seed).tree
         assert len(tree) > 20
         assert integration_rule_violations(tree, params) == []
 
@@ -527,7 +527,7 @@ def test_plan_exhausts_budget(example1_file):
 
 def test_failed_expansions_add_nothing():
     # boxed-in start: every expansion fails, the tree stays a lone root
-    params = PlannerParams(max_iters=50, seed=1)
+    params = PlannerParams(max_iters=50)
     obstacles = (
         CircularObstacle((0.45, 0.0), (0.0, 0.0), 0.2),
         CircularObstacle((-0.45, 0.0), (0.0, 0.0), 0.2),
@@ -535,6 +535,6 @@ def test_failed_expansions_add_nothing():
         CircularObstacle((0.0, -0.45), (0.0, 0.0), 0.2),
     )
     sc = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0), obstacles, params)
-    result = plan(sc)
+    result = plan(sc, 1)
     assert not result.success
     assert len(result.tree) == 1
