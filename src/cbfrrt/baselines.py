@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class BaselineParams:
         (x_lo, x_hi), (y_lo, y_hi) = self.sample_bounds
         if x_lo > x_hi or y_lo > y_hi:
             raise ValueError(f"sample_bounds reversed: {self.sample_bounds}")
+        if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+            raise ValueError(f"sample_bounds sides must be finite: {self.sample_bounds}")
         if not 0.0 <= self.goal_bias < 1.0:
             raise ValueError(f"goal_bias must be in [0, 1), got {self.goal_bias}")
         if self.rewire_gamma < 0.0:
@@ -64,6 +67,8 @@ class GeomTree:
         self.costs: list[float] = [0.0]
         self.children: list[list[int]] = [[]]
         self.n = 1
+        self._scan_key: Optional[tuple[Point, int]] = None
+        self._scan: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.n
@@ -72,10 +77,21 @@ class GeomTree:
         return (float(self.xs[vid]), float(self.ys[vid]))
 
     def sq_dists(self, point: Point) -> np.ndarray:
-        """Squared distance from point to each of the first n vertices."""
-        dx = self.xs[: self.n] - point[0]
-        dy = self.ys[: self.n] - point[1]
-        return dx * dx + dy * dy
+        """Squared distance from point to each of the first n vertices.
+
+        The last scan is handed out again while the point compares equal
+        and n is unchanged: RRT* scans its sample for the nearest vertex and,
+        when the step reached the sample, the same point for its near set.
+        Positions are written only by add, which grows n, so a kept scan is
+        never stale; (-0.0, y) == (0.0, y) square to the same sums. Callers
+        must not write into the result."""
+        key = (point, self.n)
+        if key != self._scan_key:
+            dx = self.xs[: self.n] - point[0]
+            dy = self.ys[: self.n] - point[1]
+            self._scan = dx * dx + dy * dy
+            self._scan_key = key
+        return self._scan
 
     def add(self, position: Point, parent: int, cost: float) -> int:
         vid = self.n
@@ -111,13 +127,34 @@ class BaselineResult:
     cost: Optional[float] = None
 
 
-def random_state(
-    bounds: tuple[tuple[float, float], tuple[float, float]],
-    rng: np.random.Generator,
-) -> Point:
-    """Uniform sample over the rectangle (degenerate sides allowed)."""
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    return (float(rng.uniform(x_lo, x_hi)), float(rng.uniform(y_lo, y_hi)))
+# Doubles drawn per rng.random call: enough to amortise the call, few enough
+# that an rrt run that stops early draws little it does not use.
+SAMPLE_BLOCK = 256
+
+
+def sample_stream(goal: Point, params: BaselineParams,
+                  rng: np.random.Generator) -> Iterator[Point]:
+    """The endless samples of a baseline run: the goal with probability
+    goal_bias, else a uniform point of sample_bounds (degenerate sides
+    allowed).
+
+    The doubles come from rng.random in blocks of SAMPLE_BLOCK and are used
+    in the order per-call draws would use them: the bias coin, only when
+    goal_bias > 0, so the default stream is pure uniform sampling; then x,
+    then y, each as lo + (hi - lo) * u, which is how numpy's uniform maps
+    its double. So the samples are bit-identical to rng.uniform's."""
+    (x_lo, x_hi), (y_lo, y_hi) = params.sample_bounds
+    x_lo, y_lo = float(x_lo), float(y_lo)
+    x_span, y_span = float(x_hi) - x_lo, float(y_hi) - y_lo
+    bias = params.goal_bias
+    u = chain.from_iterable(iter(lambda: rng.random(SAMPLE_BLOCK).tolist(), None))
+    if bias > 0.0:
+        for coin in u:
+            yield goal if coin < bias else (x_lo + x_span * next(u),
+                                            y_lo + y_span * next(u))
+    else:
+        for ux, uy in zip(u, u):
+            yield (x_lo + x_span * ux, y_lo + y_span * uy)
 
 
 def nearest_neighbor(tree: GeomTree, sample: Point) -> int:
@@ -172,30 +209,19 @@ def require_static(obstacles: Sequence[CircularObstacle]):
             )
 
 
-def _sample_point(
-    goal: Point, params: BaselineParams, rng: np.random.Generator
-) -> Point:
-    # Only touch the RNG for the bias coin when bias is active, so the
-    # default draw sequence is pure uniform sampling.
-    if params.goal_bias > 0.0 and float(rng.uniform()) < params.goal_bias:
-        return goal
-    return random_state(params.sample_bounds, rng)
-
-
 def rrt_plan(scenario: Scenario, params: BaselineParams, seed: int = 0) -> BaselineResult:
     """Classic RRT: sample, nearest, steer, end-point check, add; stop at the
     first vertex within epsilon of the goal."""
     require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal
-    rng = np.random.default_rng(seed)
     tree = GeomTree(root, params.max_iters + 1)
 
     if in_goal_region(root, goal, scenario.params.epsilon):
         return BaselineResult(True, tree, [0], 0, cost=0.0)
 
-    for iteration in range(1, params.max_iters + 1):
-        sample = _sample_point(goal, params, rng)
+    samples = sample_stream(goal, params, np.random.default_rng(seed))
+    for iteration, sample in zip(range(1, params.max_iters + 1), samples):
         nn = nearest_neighbor(tree, sample)
         x_nn = tree.position(nn)
         if sample == x_nn:
@@ -223,15 +249,14 @@ def rrt_star_plan(scenario: Scenario, params: BaselineParams,
     require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal
-    rng = np.random.default_rng(seed)
     tree = GeomTree(root, params.max_iters + 1)
     goal_ids: list[int] = []
 
     if in_goal_region(root, goal, scenario.params.epsilon):
         return BaselineResult(True, tree, [0], 0, cost=0.0)
 
-    for _ in range(params.max_iters):
-        sample = _sample_point(goal, params, rng)
+    samples = sample_stream(goal, params, np.random.default_rng(seed))
+    for _, sample in zip(range(params.max_iters), samples):
         nn = nearest_neighbor(tree, sample)
         x_nn = tree.position(nn)
         if sample == x_nn:

@@ -583,25 +583,35 @@ def compare(
     Runs may execute in parallel (capped by `threads`, or by the CPU count
     when it is None); results are sorted by (algorithm, step, seed) before
     aggregation so the table is deterministic either way. Per-run exceptions
-    become the `errors` count instead of aborting the sweep. A negative
-    seed, a thread count below 1, a step the scenario rejects (naming
+    become the `errors` count instead of aborting the sweep. A negative or
+    repeated seed (naming seeds[i]), a thread count below 1, a repeated
+    sweep entry (naming sweep[i]), a step the scenario rejects (naming
     sweep[i].step) or a baseline entry on a scenario with a moving disk
     (naming sweep[i].algorithm) raises ScenarioValidationError before any
-    run starts.
+    run starts: a repeat would count its runs twice in one row.
     """
     if not seeds:
         raise ValueError("seeds list must not be empty")
     if threads is not None and threads < 1:
         _fail("threads", f"must be >= 1, got {threads}")
+    first_seed = {}
     for i, seed in enumerate(seeds):
         _check_seed(seed, f"seeds[{i}]")
+        if seed in first_seed:
+            _fail(f"seeds[{i}]", f"{seed} duplicates seeds[{first_seed[seed]}]")
+        first_seed[seed] = i
     if not sweep:
         raise ValueError("sweep must not be empty")
     stepped = {}
+    first_entry = {}
     for i, (algorithm, step) in enumerate(sweep):
+        key = (algorithm, float(step))
+        if key in first_entry:
+            _fail(f"sweep[{i}]",
+                  f"({algorithm}, {step}) duplicates sweep[{first_entry[key]}]")
+        first_entry[key] = i
         try:
-            stepped[algorithm, float(step)] = configure(
-                scenario_file, algorithm, step=float(step))
+            stepped[key] = configure(scenario_file, algorithm, step=float(step))
         except ScenarioValidationError as e:
             raise ScenarioValidationError(f"sweep[{i}].{e}") from e
         if algorithm != "cbf-rrt":

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from cbfrrt.baselines import Point, endpoint_collision_check
+from cbfrrt.baselines import BaselineParams, Point, endpoint_collision_check
 from cbfrrt.dynamics import (
     CircularObstacle,
     ControlInput,
@@ -180,6 +180,17 @@ def edge_collision_audit(
         if not endpoint_collision_check(probe, obstacles):
             return False
     return endpoint_collision_check(p1, obstacles)
+
+
+def sample_point_reference(goal: Point, params: BaselineParams,
+                           rng: np.random.Generator) -> Point:
+    """One baseline sample drawn call by call: the bias coin as
+    rng.uniform(), only when goal_bias > 0, then x and y as rng.uniform over
+    sample_bounds (degenerate sides allowed)."""
+    if params.goal_bias > 0.0 and float(rng.uniform()) < params.goal_bias:
+        return goal
+    (x_lo, x_hi), (y_lo, y_hi) = params.sample_bounds
+    return (float(rng.uniform(x_lo, x_hi)), float(rng.uniform(y_lo, y_hi)))
 
 
 def nearest_neighbor_reference(points: np.ndarray, sample: Point) -> int:

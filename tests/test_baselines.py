@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,19 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbfrrt.baselines import (
+    SAMPLE_BLOCK,
     BaselineParams,
     GeomTree,
     endpoint_collision_check,
     near_set,
     nearest_neighbor,
-    random_state,
     rrt_plan,
     rrt_star_plan,
+    sample_stream,
     steer_straight,
 )
 from cbfrrt.dynamics import CircularObstacle, RobotState
 from cbfrrt.planner import PlannerParams, Scenario, plan
-from oracles import edge_collision_audit, near_set_reference, nearest_neighbor_reference
+from oracles import (
+    edge_collision_audit,
+    near_set_reference,
+    nearest_neighbor_reference,
+    sample_point_reference,
+)
 
 WORLD1 = (
     CircularObstacle((0.3, 1.2), (0.0, 0.0), 0.2),
@@ -43,24 +50,60 @@ def baseline_params(**kw):
 # ---------------------------------------------------------------- primitives
 
 
-def test_random_state_degenerate_rectangle():
-    rng = np.random.default_rng(0)
-    assert random_state(((0.5, 0.5), (2.0, 2.0)), rng) == (0.5, 2.0)
+def samples(params, seed, n, goal=(2.0, 2.0)):
+    """The first n samples of a run's stream."""
+    return list(islice(sample_stream(goal, params, np.random.default_rng(seed)), n))
 
 
-def test_random_state_quadrant_frequencies():
-    rng = np.random.default_rng(1)
+def test_sample_stream_degenerate_rectangle():
+    params = baseline_params(sample_bounds=((0.5, 0.5), (2.0, 2.0)))
+    assert samples(params, 0, 3) == [(0.5, 2.0)] * 3
+
+
+def test_sample_stream_quadrant_frequencies():
     counts = np.zeros(4)
-    for _ in range(10_000):
-        x, y = random_state(((0.0, 1.0), (0.0, 1.0)), rng)
+    for x, y in samples(baseline_params(sample_bounds=((0.0, 1.0), (0.0, 1.0))), 1, 10_000):
         counts[(x >= 0.5) * 2 + (y >= 0.5)] += 1
     assert np.all(np.abs(counts - 2500) <= 150)
 
 
-def test_random_state_reproducible():
-    a = [random_state(BOUNDS, np.random.default_rng(7)) for _ in range(1)]
-    b = [random_state(BOUNDS, np.random.default_rng(7)) for _ in range(1)]
-    assert a == b
+def test_sample_stream_reproducible():
+    # past a block boundary, with and without the bias coin
+    for bias in (0.0, 0.3):
+        params = baseline_params(goal_bias=bias)
+        assert samples(params, 7, 3 * SAMPLE_BLOCK) == samples(params, 7, 3 * SAMPLE_BLOCK)
+
+
+bound_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sides(draw):
+    """(lo, hi) with lo <= hi, degenerate (lo == hi) one time in four."""
+    lo = draw(bound_values)
+    if draw(st.integers(0, 3)) == 0:
+        return (lo, lo)
+    hi = draw(bound_values)
+    return (min(lo, hi), max(lo, hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sides(), sides(),
+       st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+       st.integers(0, 2**32 - 1))
+def test_sample_stream_matches_per_call_draws(x_side, y_side, bias, seed):
+    # the blocks hand out the doubles numpy's scalar draws would, in the same
+    # order and mapped the same way; every sample takes at least one double,
+    # so 3 * SAMPLE_BLOCK samples cross at least two block boundaries, and a
+    # shorter run is a prefix of this one
+    params = baseline_params(sample_bounds=(x_side, y_side), goal_bias=bias)
+    goal = (0.1, -0.2)
+    n = 3 * SAMPLE_BLOCK
+    rng = np.random.default_rng(seed)
+    want = [sample_point_reference(goal, params, rng) for _ in range(n)]
+    got = samples(params, seed, n, goal)
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def test_nearest_neighbor_basic_and_ties():
@@ -118,6 +161,48 @@ def test_distance_scans_match_einsum_oracle_bit_for_bit(case, data):
     assert np.array_equal(dists.view(np.uint64), want_bits)
     assert near == want_near.tolist()
     assert all(type(j) is int for j in near)
+
+
+@st.composite
+def scan_sessions(draw):
+    """A root and up to 30 steps, each ("add" | "nearest" | "near", point,
+    radius). The points come from a small pool holding each drawn point with
+    x, then y, as 0.0 and -0.0, so steps often repeat a point, an equal one
+    with the other zero's sign, or one just added."""
+    pool = draw(st.lists(points, min_size=1, max_size=3))
+    pool += [(z, y) for _, y in pool for z in (0.0, -0.0)]
+    pool += [(x, z) for x, _ in pool for z in (0.0, -0.0)]
+    steps = draw(st.lists(st.tuples(st.sampled_from(("add", "nearest", "near")),
+                                    st.sampled_from(pool), st.floats(0.0, 3e3)),
+                          min_size=1, max_size=30))
+    return draw(st.sampled_from(pool)), steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_sessions())
+def test_kept_scan_is_never_stale_and_never_written(session):
+    root, steps = session
+    tree = GeomTree(root, capacity=len(steps) + 1)
+    rows = [root]
+    held = []  # (dists from near_set, a copy taken when it was returned)
+    for op, point, radius in steps:
+        if op == "add":
+            tree.add(point, 0, 0.0)
+            rows.append(point)
+        elif op == "nearest":
+            assert nearest_neighbor(tree, point) == nearest_neighbor_reference(
+                np.array(rows), point)
+        else:
+            want_dists, want_near = near_set_reference(np.array(rows), point, radius)
+            dists, near = near_set(tree, point, radius)
+            assert np.array_equal(dists.view(np.uint64), want_dists.view(np.uint64))
+            assert near == want_near.tolist()
+            held.append((dists, dists.copy()))
+        want_dists, _ = near_set_reference(np.array(rows), point, 0.0)
+        assert np.array_equal(np.sqrt(tree.sq_dists(point)).view(np.uint64),
+                              want_dists.view(np.uint64))
+        for dists, copy in held:
+            assert np.array_equal(dists.view(np.uint64), copy.view(np.uint64))
 
 
 def test_steer_straight():
@@ -331,6 +416,9 @@ def test_baseline_params_validation():
                      r"^sample_bounds reversed", id="sample_bounds-x"),
         pytest.param({"sample_bounds": ((-1.0, 3.0), (1.0, -1.0))},
                      r"^sample_bounds reversed", id="sample_bounds-y"),
+        # numpy's uniform refuses a side whose width overflows; so does the check
+        pytest.param({"sample_bounds": ((-1.0, 3.0), (-1e308, 1e308))},
+                     r"^sample_bounds sides must be finite", id="sample_bounds-width"),
         pytest.param({"goal_bias": 1.0}, r"^goal_bias must be in \[0, 1\)",
                      id="goal_bias"),
         pytest.param({"rewire_gamma": -1.0}, r"^rewire_gamma must be >= 0",

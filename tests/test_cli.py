@@ -316,3 +316,20 @@ def test_compare_rejects_bad_seeds(tmp_path, capsys):
          "--seeds", "0", "--out", str(tmp_path)]
     )
     assert code == EXIT_INVALID_INPUT
+
+
+@pytest.mark.parametrize("entries, seeds, message", [
+    pytest.param([{"algorithm": "rrt", "step": 0.25}] * 2, "2",
+                 r"sweep\[1\]: \(rrt, 0\.25\) duplicates sweep\[0\]", id="sweep"),
+    pytest.param([{"algorithm": "rrt", "step": 0.25}], "3,3",
+                 r"seeds\[1\]: 3 duplicates seeds\[0\]", id="seeds"),
+])
+def test_compare_rejects_a_repeated_entry_or_seed(tmp_path, capsys, entries, seeds, message):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(entries))
+    out = tmp_path / "cmp"
+    code = main(["compare", "--scenario", EXAMPLE1, "--sweep", str(sweep),
+                 "--seeds", seeds, "--out", str(out), "--threads", "1"])
+    assert code == EXIT_INVALID_INPUT
+    assert re.search(message, capsys.readouterr().err)
+    assert not (out / "comparison.csv").exists()

@@ -700,6 +700,22 @@ def test_compare_rejects_a_thread_count_below_1(tmp_path, example1_file, threads
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("sweep, seeds, message", [
+    pytest.param([("rrt", 0.25), ("rrt", 0.25)], [0, 1],
+                 r"^sweep\[1\]: \(rrt, 0\.25\) duplicates sweep\[0\]$", id="sweep"),
+    pytest.param([("rrt", 1.0), ("rrt", 0.25), ("rrt", 1)], [0],
+                 r"^sweep\[2\]: \(rrt, 1\) duplicates sweep\[0\]$", id="sweep-int-step"),
+    pytest.param([("rrt", 0.25)], [3, 5, 3],
+                 r"^seeds\[2\]: 3 duplicates seeds\[0\]$", id="seeds"),
+])
+def test_compare_rejects_a_repeated_entry_or_seed(tmp_path, example1_file, sweep, seeds,
+                                                  message):
+    # a repeat would be counted twice in its row; refused before any run
+    with pytest.raises(ScenarioValidationError, match=message):
+        compare(example1_file, sweep, seeds, tmp_path / "c.csv", threads=1)
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # compare imports it on use; every `import cbfrrt` would pay for it
     src = pathlib.Path(cbfrrt.__file__).resolve().parent.parent
