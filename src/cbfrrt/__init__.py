@@ -13,14 +13,14 @@ round out the package.
 from .baselines import rrt_plan, rrt_star_plan
 from .dynamics import integrate_closed_loop
 from .harness import audit_trajectory, configure, load_scenario, run
-from .planner import plan, safe_steer
+from .planner import plan, safe_steer, steer_constants
 from .qp import solve_scalar_qp
 from .safety import constraint_rows, ecbf_row
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "load_scenario", "configure", "plan", "run", "safe_steer", "constraint_rows",
-    "ecbf_row", "solve_scalar_qp", "integrate_closed_loop", "rrt_plan", "rrt_star_plan",
-    "audit_trajectory", "__version__",
+    "load_scenario", "configure", "plan", "run", "safe_steer", "steer_constants",
+    "constraint_rows", "ecbf_row", "solve_scalar_qp", "integrate_closed_loop", "rrt_plan",
+    "rrt_star_plan", "audit_trajectory", "__version__",
 ]

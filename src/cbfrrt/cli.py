@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -80,40 +81,37 @@ def _parse_seeds(text: str) -> list[int]:
     return list(range(n))
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args) -> tuple[int, str]:
     scenario_file = harness.configure(harness.load_scenario(args.scenario), args.algorithm,
                                       dt=args.dt, max_iters=args.max_iters)
     report = harness.run(scenario_file, args.algorithm, args.seed, args.out)
+    written = f"artifacts written to {Path(args.out).resolve()}\n"
     if report.success:
         audit = "pass" if report.audit_pass else "FAIL"
         barrier = "n/a" if report.min_barrier is None else f"{report.min_barrier:.6f}"
-        print(f"{args.algorithm} seed={args.seed}: reached goal in "
-              f"{report.iterations} iterations ({report.vertices} vertices), "
-              f"path {report.path_length:.3f} m / {report.path_duration:.3f} s, "
-              f"min barrier {barrier} m^2, audit {audit}, "
-              f"wall {report.wall_time:.3f} s")
-        print(f"artifacts written to {Path(args.out).resolve()}")
-        return EXIT_OK if report.audit_pass else EXIT_AUDIT_FAIL
-    print(f"{args.algorithm} seed={args.seed}: exhausted after "
-          f"{report.iterations} iterations ({report.vertices} vertices), "
-          f"wall {report.wall_time:.3f} s")
-    print(f"artifacts written to {Path(args.out).resolve()}")
-    return EXIT_EXHAUSTED
+        summary = (f"{args.algorithm} seed={args.seed}: reached goal in "
+                   f"{report.iterations} iterations ({report.vertices} vertices), "
+                   f"path {report.path_length:.3f} m / {report.path_duration:.3f} s, "
+                   f"min barrier {barrier} m^2, audit {audit}, "
+                   f"wall {report.wall_time:.3f} s\n")
+        return (EXIT_OK if report.audit_pass else EXIT_AUDIT_FAIL), summary + written
+    summary = (f"{args.algorithm} seed={args.seed}: exhausted after "
+               f"{report.iterations} iterations ({report.vertices} vertices), "
+               f"wall {report.wall_time:.3f} s\n")
+    return EXIT_EXHAUSTED, summary + written
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[int, str]:
     scenario_file = harness.load_scenario(args.scenario)
     sweep = harness.load_sweep(args.sweep)
     seeds = _parse_seeds(args.seeds)
     out_path = Path(args.out) / "comparison.csv"
     table = harness.compare(scenario_file, sweep, seeds, out_path,
                             threads=args.threads)
-    sys.stdout.write(table)
-    print(f"comparison written to {out_path.resolve()}")
-    return EXIT_OK
+    return EXIT_OK, f"{table}comparison written to {out_path.resolve()}\n"
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple[int, str]:
     scenario_file = harness.load_scenario(args.scenario)
     dt_audit = args.dt_audit
     if dt_audit is None:
@@ -127,25 +125,36 @@ def _cmd_audit(args) -> int:
     except (OSError, ValueError) as e:
         raise ScenarioError(f"--trajectory: {e}") from e
     shown = "n/a" if min_barrier is None else f"{min_barrier:.9f}"
-    print(f"audit {'pass' if ok else 'FAIL'}: min barrier {shown} m^2 "
-          f"over {len(trajectory)} samples at dt_audit={dt_audit}")
-    return EXIT_OK if ok else EXIT_AUDIT_FAIL
+    return (EXIT_OK if ok else EXIT_AUDIT_FAIL), (
+        f"audit {'pass' if ok else 'FAIL'}: min barrier {shown} m^2 "
+        f"over {len(trajectory)} samples at dt_audit={dt_audit}\n")
+
+
+COMMANDS = {"plan": _cmd_plan, "compare": _cmd_compare, "audit": _cmd_audit}
 
 
 def main(argv=None) -> int:
+    """Run one command; its status is decided before its summary is written,
+    so a reader that closes stdout early (`cbfrrt compare ... | head -1`)
+    loses only the summary, not the status."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "plan":
-            return _cmd_plan(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_audit(args)
+        status, output = COMMANDS[args.command](args)
     except (ScenarioError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The command's files are written. Point stdout at devnull so that
+        # the flush at interpreter exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

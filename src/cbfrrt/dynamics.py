@@ -101,10 +101,6 @@ class Trajectory:
         return total
 
 
-# A controller may return any (v, omega) pair: a ControlInput or a plain tuple.
-Controller = Callable[[RobotState, float], Optional[tuple[float, float]]]
-
-
 def obstacle_center_at(obstacle: CircularObstacle, t: float) -> tuple[float, float]:
     """Disk center at time t: constant-velocity extrapolation of center0 (exact)."""
     return (
@@ -113,83 +109,93 @@ def obstacle_center_at(obstacle: CircularObstacle, t: float) -> tuple[float, flo
     )
 
 
-def rk4_step(state: RobotState, control: tuple[float, float], dt: float) -> RobotState:
-    """One classical 4th-order Runge-Kutta step under zero-order-hold control
-    (v, omega)."""
-    x1, x2, th = state
-    v, w = control
+def step_grid(horizon: float, dt: float) -> tuple[int, float, int]:
+    """The integration grid over one horizon: (n_full, tail, n_steps).
 
-    # k_i evaluated inline; only theta varies across stages for this model.
-    k1x = v * math.cos(th)
-    k1y = v * math.sin(th)
-    th2 = th + 0.5 * dt * w
-    k2x = v * math.cos(th2)
-    k2y = v * math.sin(th2)
-    # k3 heading equals k2 heading (dtheta/dt is state-independent).
-    th4 = th + dt * w
-    k4x = v * math.cos(th4)
-    k4y = v * math.sin(th4)
-
-    # tuple.__new__ skips the Python-level NamedTuple __new__, which would
-    # run once per node; the result is still a RobotState.
-    return tuple.__new__(RobotState, (
-        x1 + dt / 6.0 * (k1x + 4.0 * k2x + k4x),
-        x2 + dt / 6.0 * (k1y + 4.0 * k2y + k4y),
-        th4,
-    ))
-
-
-def integrate_closed_loop(
-    initial: RobotState,
-    t0: float,
-    horizon: float,
-    dt: float,
-    controller: Controller,
-) -> Optional[Trajectory]:
-    """Integrate the closed loop over [t0, t0 + horizon] with step dt.
-
-    The controller is queried at each node and returns a (v, omega) pair,
-    a ControlInput or any other 2-sequence of floats, or None (e.g. an
-    infeasible safety QP); on None the whole trajectory is discarded and
-    None is returned. Steps are uniform except the last, which is shortened
-    so the final timestamp equals t0 + horizon exactly.
-
-    Args:
-        initial: state at t0.
-        t0: start time.
-        horizon: integration span (> 0).
-        dt: step size (> 0).
-        controller: maps (state, t) to a (v, omega) pair, or None on failure.
-
-    Returns:
-        Trajectory with len = number of nodes, or None if the controller
-        failed at any node.
+    n_full uniform steps of dt, then, when dt does not divide the horizon,
+    one shorter tail step, so the last node lands on the horizon exactly.
+    n_steps counts both, and dt <= horizon makes it at least 1.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-
+    if dt > horizon:
+        raise ValueError(f"dt must be <= horizon, got dt={dt}, horizon={horizon}")
     n_full = int(math.floor(horizon / dt + 1e-9))
-    remainder = horizon - n_full * dt
-    has_tail = remainder > 1e-9 * max(1.0, abs(horizon))
+    tail = horizon - n_full * dt
+    has_tail = tail > 1e-9 * max(1.0, abs(horizon))
+    return (n_full, tail, n_full + (1 if has_tail else 0))
 
+
+def rk4_step(
+    x1: float, x2: float, th: float, cos_t: float, sin_t: float,
+    v: float, w: float, step: float,
+) -> tuple[float, float, float, float, float]:
+    """One classical 4th-order Runge-Kutta step under zero-order-hold control
+    (v, w) from (x1, x2, th), whose heading cosine and sine are (cos_t,
+    sin_t). Returns (x1, x2, th4, cos4, sin4): the new state and its heading
+    cosine and sine, which the next step and the next node's rows reuse."""
+    # k_i evaluated inline; only theta varies across stages for this model.
+    k1x = v * cos_t
+    k1y = v * sin_t
+    th2 = th + 0.5 * step * w
+    k2x = v * math.cos(th2)
+    k2y = v * math.sin(th2)
+    # k3 heading equals k2 heading (dtheta/dt is state-independent).
+    th4 = th + step * w
+    cos4 = math.cos(th4)
+    sin4 = math.sin(th4)
+    k4x = v * cos4
+    k4y = v * sin4
+    return (
+        x1 + step / 6.0 * (k1x + 4.0 * k2x + k4x),
+        x2 + step / 6.0 * (k1y + 4.0 * k2y + k4y),
+        th4,
+        cos4,
+        sin4,
+    )
+
+
+def integrate_closed_loop(
+    x1: float,
+    x2: float,
+    theta: float,
+    t0: float,
+    horizon: float,
+    dt: float,
+    grid: tuple[int, float, int],
+    v: float,
+    controller: Callable[[float, float, float, float, float], Optional[float]],
+) -> Optional[Trajectory]:
+    """Integrate the closed loop from (x1, x2, theta) over [t0, t0 + horizon]
+    on grid = step_grid(horizon, dt), at the fixed speed v.
+
+    The controller is queried at each node with (x1, x2, cos(theta),
+    sin(theta), t) and returns omega, or None (e.g. an infeasible safety
+    QP); on None the whole trajectory is discarded and None is returned.
+    Each heading's cosine and sine are computed once: rk4_step hands the
+    new node's pair to the next query and the next step.
+
+    Returns:
+        Trajectory with len = n_steps + 1 nodes, the last at t0 + horizon
+        exactly and repeating the last omega, or None if the controller
+        failed at any node.
+    """
+    n_full, tail, n_steps = grid
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    last = n_steps - 1
     rows: list[float] = []
-    state = initial
     t = t0
-    n_steps = n_full + (1 if has_tail else 0)
     for k in range(n_steps):
-        control = controller(state, t)
-        if control is None:
+        omega = controller(x1, x2, cos_t, sin_t, t)
+        if omega is None:
             return None
-        rows += (t, *state, *control)
-        step = dt if k < n_full else remainder
-        state = rk4_step(state, control, step)
+        rows += (t, x1, x2, theta, v, omega)
+        x1, x2, theta, cos_t, sin_t = rk4_step(
+            x1, x2, theta, cos_t, sin_t, v, omega, dt if k < n_full else tail)
         # Reassign instead of accumulating so the final node is exact.
-        t = t0 + horizon if k == n_steps - 1 else t0 + (k + 1) * dt
-    if n_steps == 0:
-        control = controller(state, t)
-        if control is None:
-            return None
-    rows += (t0 + horizon, *state, *control)
+        t = t0 + horizon if k == last else t0 + (k + 1) * dt
+    rows += (t0 + horizon, x1, x2, theta, v, omega)
     return Trajectory(array("d", rows))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +34,10 @@ from .dynamics import (
     RobotState,
     Trajectory,
     integrate_closed_loop,
+    step_grid,
 )
 from .qp import solve_scalar_qp
-from .safety import EcbfGains, barrier_value, constraint_rows
+from .safety import Disk, EcbfGains, barrier_value, constraint_rows, disk_tuple
 
 
 @dataclass(frozen=True)
@@ -173,21 +174,64 @@ def reference_sample(rng: np.random.Generator, params: PlannerParams) -> Control
     return tuple.__new__(ControlInput, (params.v_const, float(rng.uniform(lo, hi))))
 
 
-def safe_steer(
-    state: RobotState,
-    t: float,
-    t_h: float,
-    u_ref: ControlInput,
-    obstacles: Sequence[CircularObstacle],
-    params: PlannerParams,
-) -> Optional[Trajectory]:
-    """Steer from state at time t for one horizon under the per-node safety
-    QP; the edge's last node is the new vertex.
+class SteerConstants(NamedTuple):
+    """What safe_steer reads that is fixed for a whole run, built once per
+    plan() call by steer_constants."""
 
-    At every integration node the barrier rows are rebuilt for the current
-    state and time and the scalar QP projects omega_ref onto the feasible
-    set; v is held at u_ref.v throughout. Fails (None) as soon as any QP is
-    infeasible — no partial edge is ever returned.
+    disks: tuple[Disk, ...]
+    v: float
+    k1: float
+    k2: float
+    lo: float
+    hi: float
+    t_h: float
+    dt: float
+    grid: tuple[int, float, int]
+    margin: float
+
+
+def steer_constants(
+    obstacles: Sequence[CircularObstacle], params: PlannerParams
+) -> SteerConstants:
+    """The per-run constants of safe_steer: the disks as the kernel reads
+    them, the speed, the gains, the omega box, the step grid of one horizon
+    and the node margin.
+
+    The margin is the worst-case barrier drop of a straight chord between
+    consecutive nodes: the relative robot-obstacle displacement over one
+    step is at most (v + v_obs) * dt, and the chord midpoint loses at most
+    (L/2)^2 in squared distance."""
+    v = params.v_const
+    v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
+    lo, hi = params.omega_bounds
+    return SteerConstants(
+        disks=tuple(disk_tuple(ob) for ob in obstacles),
+        v=v,
+        k1=params.gains.k1,
+        k2=params.gains.k2,
+        lo=lo,
+        hi=hi,
+        t_h=params.t_h,
+        dt=params.dt,
+        grid=step_grid(params.t_h, params.dt),
+        margin=0.25 * ((v + v_obs) * params.dt) ** 2,
+    )
+
+
+def safe_steer(
+    state: tuple[float, float, float],
+    t: float,
+    omega_ref: float,
+    constants: SteerConstants,
+) -> Optional[Trajectory]:
+    """Steer from state (x1, x2, theta) at time t for one horizon under the
+    per-node safety QP; the edge's last node is the new vertex.
+
+    constants = steer_constants(obstacles, params) holds everything fixed
+    for the run. At every integration node the barrier rows are rebuilt for
+    the current state and time and the scalar QP projects omega_ref onto the
+    feasible set; v is held at constants.v throughout. Fails (None) as soon
+    as any QP is infeasible — no partial edge is ever returned.
 
     A feasible QP at every node is necessary but not sufficient for the edge
     to stay clear of the disks: the resampled heading can start an edge
@@ -195,45 +239,33 @@ def safe_steer(
     the gains certify), and gain pairs with complex characteristic roots
     (k2^2 < 4 k1) let the barrier ring below zero while every row stays
     satisfiable. The edge is therefore accepted only if every node clears
-    every disk by a margin large enough that linear interpolation between
-    nodes cannot dip below -1e-6; otherwise the expansion fails like any
-    other infeasible steering attempt.
+    every disk by constants.margin, large enough that linear interpolation
+    between nodes cannot dip below -1e-6; otherwise the expansion fails like
+    any other infeasible steering attempt.
     """
-    gains = params.gains
-    bounds = params.omega_bounds
-    v, omega_ref = u_ref
+    disks, v, k1, k2, lo, hi, t_h, dt, grid, margin = constants
 
-    def controller(state: RobotState, t: float) -> Optional[tuple[float, float]]:
-        omega = solve_scalar_qp(
-            omega_ref, bounds, constraint_rows(state, v, obstacles, t, gains)
+    def controller(x1: float, x2: float, cos_t: float, sin_t: float,
+                   t: float) -> Optional[float]:
+        return solve_scalar_qp(
+            omega_ref, lo, hi, constraint_rows(x1, x2, cos_t, sin_t, v, disks, t, k1, k2)
         )
-        if omega is None:
-            return None
-        return (v, omega)
 
-    trajectory = integrate_closed_loop(state, t, t_h, params.dt, controller)
+    x1, x2, theta = state
+    trajectory = integrate_closed_loop(x1, x2, theta, t, t_h, dt, grid, v, controller)
     if trajectory is None:
         return None
-    if not _edge_clears_obstacles(trajectory, obstacles, v, params.dt):
+    if not _edge_clears_obstacles(trajectory, disks, margin):
         return None
     return trajectory
 
 
 def _edge_clears_obstacles(
-    trajectory: Trajectory,
-    obstacles: Sequence[CircularObstacle],
-    v: float,
-    dt: float,
+    trajectory: Trajectory, disks: Sequence[Disk], margin: float
 ) -> bool:
-    """Require h >= margin at every node, where margin is the worst-case
-    barrier drop of a straight chord between consecutive nodes: the relative
-    robot-obstacle displacement over one step is at most (v + v_obs) * dt,
-    and the chord midpoint loses at most (L/2)^2 in squared distance.
+    """Require h >= margin at every node of the trajectory for every disk.
 
-    h is barrier_value's arithmetic, in its order, on disks unpacked once."""
-    v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
-    margin = 0.25 * ((v + v_obs) * dt) ** 2
-    disks = [(*ob.center0, *ob.velocity, ob.radius * ob.radius) for ob in obstacles]
+    h is barrier_value's arithmetic, in its order, on the disk tuples."""
     data = trajectory.data
     for t, x1, x2 in zip(data[0::6], data[1::6], data[2::6]):
         for cx, cy, vx, vy, r2 in disks:
@@ -310,12 +342,14 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
     if in_goal_region(scenario.x_init.position(), goal, params.epsilon):
         return PlanResult(True, tree, extract_path(tree, 0), 0)
 
+    constants = steer_constants(scenario.obstacles, params)
+
     for iteration in range(1, params.max_iters + 1):
         picked = vertices_sample(tree, rng)
         t, x1, x2 = tree.edges[picked].data[-6:-3]
         state = state_sample((x1, x2), goal, params.sigma2, rng)
-        u_ref = reference_sample(rng, params)
-        edge = safe_steer(state, t, params.t_h, u_ref, scenario.obstacles, params)
+        omega_ref = reference_sample(rng, params)[1]
+        edge = safe_steer(state, t, omega_ref, constants)
         if edge is None:
             continue
         child = tree.add_child(picked, edge)

@@ -19,11 +19,12 @@ TOL_ZERO = 1e-12
 
 def solve_scalar_qp(
     omega_ref: float,
-    bounds: tuple[float, float],
+    lo: float,
+    hi: float,
     rows: Iterable[tuple[float, float]],
 ) -> Optional[float]:
     """min (omega - omega_ref)^2 s.t. a*omega + b >= 0 for each row (a, b)
-    and lo <= omega <= hi, for bounds = (lo, hi) with lo <= hi.
+    and lo <= omega <= hi, for box bounds lo <= hi.
 
     Intersects the box with every half-line row and clamps the reference
     into the result. Returns the minimizer, or None when the intersection is
@@ -32,7 +33,6 @@ def solve_scalar_qp(
     """
     # `if` comparisons in place of max/min: each keeps the incumbent on a tie,
     # as max/min do, so even the sign of a zero bound is unchanged.
-    lo, hi = bounds
     for a, b in rows:
         if -TOL_ZERO <= a <= TOL_ZERO:
             if b < -TOL_ZERO:

@@ -20,7 +20,6 @@ here as a row (a, b) meaning a*omega + b >= 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,34 +48,42 @@ def barrier_value(state: RobotState, obstacle: CircularObstacle, t: float) -> fl
     return d1 * d1 + d2 * d2 - obstacle.radius * obstacle.radius
 
 
+# One disk as the kernel reads it: (cx, cy, vx, vy, r*r), where (cx, cy) is
+# the center at t = 0 and (vx, vy) its constant velocity.
+Disk = tuple[float, float, float, float, float]
+
+
+def disk_tuple(obstacle: CircularObstacle) -> Disk:
+    """The obstacle's floats as the kernel reads them, the radius squared."""
+    return (*obstacle.center0, *obstacle.velocity, obstacle.radius * obstacle.radius)
+
+
 def ecbf_row(
     x1: float,
     x2: float,
     cos_t: float,
     sin_t: float,
     v_const: float,
-    center0: tuple[float, float],
-    velocity: tuple[float, float],
-    radius: float,
+    disk: Disk,
     t: float,
     k1: float,
     k2: float,
 ) -> tuple[float, float]:
     """Build the exponential-CBF row (a, b), meaning a*omega + b >= 0, for one
-    disk (center0, velocity, radius) seen from position (x1, x2) with heading
+    disk (cx, cy, vx, vy, r*r) seen from position (x1, x2) with heading
     cosine and sine (cos_t, sin_t) at time t.
 
     a is the omega coefficient of d2h/dt2; b collects the drift part of
     d2h/dt2 plus k1*h + k2*dh/dt. A row with a ~ 0 and b < 0 (head-on
     geometry) is infeasible for every omega; that verdict is left to the QP.
     """
-    vx, vy = velocity
-    d1 = x1 - (center0[0] + vx * t)
-    d2 = x2 - (center0[1] + vy * t)
+    cx, cy, vx, vy, r2 = disk
+    d1 = x1 - (cx + vx * t)
+    d2 = x2 - (cy + vy * t)
     rho1 = v_const * cos_t - vx
     rho2 = v_const * sin_t - vy
 
-    h = d1 * d1 + d2 * d2 - radius * radius
+    h = d1 * d1 + d2 * d2 - r2
     h_dot = 2.0 * d1 * rho1 + 2.0 * d2 * rho2
     a = 2.0 * v_const * (d2 * cos_t - d1 * sin_t)
     b = 2.0 * (rho1 * rho1 + rho2 * rho2) + k1 * h + k2 * h_dot
@@ -84,21 +91,19 @@ def ecbf_row(
 
 
 def constraint_rows(
-    state: RobotState,
+    x1: float,
+    x2: float,
+    cos_t: float,
+    sin_t: float,
     v_const: float,
-    obstacles: Sequence[CircularObstacle],
+    disks: Sequence[Disk],
     t: float,
-    gains: EcbfGains,
+    k1: float,
+    k2: float,
 ) -> list[tuple[float, float]]:
-    """One ECBF row (a, b) per obstacle, in input order."""
-    x1, x2, theta = state
-    k1 = gains.k1
-    k2 = gains.k2
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
+    """One ECBF row (a, b) per disk, in input order."""
     # A plain loop: on CPython 3.11 a list comprehension costs an extra frame.
     rows = []
-    for ob in obstacles:
-        rows.append(ecbf_row(x1, x2, cos_t, sin_t, v_const,
-                             ob.center0, ob.velocity, ob.radius, t, k1, k2))
+    for disk in disks:
+        rows.append(ecbf_row(x1, x2, cos_t, sin_t, v_const, disk, t, k1, k2))
     return rows

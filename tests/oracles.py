@@ -13,7 +13,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -109,8 +109,8 @@ def ecbf_row_reference(
 
 
 class ScalarQpProblem(NamedTuple):
-    """min (omega - omega_ref)^2 s.t. a_i*omega + b_i >= 0 and bounds.
-    Unpacks into the arguments of qp.solve_scalar_qp."""
+    """min (omega - omega_ref)^2 s.t. a_i*omega + b_i >= 0 and bounds =
+    (lo, hi): qp.solve_scalar_qp(omega_ref, lo, hi, rows)."""
 
     omega_ref: float
     bounds: tuple[float, float]
@@ -153,6 +153,112 @@ def solve_scalar_qp_reference(problem: ScalarQpProblem) -> Optional[QpSolution]:
     lo, hi = interval
     omega = min(max(problem.omega_ref, lo), hi)
     return QpSolution(omega_star=omega, active_interval=interval)
+
+
+# -- the steering kernel on state objects ----------------------------------
+#
+# The same kernel as safety.constraint_rows, qp.solve_scalar_qp,
+# dynamics.rk4_step / integrate_closed_loop and planner.safe_steer, written on
+# RobotState / CircularObstacle / EcbfGains objects, with every per-run
+# constant (squared radii, gains, bounds, step grid, node margin) and every
+# heading's cosine and sine recomputed where it is used. ecbf_row_reference
+# is the reference of safety.ecbf_row. The package's float-and-tuple kernel
+# must return exactly these floats.
+
+
+def constraint_rows_on_state(
+    state: RobotState,
+    v_const: float,
+    obstacles: Sequence[CircularObstacle],
+    t: float,
+    gains: EcbfGains,
+) -> list[tuple[float, float]]:
+    """One ECBF row (a, b) per obstacle, in input order."""
+    return [tuple(ecbf_row_reference(state, v_const, ob, t, gains)) for ob in obstacles]
+
+
+def solve_scalar_qp_on_bounds(
+    omega_ref: float,
+    bounds: tuple[float, float],
+    rows: Sequence[tuple[float, float]],
+) -> Optional[float]:
+    """The scalar QP's minimizer for bounds = (lo, hi), or None when
+    infeasible."""
+    problem = ScalarQpProblem(omega_ref, bounds, tuple(ConstraintRow(*r) for r in rows))
+    solution = solve_scalar_qp_reference(problem)
+    return None if solution is None else solution.omega_star
+
+
+def rk4_step_on_state(state: RobotState, control: tuple[float, float],
+                      dt: float) -> RobotState:
+    """One RK4 step under zero-order-hold (v, omega), taking every stage's
+    cosine and sine afresh."""
+    x1, x2, th = state
+    v, w = control
+    k1x = v * math.cos(th)
+    k1y = v * math.sin(th)
+    th2 = th + 0.5 * dt * w
+    k2x = v * math.cos(th2)
+    k2y = v * math.sin(th2)
+    th4 = th + dt * w
+    k4x = v * math.cos(th4)
+    k4y = v * math.sin(th4)
+    return RobotState(
+        x1 + dt / 6.0 * (k1x + 4.0 * k2x + k4x),
+        x2 + dt / 6.0 * (k1y + 4.0 * k2y + k4y),
+        th4,
+    )
+
+
+def integrate_closed_loop_on_state(
+    initial: RobotState,
+    t0: float,
+    horizon: float,
+    dt: float,
+    controller: Callable[[RobotState, float], Optional[tuple[float, float]]],
+) -> Optional[Trajectory]:
+    """Closed-loop RK4 on closed_loop_grid(t0, horizon, dt), computed on each
+    call, under a state-feedback controller returning (v, omega) or None; the
+    last node repeats the last control."""
+    times, steps = closed_loop_grid(t0, horizon, dt)
+    rows: list[float] = []
+    state = initial
+    for t, step in zip(times, steps):
+        control = controller(state, t)
+        if control is None:
+            return None
+        rows += (t, *state, *control)
+        state = rk4_step_on_state(state, control, step)
+    rows += (times[-1], *state, *control)
+    return Trajectory(array("d", rows))
+
+
+def safe_steer_on_state(
+    state: RobotState,
+    t: float,
+    u_ref: ControlInput,
+    obstacles: Sequence[CircularObstacle],
+    params: PlannerParams,
+) -> Optional[Trajectory]:
+    """One filtered edge from the state objects: the QP at every node, then
+    h >= margin at every node, with margin = 0.25 * ((v + v_obs) * dt)^2."""
+    v, omega_ref = u_ref
+
+    def controller(state, t):
+        rows = constraint_rows_on_state(state, v, obstacles, t, params.gains)
+        omega = solve_scalar_qp_on_bounds(omega_ref, params.omega_bounds, rows)
+        return None if omega is None else (v, omega)
+
+    edge = integrate_closed_loop_on_state(state, t, params.t_h, params.dt, controller)
+    if edge is None:
+        return None
+    v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
+    margin = 0.25 * ((v + v_obs) * params.dt) ** 2
+    for node in edge.samples:
+        for ob in obstacles:
+            if barrier_value(node.state, ob, node.t) < margin:
+                return None
+    return edge
 
 
 def is_safe(

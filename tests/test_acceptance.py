@@ -18,7 +18,7 @@ import cbfrrt
 from cbfrrt import harness
 from cbfrrt.dynamics import ControlInput, RobotState, rk4_step
 from cbfrrt.qp import solve_scalar_qp
-from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows
+from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows, disk_tuple
 from oracles import ConstraintRow, ScalarQpProblem, barrier_lie1, feasible_interval
 
 SEEDS20 = range(20)
@@ -141,7 +141,7 @@ def test_criterion_05_qp_matches_grid_oracle():
         assert feasible.any(), "solver feasible but grid found nothing"
         candidates = grid[feasible]
         brute = candidates[np.argmin((candidates - ref) ** 2)]
-        omega_star = solve_scalar_qp(*problem)
+        omega_star = solve_scalar_qp(problem.omega_ref, *problem.bounds, problem.rows)
         assert omega_star is not None
         assert abs(brute - omega_star) <= 1e-3
     assert checked >= 400  # the draw should not degenerate
@@ -155,7 +155,8 @@ def test_criterion_06_integrator_accuracy():
         dt = float(rng.uniform(0.002, 0.02))
         theta0 = float(rng.uniform(-math.pi, math.pi))
         state = RobotState(0.0, 0.0, theta0)
-        stepped = rk4_step(state, ControlInput(v, omega), dt)
+        stepped = RobotState(*rk4_step(*state, math.cos(theta0), math.sin(theta0),
+                                       v, omega, dt)[:3])
         # closed-form arc endpoint (sinc form is exact and handles omega -> 0)
         half = 0.5 * omega * dt
         chord = v * dt * np.sinc(half / np.pi)
@@ -182,14 +183,18 @@ def test_criterion_07_lie_derivative_consistency():
         )
         u = ControlInput(v, omega)
         h0 = barrier_value(state, ob, 0.0)
-        h_plus = barrier_value(rk4_step(state, u, eps), ob, eps)
-        h_minus = barrier_value(rk4_step(state, u, -eps), ob, -eps)
+        cos_t, sin_t = math.cos(state.theta), math.sin(state.theta)
+        h_plus = barrier_value(RobotState(*rk4_step(*state, cos_t, sin_t, *u, eps)[:3]),
+                               ob, eps)
+        h_minus = barrier_value(RobotState(*rk4_step(*state, cos_t, sin_t, *u, -eps)[:3]),
+                                ob, -eps)
 
         hdot_fd = (h_plus - h_minus) / (2 * eps)
         assert hdot_fd == pytest.approx(barrier_lie1(state, v, ob, 0.0), abs=1e-4)
 
         hddot_fd = (h_plus - 2 * h0 + h_minus) / (eps * eps)
-        row = ConstraintRow(*constraint_rows(state, v, (ob,), 0.0, gains)[0])
+        row = ConstraintRow(*constraint_rows(state.x1, state.x2, cos_t, sin_t, v,
+                                             (disk_tuple(ob),), 0.0, gains.k1, gains.k2)[0])
         rho1 = v * math.cos(state.theta) - ob.velocity[0]
         rho2 = v * math.sin(state.theta) - ob.velocity[1]
         hddot = row.a * omega + 2 * rho1 * rho1 + 2 * rho2 * rho2

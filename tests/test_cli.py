@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -333,3 +336,36 @@ def test_compare_rejects_a_repeated_entry_or_seed(tmp_path, capsys, entries, see
     assert code == EXIT_INVALID_INPUT
     assert re.search(message, capsys.readouterr().err)
     assert not (out / "comparison.csv").exists()
+
+
+def _run_with_stdout_closed(args):
+    """Run `python -m cbfrrt.cli args` as a process whose stdout is a pipe
+    with no reader left, as under `| head -1` once head has exited; returns
+    (exit status, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SCENARIO_DIR.parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cbfrrt.cli", *args], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("args, status", [
+    pytest.param(["plan", "--scenario", EXAMPLE1, "--seed", "0"], EXIT_OK, id="plan"),
+    pytest.param(["plan", "--scenario", EXAMPLE1, "--max-iters", "1"], EXIT_EXHAUSTED,
+                 id="plan-exhausted"),
+    pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP, "--seeds", "1",
+                  "--threads", "1"], EXIT_OK, id="compare"),
+])
+def test_a_reader_that_closes_stdout_early_keeps_the_status(tmp_path, args, status):
+    code, err = _run_with_stdout_closed([*args, "--out", str(tmp_path / "out")])
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+    assert code == status
+    written = "comparison.csv" if args[0] == "compare" else "report.json"
+    assert (tmp_path / "out" / written).exists()

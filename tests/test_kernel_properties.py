@@ -1,19 +1,42 @@
 """Property tests: the per-node steering kernel against its reference oracles.
 
-The kernel (safety.constraint_rows, qp.solve_scalar_qp) works on unpacked
-floats so that one integration node allocates almost nothing. The planner's
-artifacts are byte-reproducible, so the kernel must return exactly the floats
-the readable oracles return, not merely close ones: every comparison below is
-`==` plus `repr` equality, which also tells -0.0 from 0.0.
+The kernel (safety.constraint_rows, qp.solve_scalar_qp, dynamics.rk4_step and
+integrate_closed_loop, planner.safe_steer) works on unpacked floats, takes its
+per-run constants from planner.steer_constants, and computes each heading's
+cosine and sine once, so that one integration node allocates almost nothing.
+The planner's artifacts are byte-reproducible, so the kernel must return
+exactly the floats the readable oracles on state objects return, not merely
+close ones: every comparison below is `==` plus `repr` equality, which also
+tells -0.0 from 0.0, or equality of the raw float64 bytes.
 """
+
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbfrrt.dynamics import CircularObstacle, RobotState
+from cbfrrt.dynamics import (
+    CircularObstacle,
+    ControlInput,
+    RobotState,
+    integrate_closed_loop,
+    rk4_step,
+    step_grid,
+)
+from cbfrrt.planner import PlannerParams, safe_steer, steer_constants
 from cbfrrt.qp import TOL_ZERO, solve_scalar_qp
-from cbfrrt.safety import EcbfGains, constraint_rows
-from oracles import ConstraintRow, ScalarQpProblem, ecbf_row_reference, solve_scalar_qp_reference
+from cbfrrt.safety import EcbfGains, constraint_rows, disk_tuple
+from oracles import (
+    ConstraintRow,
+    ScalarQpProblem,
+    closed_loop_grid,
+    constraint_rows_on_state,
+    integrate_closed_loop_on_state,
+    rk4_step_on_state,
+    safe_steer_on_state,
+    solve_scalar_qp_on_bounds,
+    solve_scalar_qp_reference,
+)
 
 # a per-example deadline would measure how busy the machine is, not the kernel
 PROPERTY = settings(max_examples=300, deadline=None)
@@ -37,11 +60,17 @@ def _identical(got, want):
     assert repr(got) == repr(want)
 
 
+def _rows(state, v, obstacles, t, k):
+    x1, x2, theta = state
+    return constraint_rows(x1, x2, math.cos(theta), math.sin(theta), v,
+                           [disk_tuple(ob) for ob in obstacles], t, k.k1, k.k2)
+
+
 @PROPERTY
 @given(states, _floats(-2.0, 2.0), st.lists(disks, max_size=4), _floats(0.0, 50.0), gains)
 def test_constraint_rows_match_reference_rows(state, v, obstacles, t, k):
-    want = [tuple(ecbf_row_reference(state, v, ob, t, k)) for ob in obstacles]
-    _identical(constraint_rows(state, v, obstacles, t, k), want)
+    _identical(_rows(state, v, obstacles, t, k),
+               constraint_rows_on_state(state, v, obstacles, t, k))
 
 
 # |a| <= TOL_ZERO rows take the omega-independent branch; include its edges
@@ -74,4 +103,123 @@ def problems(draw):
 def test_solve_scalar_qp_matches_interval_clamp_oracle(problem):
     solution = solve_scalar_qp_reference(problem)
     want = None if solution is None else solution.omega_star
-    _identical(solve_scalar_qp(*problem), want)
+    got = solve_scalar_qp(problem.omega_ref, *problem.bounds, problem.rows)
+    _identical(got, want)
+    _identical(got, solve_scalar_qp_on_bounds(*problem))
+
+
+# step lengths from a zero step to a long tail, and both turn directions
+controls = st.tuples(_floats(-2.0, 2.0), _floats(-10.0, 10.0), _floats(0.0, 0.5))
+
+
+@PROPERTY
+@given(states, st.lists(controls, min_size=1, max_size=6))
+def test_rk4_step_carries_the_heading_trig_to_the_next_node(state, steps):
+    # each step's (cos4, sin4) is the next step's (cos_t, sin_t), as it is
+    # the next node's in integrate_closed_loop; the state-object oracle takes
+    # every cosine and sine afresh
+    x1, x2, theta = state
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    want = state
+    for v, w, step in steps:
+        x1, x2, theta, cos_t, sin_t = rk4_step(x1, x2, theta, cos_t, sin_t, v, w, step)
+        want = rk4_step_on_state(want, (v, w), step)
+        _identical((x1, x2, theta), tuple(want))
+        _identical((cos_t, sin_t), (math.cos(theta), math.sin(theta)))
+
+
+@st.composite
+def grids(draw, max_steps=400):
+    """(t_h, dt) that PlannerParams accepts, at most max_steps steps per
+    horizon; dt either divides t_h up to rounding or leaves a shorter tail."""
+    dt = draw(st.one_of(st.sampled_from([0.02, 0.05, 0.1, 0.25]), _floats(1e-3, 1.0)))
+    t_h = draw(st.one_of(
+        st.integers(1, max_steps).map(lambda n: n * dt),
+        _floats(dt, max_steps * dt),
+        st.just(dt * (1 + 1e-12)),
+    ))
+    PlannerParams(t_h=t_h, dt=dt)  # raises unless the pair is valid
+    return t_h, dt
+
+
+@PROPERTY
+@given(grids())
+@example((0.25, 0.02))
+@example((0.5, 0.02))
+@example((0.5, 0.2))
+@example((0.02, 0.02))
+def test_hoisted_grid_is_the_per_call_grid(grid):
+    t_h, dt = grid
+    n_full, tail, n_steps = step_grid(t_h, dt)
+    _, steps = closed_loop_grid(0.0, t_h, dt)
+    assert n_steps >= 1
+    assert n_steps == len(steps)
+    _identical([dt if k < n_full else tail for k in range(n_steps)], steps)
+
+
+def _omega_at(x1, x2, t, fail_at):
+    """A controller's omega from quantities both kernels see as the same
+    floats; None (a failed QP) from time fail_at on."""
+    if t >= fail_at:
+        return None
+    return math.sin(3.0 * x1 - x2) + 2.0 * math.cos(5.0 * t)
+
+
+@PROPERTY
+@given(states, _floats(0.0, 30.0), grids(), _floats(-2.0, 2.0),
+       st.one_of(st.just(math.inf), _floats(0.0, 1.0)))
+def test_integrate_closed_loop_matches_the_state_reference(state, t0, grid, v, fail_after):
+    # fail_after: the share of the horizon after which the controller fails
+    t_h, dt = grid
+    fail_at = t0 + fail_after * t_h
+
+    def omega_only(x1, x2, cos_t, sin_t, t):
+        return _omega_at(x1, x2, t, fail_at)
+
+    def on_state(s, t):
+        omega = _omega_at(s.x1, s.x2, t, fail_at)
+        return None if omega is None else (v, omega)
+
+    got = integrate_closed_loop(*state, t0, t_h, dt, step_grid(t_h, dt), v, omega_only)
+    want = integrate_closed_loop_on_state(state, t0, t_h, dt, on_state)
+    if want is None:
+        assert got is None
+    else:
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.t_end == t0 + t_h
+
+
+@st.composite
+def steering_cases(draw):
+    t_h, dt = draw(grids(max_steps=50))
+    params = PlannerParams(
+        t_h=t_h, dt=dt, gains=draw(gains), v_const=draw(_floats(0.1, 2.0)),
+        omega_bounds=draw(st.sampled_from([(-10.0, 10.0), (-4.25, 4.25), (-1.0, 0.5)])))
+    near = st.builds(CircularObstacle,
+                     st.tuples(_floats(-2.0, 2.0), _floats(-2.0, 2.0)),
+                     velocities, _floats(0.05, 0.5))
+    obstacles = tuple(draw(st.lists(near, max_size=3)))
+    start = RobotState(draw(_floats(-2.0, 2.0)), draw(_floats(-2.0, 2.0)),
+                       draw(_floats(-4.0, 4.0)))
+    return start, draw(_floats(0.0, 10.0)), draw(_floats(-2.0, 2.0)), obstacles, params
+
+
+def _swerve_case():
+    # planner test_safe_steer_swerves_around_offset_obstacle: an accepted edge
+    # along which the QP is active
+    ob = CircularObstacle((0.5, 0.15), (0.0, 0.0), 0.2)
+    return RobotState(0.0, 0.0, 0.0), 0.0, 0.0, (ob,), PlannerParams()
+
+
+@PROPERTY
+@given(steering_cases())
+@example(_swerve_case())
+def test_safe_steer_matches_the_state_reference(case):
+    start, t, omega_ref, obstacles, params = case
+    got = safe_steer(start, t, omega_ref, steer_constants(obstacles, params))
+    want = safe_steer_on_state(start, t, ControlInput(params.v_const, omega_ref),
+                               obstacles, params)
+    if want is None:
+        assert got is None
+    else:
+        assert got.data.tobytes() == want.data.tobytes()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cbfrrt.dynamics import (
     CircularObstacle,
-    ControlInput,
     RobotState,
     integrate_closed_loop,
 )
@@ -26,6 +25,7 @@ from cbfrrt.planner import (
     root_path,
     safe_steer,
     state_sample,
+    steer_constants,
     vertices_sample,
 )
 from cbfrrt.qp import solve_scalar_qp
@@ -35,8 +35,7 @@ from oracles import extract_path_reference, integration_rule_violations
 
 def straight_edge(tree, parent_id, params):
     t, x1, x2, theta = tree.edges[parent_id].data[-6:-2]
-    edge = safe_steer(RobotState(x1, x2, theta), t, params.t_h,
-                      ControlInput(1.0, 0.0), (), params)
+    edge = safe_steer((x1, x2, theta), t, 0.0, steer_constants((), params))
     return tree.add_child(parent_id, edge)
 
 
@@ -184,7 +183,7 @@ def test_reference_sample_uniform_hook():
 def test_safe_steer_free_space_straight():
     params = PlannerParams()
     x0 = RobotState(0.0, 0.0, 0.0)
-    traj = safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (), params)
+    traj = safe_steer(x0, 0.0, 0.0, steer_constants((), params))
     x_new, t_new = traj.samples[-1].state, traj.t_end
     assert x_new.x1 == pytest.approx(0.5, abs=1e-9)
     assert x_new.x2 == pytest.approx(0.0, abs=1e-15)
@@ -197,14 +196,14 @@ def test_safe_steer_head_on_fails_before_contact():
     params = PlannerParams()
     x0 = RobotState(0.0, 0.0, 0.0)
     ob = CircularObstacle((1.0, 0.0), (0.0, 0.0), 0.2)
-    assert safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (ob,), params) is None
+    assert safe_steer(x0, 0.0, 0.0, steer_constants((ob,), params)) is None
 
 
 def test_safe_steer_swerves_around_offset_obstacle():
     params = PlannerParams()
     x0 = RobotState(0.0, 0.0, 0.0)
     ob = CircularObstacle((0.5, 0.15), (0.0, 0.0), 0.2)
-    traj = safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (ob,), params)
+    traj = safe_steer(x0, 0.0, 0.0, steer_constants((ob,), params))
     assert traj is not None
     x_new, t_new = traj.samples[-1].state, traj.t_end
     assert x_new.theta != 0.0  # the filter had to steer
@@ -223,15 +222,18 @@ def test_safe_steer_rejects_feasible_but_penetrating_edge():
     ob = CircularObstacle((0.6, 0.15), (0.0, 0.0), 0.2)
     x0 = RobotState(0.0, 0.0, 0.0)
 
-    def raw_controller(state, t):
-        rows = constraint_rows(state, 1.0, (ob,), t, params.gains)
-        omega_star = solve_scalar_qp(0.0, params.omega_bounds, rows)
-        return None if omega_star is None else ControlInput(1.0, omega_star)
+    constants = steer_constants((ob,), params)
 
-    raw = integrate_closed_loop(x0, 0.0, params.t_h, params.dt, raw_controller)
+    def raw_controller(x1, x2, cos_t, sin_t, t):
+        rows = constraint_rows(x1, x2, cos_t, sin_t, 1.0, constants.disks, t,
+                               constants.k1, constants.k2)
+        return solve_scalar_qp(0.0, *params.omega_bounds, rows)
+
+    raw = integrate_closed_loop(*x0, 0.0, params.t_h, params.dt, constants.grid, 1.0,
+                                raw_controller)
     assert raw is not None  # every QP was feasible...
     assert min(barrier_value(s.state, ob, s.t) for s in raw.samples) < 0.0  # ...yet it collides
-    assert safe_steer(x0, 0.0, params.t_h, ControlInput(1.0, 0.0), (ob,), params) is None
+    assert safe_steer(x0, 0.0, 0.0, constants) is None
 
 
 def test_safe_steer_rejects_grazing_below_margin():
@@ -243,7 +245,7 @@ def test_safe_steer_rejects_grazing_below_margin():
     x0 = RobotState(0.0, 0.0, 0.0)
     assert barrier_value(RobotState(0.24, 0.0, 0.0), ob, 0.0) > 0.0
     assert barrier_value(RobotState(0.25, 0.0, 0.0), ob, 0.0) < 0.0
-    assert safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (ob,), params) is None
+    assert safe_steer(x0, 0.0, 0.0, steer_constants((ob,), params)) is None
 
 
 
@@ -253,6 +255,11 @@ def _exact(*values):
 
 # grid values make tight chords likely: unit moves, symmetric end nodes
 _unit = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+# a direction of length <= 1: a pair outside the unit disk is halved (exact
+# in floats, and then of length <= sqrt(2)/2), not drawn again, so that the
+# test does not discard most of its draws
+_move = st.tuples(_unit, _unit).map(
+    lambda p: p if p[0] * p[0] + p[1] * p[1] <= 1.0 else (p[0] / 2, p[1] / 2))
 _coord = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-5.0, 5.0))
 _fill = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
 
@@ -260,13 +267,12 @@ _fill = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 2.0)),
        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.floats(1e-3, 1.0),
-       st.tuples(_coord, _coord), st.tuples(_unit, _unit),
-       st.tuples(_coord, _coord), st.tuples(_unit, _unit), _fill)
+       st.tuples(_coord, _coord), _move, st.tuples(_coord, _coord), _move, _fill)
 # the tight case: h0 = h1 = margin, |delta| = L, minimum exactly 0 at s = 1/2
 @example(1.0, 0.0, 1.0, (-0.5, 0.5), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1.0)
 def test_node_margin_clears_the_chord_between_nodes(v, v_obs, step, p0, robot,
                                                     c0, disk, fill):
-    # _edge_clears_obstacles' claim, in exact arithmetic. Over one step the
+    # steer_constants' node margin claim, in exact arithmetic. Over one step the
     # robot moves at most v*step and the disk at most v_obs*step, so their
     # relative displacement delta is at most L = (v + v_obs)*step. Along the
     # chord h(s) = (1-s)*h0 + s*h1 - s*(1-s)*|delta|^2, so end nodes with h
@@ -304,7 +310,7 @@ def test_node_margin_clears_the_chord_between_nodes(v, v_obs, step, p0, robot,
 def test_goal_check():
     params = PlannerParams()
     x0 = RobotState(1.9, 2.0, 0.0)
-    traj = safe_steer(x0, 0.0, 0.5, ControlInput(1.0, 0.0), (), params)
+    traj = safe_steer(x0, 0.0, 0.0, steer_constants((), params))
     assert goal_check(traj, (2.0, 2.0), 0.15)
     assert not goal_check(traj, (5.0, 5.0), 0.15)
     # interior node inside the goal disk counts even if the endpoint leaves it
@@ -317,7 +323,7 @@ def test_goal_check_interior_only():
     # straight edge passing through the disk and out the far side
     params = PlannerParams(t_h=1.0)
     x0 = RobotState(0.0, 0.0, 0.0)
-    traj = safe_steer(x0, 0.0, 1.0, ControlInput(1.0, 0.0), (), params)
+    traj = safe_steer(x0, 0.0, 0.0, steer_constants((), params))
     x_new = traj.samples[-1].state
     assert math.hypot(x_new.x1 - 0.5, x_new.x2) > 0.15
     assert goal_check(traj, (0.5, 0.0), 0.15)
@@ -353,8 +359,7 @@ def test_add_child_reads_the_child_from_its_edge():
     params = PlannerParams()
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
     t, x1, x2, theta = tree.edges[0].data[-6:-2]
-    edge = safe_steer(RobotState(x1, x2, theta), t, params.t_h,
-                      ControlInput(1.0, 0.0), (), params)
+    edge = safe_steer((x1, x2, theta), t, 0.0, steer_constants((), params))
     # the child is the edge's last node: the edge itself is stored, uncopied
     assert tree.add_child(0, edge) == 1
     assert tree.edges[1] is edge

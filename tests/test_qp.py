@@ -9,6 +9,11 @@ from oracles import ConstraintRow, ScalarQpProblem, feasible_interval, solve_box
 BOUNDS = (-4.25, 4.25)
 
 
+def solve(problem):
+    """solve_scalar_qp on a ScalarQpProblem."""
+    return solve_scalar_qp(problem.omega_ref, *problem.bounds, problem.rows)
+
+
 def test_interval_no_rows_is_the_box():
     assert feasible_interval(ScalarQpProblem(0.0, BOUNDS)) == BOUNDS
 
@@ -24,7 +29,7 @@ def test_interval_single_upper_row():
 def test_interval_omega_independent_contradiction():
     prob = ScalarQpProblem(0.0, BOUNDS, (ConstraintRow(0.0, -4.08),))
     assert feasible_interval(prob) is None
-    assert solve_scalar_qp(*prob) is None
+    assert solve(prob) is None
 
 
 def test_interval_vacuous_zero_row():
@@ -47,17 +52,17 @@ def test_interval_row_outside_box():
 
 
 def test_solve_returns_reference_when_feasible():
-    assert solve_scalar_qp(*ScalarQpProblem(0.0, BOUNDS)) == 0.0
+    assert solve(ScalarQpProblem(0.0, BOUNDS)) == 0.0
     prob = ScalarQpProblem(0.0, BOUNDS, (ConstraintRow(-2.0, 3.92),))
-    assert solve_scalar_qp(*prob) == 0.0
+    assert solve(prob) == 0.0
 
 
 def test_solve_projects_onto_nearest_edge():
     prob = ScalarQpProblem(0.0, BOUNDS, (ConstraintRow(1.0, -1.0),))
-    omega_star = solve_scalar_qp(*prob)
+    omega_star = solve(prob)
     assert omega_star == pytest.approx(1.0)
     prob = ScalarQpProblem(2.0, BOUNDS, (ConstraintRow(-1.0, 0.5),))
-    assert solve_scalar_qp(*prob) == pytest.approx(0.5)
+    assert solve(prob) == pytest.approx(0.5)
 
 
 def test_solution_lies_in_its_interval():
@@ -68,7 +73,7 @@ def test_solution_lies_in_its_interval():
             for a, b in rng.uniform(-5.0, 5.0, (int(rng.integers(0, 6)), 2))
         )
         prob = ScalarQpProblem(float(rng.uniform(-5.0, 5.0)), BOUNDS, rows)
-        omega_star = solve_scalar_qp(*prob)
+        omega_star = solve(prob)
         if omega_star is None:
             continue
         lo, hi = feasible_interval(prob)
@@ -98,7 +103,7 @@ def test_solver_agrees_with_grid_search():
         assert feas.any()
         candidates = grid[feas]
         star = candidates[np.argmin((candidates - ref) ** 2)]
-        assert abs(star - solve_scalar_qp(*prob)) <= 1e-3
+        assert abs(star - solve(prob)) <= 1e-3
     assert checked > 50
 
 
@@ -108,7 +113,7 @@ def test_box_qp_matches_scalar_in_one_dimension():
         coeffs = rng.uniform(-5.0, 5.0, (int(rng.integers(0, 4)), 2))
         ref = float(rng.uniform(-5.0, 5.0))
         scalar = solve_scalar_qp(
-            ref, BOUNDS, tuple((float(a), float(b)) for a, b in coeffs)
+            ref, *BOUNDS, tuple((float(a), float(b)) for a, b in coeffs)
         )
         box = solve_box_qp(
             [ref], [((float(a),), float(b)) for a, b in coeffs], bounds=[BOUNDS]

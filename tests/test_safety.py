@@ -9,9 +9,10 @@ from cbfrrt.dynamics import (
     RobotState,
     integrate_closed_loop,
     rk4_step,
+    step_grid,
 )
 from cbfrrt.qp import solve_scalar_qp
-from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows
+from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows, disk_tuple
 from oracles import ConstraintRow, barrier_lie1, ecbf_row_reference, is_safe
 
 GAINS = EcbfGains(2.0, 4.0)
@@ -23,9 +24,23 @@ WORLD1 = (
 )
 
 
+def rows_at(state, v_const, obstacles, t, gains):
+    """constraint_rows for a RobotState and CircularObstacles."""
+    x1, x2, theta = state
+    return constraint_rows(x1, x2, math.cos(theta), math.sin(theta), v_const,
+                           [disk_tuple(ob) for ob in obstacles], t, gains.k1, gains.k2)
+
+
+def step(state, control, dt):
+    """rk4_step from a RobotState under (v, omega); the new RobotState."""
+    x1, x2, theta = state
+    return RobotState(*rk4_step(x1, x2, theta, math.cos(theta), math.sin(theta),
+                                *control, dt)[:3])
+
+
 def kernel_row(state, v_const, obstacle, t, gains):
     """The kernel's row for a single disk, with the oracle's field names."""
-    return ConstraintRow(*constraint_rows(state, v_const, (obstacle,), t, gains)[0])
+    return ConstraintRow(*rows_at(state, v_const, (obstacle,), t, gains)[0])
 
 
 def test_barrier_value_on_boundary():
@@ -87,10 +102,10 @@ def test_ecbf_row_far_field_dominated_by_k1_h():
 
 def test_constraint_rows_order_and_composition():
     state = RobotState(0.0, 0.0, 0.0)
-    assert constraint_rows(state, 1.0, (), 0.0, GAINS) == []
-    single = constraint_rows(state, 1.0, WORLD1[:1], 0.0, GAINS)
+    assert rows_at(state, 1.0, (), 0.0, GAINS) == []
+    single = rows_at(state, 1.0, WORLD1[:1], 0.0, GAINS)
     assert single == [ecbf_row_reference(state, 1.0, WORLD1[0], 0.0, GAINS)]
-    rows = constraint_rows(state, 1.0, WORLD1, 0.0, GAINS)
+    rows = rows_at(state, 1.0, WORLD1, 0.0, GAINS)
     assert len(rows) == 3
     assert [r == ecbf_row_reference(state, 1.0, ob, 0.0, GAINS)
             for r, ob in zip(rows, WORLD1)] == [
@@ -125,8 +140,8 @@ def test_lie1_matches_finite_difference():
     for _ in range(200):
         state, v, omega, ob = _random_config(rng)
         u = ControlInput(v, omega)
-        h_plus = barrier_value(rk4_step(state, u, eps), ob, eps)
-        h_minus = barrier_value(rk4_step(state, u, -eps), ob, -eps)
+        h_plus = barrier_value(step(state, u, eps), ob, eps)
+        h_minus = barrier_value(step(state, u, -eps), ob, -eps)
         fd = (h_plus - h_minus) / (2 * eps)
         assert fd == pytest.approx(barrier_lie1(state, v, ob, 0.0), abs=1e-5)
 
@@ -139,8 +154,8 @@ def test_row_matches_second_finite_difference():
         state, v, omega, ob = _random_config(rng)
         u = ControlInput(v, omega)
         h0 = barrier_value(state, ob, 0.0)
-        h_plus = barrier_value(rk4_step(state, u, eps), ob, eps)
-        h_minus = barrier_value(rk4_step(state, u, -eps), ob, -eps)
+        h_plus = barrier_value(step(state, u, eps), ob, eps)
+        h_minus = barrier_value(step(state, u, -eps), ob, -eps)
         fd2 = (h_plus - 2 * h0 + h_minus) / (eps * eps)
 
         row = kernel_row(state, v, ob, 0.0, GAINS)
@@ -191,12 +206,15 @@ def test_closed_loop_filter_keeps_moving_disk_world_safe(example2_file):
     sc = example2_file.scenario
     p = sc.params
 
-    def controller(state, t):
-        rows = constraint_rows(state, p.v_const, sc.obstacles, t, p.gains)
-        omega_star = solve_scalar_qp(p.omega_ref, p.omega_bounds, rows)
-        return None if omega_star is None else ControlInput(p.v_const, omega_star)
+    disks = [disk_tuple(ob) for ob in sc.obstacles]
 
-    traj = integrate_closed_loop(sc.x_init, sc.t_init, 10.0, p.dt, controller)
+    def controller(x1, x2, cos_t, sin_t, t):
+        rows = constraint_rows(x1, x2, cos_t, sin_t, p.v_const, disks, t,
+                               p.gains.k1, p.gains.k2)
+        return solve_scalar_qp(p.omega_ref, *p.omega_bounds, rows)
+
+    traj = integrate_closed_loop(*sc.x_init, sc.t_init, 10.0, p.dt, step_grid(10.0, p.dt),
+                                 p.v_const, controller)
     assert traj is not None
     worst = min(
         barrier_value(s.state, ob, s.t) for s in traj.samples for ob in sc.obstacles
