@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import CircularObstacle
+from .dynamics import CircularObstacle, check_finite
 from .planner import Scenario, in_goal_region, root_path
 
 Point = tuple[float, float]
@@ -40,6 +40,9 @@ class BaselineParams:
     goal_bias: float = 0.0
 
     def __post_init__(self):
+        check_finite(self, "delta_d", "rewire_gamma", "goal_bias")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not self.delta_d > 0.0:
             raise ValueError(f"delta_d must be > 0, got {self.delta_d}")
         if self.max_iters < 1:

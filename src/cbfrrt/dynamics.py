@@ -35,6 +35,15 @@ class ControlInput(NamedTuple):
     omega: float
 
 
+def check_finite(owner, *names: str) -> None:
+    """Raise ValueError naming the first of owner's fields, a float or a pair of
+    floats, that is not finite: the rule the file parser applies."""
+    for name in names:
+        value = getattr(owner, name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CircularObstacle:
     """Moving disk: center0 at t=0, constant velocity, fixed radius > 0."""

@@ -104,6 +104,13 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _known(doc: dict, keys, where: str):
+    """Refuse a key the parser does not read: a typo must not run on a default."""
+    for key in doc:
+        if key not in keys:
+            _fail(f"{where}.{key}" if where else key, "unknown field")
+
+
 def _finite(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
@@ -121,10 +128,6 @@ def _vector(value, path: str, n: int) -> tuple[float, ...]:
 
 def _pair(value, path: str) -> tuple[float, float]:
     return _vector(value, path, 2)
-
-
-def _optional_pair(value, path: str) -> Optional[tuple[float, float]]:
-    return None if value is None else _pair(value, path)
 
 
 def _check_seed(seed, path: str):
@@ -146,12 +149,12 @@ def _rectangle(value, path: str) -> tuple[tuple[float, float], tuple[float, floa
 
 
 # The optional "planner" and "baseline" blocks of a scenario file: field name
-# -> parser, in file order. Every field defaults to the dataclass default;
-# planner k1/k2 are the two EcbfGains fields.
+# -> parser, in file order. Every field defaults to the dataclass default, and
+# any other key is refused; planner k1/k2 are the two EcbfGains fields.
 PLANNER_FIELDS = {
     "t_h": _finite, "dt": _finite, "sigma2": _finite, "epsilon": _finite,
     "k1": _finite, "k2": _finite, "v_const": _finite, "omega_ref": _finite,
-    "omega_bounds": _pair, "max_iters": _integer, "omega_ref_range": _optional_pair,
+    "omega_bounds": _pair, "max_iters": _integer,
 }
 BASELINE_FIELDS = {
     "delta_d": _finite, "max_iters": _integer, "sample_bounds": _rectangle,
@@ -159,19 +162,12 @@ BASELINE_FIELDS = {
 }
 
 
-def _block_values(params, fields) -> dict:
-    """The table's fields of a params object, k1/k2 read from its gains."""
-    return {key: getattr(params.gains if key in ("k1", "k2") else params, key)
-            for key in fields}
-
-
-def _parse_block(doc: dict, block: str, fields, defaults) -> dict:
+def _parse_block(doc: dict, block: str, fields) -> dict:
     raw = doc.get(block, {})
     if not isinstance(raw, dict):
         _fail(block, "expected an object")
-    fallback = _block_values(defaults, fields)
-    return {key: parse(raw.get(key, fallback[key]), f"{block}.{key}")
-            for key, parse in fields.items()}
+    _known(raw, fields, block)
+    return {key: fields[key](value, f"{block}.{key}") for key, value in raw.items()}
 
 
 def _point_segment_distance(p: tuple[float, float], a: tuple[float, float],
@@ -188,9 +184,10 @@ def load_scenario(path) -> ScenarioFile:
     """Parse and validate a scenario JSON file.
 
     Raises ScenarioParseError for malformed JSON, ScenarioValidationError
-    (naming the field path) for schema violations, InfeasibleScenarioError
-    when the problem is ill-posed (start inside an obstacle, or an obstacle
-    sweeping through the goal disk within goal_horizon).
+    (naming the field path) for schema violations and unknown keys (metadata
+    is free-form), InfeasibleScenarioError when the problem is ill-posed
+    (start inside an obstacle, or an obstacle sweeping through the goal disk
+    within goal_horizon).
     """
     path = Path(path)
     try:
@@ -203,6 +200,8 @@ def load_scenario(path) -> ScenarioFile:
     schema = doc.get("schema")
     if schema != 1:
         _fail("schema", f"unsupported schema version {schema!r} (expected 1)")
+    _known(doc, ("schema", "name", "x_init", "t_init", "x_goal", "goal_horizon",
+                 "obstacles", "planner", "baseline", "metadata"), "")
 
     x_init = _vector(_require(doc, "x_init", ""), "x_init", 3)
     x_goal = _vector(_require(doc, "x_goal", ""), "x_goal", 2)
@@ -219,6 +218,7 @@ def load_scenario(path) -> ScenarioFile:
         where = f"obstacles[{i}]"
         if not isinstance(entry, dict):
             _fail(where, "expected an object")
+        _known(entry, ("center", "radius", "velocity"), where)
         center = _vector(_require(entry, "center", where), f"{where}.center", 2)
         radius = _finite(_require(entry, "radius", where), f"{where}.radius")
         if radius <= 0.0:
@@ -226,14 +226,15 @@ def load_scenario(path) -> ScenarioFile:
         velocity = _vector(entry.get("velocity", [0.0, 0.0]), f"{where}.velocity", 2)
         obstacles.append(CircularObstacle(center, velocity, radius))
 
-    values = _parse_block(doc, "planner", PLANNER_FIELDS, PlannerParams())
+    values = _parse_block(doc, "planner", PLANNER_FIELDS)
+    default = PlannerParams().gains
     try:
-        gains = EcbfGains(values.pop("k1"), values.pop("k2"))
+        gains = EcbfGains(values.pop("k1", default.k1), values.pop("k2", default.k2))
         params = PlannerParams(gains=gains, **values)
     except ValueError as e:
         raise ScenarioValidationError(f"planner: {e}") from e
 
-    values = _parse_block(doc, "baseline", BASELINE_FIELDS, BaselineParams())
+    values = _parse_block(doc, "baseline", BASELINE_FIELDS)
     try:
         baseline = BaselineParams(**values)
     except ValueError as e:
@@ -581,14 +582,14 @@ def compare(
     aggregate CSV row per sweep entry.
 
     Runs may execute in parallel (capped by `threads`, or by the CPU count
-    when it is None); results are sorted by (algorithm, step, seed) before
-    aggregation so the table is deterministic either way. Per-run exceptions
-    become the `errors` count instead of aborting the sweep. A negative or
-    repeated seed (naming seeds[i]), a thread count below 1, a repeated
-    sweep entry (naming sweep[i]), a step the scenario rejects (naming
-    sweep[i].step) or a baseline entry on a scenario with a moving disk
-    (naming sweep[i].algorithm) raises ScenarioValidationError before any
-    run starts: a repeat would count its runs twice in one row.
+    when it is None); rows come out sorted by (algorithm, step), and no count
+    or median depends on run order, so the table is deterministic either way.
+    Per-run exceptions become the `errors` count instead of aborting the
+    sweep. A negative or repeated seed (naming seeds[i]), a thread count
+    below 1, a repeated sweep entry (naming sweep[i]), a step the scenario
+    rejects (naming sweep[i].step) or a baseline entry on a scenario with a
+    moving disk (naming sweep[i].algorithm) raises ScenarioValidationError
+    before any run starts: a repeat would count its runs twice in one row.
     """
     if not seeds:
         raise ValueError("seeds list must not be empty")
@@ -632,11 +633,11 @@ def compare(
             results = list(pool.map(_compare_task, files, *zip(*tasks)))
     else:
         results = [_compare_task(f, *task) for f, task in zip(files, tasks)]
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
-
+    groups = {key: [] for key in sorted(stepped)}
+    for result in results:
+        groups[result[:2]].append(result)
     rows = []
-    for algorithm, step in sorted(set((a, s) for a, s, _ in tasks)):
-        group = [r for r in results if r[0] == algorithm and r[1] == step]
+    for (algorithm, step), group in groups.items():
         reports = [r[3] for r in group if r[3] is not None]
         errors = sum(1 for r in group if r[4] is not None)
         successes = sum(1 for r in reports if r.success)
@@ -670,7 +671,7 @@ def compare(
 
 
 def load_sweep(path) -> list[tuple[str, float]]:
-    """Sweep file: JSON list of {"algorithm": ..., "step": ...} objects."""
+    """Sweep file: JSON list of {"algorithm": ..., "step": ...} objects only."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -682,6 +683,7 @@ def load_sweep(path) -> list[tuple[str, float]]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             _fail(f"sweep[{i}]", "expected an object")
+        _known(entry, ("algorithm", "step"), f"sweep[{i}]")
         algorithm = entry.get("algorithm")
         if algorithm not in ALGORITHMS:
             _fail(f"sweep[{i}].algorithm",

@@ -1,8 +1,8 @@
 """CBF-RRT: grow a time-stamped tree with QP-filtered safe steering.
 
 Each expansion draws a tree vertex uniformly, resamples the free heading
-toward the goal, picks a reference control, and integrates the closed loop
-under the per-node safety QP for one fixed horizon. There is no
+toward the goal, and integrates the closed loop under the per-node safety QP
+toward the constant reference omega_ref for one fixed horizon. There is no
 nearest-neighbor search anywhere in the loop. Edges are added only when
 every QP along the way was feasible and the integrated edge clears every
 disk with margin (see safe_steer for why QP feasibility alone is not
@@ -15,8 +15,8 @@ own timestamp. Its heading is the arrival heading; expansion overwrites it
 vertex in position and time, not heading).
 
 Randomness is a single seeded generator per plan() call, consumed in a fixed
-order (vertex draw, then heading draw, then reference draw, each iteration),
-which makes runs bit-reproducible for a given Scenario.
+order (vertex draw, then heading draw, each iteration), which makes runs
+bit-reproducible for a given Scenario.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 
 from .dynamics import (
     CircularObstacle,
-    ControlInput,
     RobotState,
     Trajectory,
+    check_finite,
     integrate_closed_loop,
     step_grid,
 )
@@ -42,12 +42,8 @@ from .safety import Disk, EcbfGains, barrier_value, constraint_rows, disk_tuple
 
 @dataclass(frozen=True)
 class PlannerParams:
-    """Tunables of one planning run.
-
-    omega_ref_range, when set, draws the reference angular rate uniformly
-    from that interval each expansion instead of using the constant
-    omega_ref. Construction and replace raise ValueError on a bad field.
-    """
+    """Tunables of one planning run; every expansion steers toward the constant
+    omega_ref. Construction and replace raise ValueError naming a bad field."""
 
     t_h: float = 0.5
     dt: float = 0.02
@@ -61,9 +57,12 @@ class PlannerParams:
     # the box; scenario files pin tighter, platform-specific limits.
     omega_bounds: tuple[float, float] = (-10.0, 10.0)
     max_iters: int = 10_000
-    omega_ref_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
+        check_finite(self, "t_h", "dt", "sigma2", "epsilon", "v_const", "omega_ref",
+                     "omega_bounds")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not self.t_h > 0.0:
             raise ValueError(f"t_h must be > 0, got {self.t_h}")
         if not self.dt > 0.0:
@@ -80,9 +79,6 @@ class PlannerParams:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.omega_bounds[0] > self.omega_bounds[1]:
             raise ValueError(f"omega_bounds reversed: {self.omega_bounds}")
-        ref_range = self.omega_ref_range
-        if ref_range is not None and ref_range[0] > ref_range[1]:
-            raise ValueError(f"omega_ref_range reversed: {ref_range}")
 
 
 @dataclass(frozen=True)
@@ -151,27 +147,15 @@ def goal_heading(position: tuple[float, float], goal: tuple[float, float]) -> fl
     return math.atan2(dy, dx)
 
 
-def state_sample(
+def heading_sample(
     position: tuple[float, float],
     goal: tuple[float, float],
-    sigma2: float,
+    sd: float,
     rng: np.random.Generator,
-) -> RobotState:
-    """The state at position with the free heading drawn ~ Normal(goal
-    heading, sigma2)."""
-    theta = float(rng.normal(goal_heading(position, goal), math.sqrt(sigma2)))
-    # tuple.__new__ here and in reference_sample: no Python-level NamedTuple
-    # __new__ per iteration.
-    return tuple.__new__(RobotState, (*position, theta))
-
-
-def reference_sample(rng: np.random.Generator, params: PlannerParams) -> ControlInput:
-    """Reference control for this expansion: constant (v_const, omega_ref)
-    unless omega_ref_range requests a uniform draw for the angular rate."""
-    if params.omega_ref_range is None:
-        return tuple.__new__(ControlInput, (params.v_const, params.omega_ref))
-    lo, hi = params.omega_ref_range
-    return tuple.__new__(ControlInput, (params.v_const, float(rng.uniform(lo, hi))))
+) -> float:
+    """The free heading at position, drawn ~ Normal(goal heading, sd^2);
+    sd is the square root of PlannerParams.sigma2."""
+    return float(rng.normal(goal_heading(position, goal), sd))
 
 
 class SteerConstants(NamedTuple):
@@ -343,13 +327,13 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
         return PlanResult(True, tree, extract_path(tree, 0), 0)
 
     constants = steer_constants(scenario.obstacles, params)
+    sd = math.sqrt(params.sigma2)
 
     for iteration in range(1, params.max_iters + 1):
         picked = vertices_sample(tree, rng)
         t, x1, x2 = tree.edges[picked].data[-6:-3]
-        state = state_sample((x1, x2), goal, params.sigma2, rng)
-        omega_ref = reference_sample(rng, params)[1]
-        edge = safe_steer(state, t, omega_ref, constants)
+        theta = heading_sample((x1, x2), goal, sd, rng)
+        edge = safe_steer((x1, x2, theta), t, params.omega_ref, constants)
         if edge is None:
             continue
         child = tree.add_child(picked, edge)

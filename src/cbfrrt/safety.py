@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dynamics import CircularObstacle, RobotState, obstacle_center_at
+from .dynamics import CircularObstacle, RobotState, check_finite, obstacle_center_at
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class EcbfGains:
     k2: float
 
     def __post_init__(self):
+        check_finite(self, "k1", "k2")
         for name, value in (("k1", self.k1), ("k2", self.k2)):
             if not value > 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")

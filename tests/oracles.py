@@ -26,7 +26,7 @@ from cbfrrt.dynamics import (
     TrajectorySample,
     obstacle_center_at,
 )
-from cbfrrt.harness import BASELINE_FIELDS, PLANNER_FIELDS, ScenarioFile, _block_values
+from cbfrrt.harness import BASELINE_FIELDS, PLANNER_FIELDS, ScenarioFile
 from cbfrrt.planner import PlannerParams, PlanTree, root_path
 from cbfrrt.qp import TOL_ZERO
 from cbfrrt.safety import EcbfGains, barrier_value
@@ -577,6 +577,12 @@ def extract_path_reference(tree: PlanTree, goal_vertex: int) -> Trajectory:
     return Trajectory(out)
 
 
+def _block_values(params, fields) -> dict:
+    """The table's fields of a params object, k1/k2 read from its gains."""
+    return {key: getattr(params.gains if key in ("k1", "k2") else params, key)
+            for key in fields}
+
+
 def write_scenario(scenario_file: ScenarioFile, path):
     """Inverse of harness.load_scenario; round-trips field-for-field."""
     s = scenario_file.scenario
@@ -592,9 +598,7 @@ def write_scenario(scenario_file: ScenarioFile, path):
              "velocity": list(o.velocity)}
             for o in s.obstacles
         ],
-        "planner": {key: value for key, value
-                    in _block_values(s.params, PLANNER_FIELDS).items()
-                    if value is not None},
+        "planner": _block_values(s.params, PLANNER_FIELDS),
         "baseline": _block_values(scenario_file.baseline, BASELINE_FIELDS),
         "metadata": scenario_file.metadata,
     }

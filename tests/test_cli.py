@@ -190,12 +190,41 @@ def test_nonpositive_v_const_exits_3(tmp_path, capsys, v_const):
 
 
 def test_reversed_omega_ref_range_exits_3(tmp_path, capsys):
+    # the random-reference option is gone: a file that still sets it would
+    # otherwise run on the constant omega_ref
     scenario = example1_with(tmp_path, planner={"omega_ref_range": [1.0, -1.0]})
     code = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert re.search(r"planner: omega_ref_range reversed", err)
+    assert re.search(r"planner\.omega_ref_range: unknown field", err)
+
+
+@pytest.mark.parametrize("block, key, path", [
+    (None, "goal_horizn", "goal_horizn"),
+    ("obstacles[0]", "radiuss", r"obstacles\[0\]\.radiuss"),
+    ("planner", "sigma_2", r"planner\.sigma_2"),
+    ("baseline", "delta", r"baseline\.delta"),
+    ("sweep[0]", "steps", r"sweep\[0\]\.steps"),
+])
+def test_unknown_field_exits_3_naming_its_path(tmp_path, capsys, block, key, path):
+    # a misspelt key would otherwise run on the default of the field it meant
+    doc = json.loads(pathlib.Path(EXAMPLE1).read_text())
+    sweep = [{"algorithm": "rrt", "step": 1.0}]
+    target = {None: doc, "obstacles[0]": doc["obstacles"][0], "planner": doc["planner"],
+              "baseline": doc["baseline"], "sweep[0]": sweep[0]}[block]
+    target[key] = 0.5
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(sweep))
+    code = main(["compare", "--scenario", str(scenario), "--sweep", str(sweep_file),
+                 "--seeds", "1", "--threads", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(rf"^error: {path}: unknown field$", err, re.M)
+    assert not (tmp_path / "out").exists()
 
 
 def test_internal_error_exit(tmp_path, monkeypatch, capsys):

@@ -178,7 +178,6 @@ def test_round_trip_every_block_field(tmp_path, example1_file):
     params = PlannerParams(
         t_h=0.4, dt=0.01, sigma2=0.3, epsilon=0.2, gains=EcbfGains(1.5, 3.5),
         v_const=0.8, omega_ref=0.1, omega_bounds=(-3.0, 2.0), max_iters=123,
-        omega_ref_range=(-0.5, 0.25),
     )
     baseline = BaselineParams(
         delta_d=0.3, max_iters=77, sample_bounds=((-2.0, 4.0), (-1.5, 3.5)),
@@ -392,6 +391,12 @@ def test_configure_sets_the_algorithms_own_fields(example1_file, algorithm, over
     ("rrt", dict(step=-1.0), r"^step: delta_d must be > 0"),
     ("rrt-star", dict(max_iters=0), r"^max_iters: max_iters must be >= 1"),
     ("rrt", dict(dt=0.01), r"^dt: overrides the cbf-rrt integration step only"),
+    # the CLI's argparse and the file parser stop these; from Python the
+    # params do, before a run can crash on them
+    ("cbf-rrt", dict(step=math.inf), r"^step: t_h must be finite, got inf"),
+    ("rrt", dict(step=math.inf), r"^step: delta_d must be finite, got inf"),
+    ("rrt", dict(max_iters=2.5), r"^max_iters: max_iters must be an integer, got 2\.5"),
+    ("cbf-rrt", dict(max_iters=True), r"^max_iters: max_iters must be an integer, got True"),
 ])
 def test_configure_names_the_rejected_override(example1_file, algorithm, overrides,
                                                message):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cbfrrt.baselines import BaselineParams
 from cbfrrt.dynamics import (
     CircularObstacle,
     RobotState,
@@ -20,11 +21,10 @@ from cbfrrt.planner import (
     extract_path,
     goal_check,
     goal_heading,
+    heading_sample,
     plan,
-    reference_sample,
     root_path,
     safe_steer,
-    state_sample,
     steer_constants,
     vertices_sample,
 )
@@ -58,8 +58,6 @@ def test_params_validation():
         PlannerParams(max_iters=0)
     with pytest.raises(ValueError):
         PlannerParams(omega_bounds=(1.0, -1.0))
-    with pytest.raises(ValueError):
-        PlannerParams(omega_ref_range=(1.0, -1.0))
 
 
 SAFE_START = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0),
@@ -81,8 +79,27 @@ SAFE_START = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0),
                      id="max_iters"),
         pytest.param(PlannerParams(), {"omega_bounds": (1.0, -1.0)},
                      r"^omega_bounds reversed", id="omega_bounds"),
-        pytest.param(PlannerParams(), {"omega_ref_range": (1.0, -1.0)},
-                     r"^omega_ref_range reversed: \(1\.0, -1\.0\)", id="omega_ref_range"),
+        # the file parser refuses these before they reach the params; built in
+        # Python they would crash the run (an infinite horizon in step_grid)
+        pytest.param(PlannerParams(), {"t_h": math.inf}, r"^t_h must be finite, got inf",
+                     id="t_h-inf"),
+        pytest.param(PlannerParams(), {"omega_ref": math.nan},
+                     r"^omega_ref must be finite, got nan", id="omega_ref-nan"),
+        pytest.param(PlannerParams(), {"omega_bounds": (-math.inf, 1.0)},
+                     r"^omega_bounds must be finite, got \(-inf, 1\.0\)",
+                     id="omega_bounds-inf"),
+        pytest.param(PlannerParams(), {"max_iters": 2.5},
+                     r"^max_iters must be an integer, got 2\.5", id="max_iters-float"),
+        pytest.param(PlannerParams(), {"max_iters": True},
+                     r"^max_iters must be an integer, got True", id="max_iters-bool"),
+        pytest.param(BaselineParams(), {"delta_d": math.inf},
+                     r"^delta_d must be finite, got inf", id="delta_d-inf"),
+        pytest.param(BaselineParams(), {"rewire_gamma": math.nan},
+                     r"^rewire_gamma must be finite, got nan", id="rewire_gamma-nan"),
+        pytest.param(BaselineParams(), {"max_iters": 2.5},
+                     r"^max_iters must be an integer, got 2\.5", id="baseline-max_iters-float"),
+        pytest.param(EcbfGains(2.0, 4.0), {"k1": math.inf}, r"^k1 must be finite, got inf",
+                     id="k1-inf"),
         pytest.param(SAFE_START, {"x_init": RobotState(0.0, math.nan, 0.0)},
                      r"^x_init must be finite", id="x_init-nan"),
         pytest.param(SAFE_START, {"x_init": RobotState(1.1, 1.0, 0.0)},
@@ -145,36 +162,18 @@ def test_goal_heading_quadrants():
     assert goal_heading((1.0, 1.0), (1.0, 1.0)) == 0.0
 
 
-def test_state_sample_degenerate_variance():
-    out = state_sample((0.0, 0.0), (1.0, 1.0), 0.0, np.random.default_rng(0))
-    assert type(out) is RobotState
-    assert out.theta == pytest.approx(math.pi / 4)
-    assert (out.x1, out.x2) == (0.0, 0.0)
+def test_heading_sample_degenerate_variance():
+    out = heading_sample((0.0, 0.0), (1.0, 1.0), 0.0, np.random.default_rng(0))
+    assert type(out) is float
+    assert out == pytest.approx(math.pi / 4)
 
 
-def test_state_sample_mean():
+def test_heading_sample_mean():
     rng = np.random.default_rng(42)
-    draws = [state_sample((0.0, 0.0), (1.0, 1.0), 0.2, rng).theta for _ in range(10_000)]
+    sd = math.sqrt(0.2)
+    draws = [heading_sample((0.0, 0.0), (1.0, 1.0), sd, rng) for _ in range(10_000)]
     band = 3.0 * math.sqrt(0.2 / 10_000)
     assert abs(np.mean(draws) - math.pi / 4) <= band
-
-
-def test_reference_sample_default_constant():
-    params = PlannerParams()
-    rng = np.random.default_rng(0)
-    u = reference_sample(rng, params)
-    assert (u.v, u.omega) == (1.0, 0.0)
-    # constant reference must not consume randomness
-    assert rng.uniform() == np.random.default_rng(0).uniform()
-
-
-def test_reference_sample_uniform_hook():
-    params = PlannerParams(omega_ref_range=(-1.0, 1.0))
-    a = reference_sample(np.random.default_rng(3), params)
-    b = reference_sample(np.random.default_rng(3), params)
-    assert a == b
-    assert -1.0 <= a.omega <= 1.0
-    assert a.v == params.v_const
 
 
 # ---------------------------------------------------------------- steering
