@@ -69,10 +69,7 @@ def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     try:
         if "," in text:
-            seeds = [int(part) for part in text.split(",") if part.strip() != ""]
-            if not seeds:
-                raise ScenarioError(f"--seeds: the list has no entries, got {text!r}")
-            return seeds
+            return [int(part) for part in text.split(",") if part.strip() != ""]
         n = int(text)
     except ValueError as e:
         raise ScenarioError(f"--seeds: expected a count or comma list, got {text!r}") from e

@@ -36,8 +36,9 @@ class ControlInput(NamedTuple):
 
 
 def check_finite(owner, *names: str) -> None:
-    """Raise ValueError naming the first of owner's fields, a float or a pair of
-    floats, that is not finite: the rule the file parser applies."""
+    """Raise ValueError naming the first of owner's fields, a float or a tuple
+    of floats, that is not finite: the one finiteness rule, which the file
+    parser leaves to the dataclasses."""
     for name in names:
         value = getattr(owner, name)
         if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
@@ -46,11 +47,17 @@ def check_finite(owner, *names: str) -> None:
 
 @dataclass(frozen=True)
 class CircularObstacle:
-    """Moving disk: center0 at t=0, constant velocity, fixed radius > 0."""
+    """Moving disk: center0 at t=0, constant velocity, fixed radius > 0.
+    Construction and replace raise ValueError naming a bad field."""
 
     center0: tuple[float, float]
     velocity: tuple[float, float]
     radius: float
+
+    def __post_init__(self):
+        check_finite(self, "center0", "velocity", "radius")
+        if not self.radius > 0.0:
+            raise ValueError(f"radius must be > 0, got {self.radius}")
 
     def is_static(self) -> bool:
         return self.velocity[0] == 0.0 and self.velocity[1] == 0.0

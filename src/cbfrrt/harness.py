@@ -36,6 +36,7 @@ from .dynamics import (
     CircularObstacle,
     RobotState,
     Trajectory,
+    check_finite,
     obstacle_center_at,
 )
 from .planner import PlannerParams, PlanTree, Scenario, plan
@@ -57,23 +58,47 @@ class ScenarioParseError(ScenarioError):
 
 
 class ScenarioValidationError(ScenarioError):
-    """Schema violation; message names the offending field path."""
+    """Invalid input; message names the offending field path."""
 
 
-class InfeasibleScenarioError(ScenarioError):
-    """Scenario is well-formed but the problem itself is ill-posed."""
+def _point_segment_distance(p: tuple[float, float], a: tuple[float, float],
+                            b: tuple[float, float]) -> float:
+    """Distance from point p to the segment a-b (closed form)."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    apx, apy = p[0] - a[0], p[1] - a[1]
+    denom = abx * abx + aby * aby
+    s = 0.0 if denom == 0.0 else max(0.0, min(1.0, (apx * abx + apy * aby) / denom))
+    return math.hypot(apx - s * abx, apy - s * aby)
 
 
 @dataclass(frozen=True)
 class ScenarioFile:
     """Parsed scenario document: the planner Scenario plus everything the
-    harness needs around it."""
+    harness needs around it. Construction and replace raise ValueError for a
+    name that is not a str, a goal_horizon that is not finite and > 0, or an
+    obstacle that enters the goal disk within goal_horizon."""
 
     scenario: Scenario
     baseline: BaselineParams
     name: str
     goal_horizon: float
     metadata: dict
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a str, got {self.name!r}")
+        check_finite(self, "goal_horizon")
+        if not self.goal_horizon > 0.0:
+            raise ValueError(f"goal_horizon must be > 0, got {self.goal_horizon}")
+        sc = self.scenario
+        for i, obstacle in enumerate(sc.obstacles):
+            clearance = _point_segment_distance(
+                sc.x_goal, obstacle_center_at(obstacle, sc.t_init),
+                obstacle_center_at(obstacle, sc.t_init + self.goal_horizon))
+            reach = sc.params.epsilon + obstacle.radius
+            if clearance < reach:
+                raise ValueError(f"obstacles[{i}] enters the goal disk within goal_horizon "
+                                 f"(clearance {clearance:.4f} m < {reach:.4f} m)")
 
 
 @dataclass
@@ -111,19 +136,28 @@ def _known(doc: dict, keys, where: str):
             _fail(f"{where}.{key}" if where else key, "unknown field")
 
 
-def _finite(value, path: str) -> float:
+def _checked(prefix: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a ValueError from it raised as
+    ScenarioValidationError with prefix, the object's dotted path, before its
+    message, which names the field: obstacles[0].radius must be > 0, ..."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise ScenarioValidationError(f"{prefix}{e}") from e
+
+
+def _number(value, path: str) -> float:
+    """A JSON number, not a bool, as float; NaN and Infinity literals pass to
+    the dataclass that holds the value, which refuses them."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        _fail(path, f"must be finite, got {value!r}")
-    return value
+    return float(value)
 
 
 def _vector(value, path: str, n: int) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         _fail(path, f"expected a list of {n} numbers, got {value!r}")
-    return tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _pair(value, path: str) -> tuple[float, float]:
@@ -152,13 +186,13 @@ def _rectangle(value, path: str) -> tuple[tuple[float, float], tuple[float, floa
 # -> parser, in file order. Every field defaults to the dataclass default, and
 # any other key is refused; planner k1/k2 are the two EcbfGains fields.
 PLANNER_FIELDS = {
-    "t_h": _finite, "dt": _finite, "sigma2": _finite, "epsilon": _finite,
-    "k1": _finite, "k2": _finite, "v_const": _finite, "omega_ref": _finite,
+    "t_h": _number, "dt": _number, "sigma2": _number, "epsilon": _number,
+    "k1": _number, "k2": _number, "v_const": _number, "omega_ref": _number,
     "omega_bounds": _pair, "max_iters": _integer,
 }
 BASELINE_FIELDS = {
-    "delta_d": _finite, "max_iters": _integer, "sample_bounds": _rectangle,
-    "rewire_gamma": _finite, "goal_bias": _finite,
+    "delta_d": _number, "max_iters": _integer, "sample_bounds": _rectangle,
+    "rewire_gamma": _number, "goal_bias": _number,
 }
 
 
@@ -170,24 +204,16 @@ def _parse_block(doc: dict, block: str, fields) -> dict:
     return {key: fields[key](value, f"{block}.{key}") for key, value in raw.items()}
 
 
-def _point_segment_distance(p: tuple[float, float], a: tuple[float, float],
-                            b: tuple[float, float]) -> float:
-    """Distance from point p to the segment a-b (closed form)."""
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    apx, apy = p[0] - a[0], p[1] - a[1]
-    denom = abx * abx + aby * aby
-    s = 0.0 if denom == 0.0 else max(0.0, min(1.0, (apx * abx + apy * aby) / denom))
-    return math.hypot(apx - s * abx, apy - s * aby)
-
-
 def load_scenario(path) -> ScenarioFile:
-    """Parse and validate a scenario JSON file.
+    """Parse a scenario JSON file.
 
-    Raises ScenarioParseError for malformed JSON, ScenarioValidationError
-    (naming the field path) for schema violations and unknown keys (metadata
-    is free-form), InfeasibleScenarioError when the problem is ill-posed
-    (start inside an obstacle, or an obstacle sweeping through the goal disk
-    within goal_horizon).
+    The parser reads the JSON shape only: each field's type and length, and
+    missing or unknown keys (metadata is free-form). Values are checked by
+    the dataclasses they go into (CircularObstacle, EcbfGains, PlannerParams,
+    BaselineParams, Scenario, ScenarioFile), the same rules as in Python.
+    Raises ScenarioParseError for malformed JSON and ScenarioValidationError
+    naming the field path for either kind of error, a value's as the
+    object's dotted path before the dataclass's message.
     """
     path = Path(path)
     try:
@@ -205,10 +231,8 @@ def load_scenario(path) -> ScenarioFile:
 
     x_init = _vector(_require(doc, "x_init", ""), "x_init", 3)
     x_goal = _vector(_require(doc, "x_goal", ""), "x_goal", 2)
-    t_init = _finite(doc.get("t_init", 0.0), "t_init")
-    goal_horizon = _finite(doc.get("goal_horizon", 20.0), "goal_horizon")
-    if goal_horizon <= 0.0:
-        _fail("goal_horizon", f"must be > 0, got {goal_horizon}")
+    t_init = _number(doc.get("t_init", 0.0), "t_init")
+    goal_horizon = _number(doc.get("goal_horizon", 20.0), "goal_horizon")
 
     raw_obstacles = _require(doc, "obstacles", "")
     if not isinstance(raw_obstacles, list):
@@ -220,58 +244,27 @@ def load_scenario(path) -> ScenarioFile:
             _fail(where, "expected an object")
         _known(entry, ("center", "radius", "velocity"), where)
         center = _vector(_require(entry, "center", where), f"{where}.center", 2)
-        radius = _finite(_require(entry, "radius", where), f"{where}.radius")
-        if radius <= 0.0:
-            _fail(f"{where}.radius", f"must be > 0, got {radius}")
+        radius = _number(_require(entry, "radius", where), f"{where}.radius")
         velocity = _vector(entry.get("velocity", [0.0, 0.0]), f"{where}.velocity", 2)
-        obstacles.append(CircularObstacle(center, velocity, radius))
+        obstacles.append(_checked(f"{where}.", CircularObstacle, center, velocity, radius))
 
     values = _parse_block(doc, "planner", PLANNER_FIELDS)
     default = PlannerParams().gains
-    try:
-        gains = EcbfGains(values.pop("k1", default.k1), values.pop("k2", default.k2))
-        params = PlannerParams(gains=gains, **values)
-    except ValueError as e:
-        raise ScenarioValidationError(f"planner: {e}") from e
-
-    values = _parse_block(doc, "baseline", BASELINE_FIELDS)
-    try:
-        baseline = BaselineParams(**values)
-    except ValueError as e:
-        raise ScenarioValidationError(f"baseline: {e}") from e
+    gains = _checked("planner.", EcbfGains, values.pop("k1", default.k1),
+                     values.pop("k2", default.k2))
+    params = _checked("planner.", PlannerParams, gains=gains, **values)
+    baseline = _checked("baseline.", BaselineParams,
+                        **_parse_block(doc, "baseline", BASELINE_FIELDS))
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         _fail("metadata", "expected an object")
 
-    try:
-        scenario = Scenario(x_init=RobotState(*x_init), t_init=t_init, x_goal=x_goal,
-                            obstacles=tuple(obstacles), params=params)
-    except ValueError as e:
-        raise InfeasibleScenarioError(str(e)) from e
-    _check_feasibility(scenario, goal_horizon)
-    return ScenarioFile(
-        scenario=scenario,
-        baseline=baseline,
-        name=str(doc.get("name", path.stem)),
-        goal_horizon=goal_horizon,
-        metadata=metadata,
-    )
-
-
-def _check_feasibility(scenario: Scenario, goal_horizon: float):
-    """Reject an obstacle that enters the goal disk within goal_horizon."""
-    t0 = scenario.t_init
-    for i, obstacle in enumerate(scenario.obstacles):
-        a = obstacle_center_at(obstacle, t0)
-        b = obstacle_center_at(obstacle, t0 + goal_horizon)
-        clearance = _point_segment_distance(scenario.x_goal, a, b)
-        if clearance < scenario.params.epsilon + obstacle.radius:
-            raise InfeasibleScenarioError(
-                f"obstacles[{i}] enters the goal disk within goal_horizon "
-                f"(clearance {clearance:.4f} m < "
-                f"{scenario.params.epsilon + obstacle.radius:.4f} m)"
-            )
+    scenario = _checked("", Scenario, x_init=RobotState(*x_init), t_init=t_init,
+                        x_goal=x_goal, obstacles=tuple(obstacles), params=params)
+    return _checked("", ScenarioFile, scenario=scenario, baseline=baseline,
+                    name=doc.get("name", path.stem), goal_horizon=goal_horizon,
+                    metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +304,9 @@ def audit_trajectory(
         c1 = obstacle.center0[0] + obstacle.velocity[0] * taus
         c2 = obstacle.center0[1] + obstacle.velocity[1] * taus
         h = (xi1 - c1) ** 2 + (xi2 - c2) ** 2 - obstacle.radius ** 2
-        min_h = min(min_h, float(h.min()))
+        # np.minimum keeps a NaN, which then fails the comparison below;
+        # Python's min would skip it and pass the trajectory.
+        min_h = float(np.minimum(min_h, h.min()))
     return min_h >= AUDIT_TOL, min_h
 
 
@@ -357,10 +352,7 @@ def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float]
     for name, key, value in (("step", "t_h" if cbf else "delta_d", step),
                              ("dt", "dt", dt), ("max_iters", "max_iters", max_iters)):
         if value is not None:
-            try:
-                params = replace(params, **{key: value})
-            except ValueError as e:
-                raise ScenarioValidationError(f"{name}: {e}") from e
+            params = _checked(f"{name}: ", replace, params, **{key: value})
     if params is own:
         return scenario_file
     if not cbf:
@@ -379,10 +371,7 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
     scenario = scenario_file.scenario
     params = scenario.params
     if algorithm != "cbf-rrt":
-        try:
-            require_static(scenario.obstacles)
-        except ValueError as e:
-            raise ScenarioValidationError(str(e)) from e
+        _checked("", require_static, scenario.obstacles)
 
     start = time.perf_counter()
     if algorithm == "cbf-rrt":
@@ -585,14 +574,15 @@ def compare(
     when it is None); rows come out sorted by (algorithm, step), and no count
     or median depends on run order, so the table is deterministic either way.
     Per-run exceptions become the `errors` count instead of aborting the
-    sweep. A negative or repeated seed (naming seeds[i]), a thread count
-    below 1, a repeated sweep entry (naming sweep[i]), a step the scenario
-    rejects (naming sweep[i].step) or a baseline entry on a scenario with a
-    moving disk (naming sweep[i].algorithm) raises ScenarioValidationError
-    before any run starts: a repeat would count its runs twice in one row.
+    sweep. An empty seeds or sweep list (naming seeds or sweep), a negative
+    or repeated seed (naming seeds[i]), a thread count below 1, a repeated
+    sweep entry (naming sweep[i]), a step the scenario rejects (naming
+    sweep[i].step) or a baseline entry on a scenario with a moving disk
+    (naming sweep[i].algorithm) raises ScenarioValidationError before any
+    run starts: a repeat would count its runs twice in one row.
     """
     if not seeds:
-        raise ValueError("seeds list must not be empty")
+        _fail("seeds", "must not be empty")
     if threads is not None and threads < 1:
         _fail("threads", f"must be >= 1, got {threads}")
     first_seed = {}
@@ -602,7 +592,7 @@ def compare(
             _fail(f"seeds[{i}]", f"{seed} duplicates seeds[{first_seed[seed]}]")
         first_seed[seed] = i
     if not sweep:
-        raise ValueError("sweep must not be empty")
+        _fail("sweep", "must not be empty")
     stepped = {}
     first_entry = {}
     for i, (algorithm, step) in enumerate(sweep):
@@ -616,10 +606,8 @@ def compare(
         except ScenarioValidationError as e:
             raise ScenarioValidationError(f"sweep[{i}].{e}") from e
         if algorithm != "cbf-rrt":
-            try:
-                require_static(scenario_file.scenario.obstacles)
-            except ValueError as e:
-                raise ScenarioValidationError(f"sweep[{i}].algorithm: {e}") from e
+            _checked(f"sweep[{i}].algorithm: ", require_static,
+                     scenario_file.scenario.obstacles)
 
     tasks = [(algorithm, float(step), int(seed))
              for algorithm, step in sweep for seed in seeds]
@@ -671,14 +659,19 @@ def compare(
 
 
 def load_sweep(path) -> list[tuple[str, float]]:
-    """Sweep file: JSON list of {"algorithm": ..., "step": ...} objects only."""
+    """Sweep file: JSON list of {"algorithm": ..., "step": ...} objects only.
+
+    Reads the JSON shape only, as load_scenario does: an object with known
+    keys, one of ALGORITHMS and a number. compare refuses an empty sweep, and
+    a step the scenario rejects (not finite, not > 0, below dt) through the
+    params, naming sweep[i].step."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ScenarioParseError(f"{path}: not valid JSON ({e})") from e
-    if not isinstance(doc, list) or not doc:
-        raise ScenarioValidationError(f"{path}: expected a non-empty JSON list")
+    if not isinstance(doc, list):
+        _fail(str(path), "expected a JSON list")
     sweep = []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
@@ -688,8 +681,6 @@ def load_sweep(path) -> list[tuple[str, float]]:
         if algorithm not in ALGORITHMS:
             _fail(f"sweep[{i}].algorithm",
                   f"expected one of {ALGORITHMS}, got {algorithm!r}")
-        step = _finite(_require(entry, "step", f"sweep[{i}]"), f"sweep[{i}].step")
-        if step <= 0.0:
-            _fail(f"sweep[{i}].step", f"must be > 0, got {step}")
-        sweep.append((algorithm, step))
+        sweep.append((algorithm, _number(_require(entry, "step", f"sweep[{i}]"),
+                                         f"sweep[{i}].step")))
     return sweep

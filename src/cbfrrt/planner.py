@@ -83,7 +83,8 @@ class PlannerParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Start, goal, obstacles and parameters; the start is finite and clear."""
+    """Start, goal, obstacles and parameters; the start, its time and the goal
+    are finite and the start is clear of every disk."""
 
     x_init: RobotState
     t_init: float
@@ -92,8 +93,7 @@ class Scenario:
     params: PlannerParams
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.x_init)):
-            raise ValueError("x_init must be finite")
+        check_finite(self, "x_init", "t_init", "x_goal")
         for i, obstacle in enumerate(self.obstacles):
             if barrier_value(self.x_init, obstacle, self.t_init) < 0.0:
                 raise ValueError(f"x_init lies inside obstacles[{i}] at t_init")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -152,7 +153,7 @@ def test_plan_bad_overrides(tmp_path):
                       "--seeds", "0,-1"], r"seeds\[1\]: must be >= 0, got -1",
                      id="negative-seed-in-list"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
-                      "--seeds", ","], r"--seeds: the list has no entries",
+                      "--seeds", ","], r"^error: seeds: must not be empty$",
                      id="empty-seed-list"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", BAD_STEP_SWEEP,
                       "--seeds", "2", "--threads", "1"],
@@ -186,7 +187,7 @@ def test_nonpositive_v_const_exits_3(tmp_path, capsys, v_const):
     assert code == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert re.search(r"planner: v_const must be > 0", err)
+    assert re.search(rf"planner\.v_const must be > 0, got {v_const}", err)
 
 
 def test_reversed_omega_ref_range_exits_3(tmp_path, capsys):
@@ -224,6 +225,87 @@ def test_unknown_field_exits_3_naming_its_path(tmp_path, capsys, block, key, pat
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert re.search(rf"^error: {path}: unknown field$", err, re.M)
+    assert not (tmp_path / "out").exists()
+
+
+def _obstacle(**fields):
+    return lambda sf: dataclasses.replace(sf.scenario.obstacles[0], **fields)
+
+
+def _scenario(**fields):
+    return lambda sf: dataclasses.replace(sf.scenario, **fields)
+
+
+@pytest.mark.parametrize("where, value, build, prefix, message", [
+    pytest.param(("scenario", "t_init"), math.inf, _scenario(t_init=math.inf), "",
+                 "t_init must be finite, got inf", id="t_init-inf"),
+    pytest.param(("scenario", "x_goal"), [math.nan, 2.0],
+                 _scenario(x_goal=(math.nan, 2.0)), "",
+                 "x_goal must be finite, got (nan, 2.0)", id="x_goal-nan"),
+    pytest.param(("scenario", "obstacles", 0, "radius"), -0.2, _obstacle(radius=-0.2),
+                 "obstacles[0].", "radius must be > 0, got -0.2", id="radius-negative"),
+    pytest.param(("scenario", "obstacles", 0, "radius"), 0, _obstacle(radius=0.0),
+                 "obstacles[0].", "radius must be > 0, got 0.0", id="radius-zero"),
+    pytest.param(("scenario", "obstacles", 0, "velocity"), [math.inf, 0.0],
+                 _obstacle(velocity=(math.inf, 0.0)), "obstacles[0].",
+                 "velocity must be finite, got (inf, 0.0)", id="velocity-inf"),
+    pytest.param(("scenario", "obstacles", 0, "velocity"), [math.nan, 0.0],
+                 _obstacle(velocity=(math.nan, 0.0)), "obstacles[0].",
+                 "velocity must be finite, got (nan, 0.0)", id="velocity-nan"),
+    pytest.param(("scenario", "obstacles", 0, "center"), [math.nan, 0.5],
+                 _obstacle(center0=(math.nan, 0.5)), "obstacles[0].",
+                 "center0 must be finite, got (nan, 0.5)", id="center-nan"),
+    pytest.param(("scenario", "name"), [1, 2],
+                 lambda sf: dataclasses.replace(sf, name=[1, 2]), "",
+                 "name must be a str, got [1, 2]", id="name-list"),
+    pytest.param(("scenario", "goal_horizon"), 0,
+                 lambda sf: dataclasses.replace(sf, goal_horizon=0.0), "",
+                 "goal_horizon must be > 0, got 0.0", id="goal_horizon-zero"),
+    pytest.param(("scenario", "planner", "v_const"), 0.0,
+                 lambda sf: dataclasses.replace(sf.scenario.params, v_const=0.0),
+                 "planner.", "v_const must be > 0, got 0.0", id="v_const-zero"),
+    pytest.param(("scenario", "planner", "k1"), math.nan,
+                 lambda sf: dataclasses.replace(sf.scenario.params.gains, k1=math.nan),
+                 "planner.", "k1 must be finite, got nan", id="k1-nan"),
+    pytest.param(("scenario", "baseline", "goal_bias"), 1.0,
+                 lambda sf: dataclasses.replace(sf.baseline, goal_bias=1.0),
+                 "baseline.", "goal_bias must be in [0, 1), got 1.0", id="goal_bias-one"),
+    pytest.param(("sweep", 0, "step"), -1,
+                 lambda sf: dataclasses.replace(sf.scenario.params, t_h=-1.0),
+                 "sweep[0].step: ", "t_h must be > 0, got -1.0", id="step-negative"),
+    pytest.param(("sweep", 0, "step"), math.nan,
+                 lambda sf: dataclasses.replace(sf.scenario.params, t_h=math.nan),
+                 "sweep[0].step: ", "t_h must be finite, got nan", id="step-nan"),
+])
+def test_value_rule_fires_from_python_and_from_a_file(tmp_path, capsys, example1_file,
+                                                      where, value, build, prefix,
+                                                      message):
+    # one rule, held by the dataclass: built in Python it raises the message,
+    # and from a file the message follows the object's dotted path
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(example1_file)
+    docs = {"scenario": json.loads(pathlib.Path(EXAMPLE1).read_text()),
+            "sweep": [{"algorithm": "cbf-rrt", "step": 0.5}]}
+    *parents, last = where
+    target = docs
+    for key in parents:
+        target = target[key]
+    # json.dumps writes inf and nan as Infinity and NaN; the parser reads an
+    # integer as a float, so 0 and -1 give the messages of 0.0 and -1.0
+    target[last] = value
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        pathlib.Path(paths[name]).write_text(json.dumps(doc))
+    if where[0] == "sweep":
+        argv = ["compare", "--sweep", paths["sweep"], "--seeds", "1", "--threads", "1"]
+    else:
+        argv = ["plan"]
+    code = main(argv + ["--scenario", paths["scenario"], "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: {prefix}{message}\n"
     assert not (tmp_path / "out").exists()
 
 

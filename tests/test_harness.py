@@ -27,7 +27,6 @@ from cbfrrt.dynamics import (
 )
 from cbfrrt.harness import (
     COMPARISON_HEADER,
-    InfeasibleScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
     _format_tree_json,
@@ -133,7 +132,7 @@ def test_load_start_inside_obstacle(tmp_path):
     doc = small_doc()
     doc["obstacles"][0]["center"] = [0.0, 0.1]
     p = write_doc(tmp_path, doc)
-    with pytest.raises(InfeasibleScenarioError, match=r"obstacles\[0\]"):
+    with pytest.raises(ScenarioValidationError, match=r"^x_init lies inside obstacles\[0\]"):
         load_scenario(p)
 
 
@@ -142,7 +141,8 @@ def test_load_goal_crossed_by_moving_obstacle(tmp_path):
     doc = small_doc()
     doc["obstacles"][0] = {"center": [4.0, 0.0], "radius": 0.2, "velocity": [-0.5, 0.0]}
     p = write_doc(tmp_path, doc)
-    with pytest.raises(InfeasibleScenarioError, match=r"goal"):
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^obstacles\[0\] enters the goal disk within goal_horizon"):
         load_scenario(p)
     # with a shorter horizon the crossing is outside the checked window
     doc["goal_horizon"] = 2.0
@@ -204,7 +204,7 @@ def test_round_trip_every_block_field(tmp_path, example1_file):
 @pytest.mark.parametrize("key", ["k1", "k2"])
 def test_load_nonpositive_gain_names_it(tmp_path, key):
     p = write_doc(tmp_path, small_doc(planner={key: 0}))
-    with pytest.raises(ScenarioValidationError, match=rf"planner: {key} must be > 0"):
+    with pytest.raises(ScenarioValidationError, match=rf"^planner\.{key} must be > 0"):
         load_scenario(p)
 
 
@@ -260,6 +260,15 @@ def test_audit_empty_and_obstacle_free():
         audit_trajectory(trajectory_from_samples([]), (), 0.01)
     traj = straight_line_trajectory((0.0, 0.0), (1.0, 0.0), 5)
     assert audit_trajectory(traj, (), 0.01) == (True, None)
+
+
+def test_audit_fails_a_nan_barrier(example1_file):
+    # a NaN h must fail the certificate, not be skipped by the minimum
+    traj = Trajectory(array("d", [0.0, 0.0, 0.0, 0.0, 1.0, 0.0,
+                                  1.0, math.nan, 1.0, 0.0, 1.0, 0.0]))
+    ok, min_h = audit_trajectory(traj, example1_file.scenario.obstacles, 0.005)
+    assert not ok
+    assert math.isnan(min_h)
 
 
 def test_audit_rejects_bad_dt():
@@ -672,8 +681,11 @@ def test_compare_single_cell(tmp_path, example1_file):
 
 
 def test_compare_empty_seeds(tmp_path, example1_file):
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioValidationError, match=r"^seeds: must not be empty$"):
         compare(example1_file, [("rrt", 0.25)], [], tmp_path / "c.csv")
+    with pytest.raises(ScenarioValidationError, match=r"^sweep: must not be empty$"):
+        compare(example1_file, [], [0], tmp_path / "c.csv")
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_compare_propagates_run_errors_into_table(tmp_path, monkeypatch, example2_file):
