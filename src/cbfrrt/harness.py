@@ -283,17 +283,24 @@ def audit_trajectory(
     Returns (pass, min_barrier), pass meaning min_barrier >= AUDIT_TOL; with
     no obstacles the trajectory passes with min_barrier None. A trajectory
     with no nodes raises ValueError (every planned path has at least its
-    start), as does a dt_audit that is not finite and > 0: an infinite one
-    would sample the end points alone.
+    start), as does one whose t goes back at some node (the interpolation
+    needs increasing times; the error names the first such node) and a
+    dt_audit that is not finite and > 0: an infinite one would sample the
+    end points alone.
     """
     if not (math.isfinite(dt_audit) and dt_audit > 0.0):
         raise ValueError(f"dt_audit must be finite and > 0, got {dt_audit}")
     if not trajectory:
         raise ValueError("the trajectory has no nodes to audit")
-    if not obstacles:
-        return True, None
     rows = np.frombuffer(trajectory.data).reshape(-1, 6)
     ts, x1, x2 = rows[:, 0], rows[:, 1], rows[:, 2]
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if back.size:
+        k = int(back[0]) + 1
+        raise ValueError(f"node {k}: t={float(ts[k])!r} is before the previous "
+                         f"node's t={float(ts[k - 1])!r}")
+    if not obstacles:
+        return True, None
     t0, t_end = float(ts[0]), float(ts[-1])
     taus = np.arange(t0, t_end, dt_audit)
     taus = np.append(taus, t_end)

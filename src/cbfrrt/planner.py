@@ -158,9 +158,16 @@ def heading_sample(
     return float(rng.normal(goal_heading(position, goal), sd))
 
 
+# The reach bounds' rounding slack, per node, relative to the magnitudes of
+# the coordinates, times and radii involved: about 9,000 ulps (2^-53 each),
+# where a node's RK4 step, time and offset round by a few.
+REACH_SLACK = 1e-12
+
+
 class SteerConstants(NamedTuple):
     """What safe_steer reads that is fixed for a whole run, built once per
-    plan() call by steer_constants."""
+    plan() call by steer_constants. reach holds, per disk, its reach radius
+    and v + |v_disk|."""
 
     disks: tuple[Disk, ...]
     v: float
@@ -172,22 +179,45 @@ class SteerConstants(NamedTuple):
     dt: float
     grid: tuple[int, float, int]
     margin: float
+    reach: tuple[tuple[float, float], ...]
+
+
+def _reach_time(t_h: float, dt: float, grid: tuple[int, float, int]) -> float:
+    """An upper bound on the summed step lengths of one horizon and on any
+    node's t - t0: t_h, or n_full * dt when step_grid rounds a near divisor
+    up (n_full * dt may then exceed t_h by up to 1e-9 * dt)."""
+    return max(t_h, grid[0] * dt)
 
 
 def steer_constants(
     obstacles: Sequence[CircularObstacle], params: PlannerParams
 ) -> SteerConstants:
     """The per-run constants of safe_steer: the disks as the kernel reads
-    them, the speed, the gains, the omega box, the step grid of one horizon
-    and the node margin.
+    them, the speed, the gains, the omega box, the step grid of one horizon,
+    the node margin and each disk's reach.
 
     The margin is the worst-case barrier drop of a straight chord between
     consecutive nodes: the relative robot-obstacle displacement over one
     step is at most (v + v_obs) * dt, and the chord midpoint loses at most
-    (L/2)^2 in squared distance."""
+    (L/2)^2 in squared distance.
+
+    A disk's reach is (sqrt(r^2 + margin) + (v + |v_disk|) * T, v + |v_disk|)
+    with T = _reach_time(t_h, dt, grid). An RK4 step of length s moves the
+    robot by s * v / 6 * |u1 + 4 u2 + u4| <= v * s, the u being unit heading
+    vectors, so an edge moves it at most v * T; the disk's centre moves
+    |v_disk| * (t_k - t0) <= |v_disk| * T. An edge that starts farther than
+    the reach radius (plus rounding slack) from the disk's centre therefore
+    clears the disk by more than the margin at every node."""
     v = params.v_const
     v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
     lo, hi = params.omega_bounds
+    grid = step_grid(params.t_h, params.dt)
+    margin = 0.25 * ((v + v_obs) * params.dt) ** 2
+    duration = _reach_time(params.t_h, params.dt, grid)
+    reach = []
+    for ob in obstacles:
+        speed = v + math.hypot(*ob.velocity)
+        reach.append((math.sqrt(ob.radius * ob.radius + margin) + speed * duration, speed))
     return SteerConstants(
         disks=tuple(disk_tuple(ob) for ob in obstacles),
         v=v,
@@ -197,8 +227,9 @@ def steer_constants(
         hi=hi,
         t_h=params.t_h,
         dt=params.dt,
-        grid=step_grid(params.t_h, params.dt),
-        margin=0.25 * ((v + v_obs) * params.dt) ** 2,
+        grid=grid,
+        margin=margin,
+        reach=tuple(reach),
     )
 
 
@@ -225,9 +256,11 @@ def safe_steer(
     satisfiable. The edge is therefore accepted only if every node clears
     every disk by constants.margin, large enough that linear interpolation
     between nodes cannot dip below -1e-6; otherwise the expansion fails like
-    any other infeasible steering attempt.
+    any other infeasible steering attempt. That check scans the nodes only
+    for the disks within reach of the edge's start (see
+    _edge_clears_obstacles); it returns what the full scan returns.
     """
-    disks, v, k1, k2, lo, hi, t_h, dt, grid, margin = constants
+    disks, v, k1, k2, lo, hi, t_h, dt, grid, margin, reach = constants
 
     def controller(x1: float, x2: float, cos_t: float, sin_t: float,
                    t: float) -> Optional[float]:
@@ -239,20 +272,48 @@ def safe_steer(
     trajectory = integrate_closed_loop(x1, x2, theta, t, t_h, dt, grid, v, controller)
     if trajectory is None:
         return None
-    if not _edge_clears_obstacles(trajectory, disks, margin):
+    if not _edge_clears_obstacles(trajectory, disks, reach, margin):
         return None
     return trajectory
 
 
 def _edge_clears_obstacles(
-    trajectory: Trajectory, disks: Sequence[Disk], margin: float
+    trajectory: Trajectory,
+    disks: Sequence[Disk],
+    reach: Sequence[tuple[float, float]],
+    margin: float,
 ) -> bool:
     """Require h >= margin at every node of the trajectory for every disk.
 
-    h is barrier_value's arithmetic, in its order, on the disk tuples."""
+    h is barrier_value's arithmetic, in its order, on the disk tuples. The
+    nodes are scanned only for the disks within reach: a disk whose offset
+    at the first node (t0, x1, x2), computed as the scan computes it, is
+    longer than its reach radius plus a rounding slack clears every node by
+    more than the margin (steer_constants gives the argument), so the scan
+    could not fail on it. The slack, REACH_SLACK * n_nodes * (1 + |x1| +
+    |x2| + |c1(t0)| + |c2(t0)| + reach + (v + |v_disk|) * |t0|), grows with
+    every magnitude whose rounding moves a node, a centre or h, and with the
+    number of steps that accumulate it; a NaN anywhere keeps the disk in
+    the scan."""
     data = trajectory.data
+    t0, x1, x2 = data[0], data[1], data[2]
+    tol = REACH_SLACK * (len(data) // 6)
+    scale = 1.0 + abs(x1) + abs(x2)
+    at0 = abs(t0)
+    near = []
+    for disk, (radius, speed) in zip(disks, reach):
+        cx, cy, vx, vy, _ = disk
+        c1 = cx + vx * t0
+        c2 = cy + vy * t0
+        d1 = x1 - c1
+        d2 = x2 - c2
+        bound = radius + tol * (scale + abs(c1) + abs(c2) + radius + speed * at0)
+        if not d1 * d1 + d2 * d2 > bound * bound:
+            near.append(disk)
+    if not near:
+        return True
     for t, x1, x2 in zip(data[0::6], data[1::6], data[2::6]):
-        for cx, cy, vx, vy, r2 in disks:
+        for cx, cy, vx, vy, r2 in near:
             d1 = x1 - (cx + vx * t)
             d2 = x2 - (cy + vy * t)
             if d1 * d1 + d2 * d2 - r2 < margin:
@@ -282,6 +343,23 @@ def goal_check(
         if d1 * d1 + d2 * d2 <= eps2:
             return True
     return False
+
+
+def _goal_in_reach(
+    trajectory: Trajectory, goal: tuple[float, float], reach: float
+) -> bool:
+    """False only when goal_check(trajectory, goal, epsilon) cannot hold,
+    reach being epsilon + v * _reach_time(t_h, dt, grid): no node lies more
+    than v * _reach_time from the first, so an edge that starts farther than
+    reach, plus a rounding slack that grows with the coordinates and the
+    node count, from the goal ends no node within epsilon of it."""
+    data = trajectory.data
+    x1, x2 = data[1], data[2]
+    d1 = x1 - goal[0]
+    d2 = x2 - goal[1]
+    scale = 1.0 + abs(x1) + abs(x2) + abs(goal[0]) + abs(goal[1]) + reach
+    bound = reach + REACH_SLACK * (len(data) // 6) * scale
+    return not d1 * d1 + d2 * d2 > bound * bound
 
 
 def root_path(parents: Sequence[Optional[int]], vid: int) -> list[int]:
@@ -327,6 +405,8 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
         return PlanResult(True, tree, extract_path(tree, 0), 0)
 
     constants = steer_constants(scenario.obstacles, params)
+    goal_reach = params.epsilon + constants.v * _reach_time(
+        constants.t_h, constants.dt, constants.grid)
     sd = math.sqrt(params.sigma2)
 
     for iteration in range(1, params.max_iters + 1):
@@ -337,6 +417,7 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
         if edge is None:
             continue
         child = tree.add_child(picked, edge)
-        if goal_check(edge, goal, params.epsilon):
+        if (_goal_in_reach(edge, goal, goal_reach)
+                and goal_check(edge, goal, params.epsilon)):
             return PlanResult(True, tree, extract_path(tree, child), iteration)
     return PlanResult(False, tree, None, params.max_iters)

@@ -271,6 +271,29 @@ def test_audit_fails_a_nan_barrier(example1_file):
     assert math.isnan(min_h)
 
 
+def test_audit_refuses_a_time_column_that_goes_back():
+    # np.interp needs increasing times: on t = 0, 2, 1 it passed this path,
+    # whose middle node sits on the disk's centre, with min_barrier 0.21
+    nodes = [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+    obstacles = (CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2),)
+
+    def path(times):
+        return trajectory_from_samples(
+            [TrajectorySample(t, RobotState(x, y, 0.0), ControlInput(1.0, 0.0))
+             for t, (x, y) in zip(times, nodes)])
+
+    with pytest.raises(ValueError, match=r"^node 2: t=1\.0 is before the previous "
+                                         r"node's t=2\.0$"):
+        audit_trajectory(path((0.0, 2.0, 1.0)), obstacles, 0.01)
+    with pytest.raises(ValueError, match=r"^node 2: "):
+        audit_trajectory(path((0.0, 2.0, 1.0)), (), 0.01)
+    ok, min_h = audit_trajectory(path((0.0, 1.0, 2.0)), obstacles, 0.01)
+    assert not ok
+    assert min_h == pytest.approx(-0.04, abs=1e-12)
+    # a repeated time does not go back
+    assert audit_trajectory(path((0.0, 1.0, 1.0)), obstacles, 0.01)[0] is False
+
+
 def test_audit_rejects_bad_dt():
     with pytest.raises(ValueError):
         audit_trajectory(trajectory_from_samples([]), (), 0.0)

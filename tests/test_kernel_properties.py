@@ -23,7 +23,15 @@ from cbfrrt.dynamics import (
     rk4_step,
     step_grid,
 )
-from cbfrrt.planner import PlannerParams, safe_steer, steer_constants
+from cbfrrt.planner import (
+    PlannerParams,
+    Scenario,
+    goal_check,
+    goal_heading,
+    plan,
+    safe_steer,
+    steer_constants,
+)
 from cbfrrt.qp import TOL_ZERO, solve_scalar_qp
 from cbfrrt.safety import EcbfGains, constraint_rows, disk_tuple
 from oracles import (
@@ -215,6 +223,10 @@ def _swerve_case():
 @given(steering_cases())
 @example(_swerve_case())
 def test_safe_steer_matches_the_state_reference(case):
+    _assert_same_edge(case)
+
+
+def _assert_same_edge(case):
     start, t, omega_ref, obstacles, params = case
     got = safe_steer(start, t, omega_ref, steer_constants(obstacles, params))
     want = safe_steer_on_state(start, t, ControlInput(params.v_const, omega_ref),
@@ -223,3 +235,135 @@ def test_safe_steer_matches_the_state_reference(case):
         assert got is None
     else:
         assert got.data.tobytes() == want.data.tobytes()
+
+
+# --------------------------------------------------------------- reach bounds
+#
+# safe_steer scans an edge's nodes only for the disks that start within
+# reach of it, and plan calls goal_check only on edges that start within
+# reach of the goal. The cases below start at about each reach radius: the
+# bound is tight for a robot driven straight at a static disk or at the goal,
+# and for a disk driven straight back at the robot, so a start a millimetre
+# inside the reach must be scanned, and a start a few ulps of the coordinates
+# beyond it is decided by the rounding slack alone.
+
+
+def _travel(t_h, dt):
+    """The summed step lengths of one horizon on the oracle's grid, the
+    farthest a unit-speed edge can go."""
+    return math.fsum(closed_loop_grid(0.0, t_h, dt)[1])
+
+
+def _off_reach(scale):
+    """An offset from a reach radius: none, up to a millimetre, or up to a few
+    ulps of coordinates and times of magnitude scale."""
+    tiny = 1e-15 * (1.0 + scale)
+    return st.one_of(st.just(0.0), _floats(-1e-3, 1e-3), _floats(-tiny, tiny))
+
+
+def _disk_at(start, t0, bearing, distance, heading, speed, radius):
+    """The disk whose centre lies distance from start along bearing at t0,
+    moving along heading at speed."""
+    velocity = (speed * math.cos(heading), speed * math.sin(heading))
+    center = (start[0] + distance * math.cos(bearing),
+              start[1] + distance * math.sin(bearing))
+    return CircularObstacle((center[0] - velocity[0] * t0, center[1] - velocity[1] * t0),
+                            velocity, radius)
+
+
+@st.composite
+def reach_cases(draw):
+    """One to three disks, each about its reach radius from the start at t0,
+    static, moving straight back at the start or moving any way; the robot
+    heads at the first. Coordinates reach 1e6 m and t0 1e4 s."""
+    t_h, dt = draw(grids(max_steps=30))
+    v = draw(_floats(0.1, 2.0))
+    # a small k2 lets the robot drive at a disk until the margin check stops it
+    k = draw(st.one_of(st.builds(EcbfGains, _floats(0.1, 10.0), st.just(1e-3)), gains))
+    params = PlannerParams(t_h=t_h, dt=dt, gains=k, v_const=v)
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    start = (draw(_floats(-scale, scale)), draw(_floats(-scale, scale)))
+    t0 = draw(st.one_of(st.just(0.0), _floats(-1e4, 1e4)))
+    n = draw(st.integers(1, 3))
+    radii = [draw(_floats(0.05, 0.5)) for _ in range(n)]
+    speeds = [draw(st.one_of(st.just(0.0), _floats(0.0, 1.0))) for _ in range(n)]
+    bearings = [draw(_floats(-math.pi, math.pi)) for _ in range(n)]
+    margin = 0.25 * ((v + max(speeds)) * dt) ** 2
+    off = _off_reach(abs(start[0]) + abs(start[1]) + abs(t0))
+    obstacles = []
+    for r, s, bearing in zip(radii, speeds, bearings):
+        heading = draw(st.one_of(st.just(bearing + math.pi), _floats(-math.pi, math.pi)))
+        distance = math.sqrt(r * r + margin) + (v + s) * _travel(t_h, dt) + draw(off)
+        obstacles.append(_disk_at(start, t0, bearing, distance, heading, s, r))
+    theta = bearings[0] + draw(st.one_of(st.just(0.0), _floats(-0.05, 0.05)))
+    omega_ref = draw(st.one_of(st.just(0.0), _floats(-1.0, 1.0)))
+    return RobotState(*start, theta), t0, omega_ref, tuple(obstacles), params
+
+
+def _head_on_case(t_h, dt, speed, offset, start=(0.0, 0.0), t0=0.0):
+    """The robot driven straight at a radius-0.2 disk that moves straight back
+    at it, the disk's centre offset from its reach radius at t0."""
+    params = PlannerParams(t_h=t_h, dt=dt, gains=EcbfGains(1.0, 1e-3), v_const=1.0)
+    margin = 0.25 * ((1.0 + speed) * dt) ** 2
+    distance = math.sqrt(0.04 + margin) + (1.0 + speed) * _travel(t_h, dt) + offset
+    ob = _disk_at(start, t0, 0.5, distance, 0.5 + math.pi, speed, 0.2)
+    return RobotState(*start, 0.5), t0, 0.0, (ob,), params
+
+
+@PROPERTY
+@given(reach_cases())
+# a millimetre inside the reach of a static and of an oncoming disk
+@example(_head_on_case(0.25, 0.02, 0.0, -1e-3))
+@example(_head_on_case(0.25, 0.02, 0.5, -1e-3, start=(1e6, -1e6), t0=1e4))
+# step_grid rounds 2 * (1 - 1e-10) steps up to 2 full ones: the edge goes
+# 1e-10 * dt farther than t_h
+@example(_head_on_case(0.5 * (1 - 1e-10), 0.25, 0.0, -2e-11))
+# beyond the reach by ulps of 1e5-1e6 m coordinates, and rejected at a node
+# by rounding alone: only the slack keeps these disks in the scan
+@example((RobotState(332371.7608042337, -548798.761388153, -2.4634405334147957),
+          7030.407620656315, 0.0,
+          (CircularObstacle((332371.0907722583, -548799.3011723863), (0.0, 0.0), 0.35),),
+          PlannerParams(t_h=0.3, dt=0.02, gains=EcbfGains(1.0, 1e-3), v_const=1.7)))
+@example((RobotState(185261.33332287337, 0.0, -2.0712570828163335), -7033.82088603836, 0.0,
+          (CircularObstacle((186947.77057288954, 3083.6248885963873),
+                            (0.23991491957475353, 0.4386807852703826), 0.35),),
+          PlannerParams(t_h=1.9000000000000001, dt=0.1, gains=EcbfGains(1.0, 1e-3),
+                        v_const=0.5)))
+def test_safe_steer_reach_bound_keeps_the_full_scan_verdict(case):
+    _assert_same_edge(case)
+
+
+@st.composite
+def goal_cases(draw):
+    """A one-iteration plan with no heading noise: its one edge heads
+    straight at a goal about the goal reach (epsilon + v * travel) away."""
+    t_h, dt = draw(grids(max_steps=30))
+    v = draw(_floats(0.1, 2.0))
+    epsilon = draw(_floats(0.01, 0.5))
+    params = PlannerParams(t_h=t_h, dt=dt, sigma2=0.0, epsilon=epsilon, v_const=v,
+                           omega_ref=draw(st.one_of(st.just(0.0), _floats(-1.0, 1.0))),
+                           max_iters=1)
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    start = (draw(_floats(-scale, scale)), draw(_floats(-scale, scale)))
+    bearing = draw(_floats(-math.pi, math.pi))
+    distance = epsilon + v * _travel(t_h, dt) + draw(_off_reach(abs(start[0]) + abs(start[1])))
+    goal = (start[0] + distance * math.cos(bearing), start[1] + distance * math.sin(bearing))
+    t0 = draw(st.one_of(st.just(0.0), _floats(-1e4, 1e4)))
+    return Scenario(RobotState(*start, 0.0), t0, goal, (), params)
+
+
+@PROPERTY
+@given(goal_cases())
+# beyond the goal reach by ulps of 1e6 m coordinates, yet its last node is in
+# the goal region by rounding alone
+@example(Scenario(RobotState(754369.7843131622, 853943.007184872, 0.0), 0.0,
+                  (754369.6320383697, 853943.1208175597), (),
+                  PlannerParams(t_h=0.14, dt=0.02, sigma2=0.0, epsilon=0.05, max_iters=1)))
+def test_goal_pre_test_never_skips_an_edge_that_reaches_the_goal(scenario):
+    # sigma2 = 0 draws the goal heading itself, so plan's one edge is this one
+    params = scenario.params
+    x1, x2, _ = scenario.x_init
+    heading = goal_heading((x1, x2), scenario.x_goal)
+    edge = safe_steer((x1, x2, heading), scenario.t_init, params.omega_ref,
+                      steer_constants((), params))
+    assert plan(scenario).success == goal_check(edge, scenario.x_goal, params.epsilon)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cbfrrt import planner
 from cbfrrt.baselines import BaselineParams
 from cbfrrt.dynamics import (
     CircularObstacle,
@@ -465,6 +466,29 @@ def test_plan_counts_are_pinned(request, scenario_name, t_h, seed, iterations, v
     assert result.success
     assert result.iterations == iterations
     assert len(result.tree) == vertices
+
+
+def test_budget_exhausted_plan_counts_are_pinned(example1_file, monkeypatch):
+    # example1 at t_h = 0.25, seed 1 never reaches the goal; 4 of its edges
+    # are integrated and then fail the node margin, the only margin rejects
+    # the reach bound of the margin check must keep
+    verdicts = []
+    clears = planner._edge_clears_obstacles
+
+    def counted(*args):
+        verdicts.append(clears(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(planner, "_edge_clears_obstacles", counted)
+    sc = example1_file.scenario
+    sc = dataclasses.replace(sc, params=dataclasses.replace(sc.params, t_h=0.25))
+    result = plan(sc, 1)
+    assert not result.success
+    assert result.controls is None
+    assert result.iterations == 10_000
+    assert len(result.tree) == 3_934
+    assert verdicts.count(True) == 3_933
+    assert verdicts.count(False) == 4
 
 
 @pytest.mark.parametrize("scenario_name, t_h", [("example1", 0.25), ("example2", None)])
