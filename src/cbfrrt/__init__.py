@@ -11,9 +11,8 @@ round out the package.
 """
 
 from .baselines import rrt_plan, rrt_star_plan
-from .dynamics import integrate_closed_loop
 from .harness import audit_trajectory, configure, load_scenario, run
-from .planner import plan, safe_steer, steer_constants
+from .planner import integrate_closed_loop, plan, safe_steer, steer_constants
 from .qp import solve_scalar_qp
 from .safety import constraint_rows, ecbf_row
 

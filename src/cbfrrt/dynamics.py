@@ -1,4 +1,4 @@
-"""Unicycle kinematics, obstacle motion, and fixed-step closed-loop integration.
+"""Unicycle kinematics, obstacle motion, the step grid and the RK4 step.
 
 State: x = [x1, x2, theta], control u = [v, omega]:
 
@@ -7,8 +7,11 @@ State: x = [x1, x2, theta], control u = [v, omega]:
     dtheta/dt = omega
 
 Obstacles are disks whose centers move at constant velocity. Integration is
-classical fixed-step RK4 under zero-order-hold control: the controller is
-queried once per node and its output held constant over the step.
+classical fixed-step RK4 under zero-order-hold control: omega is chosen once
+per node and held constant over the step; a straight step (omega = 0 from a
+nonzero heading) reuses its heading's cosine and sine and makes no trig
+call. The closed loop that chooses omega, the safety QP at each node, is
+planner.integrate_closed_loop.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 
 class RobotState(NamedTuple):
@@ -148,13 +151,28 @@ def rk4_step(
     x1: float, x2: float, th: float, cos_t: float, sin_t: float,
     v: float, w: float, step: float,
 ) -> tuple[float, float, float, float, float]:
-    """One classical 4th-order Runge-Kutta step under zero-order-hold control
-    (v, w) from (x1, x2, th), whose heading cosine and sine are (cos_t,
-    sin_t). Returns (x1, x2, th4, cos4, sin4): the new state and its heading
-    cosine and sine, which the next step and the next node's rows reuse."""
+    """One classical 4th-order Runge-Kutta step of finite length step, under
+    zero-order-hold control (v, w), from (x1, x2, th), whose heading cosine
+    and sine are (cos_t, sin_t). Returns (x1, x2, th4, cos4, sin4): the new
+    state and its heading cosine and sine, which the next step and the next
+    node's rows reuse.
+
+    A straight step (w == 0.0, th != 0.0) makes no trig call. Adding +0.0 or
+    -0.0 to th leaves th bit for bit, except +0.0 added to -0.0, which gives
+    +0.0; so for th != 0.0 every stage's heading is th itself and every
+    stage reuses (cos_t, sin_t). The sums are the general path's, in its
+    order, so both paths return the same floats."""
     # k_i evaluated inline; only theta varies across stages for this model.
     k1x = v * cos_t
     k1y = v * sin_t
+    if w == 0.0 and th != 0.0:
+        return (
+            x1 + step / 6.0 * (k1x + 4.0 * k1x + k1x),
+            x2 + step / 6.0 * (k1y + 4.0 * k1y + k1y),
+            th,
+            cos_t,
+            sin_t,
+        )
     th2 = th + 0.5 * step * w
     k2x = v * math.cos(th2)
     k2y = v * math.sin(th2)
@@ -171,47 +189,3 @@ def rk4_step(
         cos4,
         sin4,
     )
-
-
-def integrate_closed_loop(
-    x1: float,
-    x2: float,
-    theta: float,
-    t0: float,
-    horizon: float,
-    dt: float,
-    grid: tuple[int, float, int],
-    v: float,
-    controller: Callable[[float, float, float, float, float], Optional[float]],
-) -> Optional[Trajectory]:
-    """Integrate the closed loop from (x1, x2, theta) over [t0, t0 + horizon]
-    on grid = step_grid(horizon, dt), at the fixed speed v.
-
-    The controller is queried at each node with (x1, x2, cos(theta),
-    sin(theta), t) and returns omega, or None (e.g. an infeasible safety
-    QP); on None the whole trajectory is discarded and None is returned.
-    Each heading's cosine and sine are computed once: rk4_step hands the
-    new node's pair to the next query and the next step.
-
-    Returns:
-        Trajectory with len = n_steps + 1 nodes, the last at t0 + horizon
-        exactly and repeating the last omega, or None if the controller
-        failed at any node.
-    """
-    n_full, tail, n_steps = grid
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    last = n_steps - 1
-    rows: list[float] = []
-    t = t0
-    for k in range(n_steps):
-        omega = controller(x1, x2, cos_t, sin_t, t)
-        if omega is None:
-            return None
-        rows += (t, x1, x2, theta, v, omega)
-        x1, x2, theta, cos_t, sin_t = rk4_step(
-            x1, x2, theta, cos_t, sin_t, v, omega, dt if k < n_full else tail)
-        # Reassign instead of accumulating so the final node is exact.
-        t = t0 + horizon if k == last else t0 + (k + 1) * dt
-    rows += (t0 + horizon, x1, x2, theta, v, omega)
-    return Trajectory(array("d", rows))

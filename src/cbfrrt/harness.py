@@ -505,11 +505,12 @@ def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> str:
     only what the closed-loop integration leaves open: theta0, the resampled
     start heading; inner_x1 and inner_x2, of the n - 2 inner nodes; omega,
     the n - 1 applied controls. The rest of an edge follows bit for bit (see
-    integrate_closed_loop and rk4_step): its first (t, x1, x2) is the parent
-    vertex and its last node the child vertex; inner node k sits at
-    t0 + k*dt; every v is v_const; theta[k+1] is theta[k] + step*omega[k],
-    the step being dt or the shorter tail; and the last node repeats the
-    last omega.
+    planner.integrate_closed_loop and dynamics.rk4_step): its first (t, x1,
+    x2) is the parent vertex and its last node the child vertex; inner node
+    k sits at t0 + k*dt; every v is v_const; theta[k+1] is theta[k] +
+    step*omega[k], the step being dt or the shorter tail (a straight step
+    keeps theta[k], which is that sum bit for bit); and the last node
+    repeats the last omega.
     """
     if isinstance(tree, PlanTree):
         # Every node of every edge as one (t, x1, x2, theta, v, omega) row.

@@ -28,14 +28,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    CircularObstacle,
-    RobotState,
-    Trajectory,
-    check_finite,
-    integrate_closed_loop,
-    step_grid,
-)
+from . import dynamics
+from .dynamics import CircularObstacle, RobotState, Trajectory, check_finite, step_grid
 from .qp import solve_scalar_qp
 from .safety import Disk, EcbfGains, barrier_value, constraint_rows, disk_tuple
 
@@ -233,6 +227,43 @@ def steer_constants(
     )
 
 
+def integrate_closed_loop(
+    state: tuple[float, float, float],
+    t0: float,
+    omega_ref: float,
+    constants: SteerConstants,
+) -> Optional[Trajectory]:
+    """The closed loop of one edge: RK4 from state (x1, x2, theta) at time t0
+    over constants.t_h on constants.grid, at the speed constants.v, with
+    omega at each node the scalar QP's projection of omega_ref onto the
+    node's ECBF rows and the omega box.
+
+    Each heading's cosine and sine are computed once: dynamics.rk4_step hands
+    the new node's pair to the next node's rows and step. Returns the
+    Trajectory of n_steps + 1 nodes, the last at t0 + t_h exactly and
+    repeating the last omega, or None as soon as a QP is infeasible."""
+    disks, v, k1, k2, lo, hi, t_h, dt, grid, _, _ = constants
+    n_full, tail, n_steps = grid
+    x1, x2, theta = state
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    last = n_steps - 1
+    rows: list[float] = []
+    t = t0
+    for k in range(n_steps):
+        omega = solve_scalar_qp(
+            omega_ref, lo, hi, constraint_rows(x1, x2, cos_t, sin_t, v, disks, t, k1, k2))
+        if omega is None:
+            return None
+        rows += (t, x1, x2, theta, v, omega)
+        x1, x2, theta, cos_t, sin_t = dynamics.rk4_step(
+            x1, x2, theta, cos_t, sin_t, v, omega, dt if k < n_full else tail)
+        # Reassign instead of accumulating so the final node is exact.
+        t = t0 + t_h if k == last else t0 + (k + 1) * dt
+    rows += (t0 + t_h, x1, x2, theta, v, omega)
+    return Trajectory(array("d", rows))
+
+
 def safe_steer(
     state: tuple[float, float, float],
     t: float,
@@ -243,10 +274,11 @@ def safe_steer(
     per-node safety QP; the edge's last node is the new vertex.
 
     constants = steer_constants(obstacles, params) holds everything fixed
-    for the run. At every integration node the barrier rows are rebuilt for
-    the current state and time and the scalar QP projects omega_ref onto the
-    feasible set; v is held at constants.v throughout. Fails (None) as soon
-    as any QP is infeasible — no partial edge is ever returned.
+    for the run. integrate_closed_loop rebuilds the barrier rows at every
+    integration node for the current state and time, and the scalar QP
+    projects omega_ref onto the feasible set; v is held at constants.v
+    throughout. Fails (None) as soon as any QP is infeasible — no partial
+    edge is ever returned.
 
     A feasible QP at every node is necessary but not sufficient for the edge
     to stay clear of the disks: the resampled heading can start an edge
@@ -260,19 +292,9 @@ def safe_steer(
     for the disks within reach of the edge's start (see
     _edge_clears_obstacles); it returns what the full scan returns.
     """
-    disks, v, k1, k2, lo, hi, t_h, dt, grid, margin, reach = constants
-
-    def controller(x1: float, x2: float, cos_t: float, sin_t: float,
-                   t: float) -> Optional[float]:
-        return solve_scalar_qp(
-            omega_ref, lo, hi, constraint_rows(x1, x2, cos_t, sin_t, v, disks, t, k1, k2)
-        )
-
-    x1, x2, theta = state
-    trajectory = integrate_closed_loop(x1, x2, theta, t, t_h, dt, grid, v, controller)
-    if trajectory is None:
-        return None
-    if not _edge_clears_obstacles(trajectory, disks, reach, margin):
+    trajectory = integrate_closed_loop(state, t, omega_ref, constants)
+    if trajectory is None or not _edge_clears_obstacles(
+            trajectory, constants.disks, constants.reach, constants.margin):
         return None
     return trajectory
 

@@ -158,12 +158,15 @@ def solve_scalar_qp_reference(problem: ScalarQpProblem) -> Optional[QpSolution]:
 # -- the steering kernel on state objects ----------------------------------
 #
 # The same kernel as safety.constraint_rows, qp.solve_scalar_qp,
-# dynamics.rk4_step / integrate_closed_loop and planner.safe_steer, written on
-# RobotState / CircularObstacle / EcbfGains objects, with every per-run
-# constant (squared radii, gains, bounds, step grid, node margin) and every
-# heading's cosine and sine recomputed where it is used. ecbf_row_reference
-# is the reference of safety.ecbf_row. The package's float-and-tuple kernel
-# must return exactly these floats.
+# dynamics.rk4_step, planner.integrate_closed_loop and planner.safe_steer,
+# written on RobotState / CircularObstacle / EcbfGains objects, with every
+# per-run constant (squared radii, gains, bounds, step grid, node margin) and
+# every heading's cosine and sine recomputed where it is used, a straight
+# step's included (rk4_step reuses its heading's cosine and sine when omega
+# is 0.0). The QP at each node is qp_controller, a state-feedback controller
+# of integrate_closed_loop_on_state. ecbf_row_reference is the reference of
+# safety.ecbf_row. The package's float-and-tuple kernel must return exactly
+# these floats.
 
 
 def constraint_rows_on_state(
@@ -233,6 +236,25 @@ def integrate_closed_loop_on_state(
     return Trajectory(array("d", rows))
 
 
+def qp_controller(
+    v: float,
+    omega_ref: float,
+    obstacles: Sequence[CircularObstacle],
+    params: PlannerParams,
+) -> Callable[[RobotState, float], Optional[tuple[float, float]]]:
+    """The per-node safety QP as a controller for
+    integrate_closed_loop_on_state: (v, omega), omega the projection of
+    omega_ref onto the rows at (state, t) and params.omega_bounds, or None
+    when the QP is infeasible."""
+
+    def controller(state, t):
+        rows = constraint_rows_on_state(state, v, obstacles, t, params.gains)
+        omega = solve_scalar_qp_on_bounds(omega_ref, params.omega_bounds, rows)
+        return None if omega is None else (v, omega)
+
+    return controller
+
+
 def safe_steer_on_state(
     state: RobotState,
     t: float,
@@ -243,13 +265,8 @@ def safe_steer_on_state(
     """One filtered edge from the state objects: the QP at every node, then
     h >= margin at every node, with margin = 0.25 * ((v + v_obs) * dt)^2."""
     v, omega_ref = u_ref
-
-    def controller(state, t):
-        rows = constraint_rows_on_state(state, v, obstacles, t, params.gains)
-        omega = solve_scalar_qp_on_bounds(omega_ref, params.omega_bounds, rows)
-        return None if omega is None else (v, omega)
-
-    edge = integrate_closed_loop_on_state(state, t, params.t_h, params.dt, controller)
+    edge = integrate_closed_loop_on_state(state, t, params.t_h, params.dt,
+                                          qp_controller(v, omega_ref, obstacles, params))
     if edge is None:
         return None
     v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
@@ -477,7 +494,7 @@ def expand_tree_json(text: str) -> str:
     """The full document (full_tree_json_reference's bytes) rebuilt from a
     schema-3 tree.json. A baseline document needs only its columns unpacked.
     A cbf-rrt edge's dropped floats are recomputed by the rules of
-    dynamics.integrate_closed_loop and rk4_step: the first node's (t, x1, x2)
+    planner.integrate_closed_loop and rk4_step: the first node's (t, x1, x2)
     is the parent vertex, the last node the child vertex; inner node k's t
     is t0 + k*dt and its theta theta[k-1] + dt*omega[k-1]; every v is
     v_const; the last node repeats the last omega."""
@@ -525,7 +542,7 @@ def expand_tree_json(text: str) -> str:
 
 
 def closed_loop_grid(t0: float, horizon: float, dt: float):
-    """Node times and step lengths of dynamics.integrate_closed_loop over
+    """Node times and step lengths of planner.integrate_closed_loop over
     [t0, t0 + horizon]: uniform dt steps, then a shorter tail step when dt
     does not divide the horizon, the last node landing on t0 + horizon."""
     n_full = math.floor(horizon / dt + 1e-9)

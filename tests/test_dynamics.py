@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from cbfrrt import dynamics
 from cbfrrt.dynamics import (
     CircularObstacle,
     ControlInput,
     RobotState,
     TrajectorySample,
-    integrate_closed_loop,
     obstacle_center_at,
     rk4_step,
     step_grid,
 )
-from cbfrrt.planner import PlannerParams, goal_check
+from cbfrrt.planner import PlannerParams, goal_check, integrate_closed_loop, steer_constants
+from cbfrrt.qp import solve_scalar_qp
+from cbfrrt.safety import constraint_rows
 from oracles import trajectory_from_samples, unicycle_vector_field
 
 
@@ -24,10 +26,18 @@ def step(state, control, dt):
                                 *control, dt)[:3])
 
 
-def integrate(initial, t0, horizon, dt, v, omega_at):
-    """integrate_closed_loop at speed v, asking omega_at(t) at each node."""
-    return integrate_closed_loop(*initial, t0, horizon, dt, step_grid(horizon, dt), v,
-                                 lambda x1, x2, cos_t, sin_t, t: omega_at(t))
+def integrate(initial, t0, horizon, dt, omega_ref, obstacles=()):
+    """planner.integrate_closed_loop at speed 1 from initial at t0 over the
+    horizon, steering toward omega_ref under the QP of the obstacles' rows;
+    with no obstacles omega is omega_ref at every node."""
+    params = PlannerParams(t_h=horizon, dt=dt)
+    return integrate_closed_loop(initial, t0, omega_ref, steer_constants(obstacles, params))
+
+
+# A disk that moves down the robot's left while the robot steers toward
+# omega_ref = 3.0 from the origin at t0 = 1.0: the disk's row binds at every
+# node of a 0.4 s horizon (dt 0.1), so each node applies its own omega.
+MOVING = (CircularObstacle((1.3, 0.5), (-0.5, 0.0), 0.2),)
 
 
 def arc_endpoint(state, v, omega, dt):
@@ -86,6 +96,16 @@ def test_rk4_small_arc_matches_closed_form():
     assert s.theta == pytest.approx(0.1, abs=1e-15)
 
 
+def test_rk4_straight_step_reuses_the_heading_trig(monkeypatch):
+    # omega == 0.0 from a nonzero heading: no stage turns, so no trig call is
+    # made and the given cosine and sine are handed on as they are
+    cos_t, sin_t = math.cos(0.7), math.sin(0.7)
+    want = rk4_step(0.1, -0.2, 0.7, cos_t, sin_t, 1.5, 0.0, 0.02)
+    monkeypatch.setattr(dynamics, "math", None)
+    assert rk4_step(0.1, -0.2, 0.7, cos_t, sin_t, 1.5, 0.0, 0.02) == want
+    assert want[2:] == (0.7, cos_t, sin_t)
+
+
 def test_rk4_derivative_consistent_with_vector_field():
     # central difference of the step map at dt -> 0 recovers the RHS
     s = RobotState(0.2, -0.4, 0.9)
@@ -100,7 +120,7 @@ def test_rk4_derivative_consistent_with_vector_field():
 
 
 def test_integrate_straight_line():
-    traj = integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.1, 1.0, lambda t: 0.0)
+    traj = integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.1, 0.0)
     assert len(traj) == 6
     final = traj.samples[-1].state
     assert final.x1 == pytest.approx(0.5, abs=1e-12)
@@ -109,54 +129,67 @@ def test_integrate_straight_line():
 
 
 def test_integrate_controller_failure_discards_everything():
-    assert integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.1, 1.0, lambda t: None) is None
+    # head-on at a disk the row's a is exactly 0, so the QP fails outright
+    # wherever b < 0: for a radius-0.2 disk, at centre distances 0.2565-3.74
+    start = RobotState(0.0, 0.0, 0.0)
+    near = (CircularObstacle((0.3, 0.0), (0.0, 0.0), 0.2),)
+    assert integrate(start, 0.0, 0.5, 0.1, 0.0, near) is None  # node 0 fails
 
-    def fail_late(t):
-        return None if t > 0.25 else 0.0
-
-    assert integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.1, 1.0, fail_late) is None
+    # from 4.0 m away, the nodes at 4.0, 3.9 and 3.8 m are feasible and the
+    # one at 3.7 m is not
+    far = (CircularObstacle((4.0, 0.0), (0.0, 0.0), 0.2),)
+    assert len(integrate(start, 0.0, 0.3, 0.1, 0.0, far)) == 4
+    assert integrate(start, 0.0, 0.5, 0.1, 0.0, far) is None
 
 
 def test_integrate_remainder_step():
     # horizon 0.5 with dt 0.2 forces steps 0.2, 0.2, 0.1
-    traj = integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.2, 1.0, lambda t: 0.0)
-    times = [s.t for s in traj.samples]
+    traj = integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.2, 0.0)
+    times = list(traj.data[0::6])
     assert times == pytest.approx([0.0, 0.2, 0.4, 0.5], abs=1e-12)
     assert traj.t_end == 0.5  # exact, not accumulated
 
 
 def test_integrate_final_timestamp_exact_with_offset_start():
-    traj = integrate(RobotState(0.0, 0.0, 0.0), 0.3, 0.7, 0.02, 1.0, lambda t: 0.0)
+    traj = integrate(RobotState(0.0, 0.0, 0.0), 0.3, 0.7, 0.02, 0.0)
     assert traj.t_end - traj.t0 == pytest.approx(0.7, abs=1e-12)
     assert traj.t_end == 1.0
 
 
 def test_terminal_sample_repeats_last_control():
-    def swerve(t):
-        return 1.0 if t < 0.3 else -2.0
-
-    traj = integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.1, 1.0, swerve)
+    traj = integrate(RobotState(0.0, 0.0, 0.0), 1.0, 0.4, 0.1, 3.0, MOVING)
+    omegas = list(traj.data[5::6])
+    assert len(set(omegas[:-1])) == 4  # every step applies its own omega
     assert traj.samples[-1].control == traj.samples[-2].control
-    assert traj.samples[-1].control.omega == -2.0
+    assert omegas[-1] == omegas[-2] != omegas[0]
 
 
 def test_controller_sees_correct_times():
-    seen = []
-
-    def record(t):
-        seen.append(t)
-        return 0.0
-
-    integrate(RobotState(0.0, 0.0, 0.0), 1.0, 0.4, 0.1, 1.0, record)
-    assert seen == pytest.approx([1.0, 1.1, 1.2, 1.3], abs=1e-12)
+    # each applied omega is the QP at its own node's state and time, which
+    # the moving disk's row depends on
+    traj = integrate(RobotState(0.0, 0.0, 0.0), 1.0, 0.4, 0.1, 3.0, MOVING)
+    assert list(traj.data[0::6]) == pytest.approx([1.0, 1.1, 1.2, 1.3, 1.4], abs=1e-12)
+    k = steer_constants(MOVING, PlannerParams(t_h=0.4, dt=0.1))
+    d = traj.data
+    for t, x1, x2, theta, omega in zip(d[0:-6:6], d[1::6], d[2::6], d[3::6], d[5::6]):
+        rows = constraint_rows(x1, x2, math.cos(theta), math.sin(theta), k.v, k.disks,
+                               t, k.k1, k.k2)
+        assert solve_scalar_qp(3.0, k.lo, k.hi, rows) == omega
+        late = constraint_rows(x1, x2, math.cos(theta), math.sin(theta), k.v, k.disks,
+                               t + 0.1, k.k1, k.k2)
+        assert solve_scalar_qp(3.0, k.lo, k.hi, late) != omega
 
 
 def test_integrate_rejects_bad_steps():
-    ctrl = lambda t: 0.0
+    # the integration grid refuses them, as do the params that set it
+    with pytest.raises(ValueError, match="horizon must be > 0"):
+        step_grid(0.0, 0.1)
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        step_grid(0.5, -0.1)
     with pytest.raises(ValueError):
-        integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.0, 0.1, 1.0, ctrl)
+        integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.0, 0.1, 0.0)
     with pytest.raises(ValueError):
-        integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, -0.1, 1.0, ctrl)
+        integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, -0.1, 0.0)
 
 
 @pytest.mark.parametrize("dt", [0.02, 0.1, 0.25, 1.0])
@@ -168,7 +201,7 @@ def test_a_horizon_of_one_step_integrates_one_step(dt, ratio):
     PlannerParams(t_h=t_h, dt=dt)
     n_full, tail, n_steps = step_grid(t_h, dt)
     assert (n_full, n_steps) == (1, 1)
-    traj = integrate(RobotState(0.1, -0.2, 0.3), 0.7, t_h, dt, 1.0, lambda t: 2.0)
+    traj = integrate(RobotState(0.1, -0.2, 0.3), 0.7, t_h, dt, 2.0)
     assert len(traj) == 2
     assert traj.t0 == 0.7
     assert traj.t_end == 0.7 + t_h
@@ -180,7 +213,7 @@ def test_step_grid_rejects_a_step_longer_than_the_horizon():
 
 
 def test_trajectory_metrics():
-    traj = integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.1, 1.0, lambda t: 0.0)
+    traj = integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, 0.1, 0.0)
     assert traj.path_length() == pytest.approx(0.5, abs=1e-12)
     # the goal check is over the sampled nodes: (0.3, 0) is one of them
     assert goal_check(traj, (0.3, 0.1), 0.1 + 1e-9)
@@ -205,8 +238,7 @@ def test_trajectory_buffer_is_rows_in_csv_column_order():
 
 
 def test_samples_view_round_trips_the_buffer():
-    traj = integrate(RobotState(0.1, -0.2, 0.3), 0.4, 0.5, 0.07, 1.0,
-                     lambda t: math.sin(7.0 * t))
+    traj = integrate(RobotState(0.1, -0.2, 0.3), 0.4, 0.5, 0.07, 1.5)
     samples = traj.samples
     assert len(samples) == len(traj) == 9  # 7 full steps, a 0.01 s tail, the end
     assert all(isinstance(s.state, RobotState) and isinstance(s.control, ControlInput)
@@ -217,7 +249,7 @@ def test_samples_view_round_trips_the_buffer():
 
 
 def test_trajectory_metrics_match_the_samples_view():
-    traj = integrate(RobotState(0.0, 0.0, 0.5), 1.0, 1.3, 0.1, 1.0, lambda t: 2.5 - t)
+    traj = integrate(RobotState(0.0, 0.0, 0.5), 1.0, 1.3, 0.1, 1.2)
     samples = traj.samples
     length = 0.0
     for a, b in zip(samples, samples[1:]):
@@ -230,7 +262,7 @@ def test_trajectory_metrics_match_the_samples_view():
 def test_integration_follows_exact_arc_over_many_steps():
     # accumulated closed-loop error over a full horizon stays tiny
     v, omega = 1.0, 2.5
-    traj = integrate(RobotState(0.0, 0.0, 0.5), 0.0, 1.0, 0.02, v, lambda t: omega)
+    traj = integrate(RobotState(0.0, 0.0, 0.5), 0.0, 1.0, 0.02, omega)
     exact = arc_endpoint(RobotState(0.0, 0.0, 0.5), v, omega, 1.0)
     final = traj.samples[-1].state
     assert final.x1 == pytest.approx(exact.x1, abs=1e-7)

@@ -1,7 +1,7 @@
 """Property tests: the per-node steering kernel against its reference oracles.
 
-The kernel (safety.constraint_rows, qp.solve_scalar_qp, dynamics.rk4_step and
-integrate_closed_loop, planner.safe_steer) works on unpacked floats, takes its
+The kernel (safety.constraint_rows, qp.solve_scalar_qp, dynamics.rk4_step,
+planner.integrate_closed_loop and safe_steer) works on unpacked floats, takes its
 per-run constants from planner.steer_constants, and computes each heading's
 cosine and sine once, so that one integration node allocates almost nothing.
 The planner's artifacts are byte-reproducible, so the kernel must return
@@ -19,7 +19,6 @@ from cbfrrt.dynamics import (
     CircularObstacle,
     ControlInput,
     RobotState,
-    integrate_closed_loop,
     rk4_step,
     step_grid,
 )
@@ -28,6 +27,7 @@ from cbfrrt.planner import (
     Scenario,
     goal_check,
     goal_heading,
+    integrate_closed_loop,
     plan,
     safe_steer,
     steer_constants,
@@ -40,6 +40,7 @@ from oracles import (
     closed_loop_grid,
     constraint_rows_on_state,
     integrate_closed_loop_on_state,
+    qp_controller,
     rk4_step_on_state,
     safe_steer_on_state,
     solve_scalar_qp_on_bounds,
@@ -116,12 +117,23 @@ def test_solve_scalar_qp_matches_interval_clamp_oracle(problem):
     _identical(got, solve_scalar_qp_on_bounds(*problem))
 
 
-# step lengths from a zero step to a long tail, and both turn directions
-controls = st.tuples(_floats(-2.0, 2.0), _floats(-10.0, 10.0), _floats(0.0, 0.5))
+# step lengths from a zero step to a long tail, of both signs, and both turn
+# directions; omega is often +0.0 or -0.0, the straight steps that reuse the
+# heading's trig
+controls = st.tuples(_floats(-2.0, 2.0),
+                     st.one_of(st.sampled_from([0.0, -0.0]), _floats(-10.0, 10.0)),
+                     _floats(-0.5, 0.5))
 
 
 @PROPERTY
 @given(states, st.lists(controls, min_size=1, max_size=6))
+# from a -0.0 heading a zero omega can turn the heading to +0.0: -0.0 + 0.0 is
+# +0.0, so a straight step that kept th would keep the wrong zero
+@example(RobotState(0.5, -1.0, -0.0), [(1.0, 0.0, 0.02)])
+@example(RobotState(0.5, -1.0, -0.0), [(1.0, -0.0, 0.02)])
+@example(RobotState(0.5, -1.0, -0.0), [(1.0, 0.0, -0.02)])
+@example(RobotState(0.5, -1.0, -0.0), [(1.0, -0.0, -0.02)])
+@example(RobotState(0.5, -1.0, 0.0), [(1.0, -0.0, 0.02), (1.0, 0.0, -0.02)])
 def test_rk4_step_carries_the_heading_trig_to_the_next_node(state, steps):
     # each step's (cos4, sin4) is the next step's (cos_t, sin_t), as it is
     # the next node's in integrate_closed_loop; the state-object oracle takes
@@ -165,41 +177,9 @@ def test_hoisted_grid_is_the_per_call_grid(grid):
     _identical([dt if k < n_full else tail for k in range(n_steps)], steps)
 
 
-def _omega_at(x1, x2, t, fail_at):
-    """A controller's omega from quantities both kernels see as the same
-    floats; None (a failed QP) from time fail_at on."""
-    if t >= fail_at:
-        return None
-    return math.sin(3.0 * x1 - x2) + 2.0 * math.cos(5.0 * t)
-
-
-@PROPERTY
-@given(states, _floats(0.0, 30.0), grids(), _floats(-2.0, 2.0),
-       st.one_of(st.just(math.inf), _floats(0.0, 1.0)))
-def test_integrate_closed_loop_matches_the_state_reference(state, t0, grid, v, fail_after):
-    # fail_after: the share of the horizon after which the controller fails
-    t_h, dt = grid
-    fail_at = t0 + fail_after * t_h
-
-    def omega_only(x1, x2, cos_t, sin_t, t):
-        return _omega_at(x1, x2, t, fail_at)
-
-    def on_state(s, t):
-        omega = _omega_at(s.x1, s.x2, t, fail_at)
-        return None if omega is None else (v, omega)
-
-    got = integrate_closed_loop(*state, t0, t_h, dt, step_grid(t_h, dt), v, omega_only)
-    want = integrate_closed_loop_on_state(state, t0, t_h, dt, on_state)
-    if want is None:
-        assert got is None
-    else:
-        assert got.data.tobytes() == want.data.tobytes()
-        assert got.t_end == t0 + t_h
-
-
 @st.composite
-def steering_cases(draw):
-    t_h, dt = draw(grids(max_steps=50))
+def steering_cases(draw, max_steps=50):
+    t_h, dt = draw(grids(max_steps))
     params = PlannerParams(
         t_h=t_h, dt=dt, gains=draw(gains), v_const=draw(_floats(0.1, 2.0)),
         omega_bounds=draw(st.sampled_from([(-10.0, 10.0), (-4.25, 4.25), (-1.0, 0.5)])))
@@ -209,7 +189,8 @@ def steering_cases(draw):
     obstacles = tuple(draw(st.lists(near, max_size=3)))
     start = RobotState(draw(_floats(-2.0, 2.0)), draw(_floats(-2.0, 2.0)),
                        draw(_floats(-4.0, 4.0)))
-    return start, draw(_floats(0.0, 10.0)), draw(_floats(-2.0, 2.0)), obstacles, params
+    omega_ref = draw(st.one_of(st.just(0.0), _floats(-2.0, 2.0)))
+    return start, draw(_floats(0.0, 10.0)), omega_ref, obstacles, params
 
 
 def _swerve_case():
@@ -217,6 +198,32 @@ def _swerve_case():
     # along which the QP is active
     ob = CircularObstacle((0.5, 0.15), (0.0, 0.0), 0.2)
     return RobotState(0.0, 0.0, 0.0), 0.0, 0.0, (ob,), PlannerParams()
+
+
+def _late_failure_case():
+    # head-on at a disk 4 m ahead: the QP holds omega at 0.0 until the node at
+    # 3.7 m, where the row (a = 0, b < 0) fails it
+    ob = CircularObstacle((4.0, 0.0), (0.0, 0.0), 0.2)
+    return RobotState(0.0, 0.0, 0.0), 0.0, 0.0, (ob,), PlannerParams(t_h=0.5, dt=0.1)
+
+
+@PROPERTY
+@given(steering_cases(max_steps=400))
+@example(_swerve_case())
+@example(_late_failure_case())
+@example((RobotState(0.3, -0.2, 1.1), 2.0, 0.0, (), PlannerParams(t_h=0.5, dt=0.07)))
+def test_integrate_closed_loop_matches_the_state_reference(case):
+    # the QP at every node, as the oracle's state-feedback controller: the
+    # same floats, and None together
+    start, t0, omega_ref, obstacles, params = case
+    got = integrate_closed_loop(start, t0, omega_ref, steer_constants(obstacles, params))
+    want = integrate_closed_loop_on_state(
+        start, t0, params.t_h, params.dt,
+        qp_controller(params.v_const, omega_ref, obstacles, params))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.t_end == t0 + params.t_h
 
 
 @PROPERTY

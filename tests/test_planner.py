@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 
 from cbfrrt import planner
 from cbfrrt.baselines import BaselineParams
-from cbfrrt.dynamics import (
-    CircularObstacle,
-    RobotState,
-    integrate_closed_loop,
-)
+from cbfrrt.dynamics import CircularObstacle, RobotState
 from cbfrrt.planner import (
     PlannerParams,
     PlanTree,
@@ -23,14 +19,14 @@ from cbfrrt.planner import (
     goal_check,
     goal_heading,
     heading_sample,
+    integrate_closed_loop,
     plan,
     root_path,
     safe_steer,
     steer_constants,
     vertices_sample,
 )
-from cbfrrt.qp import solve_scalar_qp
-from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows
+from cbfrrt.safety import EcbfGains, barrier_value
 from oracles import extract_path_reference, integration_rule_violations
 
 
@@ -223,14 +219,7 @@ def test_safe_steer_rejects_feasible_but_penetrating_edge():
     x0 = RobotState(0.0, 0.0, 0.0)
 
     constants = steer_constants((ob,), params)
-
-    def raw_controller(x1, x2, cos_t, sin_t, t):
-        rows = constraint_rows(x1, x2, cos_t, sin_t, 1.0, constants.disks, t,
-                               constants.k1, constants.k2)
-        return solve_scalar_qp(0.0, *params.omega_bounds, rows)
-
-    raw = integrate_closed_loop(*x0, 0.0, params.t_h, params.dt, constants.grid, 1.0,
-                                raw_controller)
+    raw = integrate_closed_loop(x0, 0.0, 0.0, constants)
     assert raw is not None  # every QP was feasible...
     assert min(barrier_value(s.state, ob, s.t) for s in raw.samples) < 0.0  # ...yet it collides
     assert safe_steer(x0, 0.0, 0.0, constants) is None

@@ -1,17 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cbfrrt.dynamics import (
-    CircularObstacle,
-    ControlInput,
-    RobotState,
-    integrate_closed_loop,
-    rk4_step,
-    step_grid,
-)
-from cbfrrt.qp import solve_scalar_qp
+from cbfrrt.dynamics import CircularObstacle, ControlInput, RobotState, rk4_step
+from cbfrrt.planner import integrate_closed_loop, steer_constants
 from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows, disk_tuple
 from oracles import ConstraintRow, barrier_lie1, ecbf_row_reference, is_safe
 
@@ -204,17 +198,9 @@ def test_closed_loop_filter_keeps_moving_disk_world_safe(example2_file):
     # drive the QP-filtered unicycle for 10 s straight through the scenario:
     # every integration node must stay on the safe side of the barrier
     sc = example2_file.scenario
-    p = sc.params
-
-    disks = [disk_tuple(ob) for ob in sc.obstacles]
-
-    def controller(x1, x2, cos_t, sin_t, t):
-        rows = constraint_rows(x1, x2, cos_t, sin_t, p.v_const, disks, t,
-                               p.gains.k1, p.gains.k2)
-        return solve_scalar_qp(p.omega_ref, *p.omega_bounds, rows)
-
-    traj = integrate_closed_loop(*sc.x_init, sc.t_init, 10.0, p.dt, step_grid(10.0, p.dt),
-                                 p.v_const, controller)
+    p = dataclasses.replace(sc.params, t_h=10.0)
+    traj = integrate_closed_loop(sc.x_init, sc.t_init, p.omega_ref,
+                                 steer_constants(sc.obstacles, p))
     assert traj is not None
     worst = min(
         barrier_value(s.state, ob, s.t) for s in traj.samples for ob in sc.obstacles
