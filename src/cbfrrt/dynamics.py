@@ -131,9 +131,9 @@ def obstacle_center_at(obstacle: CircularObstacle, t: float) -> tuple[float, flo
 def step_grid(horizon: float, dt: float) -> tuple[int, float, int]:
     """The integration grid over one horizon: (n_full, tail, n_steps).
 
-    n_full uniform steps of dt, then, when dt does not divide the horizon,
-    one shorter tail step, so the last node lands on the horizon exactly.
-    n_steps counts both, and dt <= horizon makes it at least 1.
+    n_full uniform steps of dt, never rounding past the horizon, then, when
+    they fall short of it, one shorter tail step, so the last node lands on
+    the horizon exactly. n_steps counts both; dt <= horizon makes it >= 1.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -142,6 +142,8 @@ def step_grid(horizon: float, dt: float) -> tuple[int, float, int]:
     if dt > horizon:
         raise ValueError(f"dt must be <= horizon, got dt={dt}, horizon={horizon}")
     n_full = int(math.floor(horizon / dt + 1e-9))
+    if n_full * dt > horizon:
+        n_full -= 1
     tail = horizon - n_full * dt
     has_tail = tail > 1e-9 * max(1.0, abs(horizon))
     return (n_full, tail, n_full + (1 if has_tail else 0))

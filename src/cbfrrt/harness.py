@@ -27,7 +27,7 @@ import time
 from array import array
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -413,7 +413,7 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
 
 
 def run(scenario_file: ScenarioFile, algorithm: str, seed: int, out_dir) -> RunReport:
-    """execute() plus artifacts: trajectory.csv, tree.json, report.json
+    """execute() plus artifacts: trajectory.csv, tree.json (streamed), report.json
     (deterministic) and timing.json (wall clock, volatile) in out_dir."""
     report, trajectory, tree = execute(scenario_file, algorithm, seed)
     out = Path(out_dir)
@@ -431,12 +431,14 @@ def run(scenario_file: ScenarioFile, algorithm: str, seed: int, out_dir) -> RunR
 # serialization
 
 
-def _atomic_write(path, text: str):
+def _atomic_write(path, content: str | Iterable[bytes]):
+    """Write content, a str or bytes pieces written as they come, to a temp
+    file renamed over path; if anything raises, path is left as it was."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            f.writelines([content.encode()] if isinstance(content, str) else content)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -491,12 +493,13 @@ def read_trajectory_csv(path) -> Trajectory:
     return Trajectory(data)
 
 
-def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> str:
-    """tree.json, schema 3: one JSON object whose float columns are base64
-    strings of little-endian float64 ('<f8'), so every float is written bit
-    for bit and none as decimal text; params are the run's effective planner
-    params. parents[i] is vertex i's parent (None for the root), and edge i
-    runs from parents[i] to i.
+def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> Iterator[bytes]:
+    """tree.json, schema 3, as bytes pieces for _atomic_write: the header
+    JSON, then one column at a time, a base64 string of little-endian
+    float64 ('<f8'), every float bit for bit, gathered from a zero-copy
+    (n, 6) view of tree.data, which cannot grow until the pieces run out.
+    params are the run's effective planner params. parents[i] is vertex i's
+    parent (None for the root), and edge i runs from parents[i] to i.
 
     A baseline document writes the vertex columns xs, ys and costs. A cbf-rrt
     document writes the run's dt, t_h and v (v_const); nodes, the node count
@@ -513,33 +516,33 @@ def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> str:
     repeats the last omega.
     """
     if isinstance(tree, PlanTree):
-        # Every node of every edge as one (t, x1, x2, theta, v, omega) row.
-        rows = np.frombuffer(b"".join(edge.data for edge in tree.edges)).reshape(-1, 6)
-        lengths = [len(edge) for edge in tree.edges]
-        ends = np.cumsum(lengths)
-        vertices = rows[ends - 1]
+        rows = np.frombuffer(tree.data).reshape(-1, 6)
+        ends = np.array(tree.ends)
+        last = ends - 1  # each edge's last row, its vertex
         steps = np.ones(len(rows), bool)  # the rows that start a step
-        steps[ends - 1] = False
+        steps[last] = False
         inner = steps.copy()
         inner[ends[:-1]] = False
         head = {"dt": params.dt, "t_h": params.t_h, "v": params.v_const,
-                "parents": tree.parents, "nodes": lengths[1:]}
-        columns = {"t": vertices[:, 0], "x1": vertices[:, 1], "x2": vertices[:, 2],
-                   "theta": vertices[:, 3], "theta0": rows[ends[:-1], 3],
-                   "inner_x1": rows[inner, 1], "inner_x2": rows[inner, 2],
-                   "omega": rows[steps, 5]}
+                "parents": tree.parents, "nodes": np.diff(ends).tolist()}
+        picks = {"t": (last, 0), "x1": (last, 1), "x2": (last, 2), "theta": (last, 3),
+                 "theta0": (ends[:-1], 3), "inner_x1": (inner, 1),
+                 "inner_x2": (inner, 2), "omega": (steps, 5)}
+        columns = ((key, rows[pick]) for key, pick in picks.items())
     else:
         n = len(tree)
         head = {"parents": tree.parents}
-        columns = {"xs": tree.xs[:n], "ys": tree.ys[:n], "costs": tree.costs}
+        columns = (("xs", tree.xs[:n]), ("ys", tree.ys[:n]), ("costs", tree.costs))
+    yield json.dumps({"algorithm": algorithm, "schema": 3, **head})[:-1].encode()
     # base64 needs no JSON escaping, so a column goes between quotes as it
     # is; json.dumps would spend most of the time scanning its characters.
     # binascii is base64.b64encode's own encoder and is loaded at start-up;
     # importing base64 would add about 0.2 MB to a run's peak RSS.
-    return json.dumps({"algorithm": algorithm, "schema": 3, **head})[:-1] + "".join(
-        ', "%s": "%s"' % (key, binascii.b2a_base64(
-            np.ascontiguousarray(column, dtype="<f8").tobytes(), newline=False).decode())
-        for key, column in columns.items()) + "}\n"
+    for key, column in columns:
+        yield b', "%s": "' % key.encode()
+        yield binascii.b2a_base64(np.ascontiguousarray(column, dtype="<f8"), newline=False)
+        yield b'"'
+    yield b"}\n"
 
 
 def format_report_json(report: RunReport) -> str:

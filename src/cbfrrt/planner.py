@@ -94,29 +94,34 @@ class Scenario:
 
 
 class PlanTree:
-    """Rooted tree stored as two parallel lists: parents[i] is vertex i's
-    parent (None for the root) and edges[i] the steering trajectory that
-    reached it. Vertex i is the last node (t, x1, x2, theta) of edges[i];
-    edges[0] is the root's one-node trajectory (t_init, *x_init, 0.0, 0.0).
-
-    Every other edge has at least two nodes and, steered from its parent's
-    last node, starts at the parent's (t, x1, x2) floats (tree.json writes
-    those floats once per vertex)."""
+    """Rooted tree that stores each node once, in one array('d'), data: 6
+    doubles per node in CSV column order, the root's one node (t_init,
+    *x_init, 0.0, 0.0) first, then each added edge's nodes. ends[i] is the
+    node offset just past edge i's last node and parents[i] the parent of
+    vertex i (None for the root), which is the last node (t, x1, x2, theta)
+    of edge i; edge(i) copies edge i out as a Trajectory. Every other edge
+    has at least two nodes and, steered from its parent's last node, starts
+    at the parent's (t, x1, x2) floats (tree.json writes those floats once
+    per vertex)."""
 
     def __init__(self, root_state: RobotState, root_time: float):
         self.parents: list[Optional[int]] = [None]
-        self.edges: list[Trajectory] = [
-            Trajectory(array("d", (root_time, *root_state, 0.0, 0.0)))]
+        self.data = array("d", (root_time, *root_state, 0.0, 0.0))
+        self.ends = array("q", (1,))
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.parents)
 
     def add_child(self, parent_id: int, edge: Trajectory) -> int:
-        """Add the vertex at edge's last node, reached from parent_id; return
-        its id."""
+        """Add the vertex at edge's last node under parent_id; return its id."""
+        self.data += edge.data
+        self.ends.append(len(self.data) // 6)
         self.parents.append(parent_id)
-        self.edges.append(edge)
-        return len(self.edges) - 1
+        return len(self.parents) - 1
+
+    def edge(self, i: int) -> Trajectory:
+        """Edge i's nodes, copied out of data."""
+        return Trajectory(self.data[6 * (self.ends[i - 1] if i else 0):6 * self.ends[i]])
 
 
 @dataclass
@@ -176,13 +181,6 @@ class SteerConstants(NamedTuple):
     reach: tuple[tuple[float, float], ...]
 
 
-def _reach_time(t_h: float, dt: float, grid: tuple[int, float, int]) -> float:
-    """An upper bound on the summed step lengths of one horizon and on any
-    node's t - t0: t_h, or n_full * dt when step_grid rounds a near divisor
-    up (n_full * dt may then exceed t_h by up to 1e-9 * dt)."""
-    return max(t_h, grid[0] * dt)
-
-
 def steer_constants(
     obstacles: Sequence[CircularObstacle], params: PlannerParams
 ) -> SteerConstants:
@@ -195,23 +193,22 @@ def steer_constants(
     step is at most (v + v_obs) * dt, and the chord midpoint loses at most
     (L/2)^2 in squared distance.
 
-    A disk's reach is (sqrt(r^2 + margin) + (v + |v_disk|) * T, v + |v_disk|)
-    with T = _reach_time(t_h, dt, grid). An RK4 step of length s moves the
-    robot by s * v / 6 * |u1 + 4 u2 + u4| <= v * s, the u being unit heading
-    vectors, so an edge moves it at most v * T; the disk's centre moves
-    |v_disk| * (t_k - t0) <= |v_disk| * T. An edge that starts farther than
-    the reach radius (plus rounding slack) from the disk's centre therefore
-    clears the disk by more than the margin at every node."""
+    A disk's reach is (sqrt(r^2 + margin) + (v + |v_disk|) * t_h, v + |v_disk|).
+    An RK4 step of length s moves the robot by s * v / 6 * |u1 + 4 u2 + u4|
+    <= v * s, the u being unit heading vectors, and step_grid's steps sum to
+    t_h, so an edge moves it at most v * t_h and the disk's centre moves
+    |v_disk| * (t_k - t0) <= |v_disk| * t_h, up to rounding. So an edge that
+    starts farther than the reach radius (plus the rounding slack) from the
+    disk's centre clears the disk by more than the margin at every node."""
     v = params.v_const
     v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
     lo, hi = params.omega_bounds
-    grid = step_grid(params.t_h, params.dt)
     margin = 0.25 * ((v + v_obs) * params.dt) ** 2
-    duration = _reach_time(params.t_h, params.dt, grid)
     reach = []
     for ob in obstacles:
         speed = v + math.hypot(*ob.velocity)
-        reach.append((math.sqrt(ob.radius * ob.radius + margin) + speed * duration, speed))
+        radius = math.sqrt(ob.radius * ob.radius + margin)
+        reach.append((radius + speed * params.t_h, speed))
     return SteerConstants(
         disks=tuple(disk_tuple(ob) for ob in obstacles),
         v=v,
@@ -221,7 +218,7 @@ def steer_constants(
         hi=hi,
         t_h=params.t_h,
         dt=params.dt,
-        grid=grid,
+        grid=step_grid(params.t_h, params.dt),
         margin=margin,
         reach=tuple(reach),
     )
@@ -371,10 +368,10 @@ def _goal_in_reach(
     trajectory: Trajectory, goal: tuple[float, float], reach: float
 ) -> bool:
     """False only when goal_check(trajectory, goal, epsilon) cannot hold,
-    reach being epsilon + v * _reach_time(t_h, dt, grid): no node lies more
-    than v * _reach_time from the first, so an edge that starts farther than
-    reach, plus a rounding slack that grows with the coordinates and the
-    node count, from the goal ends no node within epsilon of it."""
+    reach being epsilon + v * t_h: no node lies more than v * t_h from the
+    first, so an edge that starts farther than reach, plus a rounding slack
+    that grows with the coordinates and the node count, from the goal ends
+    no node within epsilon of it."""
     data = trajectory.data
     x1, x2 = data[1], data[2]
     d1 = x1 - goal[0]
@@ -394,19 +391,17 @@ def root_path(parents: Sequence[Optional[int]], vid: int) -> list[int]:
 
 
 def extract_path(tree: PlanTree, goal_vertex: int) -> Trajectory:
-    """Concatenate edge trajectories from the root to goal_vertex.
-
-    Each edge starts at its parent's node, which is the last node of the
-    edge before it; that junction node is dropped from the earlier edge,
-    keeping the child edge's copy since it carries the control actually
-    applied next. A root-only path is the root's one node.
-    """
+    """Concatenate the edges (tree.edge) from the root to goal_vertex. Each
+    starts at its parent's node, the last node of the edge before it; that
+    junction is dropped from the earlier edge, keeping the child edge's
+    copy, which carries the control applied next. A root-only path is the
+    root's one node."""
     if not 0 <= goal_vertex < len(tree):
         raise KeyError(f"unknown vertex id {goal_vertex}")
-    out = array("d", tree.edges[0].data)
+    out = tree.edge(0).data
     for vid in root_path(tree.parents, goal_vertex)[1:]:
         del out[-6:]  # keep the child's control at the junction
-        out += tree.edges[vid].data
+        out += tree.edge(vid).data
     return Trajectory(out)
 
 
@@ -427,13 +422,13 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
         return PlanResult(True, tree, extract_path(tree, 0), 0)
 
     constants = steer_constants(scenario.obstacles, params)
-    goal_reach = params.epsilon + constants.v * _reach_time(
-        constants.t_h, constants.dt, constants.grid)
+    goal_reach = params.epsilon + constants.v * constants.t_h
     sd = math.sqrt(params.sigma2)
 
     for iteration in range(1, params.max_iters + 1):
         picked = vertices_sample(tree, rng)
-        t, x1, x2 = tree.edges[picked].data[-6:-3]
+        node = 6 * tree.ends[picked] - 6
+        t, x1, x2 = tree.data[node:node + 3]
         theta = heading_sample((x1, x2), goal, sd, rng)
         edge = safe_steer((x1, x2, theta), t, params.omega_ref, constants)
         if edge is None:

@@ -423,9 +423,14 @@ def solve_box_qp(
     return BoxQpSolution(u_star=tuple(float(x) for x in u), active_set=subset)
 
 
+def _edge_buffers(tree: PlanTree) -> list[array]:
+    """Every edge's nodes, the root's one node first, read through tree.edge."""
+    return [tree.edge(i).data for i in range(len(tree))]
+
+
 def _plan_tree_vertices(tree: PlanTree) -> list[dict]:
     """A cbf-rrt tree's vertex list: each vertex the last node of its edge."""
-    nodes = [edge.data[-6:-2] for edge in tree.edges]
+    nodes = [data[-6:-2] for data in _edge_buffers(tree)]
     return [{"id": i, "x1": x1, "x2": x2, "theta": theta, "t": t, "parent": parent}
             for i, ((t, x1, x2, theta), parent) in enumerate(zip(nodes, tree.parents))]
 
@@ -438,10 +443,9 @@ def full_tree_json_reference(algorithm: str, tree) -> str:
     if isinstance(tree, PlanTree):
         vertices = _plan_tree_vertices(tree)
         edges = [{"id": i, "parent": parent, "child": i,
-                  "samples": [list(edge.data[j:j + 6])
-                              for j in range(0, len(edge.data), 6)]}
-                 for i, (parent, edge)
-                 in enumerate(zip(tree.parents[1:], tree.edges[1:]), 1)]
+                  "samples": [list(data[j:j + 6]) for j in range(0, len(data), 6)]}
+                 for i, (parent, data)
+                 in enumerate(zip(tree.parents[1:], _edge_buffers(tree)[1:]), 1)]
     else:
         n = len(tree)
         vertices = [{"id": i, "x": x, "y": y, "parent": parent, "cost": cost}
@@ -478,11 +482,12 @@ def tree_json_reference(algorithm: str, tree, params: PlannerParams) -> str:
         doc.update(parents=list(tree.parents), xs=pack_f8(tree.xs[:n].tolist()),
                    ys=pack_f8(tree.ys[:n].tolist()), costs=pack_f8(tree.costs))
         return json.dumps(doc) + "\n"
-    edges = [edge.data for edge in tree.edges[1:]]
+    buffers = _edge_buffers(tree)
+    edges = buffers[1:]
     doc.update(dt=params.dt, t_h=params.t_h, v=params.v_const,
                parents=list(tree.parents), nodes=[len(data) // 6 for data in edges])
     for key, column in (("t", -6), ("x1", -5), ("x2", -4), ("theta", -3)):
-        doc[key] = pack_f8(edge.data[column] for edge in tree.edges)
+        doc[key] = pack_f8(data[column] for data in buffers)
     doc.update(theta0=pack_f8(data[3] for data in edges),
                inner_x1=pack_f8(x for data in edges for x in data[7:-6:6]),
                inner_x2=pack_f8(x for data in edges for x in data[8:-6:6]),
@@ -543,9 +548,12 @@ def expand_tree_json(text: str) -> str:
 
 def closed_loop_grid(t0: float, horizon: float, dt: float):
     """Node times and step lengths of planner.integrate_closed_loop over
-    [t0, t0 + horizon]: uniform dt steps, then a shorter tail step when dt
-    does not divide the horizon, the last node landing on t0 + horizon."""
+    [t0, t0 + horizon]: uniform dt steps that never sum past the horizon,
+    then a shorter tail step when dt does not divide the horizon, the last
+    node landing on t0 + horizon."""
     n_full = math.floor(horizon / dt + 1e-9)
+    if n_full * dt > horizon:
+        n_full -= 1
     remainder = horizon - n_full * dt
     steps = [dt] * n_full
     if remainder > 1e-9 * max(1.0, abs(horizon)):
@@ -561,7 +569,8 @@ def integration_rule_violations(tree: PlanTree, params: PlannerParams) -> list[s
     the one before. Floats are compared by repr, so -0.0 is not 0.0.
     Returns one line per broken rule, empty when every edge obeys them."""
     problems = []
-    for vid, edge in enumerate(tree.edges[1:], 1):
+    for vid in range(1, len(tree)):
+        edge = tree.edge(vid)
         d = edge.data
         times, steps = closed_loop_grid(d[0], params.t_h, params.dt)
         thetas, omegas = d[3::6], d[5::6]
@@ -585,9 +594,9 @@ def extract_path_reference(tree: PlanTree, goal_vertex: int) -> Trajectory:
     """Root-to-vertex path, from the root's one node, that drops a junction
     node only when the earlier edge's last (t, x1, x2) and the later edge's
     first agree to 1e-9; planner.extract_path drops it unconditionally."""
-    out = array("d", tree.edges[0].data)
+    out = tree.edge(0).data
     for vid in root_path(tree.parents, goal_vertex)[1:]:
-        edge = tree.edges[vid].data
+        edge = tree.edge(vid).data
         if out and all(abs(p - q) <= 1e-9 for p, q in zip(out[-6:-3], edge[:3])):
             del out[-6:]
         out += edge

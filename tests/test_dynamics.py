@@ -207,6 +207,21 @@ def test_a_horizon_of_one_step_integrates_one_step(dt, ratio):
     assert traj.t_end == 0.7 + t_h
 
 
+@pytest.mark.parametrize("t_h, dt", [(0.3, 0.1), (0.7, 0.02)])
+def test_steps_that_would_round_past_the_horizon_end_on_a_tail(t_h, dt):
+    # 3 * 0.1 and 35 * 0.02 round past 0.3 and 0.7: the last of those steps
+    # is the shorter tail, so the steps sum to t_h and never past it
+    n = round(t_h / dt)
+    assert n * dt > t_h
+    n_full, tail, n_steps = step_grid(t_h, dt)
+    assert (n_full, tail, n_steps) == (n - 1, t_h - (n - 1) * dt, n)
+    assert 0.0 < tail < dt
+    assert n_full * dt + tail == t_h
+    traj = integrate(RobotState(0.1, -0.2, 0.3), 0.7, t_h, dt, 2.0)
+    assert len(traj) == n + 1
+    assert traj.t_end == 0.7 + t_h
+
+
 def test_step_grid_rejects_a_step_longer_than_the_horizon():
     with pytest.raises(ValueError, match="dt must be <= horizon"):
         step_grid(0.02, 0.02 * (1 + 1e-12))

@@ -10,13 +10,14 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from array import array
 
 import numpy as np
 import pytest
 
 import cbfrrt
-from cbfrrt import harness
+from cbfrrt import harness, planner
 from cbfrrt.baselines import BaselineParams
 from cbfrrt.dynamics import (
     CircularObstacle,
@@ -40,7 +41,7 @@ from cbfrrt.harness import (
     read_trajectory_csv,
     run,
 )
-from cbfrrt.planner import PlannerParams, PlanTree, Scenario
+from cbfrrt.planner import PlannerParams, PlanTree, Scenario, safe_steer, steer_constants
 from cbfrrt.safety import EcbfGains
 from oracles import (
     expand_tree_json,
@@ -565,7 +566,7 @@ def test_tree_json_matches_plain_json_dumps(name, algorithms):
     for algorithm in algorithms:
         for seed in range(4):
             _, _, tree = execute(sf, algorithm, seed)
-            text = _format_tree_json(algorithm, tree, params)
+            text = b"".join(_format_tree_json(algorithm, tree, params)).decode()
             assert text == tree_json_reference(algorithm, tree, params)
             assert expand_tree_json(text) == full_tree_json_reference(algorithm, tree)
 
@@ -597,7 +598,7 @@ def test_tree_json_of_a_hand_built_tree():
         0.75, -0.0, 1e16, theta1, 1e-05, -0.0,
         1.0, -1e16, 1e-05, theta1, 1e-05, -0.0])))
     assert integration_rule_violations(tree, params) == []
-    text = _format_tree_json("cbf-rrt", tree, params)
+    text = b"".join(_format_tree_json("cbf-rrt", tree, params)).decode()
     assert text == tree_json_reference("cbf-rrt", tree, params)
     assert expand_tree_json(text) == full_tree_json_reference("cbf-rrt", tree)
     doc = json.loads(text)
@@ -632,6 +633,75 @@ def test_tree_json_of_a_start_at_goal_run(tmp_path, example1_file, algorithm):
         assert unpack_f8(doc["costs"]) == [0.0]
 
 
+def test_tree_json_writer_peak_stays_below_the_tree_nodes(tmp_path, monkeypatch,
+                                                          example1_file):
+    # the tree stores each node once, in tree.data, and the writer streams
+    # one column at a time: its traced peak stays below the tree's own node
+    # bytes (example1 at t_h = 0.25, seed 1: 3,934 vertices, 2.64 MB)
+    accepted = []
+    steer = planner.safe_steer
+
+    def recorded(*args):
+        edge = steer(*args)
+        if edge is not None:
+            accepted.append(edge)
+        return edge
+
+    monkeypatch.setattr(planner, "safe_steer", recorded)
+    sf = configure(example1_file, "cbf-rrt", step=0.25)
+    params = sf.scenario.params
+    tree = planner.plan(sf.scenario, 1).tree
+    assert len(tree) == len(accepted) + 1 == 3_934
+    assert len(tree.data) == 6 * (1 + sum(len(edge) for edge in accepted))
+    assert all(tree.edge(i).data == edge.data for i, edge in enumerate(accepted, 1))
+    tracemalloc.start()
+    try:
+        harness._atomic_write(tmp_path / "tree.json",
+                              _format_tree_json("cbf-rrt", tree, params))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(tree.data)
+    text = (tmp_path / "tree.json").read_text()
+    assert text == tree_json_reference("cbf-rrt", tree, params)
+
+
+@pytest.mark.parametrize("previous", [None, b"the previous tree.json"])
+def test_a_streamed_write_that_raises_leaves_the_target_as_it_was(tmp_path, previous):
+    target = tmp_path / "tree.json"
+    if previous is not None:
+        target.write_bytes(previous)
+
+    def pieces():
+        yield b'{"algorithm": "cbf-rrt", "schema": 3'
+        raise RuntimeError("a column failed")
+
+    with pytest.raises(RuntimeError, match="a column failed"):
+        harness._atomic_write(target, pieces())
+    assert (target.read_bytes() if target.exists() else None) == previous
+    assert list(tmp_path.glob(".tree.json.*")) == []
+
+
+def test_the_tree_can_grow_once_its_tree_json_is_written(tmp_path):
+    # the writer's numpy views of tree.data live only while its pieces are
+    # written: an array refuses to resize while a view of it is alive
+    params = PlannerParams(t_h=0.5, dt=0.25)
+    constants = steer_constants((), params)
+    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
+    tree.add_child(0, safe_steer((0.0, 0.0, 0.0), 0.0, 0.0, constants))
+    t, x1, x2, theta = tree.edge(1).data[-6:-2]
+    edge = safe_steer((x1, x2, theta), t, 0.0, constants)
+    pieces = _format_tree_json("cbf-rrt", tree, params)
+    next(pieces)
+    with pytest.raises(BufferError):
+        tree.add_child(1, edge)
+    pieces.close()
+    harness._atomic_write(tmp_path / "tree.json",
+                          _format_tree_json("cbf-rrt", tree, params))
+    assert tree.add_child(1, edge) == 2
+    assert tree.edge(2).data == edge.data
+
+
 def test_readme_decode_reads_a_fresh_tree_json(tmp_path, monkeypatch, example1_file):
     # the README's numpy decode, run as written, gives the vertices' x1
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -642,7 +712,7 @@ def test_readme_decode_reads_a_fresh_tree_json(tmp_path, monkeypatch, example1_f
     namespace = {}
     exec(block, namespace)
     _, _, tree = execute(example1_file, "cbf-rrt", 0)
-    x1 = [edge.data[-5] for edge in tree.edges]
+    x1 = [tree.edge(i).data[-5] for i in range(len(tree))]
     assert namespace["x1"].tobytes() == struct.pack("<%dd" % len(x1), *x1)
 
 

@@ -168,6 +168,8 @@ def grids(draw, max_steps=400):
 @example((0.5, 0.02))
 @example((0.5, 0.2))
 @example((0.02, 0.02))
+@example((0.3, 0.1))
+@example((0.7, 0.02))
 def test_hoisted_grid_is_the_per_call_grid(grid):
     t_h, dt = grid
     n_full, tail, n_steps = step_grid(t_h, dt)
@@ -322,8 +324,8 @@ def _head_on_case(t_h, dt, speed, offset, start=(0.0, 0.0), t0=0.0):
 # a millimetre inside the reach of a static and of an oncoming disk
 @example(_head_on_case(0.25, 0.02, 0.0, -1e-3))
 @example(_head_on_case(0.25, 0.02, 0.5, -1e-3, start=(1e6, -1e6), t0=1e4))
-# step_grid rounds 2 * (1 - 1e-10) steps up to 2 full ones: the edge goes
-# 1e-10 * dt farther than t_h
+# 2 * (1 - 1e-10) steps of dt: 2 full ones would go 1e-10 * dt past t_h, so
+# step_grid makes the second the tail, and the steps sum to t_h
 @example(_head_on_case(0.5 * (1 - 1e-10), 0.25, 0.0, -2e-11))
 # beyond the reach by ulps of 1e5-1e6 m coordinates, and rejected at a node
 # by rounding alone: only the slack keeps these disks in the scan

@@ -31,7 +31,7 @@ from oracles import extract_path_reference, integration_rule_violations
 
 
 def straight_edge(tree, parent_id, params):
-    t, x1, x2, theta = tree.edges[parent_id].data[-6:-2]
+    t, x1, x2, theta = tree.edge(parent_id).data[-6:-2]
     edge = safe_steer((x1, x2, theta), t, 0.0, steer_constants((), params))
     return tree.add_child(parent_id, edge)
 
@@ -347,11 +347,14 @@ def test_extract_path_unknown_vertex():
 def test_add_child_reads_the_child_from_its_edge():
     params = PlannerParams()
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
-    t, x1, x2, theta = tree.edges[0].data[-6:-2]
+    t, x1, x2, theta = tree.edge(0).data[-6:-2]
     edge = safe_steer((x1, x2, theta), t, 0.0, steer_constants((), params))
-    # the child is the edge's last node: the edge itself is stored, uncopied
+    # the child is the edge's last node: the edge's nodes follow the root's
+    # in the tree's one buffer, and edge(1) gives them back
     assert tree.add_child(0, edge) == 1
-    assert tree.edges[1] is edge
+    assert tree.edge(1).data == edge.data
+    assert tree.data == array("d", (t, x1, x2, theta, 0.0, 0.0)) + edge.data
+    assert list(tree.ends) == [1, 1 + len(edge)]
     assert tree.parents == [None, 0]
 
 
@@ -394,17 +397,18 @@ def test_plan_reaches_goal_and_tree_is_consistent(example1_file):
     tree = result.tree
 
     # single root, connected, acyclic; vertex times follow depth * t_h
-    assert len(tree.parents) == len(tree.edges) == len(tree)
+    assert len(tree.parents) == len(tree.ends) == len(tree)
+    assert len(tree.data) == 6 * tree.ends[-1]
     assert tree.parents[0] is None
-    assert tree.edges[0].data == array("d", (sc.t_init, *sc.x_init, 0.0, 0.0))
+    assert tree.edge(0).data == array("d", (sc.t_init, *sc.x_init, 0.0, 0.0))
     for vid in range(1, len(tree)):
         parent = tree.parents[vid]
         assert 0 <= parent < vid
-        edge = tree.edges[vid]
+        edge = tree.edge(vid)
         depth = len(root_path(tree.parents, vid)) - 1
         assert edge.t_end == pytest.approx(sc.t_init + depth * sc.params.t_h, abs=1e-9)
         # the edge starts at its parent's (time, position)
-        assert edge.data[:3] == tree.edges[parent].data[-6:-3]
+        assert edge.data[:3] == tree.edge(parent).data[-6:-3]
         # every applied control respects the box
         lo, hi = sc.params.omega_bounds
         for s in edge.samples:
@@ -414,7 +418,7 @@ def test_plan_reaches_goal_and_tree_is_consistent(example1_file):
     # goal correctness on the extracted path, which runs from the root to
     # the last vertex added
     assert goal_check(result.controls, sc.x_goal, sc.params.epsilon)
-    assert result.controls.data[:3] == tree.edges[0].data[:3]
+    assert result.controls.data[:3] == tree.edge(0).data[:3]
     assert result.controls.data == extract_path(tree, len(tree) - 1).data
 
 
@@ -423,8 +427,8 @@ def test_plan_edges_stay_safe(example1_file):
     result = plan(sc)
     worst = min(
         barrier_value(s.state, ob, s.t)
-        for edge in result.tree.edges[1:]
-        for s in edge.samples
+        for vid in range(1, len(result.tree))
+        for s in result.tree.edge(vid).samples
         for ob in sc.obstacles
     )
     assert worst >= -1e-6
@@ -437,7 +441,8 @@ def test_plan_is_deterministic(example1_file):
     assert a.iterations == b.iterations
     assert len(a.tree) == len(b.tree)
     assert a.tree.parents == b.tree.parents
-    assert a.tree.edges[-1].data == b.tree.edges[-1].data
+    assert a.tree.ends == b.tree.ends
+    assert a.tree.data == b.tree.data
     assert [s.t for s in a.controls.samples] == [s.t for s in b.controls.samples]
 
 
@@ -493,10 +498,11 @@ def test_edges_start_at_parent_and_end_at_child(request, scenario_name, t_h):
     for seed in range(3):
         tree = plan(sc, seed).tree
         assert len(tree) > 50
-        for parent, edge in zip(tree.parents[1:], tree.edges[1:]):
+        for vid in range(1, len(tree)):
+            edge = tree.edge(vid)
             assert len(edge) >= 2
             assert (list(map(repr, edge.data[:3]))
-                    == list(map(repr, tree.edges[parent].data[-6:-3])))
+                    == list(map(repr, tree.edge(tree.parents[vid]).data[-6:-3])))
 
 
 @pytest.mark.parametrize("scenario_name, t_h, dt", [
