@@ -13,8 +13,7 @@ round out the package.
 from .baselines import rrt_plan, rrt_star_plan
 from .harness import audit_trajectory, configure, load_scenario, run
 from .planner import integrate_closed_loop, plan, safe_steer, steer_constants
-from .qp import solve_scalar_qp
-from .safety import constraint_rows, ecbf_row
+from .safety import constraint_rows, ecbf_row, solve_scalar_qp
 
 __version__ = "0.1.0"
 

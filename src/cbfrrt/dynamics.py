@@ -76,11 +76,12 @@ class TrajectorySample(NamedTuple):
 
 
 class Trajectory:
-    """Integration nodes in one flat buffer of doubles, 6 per node in CSV
-    column order (t, x1, x2, theta, v, omega), with uniform dt spacing; the
-    last interval may be shorter so the final timestamp lands exactly on the
-    horizon. control (v, omega) is the input held on [t, t + dt); the final
-    node repeats the last applied control.
+    """Timed nodes in one flat buffer of doubles, 6 per node in CSV column
+    order (t, x1, x2, theta, v, omega). control (v, omega) is the input held
+    until the next node; the final node repeats the last applied control.
+    The spacing is the maker's: a closed-loop edge's nodes sit on
+    step_grid's steps, a baseline polyline's on its vertices and a read
+    CSV's on its rows' times.
 
     An array('d') holds no float objects and is not tracked by the cyclic
     garbage collector, and its buffer gives numpy a zero-copy view."""
@@ -133,14 +134,10 @@ def step_grid(horizon: float, dt: float) -> tuple[int, float, int]:
 
     n_full uniform steps of dt, never rounding past the horizon, then, when
     they fall short of it, one shorter tail step, so the last node lands on
-    the horizon exactly. n_steps counts both; dt <= horizon makes it >= 1.
+    the horizon exactly. n_steps counts both. Nothing is checked here: the
+    one caller, planner.steer_constants, passes a validated PlannerParams'
+    t_h and dt (finite, > 0, dt <= t_h), which makes n_steps >= 1.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if dt > horizon:
-        raise ValueError(f"dt must be <= horizon, got dt={dt}, horizon={horizon}")
     n_full = int(math.floor(horizon / dt + 1e-9))
     if n_full * dt > horizon:
         n_full -= 1

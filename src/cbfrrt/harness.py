@@ -40,7 +40,6 @@ from .dynamics import (
     obstacle_center_at,
 )
 from .planner import PlannerParams, PlanTree, Scenario, plan
-from .safety import EcbfGains
 
 ALGORITHMS = ("cbf-rrt", "rrt", "rrt-star")
 
@@ -164,16 +163,17 @@ def _pair(value, path: str) -> tuple[float, float]:
     return _vector(value, path, 2)
 
 
-def _check_seed(seed, path: str):
-    """numpy seeds its generators from non-negative integers only."""
-    if seed < 0:
-        _fail(path, f"must be >= 0, got {seed!r}")
-
-
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
     return value
+
+
+def _check_seed(seed, path: str):
+    """numpy seeds its generators from non-negative integers only; a bool
+    would run as 0 or 1, and a float is refused, not truncated."""
+    if _integer(seed, path) < 0:
+        _fail(path, f"must be >= 0, got {seed!r}")
 
 
 def _rectangle(value, path: str) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -184,7 +184,7 @@ def _rectangle(value, path: str) -> tuple[tuple[float, float], tuple[float, floa
 
 # The optional "planner" and "baseline" blocks of a scenario file: field name
 # -> parser, in file order. Every field defaults to the dataclass default, and
-# any other key is refused; planner k1/k2 are the two EcbfGains fields.
+# any other key is refused.
 PLANNER_FIELDS = {
     "t_h": _number, "dt": _number, "sigma2": _number, "epsilon": _number,
     "k1": _number, "k2": _number, "v_const": _number, "omega_ref": _number,
@@ -209,7 +209,7 @@ def load_scenario(path) -> ScenarioFile:
 
     The parser reads the JSON shape only: each field's type and length, and
     missing or unknown keys (metadata is free-form). Values are checked by
-    the dataclasses they go into (CircularObstacle, EcbfGains, PlannerParams,
+    the dataclasses they go into (CircularObstacle, PlannerParams,
     BaselineParams, Scenario, ScenarioFile), the same rules as in Python.
     Raises ScenarioParseError for malformed JSON and ScenarioValidationError
     naming the field path for either kind of error, a value's as the
@@ -248,11 +248,8 @@ def load_scenario(path) -> ScenarioFile:
         velocity = _vector(entry.get("velocity", [0.0, 0.0]), f"{where}.velocity", 2)
         obstacles.append(_checked(f"{where}.", CircularObstacle, center, velocity, radius))
 
-    values = _parse_block(doc, "planner", PLANNER_FIELDS)
-    default = PlannerParams().gains
-    gains = _checked("planner.", EcbfGains, values.pop("k1", default.k1),
-                     values.pop("k2", default.k2))
-    params = _checked("planner.", PlannerParams, gains=gains, **values)
+    params = _checked("planner.", PlannerParams,
+                      **_parse_block(doc, "planner", PLANNER_FIELDS))
     baseline = _checked("baseline.", BaselineParams,
                         **_parse_block(doc, "baseline", BASELINE_FIELDS))
 
@@ -371,7 +368,8 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
     """Run one planner on the configured scenario file (see configure).
     Returns (RunReport, trajectory, tree) where trajectory is None on failure
     and tree is the planner's tree object. Raises ScenarioValidationError for
-    a negative seed or a baseline on a scenario with a moving obstacle."""
+    a seed that is not an integer >= 0 (a bool included) or a baseline on a
+    scenario with a moving obstacle."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     _check_seed(seed, "seed")
@@ -585,12 +583,13 @@ def compare(
     when it is None); rows come out sorted by (algorithm, step), and no count
     or median depends on run order, so the table is deterministic either way.
     Per-run exceptions become the `errors` count instead of aborting the
-    sweep. An empty seeds or sweep list (naming seeds or sweep), a negative
-    or repeated seed (naming seeds[i]), a thread count below 1, a repeated
-    sweep entry (naming sweep[i]), a step the scenario rejects (naming
-    sweep[i].step) or a baseline entry on a scenario with a moving disk
-    (naming sweep[i].algorithm) raises ScenarioValidationError before any
-    run starts: a repeat would count its runs twice in one row.
+    sweep. An empty seeds or sweep list (naming seeds or sweep), a seed that
+    is not an integer >= 0 or repeats one before it (naming seeds[i]), a
+    thread count below 1, a repeated sweep entry (naming sweep[i]), a step
+    the scenario rejects (naming sweep[i].step) or a baseline entry on a
+    scenario with a moving disk (naming sweep[i].algorithm) raises
+    ScenarioValidationError before any run starts: a repeat would count its
+    runs twice in one row.
     """
     if not seeds:
         _fail("seeds", "must not be empty")
@@ -620,8 +619,7 @@ def compare(
             _checked(f"sweep[{i}].algorithm: ", require_static,
                      scenario_file.scenario.obstacles)
 
-    tasks = [(algorithm, float(step), int(seed))
-             for algorithm, step in sweep for seed in seeds]
+    tasks = [(algorithm, float(step), seed) for algorithm, step in sweep for seed in seeds]
     if threads is None:
         threads = os.cpu_count() or 1
     files = [stepped[a, st] for a, st, _ in tasks]

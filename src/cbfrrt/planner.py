@@ -23,27 +23,29 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import dynamics
 from .dynamics import CircularObstacle, RobotState, Trajectory, check_finite, step_grid
-from .qp import solve_scalar_qp
-from .safety import Disk, EcbfGains, barrier_value, constraint_rows, disk_tuple
+from .safety import Disk, barrier_value, constraint_rows, disk_tuple, solve_scalar_qp
 
 
 @dataclass(frozen=True)
 class PlannerParams:
     """Tunables of one planning run; every expansion steers toward the constant
-    omega_ref. Construction and replace raise ValueError naming a bad field."""
+    omega_ref. k1 and k2 are the gains of the second-order barrier condition,
+    both positive so s^2 + k2*s + k1 is Hurwitz. Construction and replace
+    raise ValueError naming a bad field."""
 
     t_h: float = 0.5
     dt: float = 0.02
     sigma2: float = 0.6
     epsilon: float = 0.15
-    gains: EcbfGains = field(default_factory=lambda: EcbfGains(2.0, 4.0))
+    k1: float = 2.0
+    k2: float = 4.0
     v_const: float = 1.0
     omega_ref: float = 0.0
     # Wide enough that a near-head-on avoidance maneuver (|omega*| can reach
@@ -53,8 +55,8 @@ class PlannerParams:
     max_iters: int = 10_000
 
     def __post_init__(self):
-        check_finite(self, "t_h", "dt", "sigma2", "epsilon", "v_const", "omega_ref",
-                     "omega_bounds")
+        check_finite(self, "t_h", "dt", "sigma2", "epsilon", "k1", "k2", "v_const",
+                     "omega_ref", "omega_bounds")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not self.t_h > 0.0:
@@ -67,6 +69,10 @@ class PlannerParams:
             raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not self.k1 > 0.0:
+            raise ValueError(f"k1 must be > 0, got {self.k1}")
+        if not self.k2 > 0.0:
+            raise ValueError(f"k2 must be > 0, got {self.k2}")
         if not self.v_const > 0.0:
             raise ValueError(f"v_const must be > 0, got {self.v_const}")
         if self.max_iters < 1:
@@ -212,8 +218,8 @@ def steer_constants(
     return SteerConstants(
         disks=tuple(disk_tuple(ob) for ob in obstacles),
         v=v,
-        k1=params.gains.k1,
-        k2=params.gains.k2,
+        k1=params.k1,
+        k2=params.k2,
         lo=lo,
         hi=hi,
         t_h=params.t_h,

@@ -1,4 +1,5 @@
-"""Barrier functions and exponential-CBF constraint rows for circular obstacles.
+"""The safety filter: barrier functions, exponential-CBF constraint rows for
+circular obstacles, and the scalar QP over those rows.
 
 For a disk obstacle with center c(t) and radius r, the barrier is
 
@@ -16,29 +17,18 @@ where d = (x - c(t)) is the center offset and rho = (v*cos(theta) - c1dot,
 v*sin(theta) - c2dot) the relative velocity. The exponential-CBF condition
 d2h/dt2 + k2*dh/dt + k1*h >= 0 is therefore linear in omega and is returned
 here as a row (a, b) meaning a*omega + b >= 0.
+
+With the speed fixed, the per-node minimum-perturbation QP minimizes
+(omega - omega_ref)^2 subject to those rows and box bounds, which reduces to
+clamping the reference into the intersection interval (solve_scalar_qp).
+Infeasibility is reported as None, mirroring how steering failures propagate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
-from .dynamics import CircularObstacle, RobotState, check_finite, obstacle_center_at
-
-
-@dataclass(frozen=True)
-class EcbfGains:
-    """Gains of the second-order barrier condition. Both must be positive so
-    s^2 + k2*s + k1 is Hurwitz."""
-
-    k1: float
-    k2: float
-
-    def __post_init__(self):
-        check_finite(self, "k1", "k2")
-        for name, value in (("k1", self.k1), ("k2", self.k2)):
-            if not value > 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+from .dynamics import CircularObstacle, RobotState, obstacle_center_at
 
 
 def barrier_value(state: RobotState, obstacle: CircularObstacle, t: float) -> float:
@@ -108,3 +98,46 @@ def constraint_rows(
     for disk in disks:
         rows.append(ecbf_row(x1, x2, cos_t, sin_t, v_const, disk, t, k1, k2))
     return rows
+
+
+# Rows with |a| below this are treated as omega-independent: vacuous when
+# b >= -TOL_ZERO, infeasible otherwise. Avoids division blow-up near the
+# head-on singularity.
+TOL_ZERO = 1e-12
+
+
+def solve_scalar_qp(
+    omega_ref: float,
+    lo: float,
+    hi: float,
+    rows: Iterable[tuple[float, float]],
+) -> Optional[float]:
+    """min (omega - omega_ref)^2 s.t. a*omega + b >= 0 for each row (a, b)
+    and lo <= omega <= hi, for box bounds lo <= hi.
+
+    Intersects the box with every half-line row and clamps the reference
+    into the result. Returns the minimizer, or None when the intersection is
+    empty (some row demands an omega outside the bounds, or an
+    omega-independent row is violated outright).
+    """
+    # `if` comparisons in place of max/min: each keeps the incumbent on a tie,
+    # as max/min do, so even the sign of a zero bound is unchanged.
+    for a, b in rows:
+        if -TOL_ZERO <= a <= TOL_ZERO:
+            if b < -TOL_ZERO:
+                return None
+            continue
+        bound = -b / a
+        if a > 0.0:
+            if bound > lo:
+                lo = bound
+        elif bound < hi:
+            hi = bound
+        if lo > hi:
+            return None
+    omega = omega_ref
+    if lo > omega:
+        omega = lo
+    if hi < omega:
+        omega = hi
+    return omega

@@ -28,8 +28,7 @@ from cbfrrt.dynamics import (
 )
 from cbfrrt.harness import BASELINE_FIELDS, PLANNER_FIELDS, ScenarioFile
 from cbfrrt.planner import PlannerParams, PlanTree, root_path
-from cbfrrt.qp import TOL_ZERO
-from cbfrrt.safety import EcbfGains, barrier_value
+from cbfrrt.safety import TOL_ZERO, barrier_value
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def ecbf_row_reference(
     v_const: float,
     obstacle: CircularObstacle,
     t: float,
-    gains: EcbfGains,
+    params: PlannerParams,
 ) -> ConstraintRow:
     """The exponential-CBF row for one obstacle, written out on the objects.
 
@@ -104,13 +103,13 @@ def ecbf_row_reference(
     h = d1 * d1 + d2 * d2 - obstacle.radius * obstacle.radius
     h_dot = 2.0 * d1 * rho1 + 2.0 * d2 * rho2
     a = 2.0 * v_const * (d2 * cos_t - d1 * sin_t)
-    b = 2.0 * (rho1 * rho1 + rho2 * rho2) + gains.k1 * h + gains.k2 * h_dot
+    b = 2.0 * (rho1 * rho1 + rho2 * rho2) + params.k1 * h + params.k2 * h_dot
     return ConstraintRow(a, b)
 
 
 class ScalarQpProblem(NamedTuple):
     """min (omega - omega_ref)^2 s.t. a_i*omega + b_i >= 0 and bounds =
-    (lo, hi): qp.solve_scalar_qp(omega_ref, lo, hi, rows)."""
+    (lo, hi): safety.solve_scalar_qp(omega_ref, lo, hi, rows)."""
 
     omega_ref: float
     bounds: tuple[float, float]
@@ -157,9 +156,9 @@ def solve_scalar_qp_reference(problem: ScalarQpProblem) -> Optional[QpSolution]:
 
 # -- the steering kernel on state objects ----------------------------------
 #
-# The same kernel as safety.constraint_rows, qp.solve_scalar_qp,
+# The same kernel as safety.constraint_rows, safety.solve_scalar_qp,
 # dynamics.rk4_step, planner.integrate_closed_loop and planner.safe_steer,
-# written on RobotState / CircularObstacle / EcbfGains objects, with every
+# written on RobotState / CircularObstacle / PlannerParams objects, with every
 # per-run constant (squared radii, gains, bounds, step grid, node margin) and
 # every heading's cosine and sine recomputed where it is used, a straight
 # step's included (rk4_step reuses its heading's cosine and sine when omega
@@ -174,10 +173,10 @@ def constraint_rows_on_state(
     v_const: float,
     obstacles: Sequence[CircularObstacle],
     t: float,
-    gains: EcbfGains,
+    params: PlannerParams,
 ) -> list[tuple[float, float]]:
-    """One ECBF row (a, b) per obstacle, in input order."""
-    return [tuple(ecbf_row_reference(state, v_const, ob, t, gains)) for ob in obstacles]
+    """One ECBF row (a, b) per obstacle, in input order, with params' gains."""
+    return [tuple(ecbf_row_reference(state, v_const, ob, t, params)) for ob in obstacles]
 
 
 def solve_scalar_qp_on_bounds(
@@ -248,7 +247,7 @@ def qp_controller(
     when the QP is infeasible."""
 
     def controller(state, t):
-        rows = constraint_rows_on_state(state, v, obstacles, t, params.gains)
+        rows = constraint_rows_on_state(state, v, obstacles, t, params)
         omega = solve_scalar_qp_on_bounds(omega_ref, params.omega_bounds, rows)
         return None if omega is None else (v, omega)
 
@@ -548,12 +547,13 @@ def expand_tree_json(text: str) -> str:
 
 def closed_loop_grid(t0: float, horizon: float, dt: float):
     """Node times and step lengths of planner.integrate_closed_loop over
-    [t0, t0 + horizon]: uniform dt steps that never sum past the horizon,
-    then a shorter tail step when dt does not divide the horizon, the last
-    node landing on t0 + horizon."""
-    n_full = math.floor(horizon / dt + 1e-9)
-    if n_full * dt > horizon:
-        n_full -= 1
+    [t0, t0 + horizon], counted out from the grid's contract: a dt step
+    while the float n * dt after it stays <= horizon, then the remainder as
+    one shorter tail step unless it is rounding residue (at most 1e-9 of
+    max(1, horizon)), the last node landing on t0 + horizon."""
+    n_full = 0
+    while (n_full + 1) * dt <= horizon:
+        n_full += 1
     remainder = horizon - n_full * dt
     steps = [dt] * n_full
     if remainder > 1e-9 * max(1.0, abs(horizon)):
@@ -604,9 +604,8 @@ def extract_path_reference(tree: PlanTree, goal_vertex: int) -> Trajectory:
 
 
 def _block_values(params, fields) -> dict:
-    """The table's fields of a params object, k1/k2 read from its gains."""
-    return {key: getattr(params.gains if key in ("k1", "k2") else params, key)
-            for key in fields}
+    """The table's fields of a params object."""
+    return {key: getattr(params, key) for key in fields}
 
 
 def write_scenario(scenario_file: ScenarioFile, path):

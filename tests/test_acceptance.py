@@ -17,8 +17,8 @@ import pytest
 import cbfrrt
 from cbfrrt import harness
 from cbfrrt.dynamics import ControlInput, RobotState, rk4_step
-from cbfrrt.qp import solve_scalar_qp
-from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows, disk_tuple
+from cbfrrt.planner import PlannerParams
+from cbfrrt.safety import barrier_value, constraint_rows, disk_tuple, solve_scalar_qp
 from oracles import ConstraintRow, ScalarQpProblem, barrier_lie1, feasible_interval
 
 SEEDS20 = range(20)
@@ -169,7 +169,7 @@ def test_criterion_06_integrator_accuracy():
 def test_criterion_07_lie_derivative_consistency():
     from cbfrrt.dynamics import CircularObstacle
 
-    gains = EcbfGains(2.0, 4.0)
+    params = PlannerParams()  # k1 = 2.0, k2 = 4.0
     rng = np.random.default_rng(77)
     eps = 1e-4
     for _ in range(1000):
@@ -194,7 +194,7 @@ def test_criterion_07_lie_derivative_consistency():
 
         hddot_fd = (h_plus - 2 * h0 + h_minus) / (eps * eps)
         row = ConstraintRow(*constraint_rows(state.x1, state.x2, cos_t, sin_t, v,
-                                             (disk_tuple(ob),), 0.0, gains.k1, gains.k2)[0])
+                                             (disk_tuple(ob),), 0.0, params.k1, params.k2)[0])
         rho1 = v * math.cos(state.theta) - ob.velocity[0]
         rho2 = v * math.sin(state.theta) - ob.velocity[1]
         hddot = row.a * omega + 2 * rho1 * rho1 + 2 * rho2 * rho2

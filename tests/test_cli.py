@@ -265,7 +265,7 @@ def _scenario(**fields):
                  lambda sf: dataclasses.replace(sf.scenario.params, v_const=0.0),
                  "planner.", "v_const must be > 0, got 0.0", id="v_const-zero"),
     pytest.param(("scenario", "planner", "k1"), math.nan,
-                 lambda sf: dataclasses.replace(sf.scenario.params.gains, k1=math.nan),
+                 lambda sf: dataclasses.replace(sf.scenario.params, k1=math.nan),
                  "planner.", "k1 must be finite, got nan", id="k1-nan"),
     pytest.param(("scenario", "baseline", "goal_bias"), 1.0,
                  lambda sf: dataclasses.replace(sf.baseline, goal_bias=1.0),

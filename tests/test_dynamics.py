@@ -14,8 +14,7 @@ from cbfrrt.dynamics import (
     step_grid,
 )
 from cbfrrt.planner import PlannerParams, goal_check, integrate_closed_loop, steer_constants
-from cbfrrt.qp import solve_scalar_qp
-from cbfrrt.safety import constraint_rows
+from cbfrrt.safety import constraint_rows, solve_scalar_qp
 from oracles import trajectory_from_samples, unicycle_vector_field
 
 
@@ -181,14 +180,11 @@ def test_controller_sees_correct_times():
 
 
 def test_integrate_rejects_bad_steps():
-    # the integration grid refuses them, as do the params that set it
-    with pytest.raises(ValueError, match="horizon must be > 0"):
-        step_grid(0.0, 0.1)
-    with pytest.raises(ValueError, match="dt must be > 0"):
-        step_grid(0.5, -0.1)
-    with pytest.raises(ValueError):
+    # the params that set the integration grid refuse them, so step_grid,
+    # which trusts its caller, never sees them
+    with pytest.raises(ValueError, match="t_h must be > 0"):
         integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.0, 0.1, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dt must be > 0"):
         integrate(RobotState(0.0, 0.0, 0.0), 0.0, 0.5, -0.1, 0.0)
 
 
@@ -222,9 +218,10 @@ def test_steps_that_would_round_past_the_horizon_end_on_a_tail(t_h, dt):
     assert traj.t_end == 0.7 + t_h
 
 
-def test_step_grid_rejects_a_step_longer_than_the_horizon():
-    with pytest.raises(ValueError, match="dt must be <= horizon"):
-        step_grid(0.02, 0.02 * (1 + 1e-12))
+def test_params_reject_a_step_longer_than_the_horizon():
+    # one ulp-scale step past the horizon would leave step_grid no step
+    with pytest.raises(ValueError, match="dt must be <= t_h"):
+        PlannerParams(t_h=0.02, dt=0.02 * (1 + 1e-12))
 
 
 def test_trajectory_metrics():

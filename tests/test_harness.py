@@ -42,7 +42,6 @@ from cbfrrt.harness import (
     run,
 )
 from cbfrrt.planner import PlannerParams, PlanTree, Scenario, safe_steer, steer_constants
-from cbfrrt.safety import EcbfGains
 from oracles import (
     expand_tree_json,
     full_tree_json_reference,
@@ -88,7 +87,7 @@ def test_load_bundled_example1(example1_file):
     assert all(ob.radius == 0.2 and ob.is_static() for ob in sc.obstacles)
     assert sc.obstacles[0].center0 == (0.3, 1.2)
     assert sc.params.sigma2 == 0.6
-    assert (sc.params.gains.k1, sc.params.gains.k2) == (2.0, 4.0)
+    assert (sc.params.k1, sc.params.k2) == (2.0, 4.0)
     assert sc.params.epsilon == 0.15
     assert sc.params.t_h == 0.5
     assert sc.params.v_const == 1.0
@@ -100,7 +99,7 @@ def test_load_bundled_example2(example2_file):
     sc = example2_file.scenario
     assert len(sc.obstacles) == 1
     assert sc.obstacles[0].velocity == (-0.1, 0.3)
-    assert (sc.params.gains.k1, sc.params.gains.k2) == (0.6, 1.5)
+    assert (sc.params.k1, sc.params.k2) == (0.6, 1.5)
 
 
 def test_load_missing_file(tmp_path):
@@ -177,7 +176,7 @@ def test_round_trip(tmp_path, example1_file, example2_file):
 
 def test_round_trip_every_block_field(tmp_path, example1_file):
     params = PlannerParams(
-        t_h=0.4, dt=0.01, sigma2=0.3, epsilon=0.2, gains=EcbfGains(1.5, 3.5),
+        t_h=0.4, dt=0.01, sigma2=0.3, epsilon=0.2, k1=1.5, k2=3.5,
         v_const=0.8, omega_ref=0.1, omega_bounds=(-3.0, 2.0), max_iters=123,
     )
     baseline = BaselineParams(
@@ -185,14 +184,12 @@ def test_round_trip_every_block_field(tmp_path, example1_file):
         rewire_gamma=1.25, goal_bias=0.1,
     )
     # every field is a file field, and each differs from its default
-    fields = {f.name for obj in (params, baseline, params.gains)
-              for f in dataclasses.fields(obj)} - {"gains"}
-    assert fields == set(harness.PLANNER_FIELDS) | set(harness.BASELINE_FIELDS)
-    for obj in (params, baseline, params.gains):
-        default = PlannerParams().gains if obj is params.gains else type(obj)()
+    for obj, block in ((params, harness.PLANNER_FIELDS),
+                       (baseline, harness.BASELINE_FIELDS)):
+        assert [f.name for f in dataclasses.fields(obj)] == list(block)
+        default = type(obj)()
         for f in dataclasses.fields(obj):
-            if f.name != "gains":
-                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+            assert getattr(obj, f.name) != getattr(default, f.name), f.name
     sf = dataclasses.replace(
         example1_file, baseline=baseline,
         scenario=dataclasses.replace(example1_file.scenario, params=params),
@@ -837,6 +834,28 @@ def test_compare_rejects_a_repeated_entry_or_seed(tmp_path, example1_file, sweep
     # a repeat would be counted twice in its row; refused before any run
     with pytest.raises(ScenarioValidationError, match=message):
         compare(example1_file, sweep, seeds, tmp_path / "c.csv", threads=1)
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+def test_execute_rejects_a_seed_that_is_not_an_integer(example1_file, seed):
+    # numpy would raise a TypeError that names no field for 1.5, and run
+    # True as seed 1
+    with pytest.raises(ScenarioValidationError,
+                       match=rf"^seed: expected an integer, got {re.escape(repr(seed))}$"):
+        execute(example1_file, "rrt", seed)
+
+
+@pytest.mark.parametrize("seeds, message", [
+    pytest.param([1, 1.5], r"^seeds\[1\]: expected an integer, got 1\.5$", id="float"),
+    pytest.param([0, True], r"^seeds\[1\]: expected an integer, got True$", id="bool"),
+])
+def test_compare_rejects_a_seed_that_is_not_an_integer(tmp_path, example1_file, seeds,
+                                                        message):
+    # truncated to an int after the repeat check, 1.5 would run seed 1 again
+    # and count both runs in one row
+    with pytest.raises(ScenarioValidationError, match=message):
+        compare(example1_file, [("rrt", 1.0)], seeds, tmp_path / "c.csv", threads=1)
     assert not (tmp_path / "c.csv").exists()
 
 

@@ -1,6 +1,6 @@
 """Property tests: the per-node steering kernel against its reference oracles.
 
-The kernel (safety.constraint_rows, qp.solve_scalar_qp, dynamics.rk4_step,
+The kernel (safety.constraint_rows, safety.solve_scalar_qp, dynamics.rk4_step,
 planner.integrate_closed_loop and safe_steer) works on unpacked floats, takes its
 per-run constants from planner.steer_constants, and computes each heading's
 cosine and sine once, so that one integration node allocates almost nothing.
@@ -11,6 +11,7 @@ tells -0.0 from 0.0, or equality of the raw float64 bytes.
 """
 
 import math
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,8 +33,7 @@ from cbfrrt.planner import (
     safe_steer,
     steer_constants,
 )
-from cbfrrt.qp import TOL_ZERO, solve_scalar_qp
-from cbfrrt.safety import EcbfGains, constraint_rows, disk_tuple
+from cbfrrt.safety import TOL_ZERO, constraint_rows, disk_tuple, solve_scalar_qp
 from oracles import (
     ConstraintRow,
     ScalarQpProblem,
@@ -61,7 +61,8 @@ velocities = st.one_of(st.just((0.0, 0.0)),
                        st.tuples(_floats(-1.0, 1.0), _floats(-1.0, 1.0)))
 disks = st.builds(CircularObstacle, st.tuples(_floats(-10.0, 10.0), _floats(-10.0, 10.0)),
                   velocities, _floats(0.01, 2.0))
-gains = st.builds(EcbfGains, _floats(1e-3, 10.0), _floats(1e-3, 10.0))
+# default params but for the gains k1 and k2
+gains = st.builds(PlannerParams, k1=_floats(1e-3, 10.0), k2=_floats(1e-3, 10.0))
 
 
 def _identical(got, want):
@@ -182,8 +183,8 @@ def test_hoisted_grid_is_the_per_call_grid(grid):
 @st.composite
 def steering_cases(draw, max_steps=50):
     t_h, dt = draw(grids(max_steps))
-    params = PlannerParams(
-        t_h=t_h, dt=dt, gains=draw(gains), v_const=draw(_floats(0.1, 2.0)),
+    params = replace(
+        draw(gains), t_h=t_h, dt=dt, v_const=draw(_floats(0.1, 2.0)),
         omega_bounds=draw(st.sampled_from([(-10.0, 10.0), (-4.25, 4.25), (-1.0, 0.5)])))
     near = st.builds(CircularObstacle,
                      st.tuples(_floats(-2.0, 2.0), _floats(-2.0, 2.0)),
@@ -288,8 +289,9 @@ def reach_cases(draw):
     t_h, dt = draw(grids(max_steps=30))
     v = draw(_floats(0.1, 2.0))
     # a small k2 lets the robot drive at a disk until the margin check stops it
-    k = draw(st.one_of(st.builds(EcbfGains, _floats(0.1, 10.0), st.just(1e-3)), gains))
-    params = PlannerParams(t_h=t_h, dt=dt, gains=k, v_const=v)
+    k = draw(st.one_of(st.builds(PlannerParams, k1=_floats(0.1, 10.0), k2=st.just(1e-3)),
+                       gains))
+    params = replace(k, t_h=t_h, dt=dt, v_const=v)
     scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
     start = (draw(_floats(-scale, scale)), draw(_floats(-scale, scale)))
     t0 = draw(st.one_of(st.just(0.0), _floats(-1e4, 1e4)))
@@ -312,7 +314,7 @@ def reach_cases(draw):
 def _head_on_case(t_h, dt, speed, offset, start=(0.0, 0.0), t0=0.0):
     """The robot driven straight at a radius-0.2 disk that moves straight back
     at it, the disk's centre offset from its reach radius at t0."""
-    params = PlannerParams(t_h=t_h, dt=dt, gains=EcbfGains(1.0, 1e-3), v_const=1.0)
+    params = PlannerParams(t_h=t_h, dt=dt, k1=1.0, k2=1e-3, v_const=1.0)
     margin = 0.25 * ((1.0 + speed) * dt) ** 2
     distance = math.sqrt(0.04 + margin) + (1.0 + speed) * _travel(t_h, dt) + offset
     ob = _disk_at(start, t0, 0.5, distance, 0.5 + math.pi, speed, 0.2)
@@ -332,12 +334,11 @@ def _head_on_case(t_h, dt, speed, offset, start=(0.0, 0.0), t0=0.0):
 @example((RobotState(332371.7608042337, -548798.761388153, -2.4634405334147957),
           7030.407620656315, 0.0,
           (CircularObstacle((332371.0907722583, -548799.3011723863), (0.0, 0.0), 0.35),),
-          PlannerParams(t_h=0.3, dt=0.02, gains=EcbfGains(1.0, 1e-3), v_const=1.7)))
+          PlannerParams(t_h=0.3, dt=0.02, k1=1.0, k2=1e-3, v_const=1.7)))
 @example((RobotState(185261.33332287337, 0.0, -2.0712570828163335), -7033.82088603836, 0.0,
           (CircularObstacle((186947.77057288954, 3083.6248885963873),
                             (0.23991491957475353, 0.4386807852703826), 0.35),),
-          PlannerParams(t_h=1.9000000000000001, dt=0.1, gains=EcbfGains(1.0, 1e-3),
-                        v_const=0.5)))
+          PlannerParams(t_h=1.9000000000000001, dt=0.1, k1=1.0, k2=1e-3, v_const=0.5)))
 def test_safe_steer_reach_bound_keeps_the_full_scan_verdict(case):
     _assert_same_edge(case)
 

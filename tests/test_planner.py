@@ -26,7 +26,7 @@ from cbfrrt.planner import (
     steer_constants,
     vertices_sample,
 )
-from cbfrrt.safety import EcbfGains, barrier_value
+from cbfrrt.safety import barrier_value
 from oracles import extract_path_reference, integration_rule_violations
 
 
@@ -95,8 +95,13 @@ SAFE_START = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0),
                      r"^rewire_gamma must be finite, got nan", id="rewire_gamma-nan"),
         pytest.param(BaselineParams(), {"max_iters": 2.5},
                      r"^max_iters must be an integer, got 2\.5", id="baseline-max_iters-float"),
-        pytest.param(EcbfGains(2.0, 4.0), {"k1": math.inf}, r"^k1 must be finite, got inf",
+        pytest.param(PlannerParams(), {"k1": math.inf}, r"^k1 must be finite, got inf",
                      id="k1-inf"),
+        # bad gains never reach the planner
+        pytest.param(PlannerParams(), {"k1": 0.0}, r"^k1 must be > 0, got 0\.0$",
+                     id="k1-zero"),
+        pytest.param(PlannerParams(), {"k2": -1.0}, r"^k2 must be > 0, got -1\.0$",
+                     id="k2-negative"),
         pytest.param(SAFE_START, {"x_init": RobotState(0.0, math.nan, 0.0)},
                      r"^x_init must be finite", id="x_init-nan"),
         pytest.param(SAFE_START, {"x_init": RobotState(1.1, 1.0, 0.0)},
@@ -214,7 +219,7 @@ def test_safe_steer_rejects_feasible_but_penetrating_edge():
     # with complex characteristic roots (k2^2 < 4 k1) the barrier rings below
     # zero while every per-node QP stays feasible; the raw closed loop drives
     # into the disk and the steering call must refuse the edge
-    params = PlannerParams(gains=EcbfGains(0.6, 1.5), t_h=1.0)
+    params = PlannerParams(k1=0.6, k2=1.5, t_h=1.0)
     ob = CircularObstacle((0.6, 0.15), (0.0, 0.0), 0.2)
     x0 = RobotState(0.0, 0.0, 0.0)
 
@@ -379,14 +384,6 @@ def test_validate_scenario_rejects_unsafe_start():
     ob = CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2)
     with pytest.raises(ValueError, match=r"obstacles\[0\]"):
         Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0), (ob,), params)
-
-
-def test_gains_reject_nonpositive_values():
-    # bad gains can never reach the planner: the dataclass refuses to build
-    with pytest.raises(ValueError, match="k1"):
-        EcbfGains(0.0, 4.0)
-    with pytest.raises(ValueError, match="k2"):
-        EcbfGains(2.0, -1.0)
 
 
 def test_plan_reaches_goal_and_tree_is_consistent(example1_file):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cbfrrt.qp import solve_scalar_qp
+from cbfrrt.safety import solve_scalar_qp
 from oracles import ConstraintRow, ScalarQpProblem, feasible_interval, solve_box_qp
 
 BOUNDS = (-4.25, 4.25)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from cbfrrt.dynamics import CircularObstacle, ControlInput, RobotState, rk4_step
-from cbfrrt.planner import integrate_closed_loop, steer_constants
-from cbfrrt.safety import EcbfGains, barrier_value, constraint_rows, disk_tuple
+from cbfrrt.planner import PlannerParams, integrate_closed_loop, steer_constants
+from cbfrrt.safety import barrier_value, constraint_rows, disk_tuple
 from oracles import ConstraintRow, barrier_lie1, ecbf_row_reference, is_safe
 
-GAINS = EcbfGains(2.0, 4.0)
+PARAMS = PlannerParams()  # k1 = 2.0, k2 = 4.0
 
 WORLD1 = (
     CircularObstacle((0.3, 1.2), (0.0, 0.0), 0.2),
@@ -18,11 +18,12 @@ WORLD1 = (
 )
 
 
-def rows_at(state, v_const, obstacles, t, gains):
-    """constraint_rows for a RobotState and CircularObstacles."""
+def rows_at(state, v_const, obstacles, t, params):
+    """constraint_rows for a RobotState and CircularObstacles, with params'
+    gains."""
     x1, x2, theta = state
     return constraint_rows(x1, x2, math.cos(theta), math.sin(theta), v_const,
-                           [disk_tuple(ob) for ob in obstacles], t, gains.k1, gains.k2)
+                           [disk_tuple(ob) for ob in obstacles], t, params.k1, params.k2)
 
 
 def step(state, control, dt):
@@ -32,9 +33,9 @@ def step(state, control, dt):
                                 *control, dt)[:3])
 
 
-def kernel_row(state, v_const, obstacle, t, gains):
+def kernel_row(state, v_const, obstacle, t, params):
     """The kernel's row for a single disk, with the oracle's field names."""
-    return ConstraintRow(*rows_at(state, v_const, (obstacle,), t, gains)[0])
+    return ConstraintRow(*rows_at(state, v_const, (obstacle,), t, params)[0])
 
 
 def test_barrier_value_on_boundary():
@@ -73,14 +74,14 @@ def test_barrier_lie1_zero_offset():
 def test_ecbf_row_lateral_obstacle():
     # obstacle a metre to the left: h=0.96, hdot=0, a = 2*v*d2 = -2
     ob = CircularObstacle((0.0, 1.0), (0.0, 0.0), 0.2)
-    row = kernel_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, GAINS)
+    row = kernel_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, PARAMS)
     assert row.a == pytest.approx(-2.0)
     assert row.b == pytest.approx(3.92)
 
 
 def test_ecbf_row_head_on_is_unconditionally_infeasible():
     ob = CircularObstacle((1.0, 0.0), (0.0, 0.0), 0.2)
-    row = kernel_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, GAINS)
+    row = kernel_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, PARAMS)
     assert row.a == pytest.approx(0.0, abs=1e-15)
     assert row.b == pytest.approx(-4.08)  # 2 + 2*0.96 - 4*2: no omega can help
 
@@ -88,7 +89,7 @@ def test_ecbf_row_head_on_is_unconditionally_infeasible():
 def test_ecbf_row_far_field_dominated_by_k1_h():
     # h = 100 exactly (center distance sqrt(100.04)), hdot = 0, rho = (1, 0)
     ob = CircularObstacle((0.0, math.sqrt(100.04)), (0.0, 0.0), 0.2)
-    row = kernel_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, GAINS)
+    row = kernel_row(RobotState(0.0, 0.0, 0.0), 1.0, ob, 0.0, PARAMS)
     assert row.b == pytest.approx(202.0, abs=1e-9)
     for omega in (-4.25, 0.0, 4.25):
         assert row.a * omega + row.b >= 0.0
@@ -96,12 +97,12 @@ def test_ecbf_row_far_field_dominated_by_k1_h():
 
 def test_constraint_rows_order_and_composition():
     state = RobotState(0.0, 0.0, 0.0)
-    assert rows_at(state, 1.0, (), 0.0, GAINS) == []
-    single = rows_at(state, 1.0, WORLD1[:1], 0.0, GAINS)
-    assert single == [ecbf_row_reference(state, 1.0, WORLD1[0], 0.0, GAINS)]
-    rows = rows_at(state, 1.0, WORLD1, 0.0, GAINS)
+    assert rows_at(state, 1.0, (), 0.0, PARAMS) == []
+    single = rows_at(state, 1.0, WORLD1[:1], 0.0, PARAMS)
+    assert single == [ecbf_row_reference(state, 1.0, WORLD1[0], 0.0, PARAMS)]
+    rows = rows_at(state, 1.0, WORLD1, 0.0, PARAMS)
     assert len(rows) == 3
-    assert [r == ecbf_row_reference(state, 1.0, ob, 0.0, GAINS)
+    assert [r == ecbf_row_reference(state, 1.0, ob, 0.0, PARAMS)
             for r, ob in zip(rows, WORLD1)] == [
         True,
         True,
@@ -152,7 +153,7 @@ def test_row_matches_second_finite_difference():
         h_minus = barrier_value(step(state, u, -eps), ob, -eps)
         fd2 = (h_plus - 2 * h0 + h_minus) / (eps * eps)
 
-        row = kernel_row(state, v, ob, 0.0, GAINS)
+        row = kernel_row(state, v, ob, 0.0, PARAMS)
         rho1 = v * math.cos(state.theta) - ob.velocity[0]
         rho2 = v * math.sin(state.theta) - ob.velocity[1]
         hddot = row.a * omega + 2 * rho1 * rho1 + 2 * rho2 * rho2
@@ -164,12 +165,12 @@ def test_row_b_decomposition():
     rng = np.random.default_rng(9)
     for _ in range(100):
         state, v, _, ob = _random_config(rng)
-        row = kernel_row(state, v, ob, 0.0, GAINS)
+        row = kernel_row(state, v, ob, 0.0, PARAMS)
         h = barrier_value(state, ob, 0.0)
         hdot = barrier_lie1(state, v, ob, 0.0)
         rho1 = v * math.cos(state.theta) - ob.velocity[0]
         rho2 = v * math.sin(state.theta) - ob.velocity[1]
-        expect = 2 * (rho1 * rho1 + rho2 * rho2) + GAINS.k1 * h + GAINS.k2 * hdot
+        expect = 2 * (rho1 * rho1 + rho2 * rho2) + PARAMS.k1 * h + PARAMS.k2 * hdot
         assert row.b == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
@@ -188,8 +189,8 @@ def test_translation_equivariance():
         assert barrier_lie1(moved_state, v, moved_ob, 0.3) == pytest.approx(
             barrier_lie1(state, v, ob, 0.3), abs=1e-12
         )
-        r0 = kernel_row(state, v, ob, 0.3, GAINS)
-        r1 = kernel_row(moved_state, v, moved_ob, 0.3, GAINS)
+        r0 = kernel_row(state, v, ob, 0.3, PARAMS)
+        r1 = kernel_row(moved_state, v, moved_ob, 0.3, PARAMS)
         assert r1.a == pytest.approx(r0.a, abs=1e-12)
         assert r1.b == pytest.approx(r0.b, abs=1e-12)
 

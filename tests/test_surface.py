@@ -10,16 +10,20 @@ read as an attribute (`trajectory.t_end`) in the package besides its own
 definition, or in the benchmark (perfbench/*.py), whose reads count too.
 Methods are matched by name, so a read of one class's `position` counts for
 every class that defines one.
+
+The README's Layout block lists exactly the package's modules.
 """
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import cbfrrt
 
 PACKAGE = pathlib.Path(cbfrrt.__file__).parent
-BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "perfbench"
 
 
 def _read_names(node) -> set[str]:
@@ -72,3 +76,14 @@ def test_every_method_is_read():
                                      for sub in ast.walk(method))
     ]
     assert unread == []
+
+
+def test_readme_layout_lists_every_module():
+    # a module in the block that the package no longer has, or one it left
+    # out, tells a reader the wrong layout
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Layout\n+```\n(.*?)^```", readme, re.M | re.S).group(1)
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    modules = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"]
+    assert sorted(listed) == modules
