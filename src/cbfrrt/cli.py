@@ -11,7 +11,6 @@ Exit codes (stable scripting contract):
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import traceback
@@ -60,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("audit", help="re-check a trajectory CSV against a scenario")
     a.add_argument("--trajectory", required=True, help="trajectory CSV file")
     a.add_argument("--scenario", required=True)
-    a.add_argument("--dt-audit", type=float, default=None,
-                   help="audit sampling interval (default: scenario dt / 4)")
     return parser
 
 
@@ -110,21 +107,16 @@ def _cmd_compare(args) -> tuple[int, str]:
 
 def _cmd_audit(args) -> tuple[int, str]:
     scenario_file = harness.load_scenario(args.scenario)
-    dt_audit = args.dt_audit
-    if dt_audit is None:
-        dt_audit = scenario_file.scenario.params.dt / 4.0
-    elif not (math.isfinite(dt_audit) and dt_audit > 0):
-        raise ScenarioError(f"--dt-audit must be finite and > 0, got {dt_audit}")
     try:
         trajectory = harness.read_trajectory_csv(args.trajectory)
         ok, min_barrier = harness.audit_trajectory(
-            trajectory, scenario_file.scenario.obstacles, dt_audit)
+            trajectory, scenario_file.scenario.obstacles)
     except (OSError, ValueError) as e:
         raise ScenarioError(f"--trajectory: {e}") from e
     shown = "n/a" if min_barrier is None else f"{min_barrier:.9f}"
     return (EXIT_OK if ok else EXIT_AUDIT_FAIL), (
         f"audit {'pass' if ok else 'FAIL'}: min barrier {shown} m^2 "
-        f"over {len(trajectory)} samples at dt_audit={dt_audit}\n")
+        f"over {len(trajectory)} nodes\n")
 
 
 COMMANDS = {"plan": _cmd_plan, "compare": _cmd_compare, "audit": _cmd_audit}
@@ -134,7 +126,12 @@ def main(argv=None) -> int:
     """Run one command; its status is decided before its summary is written,
     so a reader that closes stdout early (`cbfrrt compare ... | head -1`)
     loses only the summary, not the status."""
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has written its usage message to stderr and exits 2 on a
+        # bad argument, which here would read as "exhausted"; --help exits 0.
+        return EXIT_INVALID_INPUT if e.code else EXIT_OK
     try:
         status, output = COMMANDS[args.command](args)
     except (ScenarioError, FileNotFoundError) as e:

@@ -4,9 +4,9 @@ A run is (configured scenario file, algorithm, seed): a scenario JSON file
 fully describes a problem (start, goal, obstacles, planner and baseline
 parameters), configure applies the run's overrides to it, and the seed
 comes from the caller so one file drives a whole sweep. Every run re-audits
-its output trajectory against the obstacles by dense interpolation — the
-report's audit_pass is always computed here, never taken from
-planner-internal flags.
+its output trajectory against the obstacles, exactly along the linear
+interpolation of its nodes — the report's audit_pass is always computed
+here, never taken from planner-internal flags.
 
 Reports are split into report.json (deterministic, byte-reproducible for a
 fixed (scenario, algorithm, seed)) and timing.json (wall-clock, varies run to
@@ -271,22 +271,21 @@ def load_scenario(path) -> ScenarioFile:
 def audit_trajectory(
     trajectory: Trajectory,
     obstacles: Sequence[CircularObstacle],
-    dt_audit: float,
+    _unused: object = None,
 ) -> tuple[bool, Optional[float]]:
-    """Independently verify a trajectory against the obstacles.
+    """Independently verify a trajectory against the obstacles, exactly.
 
-    Interpolates the trajectory linearly at dt_audit spacing (plus the exact
-    final time) and evaluates every barrier at the matching obstacle time.
-    Returns (pass, min_barrier), pass meaning min_barrier >= AUDIT_TOL; with
-    no obstacles the trajectory passes with min_barrier None. A trajectory
-    with no nodes raises ValueError (every planned path has at least its
-    start), as does one whose t goes back at some node (the interpolation
-    needs increasing times; the error names the first such node) and a
-    dt_audit that is not finite and > 0: an infinite one would sample the
-    end points alone.
+    Between two nodes the robot moves along their chord and a disk along its
+    line, so their offset is d0 + s*e for s in [0, 1] and the barrier, convex
+    in s, is least at s* = clamp(-(d0.e)/(e.e), 0, 1), or 0 when e.e = 0.
+    min_barrier, the least barrier at every node and every s* of every disk,
+    is the minimum over the whole interpolation (two nodes at one t are a
+    jump along their chord). Returns (pass, min_barrier), pass meaning
+    min_barrier >= AUDIT_TOL, or (True, None) with no obstacles. ValueError
+    for a trajectory with no nodes (every planned path has its start) or
+    whose t goes back at some node, naming the first. The third parameter
+    is ignored: perfbench/worker.py check_run still passes a sampling step.
     """
-    if not (math.isfinite(dt_audit) and dt_audit > 0.0):
-        raise ValueError(f"dt_audit must be finite and > 0, got {dt_audit}")
     if not trajectory:
         raise ValueError("the trajectory has no nodes to audit")
     rows = np.frombuffer(trajectory.data).reshape(-1, 6)
@@ -298,16 +297,18 @@ def audit_trajectory(
                          f"node's t={float(ts[k - 1])!r}")
     if not obstacles:
         return True, None
-    t0, t_end = float(ts[0]), float(ts[-1])
-    taus = np.arange(t0, t_end, dt_audit)
-    taus = np.append(taus, t_end)
-    xi1 = np.interp(taus, ts, x1)
-    xi2 = np.interp(taus, ts, x2)
     min_h = math.inf
     for obstacle in obstacles:
-        c1 = obstacle.center0[0] + obstacle.velocity[0] * taus
-        c2 = obstacle.center0[1] + obstacle.velocity[1] * taus
-        h = (xi1 - c1) ** 2 + (xi2 - c2) ** 2 - obstacle.radius ** 2
+        d1 = x1 - (obstacle.center0[0] + obstacle.velocity[0] * ts)
+        d2 = x2 - (obstacle.center0[1] + obstacle.velocity[1] * ts)
+        e1, e2 = np.diff(d1), np.diff(d2)
+        ee = e1 * e1 + e2 * e2
+        s = np.divide(-(d1[:-1] * e1 + d2[:-1] * e2), ee,
+                      out=np.zeros_like(ee), where=ee > 0.0)
+        np.clip(s, 0.0, 1.0, out=s)
+        m1 = np.append(d1, d1[:-1] + s * e1)
+        m2 = np.append(d2, d2[:-1] + s * e2)
+        h = m1 ** 2 + m2 ** 2 - obstacle.radius ** 2
         # np.minimum keeps a NaN, which then fails the comparison below;
         # Python's min would skip it and pass the trajectory.
         min_h = float(np.minimum(min_h, h.min()))
@@ -342,10 +343,9 @@ def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float]
     """The scenario file with a run's overrides applied to the algorithm's
     own params, or the same object when there are none: step is t_h (s) for
     cbf-rrt and delta_d (m) for the baselines, and max_iters the algorithm's
-    budget. dt overrides the cbf-rrt integration step only: a baseline's
-    audit samples at the scenario's dt / 4, which a dt override would
-    coarsen. Raises ScenarioValidationError naming the override (step, dt or
-    max_iters) that the algorithm or its params reject."""
+    budget. dt overrides the cbf-rrt integration step only, a parameter a
+    baseline would ignore. Raises ScenarioValidationError naming the
+    override (step, dt or max_iters) that the algorithm or its params reject."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     cbf = algorithm == "cbf-rrt"
@@ -400,8 +400,7 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
 
     audit_pass = min_barrier = None
     if trajectory is not None:
-        audit_pass, min_barrier = audit_trajectory(
-            trajectory, scenario.obstacles, params.dt / 4.0)
+        audit_pass, min_barrier = audit_trajectory(trajectory, scenario.obstacles)
     report = RunReport(
         algorithm=algorithm, seed=seed, success=trajectory is not None,
         wall_time=wall, iterations=result.iterations, vertices=len(result.tree),

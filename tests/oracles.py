@@ -304,6 +304,33 @@ def edge_collision_audit(
     return endpoint_collision_check(p1, obstacles)
 
 
+def sampled_chord_barriers(
+    trajectory: Trajectory, obstacles: Sequence[CircularObstacle], m: int
+) -> list[tuple[float, float]]:
+    """Sampling oracle of the audit: one (least, ee) per interval between two
+    nodes and per disk. least is the smallest barrier at m + 1 evenly spaced
+    points of the interval, both nodes included, with the robot interpolated
+    linearly and the disk's centre taken at the interpolated time. ee is e.e,
+    e being the change of the robot's offset from the centre over the
+    interval: the barrier is ee * s^2 plus lower terms in s, so between two
+    samples, 1/m apart, it dips at most ee / (4 m^2) below the nearer one."""
+    rows = trajectory.samples
+    out = []
+    for a, b in zip(rows, rows[1:]):
+        for ob in obstacles:
+            def offset(s):
+                t = a.t + s * (b.t - a.t)
+                return (a.state.x1 + s * (b.state.x1 - a.state.x1)
+                        - (ob.center0[0] + ob.velocity[0] * t),
+                        a.state.x2 + s * (b.state.x2 - a.state.x2)
+                        - (ob.center0[1] + ob.velocity[1] * t))
+            least = min(math.fsum(d * d for d in offset(j / m)) - ob.radius ** 2
+                        for j in range(m + 1))
+            (p1, p2), (q1, q2) = offset(0.0), offset(1.0)
+            out.append((least, (q1 - p1) ** 2 + (q2 - p2) ** 2))
+    return out
+
+
 def sample_point_reference(goal: Point, params: BaselineParams,
                            rng: np.random.Generator) -> Point:
     """One baseline sample drawn call by call: the bias coin as

@@ -80,7 +80,8 @@ def comparison_rows(example1_file, tmp_path_factory):
 
 
 def test_criterion_01_safety_invariance(ex1_runs, ex2_runs, example1_file):
-    # every successful run must survive an independent dense re-audit
+    # every successful run must survive the independent audit, exact along
+    # the chords between its nodes
     assert example1_file.scenario.params.dt / 4.0 == 0.005
     violations = []
     for batch, name in ((ex1_runs, "static"), (ex2_runs, "moving")):

@@ -113,7 +113,7 @@ def test_start_at_goal_runs_agree_across_planners(tmp_path, capsys):
     code = main(["audit", "--trajectory", str(tmp_path / "cbf-rrt" / "trajectory.csv"),
                  "--scenario", scenario])
     assert code == EXIT_OK
-    assert "over 1 samples" in capsys.readouterr().out
+    assert "over 1 nodes" in capsys.readouterr().out
 
 
 def test_plan_missing_scenario(tmp_path, capsys):
@@ -347,38 +347,61 @@ def test_audit_rejects_garbage_csv(tmp_path, capsys):
     assert code == EXIT_INVALID_INPUT
 
 
-VALID_ROWS = ["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"]
-
-
 @pytest.mark.parametrize(
-    "rows, extra, message",
+    "rows, message",
     [
         # crosses the (1.0, 0.5) disk if read in t order; rows are out of order
-        pytest.param(["1.0,1.5,0.5,0.0,1.0,0.0", "0.0,0.5,0.5,0.0,1.0,0.0"], [],
+        pytest.param(["1.0,1.5,0.5,0.0,1.0,0.0", "0.0,0.5,0.5,0.0,1.0,0.0"],
                      r"line 3: t=0\.0 is before", id="t-decreases"),
-        pytest.param(["0.0,0.5,nan,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"], [],
+        pytest.param(["0.0,0.5,nan,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0,0.0"],
                      r"line 2: x2 must be finite", id="nan-coordinate"),
-        pytest.param(["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,abc,0.5,0.0,1.0,0.0"], [],
+        pytest.param(["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,abc,0.5,0.0,1.0,0.0"],
                      r"line 3: x1 must be a number, got 'abc'", id="non-numeric-field"),
-        pytest.param(["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0"], [],
+        pytest.param(["0.0,0.5,0.5,0.0,1.0,0.0", "1.0,1.5,0.5,0.0,1.0"],
                      r"line 3: expected 6 columns, got 5$", id="wrong-column-count"),
         # failed runs write a header-only file; there is nothing to certify
-        pytest.param([], [], r"--trajectory: .*no nodes", id="header-only"),
-        pytest.param(VALID_ROWS, ["--dt-audit", "nan"],
-                     r"--dt-audit must be finite and > 0, got nan", id="dt-audit-nan"),
-        # would sample only the two end points and pass
-        pytest.param(VALID_ROWS, ["--dt-audit", "inf"],
-                     r"--dt-audit must be finite and > 0, got inf", id="dt-audit-inf"),
+        pytest.param([], r"--trajectory: .*no nodes", id="header-only"),
     ],
 )
-def test_audit_rejects_malformed_rows(tmp_path, capsys, rows, extra, message):
+def test_audit_rejects_malformed_rows(tmp_path, capsys, rows, message):
     traj = tmp_path / "traj.csv"
     traj.write_text("\n".join([harness.TRAJECTORY_HEADER, *rows]) + "\n")
-    code = main(["audit", "--trajectory", str(traj), "--scenario", EXAMPLE1, *extra])
+    code = main(["audit", "--trajectory", str(traj), "--scenario", EXAMPLE1])
     assert code == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert re.search(message, err)
+
+
+def test_audit_fails_a_jump_across_a_disk(tmp_path, capsys):
+    # two rows at t = 1 on either side of example1's disk at (1.0, 0.5): each
+    # clears it by 0.21 m^2, and the chord between them runs through its centre
+    traj = tmp_path / "jump.csv"
+    traj.write_text(f"{harness.TRAJECTORY_HEADER}\n"
+                    "1.0,0.5,0.5,0.0,1.0,0.0\n1.0,1.5,0.5,0.0,1.0,0.0\n")
+    code = main(["audit", "--trajectory", str(traj), "--scenario", EXAMPLE1])
+    assert code == EXIT_AUDIT_FAIL
+    assert capsys.readouterr().out == "audit FAIL: min barrier -0.040000000 m^2 over 2 nodes\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["audit", "--trajectory", "traj.csv", "--scenario", EXAMPLE1,
+                  "--dt-audit", "0.005"], id="unknown-flag"),
+    pytest.param(["plan", "--scenario", EXAMPLE1, "--seed", "abc", "--out", "out"],
+                 id="bad-type"),
+    pytest.param(["plan", "--scenario", EXAMPLE1], id="missing-out"),
+])
+def test_argument_errors_exit_3(tmp_path, capsys, monkeypatch, argv):
+    # argparse's own status, 2, is the exit code of an exhausted budget
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.startswith("usage: cbfrrt ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["audit", "--help"]) == EXIT_OK
+    assert "--dt-audit" not in capsys.readouterr().out
 
 
 def test_compare_writes_table(tmp_path, capsys):

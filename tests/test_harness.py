@@ -15,6 +15,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cbfrrt
 from cbfrrt import harness, planner
@@ -27,6 +29,7 @@ from cbfrrt.dynamics import (
     TrajectorySample,
 )
 from cbfrrt.harness import (
+    AUDIT_TOL,
     COMPARISON_HEADER,
     ScenarioParseError,
     ScenarioValidationError,
@@ -46,6 +49,7 @@ from oracles import (
     expand_tree_json,
     full_tree_json_reference,
     integration_rule_violations,
+    sampled_chord_barriers,
     trajectory_from_samples,
     tree_json_reference,
     unpack_f8,
@@ -224,16 +228,16 @@ def straight_line_trajectory(x0, x1, n, v=1.0):
 def test_audit_clean_trajectory():
     traj = straight_line_trajectory((0.0, 2.0), (1.0, 2.0), 11)
     obstacles = (CircularObstacle((0.5, 0.0), (0.0, 0.0), 0.2),)
-    ok, min_h = audit_trajectory(traj, obstacles, 0.005)
+    ok, min_h = audit_trajectory(traj, obstacles)
     assert ok
     assert min_h == pytest.approx(4.0 - 0.04, abs=1e-9)
 
 
 def test_audit_interpolates_between_nodes():
-    # both nodes are outside the disk; only interpolation can see the crossing
+    # both nodes are outside the disk; only the chord between them crosses it
     traj = straight_line_trajectory((-1.0, 0.0), (1.0, 0.0), 2)
     obstacles = (CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2),)
-    ok, min_h = audit_trajectory(traj, obstacles, 0.01)
+    ok, min_h = audit_trajectory(traj, obstacles)
     assert not ok
     assert min_h == pytest.approx(-0.04, abs=1e-3)
 
@@ -247,7 +251,7 @@ def test_audit_moving_obstacle_times():
         ]
     )
     obstacles = (CircularObstacle((1.0, 0.0), (-1.0, 0.0), 0.2),)
-    ok, min_h = audit_trajectory(traj, obstacles, 0.01)
+    ok, min_h = audit_trajectory(traj, obstacles)
     assert not ok
     assert min_h == pytest.approx(-0.04, abs=1e-9)
 
@@ -255,23 +259,24 @@ def test_audit_moving_obstacle_times():
 def test_audit_empty_and_obstacle_free():
     # every planned path has at least its start node, so no nodes is an error
     with pytest.raises(ValueError, match=r"no nodes"):
-        audit_trajectory(trajectory_from_samples([]), (), 0.01)
+        audit_trajectory(trajectory_from_samples([]), ())
     traj = straight_line_trajectory((0.0, 0.0), (1.0, 0.0), 5)
-    assert audit_trajectory(traj, (), 0.01) == (True, None)
+    assert audit_trajectory(traj, ()) == (True, None)
 
 
 def test_audit_fails_a_nan_barrier(example1_file):
     # a NaN h must fail the certificate, not be skipped by the minimum
     traj = Trajectory(array("d", [0.0, 0.0, 0.0, 0.0, 1.0, 0.0,
                                   1.0, math.nan, 1.0, 0.0, 1.0, 0.0]))
-    ok, min_h = audit_trajectory(traj, example1_file.scenario.obstacles, 0.005)
+    ok, min_h = audit_trajectory(traj, example1_file.scenario.obstacles)
     assert not ok
     assert math.isnan(min_h)
 
 
 def test_audit_refuses_a_time_column_that_goes_back():
-    # np.interp needs increasing times: on t = 0, 2, 1 it passed this path,
-    # whose middle node sits on the disk's centre, with min_barrier 0.21
+    # a chord runs forward in time, so a t that goes back is refused: read in
+    # t order (0, 1, 2) this path would skip its middle node, which sits on
+    # the disk's centre
     nodes = [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
     obstacles = (CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2),)
 
@@ -282,26 +287,80 @@ def test_audit_refuses_a_time_column_that_goes_back():
 
     with pytest.raises(ValueError, match=r"^node 2: t=1\.0 is before the previous "
                                          r"node's t=2\.0$"):
-        audit_trajectory(path((0.0, 2.0, 1.0)), obstacles, 0.01)
+        audit_trajectory(path((0.0, 2.0, 1.0)), obstacles)
     with pytest.raises(ValueError, match=r"^node 2: "):
-        audit_trajectory(path((0.0, 2.0, 1.0)), (), 0.01)
-    ok, min_h = audit_trajectory(path((0.0, 1.0, 2.0)), obstacles, 0.01)
+        audit_trajectory(path((0.0, 2.0, 1.0)), ())
+    ok, min_h = audit_trajectory(path((0.0, 1.0, 2.0)), obstacles)
     assert not ok
     assert min_h == pytest.approx(-0.04, abs=1e-12)
     # a repeated time does not go back
-    assert audit_trajectory(path((0.0, 1.0, 1.0)), obstacles, 0.01)[0] is False
+    assert audit_trajectory(path((0.0, 1.0, 1.0)), obstacles)[0] is False
 
 
-def test_audit_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        audit_trajectory(trajectory_from_samples([]), (), 0.0)
-    # an infinite spacing would sample the two end points alone, and this
-    # line crosses the disk between them
-    traj = straight_line_trajectory((-1.0, 0.0), (1.0, 0.0), 2)
+def test_audit_fails_a_segment_that_grazes_the_disk_between_samples():
+    # the chord's closest point to the centre is 1e-5 m^2 inside the disk;
+    # samples every 0.005 s fall 0.005 m either side of it, and clear the
+    # disk by 1.5e-5 m^2
+    y0 = math.sqrt(0.04 - 1e-5)
+    traj = straight_line_trajectory((-1.005, y0), (0.995, y0), 2)
     obstacles = (CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2),)
-    for dt_audit in (math.inf, math.nan, -math.inf):
-        with pytest.raises(ValueError, match=r"^dt_audit must be finite and > 0"):
-            audit_trajectory(traj, obstacles, dt_audit)
+    ok, min_h = audit_trajectory(traj, obstacles)
+    assert not ok
+    assert min_h == pytest.approx(-1e-5, abs=1e-12)
+
+
+def test_audit_fails_a_jump_across_the_disk(tmp_path):
+    # two rows at t = 1 on either side of the disk: both nodes clear it by
+    # 0.21 m^2, and the chord between them runs through its centre
+    path = tmp_path / "jump.csv"
+    path.write_text("t,x1,x2,theta,v,omega\n"
+                    "0.0,-0.5,0.0,0.0,0.0,0.0\n1.0,-0.5,0.0,0.0,0.0,0.0\n"
+                    "1.0,0.5,0.0,0.0,0.0,0.0\n2.0,0.5,0.0,0.0,0.0,0.0\n")
+    obstacles = (CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2),)
+    ok, min_h = audit_trajectory(read_trajectory_csv(path), obstacles)
+    assert not ok
+    assert min_h == pytest.approx(-0.04, abs=1e-12)
+
+
+def _coordinates(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def audit_cases(draw):
+    """2-6 nodes at non-decreasing times (a repeat is a jump), 1-3 moving
+    disks and a sampling count m."""
+    n = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.one_of(st.just(0.0), _coordinates(0.0, 2.0)),
+                         min_size=n - 1, max_size=n - 1))
+    t = draw(_coordinates(0.0, 5.0))
+    rows = array("d")
+    for gap in [0.0, *gaps]:
+        t += gap
+        rows.extend((t, draw(_coordinates(-3.0, 3.0)), draw(_coordinates(-3.0, 3.0)),
+                     0.0, 1.0, 0.0))
+    disks = st.builds(CircularObstacle,
+                      st.tuples(_coordinates(-3.0, 3.0), _coordinates(-3.0, 3.0)),
+                      st.tuples(_coordinates(-1.0, 1.0), _coordinates(-1.0, 1.0)),
+                      _coordinates(0.05, 1.0))
+    obstacles = tuple(draw(st.lists(disks, min_size=1, max_size=3)))
+    return Trajectory(rows), obstacles, draw(st.integers(1, 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(audit_cases())
+@example((straight_line_trajectory((-1.005, math.sqrt(0.04 - 1e-5)),
+                                   (0.995, math.sqrt(0.04 - 1e-5)), 2),
+          (CircularObstacle((0.0, 0.0), (0.0, 0.0), 0.2),), 200))
+def test_audit_minimum_is_bracketed_by_dense_sampling(case):
+    # the exact minimum is no higher than any sample, and no lower than the
+    # most a convex quadratic can dip between two samples
+    trajectory, obstacles, m = case
+    ok, min_h = audit_trajectory(trajectory, obstacles)
+    intervals = sampled_chord_barriers(trajectory, obstacles, m)
+    assert min_h <= min(least for least, _ in intervals) + 1e-12
+    assert min_h >= min(least - ee / (4 * m * m) for least, ee in intervals) - 1e-12
+    assert ok == (min_h >= AUDIT_TOL)
 
 
 # ---------------------------------------------------------------- serialization
@@ -345,10 +404,7 @@ def test_execute_recomputes_audit_honestly(example1_file):
         report, trajectory, _ = execute(example1_file, algorithm, 1)
         if trajectory is None:
             continue
-        dt_audit = example1_file.scenario.params.dt / 4.0
-        ok, min_h = audit_trajectory(
-            trajectory, example1_file.scenario.obstacles, dt_audit
-        )
+        ok, min_h = audit_trajectory(trajectory, example1_file.scenario.obstacles)
         assert report.audit_pass == ok
         assert report.min_barrier == pytest.approx(min_h, abs=1e-12)
 
@@ -511,19 +567,19 @@ GOLDEN_DIGESTS = [
                  "2b61c18c934550be4dd41bcccb813ab9e324e29dd7dc36130240b2b86b0d2a36",
                  id="example1-cbf-rrt-t_h0.25-seed2"),
     pytest.param("example2", "cbf-rrt", None, None, 0,
-                 "f963c47c568d7fabde281cb27055d515fb1d3b01ad32d2a4e35d5c653c9d107b",
+                 "2694561067c26900e041c0bece4020dff0856476c8c88ae0b01198692e390bd4",
                  "d0c0e3febcd037a125996406a8d4e830942ab58d7f9e79579690378afbb4c39d",
                  id="example2-cbf-rrt-seed0"),
     pytest.param("example1", "rrt-star", "delta_d", 1.0, 0,
-                 "aabaf5983ff4604b26b002c33529dea37ff10485fb7f8348c250d12f2d286580",
+                 "56437ed1ba50a63b35b75c8c200872bb6b15893920c8cc0c0194374b0b865c2f",
                  "474480ebcfb18db278ae873e20db4758f7535c8a6ade71f05e8631d9a482cf01",
                  id="example1-rrt-star-delta_d1.0-seed0"),
     pytest.param("example1", "rrt", "delta_d", 0.25, 0,
-                 "14acc512b1036d45c069062318f1d8eb3453235e7b2a31ca0d5f22a3fe7023c3",
+                 "e8d751db2e37e8ec864657571abdf8a2b7d71e23479db134e6a0e8d112b7a2da",
                  "92f4d9274ab217529c88b1b7fda8ced58b8ba8e03c094e275408a0794821b2f7",
                  id="example1-rrt-delta_d0.25-seed0"),
     pytest.param("example1", "rrt-star", "delta_d", 0.25, 1,
-                 "37df1d8b69b06cf533e4fb1641f8bc784994f190f1a61779083320a72036f8d1",
+                 "ded86f0ee2744dec1e27e957c48e5f7ec1485b06652061db7624737023b51488",
                  "2a9eeb86b0cdabdf4d93f974ef8a19a0f00f06e29cb4167a2013fd779a3c2efd",
                  id="example1-rrt-star-delta_d0.25-seed1"),
 ]

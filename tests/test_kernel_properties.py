@@ -23,6 +23,7 @@ from cbfrrt.dynamics import (
     rk4_step,
     step_grid,
 )
+from cbfrrt.harness import audit_trajectory
 from cbfrrt.planner import (
     PlannerParams,
     Scenario,
@@ -234,6 +235,28 @@ def test_integrate_closed_loop_matches_the_state_reference(case):
 @example(_swerve_case())
 def test_safe_steer_matches_the_state_reference(case):
     _assert_same_edge(case)
+
+
+def _tangent_case():
+    # a straight edge past a disk whose closest point falls halfway between
+    # two nodes: each node clears it by 5e-5 m^2, the chord between them
+    # enters it by 5e-5 m^2, and only the node margin (1e-4) refuses the edge
+    ob = CircularObstacle((0.25, math.sqrt(0.04 - 5e-5)), (0.0, 0.0), 0.2)
+    return RobotState(0.0, 0.0, 0.0), 0.0, 0.0, (ob,), PlannerParams()
+
+
+@PROPERTY
+@given(steering_cases())
+@example(_swerve_case())
+@example(_tangent_case())
+def test_an_accepted_edge_clears_every_disk_along_its_chords(case):
+    # steer_constants' margin argument: a chord's barrier dips at most |e|^2/4
+    # below its lower end, and |e| <= (v + |v_disk|) * dt, so a node margin of
+    # ((v + |v_disk|) * dt)^2 / 4 keeps the whole chord out of the disk
+    start, t, omega_ref, obstacles, params = case
+    edge = safe_steer(start, t, omega_ref, steer_constants(obstacles, params))
+    if edge is not None and obstacles:
+        assert audit_trajectory(edge, obstacles)[1] >= -1e-9
 
 
 def _assert_same_edge(case):
