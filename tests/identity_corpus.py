@@ -1,0 +1,77 @@
+"""The identity corpus: sha256 of each artifact of a fixed set of runs.
+
+tests/data/identity.json holds, per case, the sha256 of report.json, of the
+raw tree.json bytes and of trajectory.csv, each built in memory from
+harness.execute and the artifact formatters (no file is written).
+tests/test_identity.py compares every case against it. A change that
+rewrites the manifest says why, as it would for the golden digests.
+
+Regenerate with:
+
+    PYTHONPATH=src python tests/identity_corpus.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+
+from cbfrrt import harness
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "src" / "cbfrrt" / "scenarios"
+MANIFEST = pathlib.Path(__file__).resolve().parent / "data" / "identity.json"
+
+# (scenario, algorithm, step or None for the file's own, seeds): the cbf-rrt
+# step is t_h, the baselines' delta_d.
+GROUPS = (
+    ("example1", "cbf-rrt", 0.25, range(6)),
+    ("example1", "cbf-rrt", 0.5, range(20)),
+    ("example2", "cbf-rrt", None, range(20)),
+    ("example1", "rrt", 0.25, range(3)),
+    ("example1", "rrt", 1.0, range(3)),
+    ("example1", "rrt-star", 0.25, range(3)),
+    ("example1", "rrt-star", 1.0, range(3)),
+)
+
+
+def cases() -> list[tuple[str, str, str, float | None, int]]:
+    """(case id, scenario, algorithm, step, seed) for every corpus run."""
+    out = []
+    for name, algorithm, step, seeds in GROUPS:
+        for seed in seeds:
+            key = "t_h" if algorithm == "cbf-rrt" else "delta_d"
+            label = "" if step is None else f"/{key}={step!r}"
+            out.append((f"{name}/{algorithm}{label}/seed={seed}",
+                        name, algorithm, step, seed))
+    return out
+
+
+def case_digests(name: str, algorithm: str, step: float | None, seed: int) -> dict:
+    """sha256 of report.json, raw tree.json and trajectory.csv for one run."""
+    scenario_file = harness.configure(
+        harness.load_scenario(SCENARIOS / f"{name}.json"), algorithm, step)
+    report, trajectory, tree = harness.execute(scenario_file, algorithm, seed)
+    tree_json = b"".join(harness._format_tree_json(
+        algorithm, tree, scenario_file.scenario.params))
+    return {
+        "report": hashlib.sha256(harness.format_report_json(report).encode()).hexdigest(),
+        "tree": hashlib.sha256(tree_json).hexdigest(),
+        "trajectory": hashlib.sha256(
+            harness.format_trajectory_csv(trajectory).encode()).hexdigest(),
+    }
+
+
+def corpus() -> dict[str, dict]:
+    """Case id -> case_digests, for every case."""
+    return {case_id: case_digests(*args) for case_id, *args in cases()}
+
+
+def main():
+    MANIFEST.write_text(json.dumps(corpus(), indent=1) + "\n")
+    print(f"wrote {MANIFEST.relative_to(ROOT)}")
+
+
+if __name__ == "__main__":
+    main()
