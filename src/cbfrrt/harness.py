@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import binascii
 import csv
-import io
 import json
 import math
 import os
-import statistics
 import tempfile
 import time
 from array import array
@@ -617,6 +615,11 @@ def compare(
         if algorithm != "cbf-rrt":
             _checked(f"sweep[{i}].algorithm: ", require_static,
                      scenario_file.scenario.obstacles)
+
+    # Imported here, their one user: statistics loads fractions and decimal,
+    # which would cost every `import cbfrrt` about 4 ms.
+    import io
+    import statistics
 
     tasks = [(algorithm, float(step), seed) for algorithm, step in sweep for seed in seeds]
     if threads is None:

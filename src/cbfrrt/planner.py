@@ -14,9 +14,13 @@ own timestamp. Its heading is the arrival heading; expansion overwrites it
 (the heading is a free variable, so edge start states match their parent
 vertex in position and time, not heading).
 
-Randomness is a single seeded generator per plan() call, consumed in a fixed
-order (vertex draw, then heading draw, each iteration), which makes runs
-bit-reproducible for a given Scenario.
+Randomness is a single seeded PCG64 generator per plan() call, consumed in a
+fixed order (vertex draw, then heading draw, each iteration), which makes
+runs bit-reproducible for a given Scenario. The vertex draw reads the bit
+generator's raw 64-bit stream (index_draw) and the heading draw is one
+standard_normal; together they consume the stream exactly as
+Generator.integers(0, n) and Generator.normal(mean, sd) would, bit for bit,
+without numpy's per-call dispatch.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -138,9 +142,47 @@ class PlanResult:
     iterations: int
 
 
-def vertices_sample(tree: PlanTree, rng: np.random.Generator) -> int:
-    """Draw a vertex id uniformly from the tree (probability 1/N each)."""
-    return int(rng.integers(0, len(tree)))
+def index_draw(bit_generator: np.random.BitGenerator) -> Callable[[int], int]:
+    """A draw(n) returning a uniform integer in [0, n), for 1 <= n <= 2^32,
+    that consumes a PCG64 bit generator exactly as Generator.integers(0, n)
+    does and returns the same integers, with no numpy call but random_raw.
+
+    numpy takes n == 1 without a draw. Otherwise it runs Lemire's method on
+    the generator's 32-bit output: x * n for a 32-bit x, whose high word is
+    the result unless its low word falls below 2^32 mod n, when x is drawn
+    again. The 32-bit output splits each raw 64-bit word, low half first;
+    the high half waits in a one-slot buffer, empty at the start as in a
+    freshly seeded PCG64. Nothing else may read 32-bit halves of the same
+    generator (standard_normal reads whole words), so build one draw per
+    seeded generator. A tree never reaches 2^32 vertices."""
+    raw = bit_generator.random_raw
+    spare = None
+
+    def draw(n: int) -> int:
+        nonlocal spare
+        if n == 1:
+            return 0
+        while True:
+            if spare is None:
+                word = raw()
+                x = word & 0xFFFFFFFF
+                spare = word >> 32
+            else:
+                x = spare
+                spare = None
+            m = x * n
+            low = m & 0xFFFFFFFF
+            # low >= n is the common case, which skips the modulo.
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+    return draw
+
+
+def vertices_sample(tree: PlanTree, draw: Callable[[int], int]) -> int:
+    """Draw a vertex id uniformly from the tree (probability 1/N each) with
+    draw, an index_draw of the run's generator."""
+    return draw(len(tree))
 
 
 def goal_heading(position: tuple[float, float], goal: tuple[float, float]) -> float:
@@ -159,8 +201,10 @@ def heading_sample(
     rng: np.random.Generator,
 ) -> float:
     """The free heading at position, drawn ~ Normal(goal heading, sd^2);
-    sd is the square root of PlannerParams.sigma2."""
-    return float(rng.normal(goal_heading(position, goal), sd))
+    sd is the square root of PlannerParams.sigma2. Generator.normal(mean, sd)
+    computes mean + sd * standard_normal(), so this is its float, bit for
+    bit, without its dispatch."""
+    return goal_heading(position, goal) + sd * rng.standard_normal()
 
 
 # The reach bounds' rounding slack, per node, relative to the magnitudes of
@@ -422,6 +466,7 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
     params = scenario.params
     goal = scenario.x_goal
     rng = np.random.default_rng(seed)
+    draw = index_draw(rng.bit_generator)
     tree = PlanTree(scenario.x_init, scenario.t_init)
 
     if in_goal_region(scenario.x_init.position(), goal, params.epsilon):
@@ -432,9 +477,10 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
     sd = math.sqrt(params.sigma2)
 
     for iteration in range(1, params.max_iters + 1):
-        picked = vertices_sample(tree, rng)
+        picked = vertices_sample(tree, draw)
         node = 6 * tree.ends[picked] - 6
-        t, x1, x2 = tree.data[node:node + 3]
+        data = tree.data
+        t, x1, x2 = data[node], data[node + 1], data[node + 2]
         theta = heading_sample((x1, x2), goal, sd, rng)
         edge = safe_steer((x1, x2, theta), t, params.omega_ref, constants)
         if edge is None:

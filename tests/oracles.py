@@ -284,6 +284,16 @@ def is_safe(
     return all(barrier_value(state, obs, t) >= 0.0 for obs in obstacles)
 
 
+def node_min_barrier(
+    trajectory: Trajectory, obstacles: Sequence[CircularObstacle]
+) -> float:
+    """The least barrier_value over the trajectory's nodes, each disk taken
+    at the node's time: the audit's exact chord minimum can only be at or
+    below it, and is below it where a chord dips between two nodes."""
+    return min(barrier_value(sample.state, obstacle, sample.t)
+               for sample in trajectory.samples for obstacle in obstacles)
+
+
 def edge_collision_audit(
     p0: Point,
     p1: Point,

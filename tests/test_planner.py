@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 from array import array
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from cbfrrt.planner import (
     goal_check,
     goal_heading,
     heading_sample,
+    index_draw,
     integrate_closed_loop,
     plan,
     root_path,
@@ -126,9 +128,9 @@ def test_checks_fire_on_construction_and_replace(valid, overrides, message):
 
 def test_vertices_sample_single_vertex():
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
-    rng = np.random.default_rng(0)
+    draw = index_draw(np.random.default_rng(0).bit_generator)
     for _ in range(10):
-        assert vertices_sample(tree, rng) == 0
+        assert vertices_sample(tree, draw) == 0
 
 
 def test_vertices_sample_uniform_frequencies():
@@ -136,10 +138,10 @@ def test_vertices_sample_uniform_frequencies():
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
     for _ in range(3):
         straight_edge(tree, len(tree) - 1, params)
-    rng = np.random.default_rng(123)
+    draw = index_draw(np.random.default_rng(123).bit_generator)
     counts = np.zeros(4)
     for _ in range(10_000):
-        counts[vertices_sample(tree, rng)] += 1
+        counts[vertices_sample(tree, draw)] += 1
     # binomial 3-sigma band around 2500
     assert np.all(np.abs(counts - 2500) <= 150)
 
@@ -149,11 +151,88 @@ def test_vertices_sample_deterministic():
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
     for _ in range(3):
         straight_edge(tree, len(tree) - 1, params)
-    rng = np.random.default_rng(5)
-    seq1 = [vertices_sample(tree, rng) for _ in range(20)]
-    rng = np.random.default_rng(5)
-    seq2 = [vertices_sample(tree, rng) for _ in range(20)]
+    draw = index_draw(np.random.default_rng(5).bit_generator)
+    seq1 = [vertices_sample(tree, draw) for _ in range(20)]
+    draw = index_draw(np.random.default_rng(5).bit_generator)
+    seq2 = [vertices_sample(tree, draw) for _ in range(20)]
     assert seq1 == seq2
+
+
+# 2^31 + 1 rejects about half its 32-bit draws in Lemire's method (2^32 mod n
+# is 2^31 - 1), 2^32 - 1 almost none, and 2^32 takes the 32-bit draw as is.
+DRAW_SIZES = (1, 2, 3, 7, 1_000, 3_934, 2**31 + 1, 2**32 - 1, 2**32)
+
+
+def test_index_draw_matches_generator_integers():
+    # twin generators, one read through index_draw and one by numpy, with
+    # normal draws (whole 64-bit words) between the integer draws, as plan
+    # interleaves them; the raw streams must stay in step
+    ours, numpys = np.random.default_rng(2024), np.random.default_rng(2024)
+    draw = index_draw(ours.bit_generator)
+    for i in range(3_000):
+        n = DRAW_SIZES[i % len(DRAW_SIZES)]
+        assert draw(n) == int(numpys.integers(0, n)), (i, n)
+        if i % 3:
+            assert ours.normal(0.5, 2.0) == numpys.normal(0.5, 2.0)
+        assert ours.bit_generator.state["state"] == numpys.bit_generator.state["state"]
+
+
+def test_index_draw_rejects_as_lemire_does():
+    # near 2^31 the rejection fires on about half the 32-bit draws, so 1,000
+    # draws read about 1,000 raw words, where no rejection would read 500
+    words = []
+    bits = np.random.default_rng(7).bit_generator
+
+    def raw():
+        words.append(bits.random_raw())
+        return words[-1]
+
+    draw = index_draw(types.SimpleNamespace(random_raw=raw))
+    numpys = np.random.default_rng(7)
+    for _ in range(1_000):
+        assert draw(2**31 + 1) == int(numpys.integers(0, 2**31 + 1))
+    assert 900 <= len(words) <= 1_100
+
+
+def test_index_draw_of_one_reads_nothing():
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    draw = index_draw(rng.bit_generator)
+    assert [draw(1) for _ in range(5)] == [0] * 5
+    assert rng.bit_generator.state == before
+    # nor does it touch the buffered half: the next draws still match numpy's
+    numpys = np.random.default_rng(11)
+    for n in (5, 1, 9, 1, 1, 13):
+        assert draw(n) == int(numpys.integers(0, n))
+
+
+def test_plan_draws_do_not_leak_across_calls(example1_file):
+    # each plan call builds its own draw, whose half-word buffer starts empty:
+    # a plan run after others equals the same plan run first
+    sc = example1_file.scenario
+    sc = dataclasses.replace(sc, params=dataclasses.replace(sc.params, max_iters=300))
+    fresh = plan(sc, 4)
+    for other in (0, 1, 2, 3):
+        plan(sc, other)
+        again = plan(sc, 4)
+        assert (again.iterations, again.tree.parents, again.tree.data) == (
+            fresh.iterations, fresh.tree.parents, fresh.tree.data)
+
+
+def test_heading_sample_matches_generator_normal():
+    # Generator.normal(mean, sd) is mean + sd * standard_normal(): the same
+    # float bit for bit (hex tells -0.0 apart), sd = 0 included, with integer
+    # draws between them as in plan
+    ours, numpys = np.random.default_rng(99), np.random.default_rng(99)
+    draw = index_draw(ours.bit_generator)
+    goal = (2.0, 2.0)
+    for i in range(3_000):
+        position = (0.001 * i - 1.0, 2.0 - 0.002 * i)
+        sd = (0.0, math.sqrt(0.2), math.sqrt(0.6), 3.0)[i % 4]
+        got = heading_sample(position, goal, sd, ours)
+        want = float(numpys.normal(goal_heading(position, goal), sd))
+        assert got.hex() == want.hex(), (i, got, want)
+        assert draw(i + 1) == int(numpys.integers(0, i + 1))
 
 
 def test_goal_heading_quadrants():

@@ -12,11 +12,16 @@ Methods are matched by name, so a read of one class's `position` counts for
 every class that defines one.
 
 The README's Layout block lists exactly the package's modules.
+
+`import cbfrrt` loads no module that only compare needs.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import cbfrrt
@@ -87,3 +92,15 @@ def test_readme_layout_lists_every_module():
     modules = [path.name for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"]
     assert sorted(listed) == modules
+
+
+def test_import_loads_no_compare_only_module():
+    # statistics, compare's medians, pulls in fractions and decimal (about
+    # 4 ms); compare imports it, so a plain import must not
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, cbfrrt; print(sorted(m for m in "
+            "('statistics', 'fractions', 'decimal') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
