@@ -617,7 +617,7 @@ def compare(
                      scenario_file.scenario.obstacles)
 
     # Imported here, their one user: statistics loads fractions and decimal,
-    # which would cost every `import cbfrrt` about 4 ms.
+    # which would cost every `import cbfrrt` 3 to 4 ms.
     import io
     import statistics
 

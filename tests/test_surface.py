@@ -95,7 +95,7 @@ def test_readme_layout_lists_every_module():
 
 
 def test_import_loads_no_compare_only_module():
-    # statistics, compare's medians, pulls in fractions and decimal (about
+    # statistics, compare's medians, pulls in fractions and decimal (3 to
     # 4 ms); compare imports it, so a plain import must not
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
