@@ -8,20 +8,26 @@ tested against the disks, but the segment reaching it is not. With step sizes
 comparable to obstacle size that check is unsound; the harness audit of the
 returned path exposes it.
 
+RRT and RRT* are one growth loop: RRT is RRT* with rewiring off, returning
+at its first goal vertex. Both return a planner.PlanResult whose controls is
+the found path's polyline timed at v_const, the one trajectory the harness
+measures, audits and writes, as it does cbf-rrt's.
+
 Baselines only support static obstacles (the comparison world is static).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import CircularObstacle, check_finite
-from .planner import Scenario, in_goal_region, root_path
+from .dynamics import CircularObstacle, Trajectory, check_finite
+from .planner import PlanResult, Scenario, in_goal_region, root_path
 
 Point = tuple[float, float]
 
@@ -59,12 +65,14 @@ class BaselineParams:
 
 
 class GeomTree:
-    """Workspace tree whose positions are two preallocated columns, xs and
-    ys, so a distance scan reads contiguous memory."""
+    """Workspace tree whose positions are two columns, xs and ys, so a
+    distance scan reads contiguous memory. The columns start at one slot and
+    double when full, so each holds fewer than twice the vertices (the root
+    alone fills one): a tree costs what it grows, not its iteration budget."""
 
-    def __init__(self, root: Point, capacity: int):
-        self.xs = np.empty(capacity)
-        self.ys = np.empty(capacity)
+    def __init__(self, root: Point):
+        self.xs = np.empty(1)
+        self.ys = np.empty(1)
         self.xs[0], self.ys[0] = root
         self.parents: list[Optional[int]] = [None]
         self.costs: list[float] = [0.0]
@@ -98,6 +106,9 @@ class GeomTree:
 
     def add(self, position: Point, parent: int, cost: float) -> int:
         vid = self.n
+        if vid == len(self.xs):
+            self.xs = np.concatenate((self.xs, np.empty(vid)))
+            self.ys = np.concatenate((self.ys, np.empty(vid)))
         self.xs[vid], self.ys[vid] = position
         self.parents.append(parent)
         self.costs.append(cost)
@@ -119,15 +130,6 @@ class GeomTree:
             w = stack.pop()
             self.costs[w] += delta
             stack.extend(self.children[w])
-
-
-@dataclass
-class BaselineResult:
-    success: bool
-    tree: GeomTree
-    path: Optional[list[int]]
-    iterations: int
-    cost: Optional[float] = None
 
 
 # Doubles drawn per rng.random call: enough to amortise the call, few enough
@@ -212,16 +214,63 @@ def require_static(obstacles: Sequence[CircularObstacle]):
             )
 
 
-def rrt_plan(scenario: Scenario, params: BaselineParams, seed: int = 0) -> BaselineResult:
+def _polyline_result(scenario: Scenario, tree: GeomTree, vid: int,
+                     iterations: int) -> PlanResult:
+    """A success whose controls is the tree's path from the root to vid as a
+    timed polyline: constant speed v_const along each segment, heading =
+    segment direction, time = arclength / v_const from t_init. The last node
+    repeats the last segment's control; a root-only path is the start state
+    at rest."""
+    points = [tree.position(v) for v in root_path(tree.parents, vid)]
+    v = scenario.params.v_const
+    t, heading = scenario.t_init, scenario.x_init.theta
+    data = array("d")
+    for p, q in zip(points, points[1:]):
+        heading = math.atan2(q[1] - p[1], q[0] - p[0])
+        data.extend((t, p[0], p[1], heading, v, 0.0))
+        t += math.hypot(q[0] - p[0], q[1] - p[1]) / v
+    last = points[-1]
+    data.extend((t, last[0], last[1], heading, v if len(points) > 1 else 0.0, 0.0))
+    return PlanResult(True, tree, Trajectory(data), iterations)
+
+
+def rrt_plan(scenario: Scenario, params: BaselineParams, seed: int = 0) -> PlanResult:
     """Classic RRT: sample, nearest, steer, end-point check, add; stop at the
-    first vertex within epsilon of the goal."""
+    first vertex within epsilon of the goal. It is rrt_star_plan's growth
+    loop without rewiring."""
+    return _grow(scenario, params, seed, rewire=False)
+
+
+def rrt_star_plan(scenario: Scenario, params: BaselineParams,
+                  seed: int = 0) -> PlanResult:
+    """RRT* (choose-parent + rewire) with the same end-point-only checks.
+
+    Runs the full iteration budget to keep refining cost and returns the
+    cheapest path to a goal vertex. Rewire radius is
+    min(rewire_gamma * sqrt(log n / n), delta_d), so every edge in the tree
+    keeps length <= delta_d.
+    """
+    return _grow(scenario, params, seed, rewire=True)
+
+
+def _grow(scenario: Scenario, params: BaselineParams, seed: int,
+          rewire: bool) -> PlanResult:
+    """The growth loop of both baselines. Each iteration samples, steers
+    from the nearest vertex and, when the end point is clear, adds a vertex
+    under that nearest vertex. With rewire (RRT*) the new vertex joins the
+    cheapest vertex of its near set instead and then reroutes the near set
+    through itself where that is cheaper; the loop runs the whole budget and
+    returns the cheapest goal vertex. Without it (RRT) the loop returns at
+    the first goal vertex and scans no near set."""
     require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal
-    tree = GeomTree(root, params.max_iters + 1)
+    epsilon = scenario.params.epsilon
+    tree = GeomTree(root)
+    goal_ids: list[int] = []
 
-    if in_goal_region(root, goal, scenario.params.epsilon):
-        return BaselineResult(True, tree, [0], 0, cost=0.0)
+    if in_goal_region(root, goal, epsilon):
+        return _polyline_result(scenario, tree, 0, 0)
 
     samples = sample_stream(goal, params, np.random.default_rng(seed))
     for iteration, sample in zip(range(1, params.max_iters + 1), samples):
@@ -232,71 +281,40 @@ def rrt_plan(scenario: Scenario, params: BaselineParams, seed: int = 0) -> Basel
         x_new = steer_straight(x_nn, sample, params.delta_d)
         if not endpoint_collision_check(x_new, scenario.obstacles):
             continue
-        step = math.hypot(x_new[0] - x_nn[0], x_new[1] - x_nn[1])
-        vid = tree.add(x_new, nn, tree.costs[nn] + step)
-        if in_goal_region(x_new, goal, scenario.params.epsilon):
-            return BaselineResult(True, tree, root_path(tree.parents, vid), iteration,
-                                  cost=tree.costs[vid])
-    return BaselineResult(False, tree, None, params.max_iters)
 
-
-def rrt_star_plan(scenario: Scenario, params: BaselineParams,
-                  seed: int = 0) -> BaselineResult:
-    """RRT* (choose-parent + rewire) with the same end-point-only checks.
-
-    Runs the full iteration budget to keep refining cost and returns the
-    cheapest path to a goal vertex. Rewire radius is
-    min(rewire_gamma * sqrt(log n / n), delta_d), so every edge in the tree
-    keeps length <= delta_d.
-    """
-    require_static(scenario.obstacles)
-    root = scenario.x_init.position()
-    goal = scenario.x_goal
-    tree = GeomTree(root, params.max_iters + 1)
-    goal_ids: list[int] = []
-
-    if in_goal_region(root, goal, scenario.params.epsilon):
-        return BaselineResult(True, tree, [0], 0, cost=0.0)
-
-    samples = sample_stream(goal, params, np.random.default_rng(seed))
-    for _, sample in zip(range(params.max_iters), samples):
-        nn = nearest_neighbor(tree, sample)
-        x_nn = tree.position(nn)
-        if sample == x_nn:
-            continue
-        x_new = steer_straight(x_nn, sample, params.delta_d)
-        if not endpoint_collision_check(x_new, scenario.obstacles):
-            continue
-
-        n = len(tree)
-        radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n), params.delta_d) \
-            if n > 1 else 0.0
-        dists, near = near_set(tree, x_new, radius)
-
-        # choose-parent: cheapest connection among the near set (falling back
-        # to the nearest vertex when the near set is empty)
+        # The nearest vertex's edge, its length as near_set's scan computes it.
+        dx = x_nn[0] - x_new[0]
+        dy = x_nn[1] - x_new[1]
         parent = nn
-        best_cost = tree.costs[nn] + float(dists[nn])
-        for j in near:
-            c = tree.costs[j] + float(dists[j])
-            if c < best_cost - 1e-12:
-                parent = j
-                best_cost = c
-        vid = tree.add(x_new, parent, best_cost)
+        cost = tree.costs[nn] + math.sqrt(dx * dx + dy * dy)
+        near: list[int] = []
+        if rewire:
+            n = len(tree)
+            radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n),
+                         params.delta_d) if n > 1 else 0.0
+            dists, near = near_set(tree, x_new, radius)
+            # choose-parent: cheapest connection among the near set
+            for j in near:
+                c = tree.costs[j] + float(dists[j])
+                if c < cost - 1e-12:
+                    parent = j
+                    cost = c
+        vid = tree.add(x_new, parent, cost)
 
         # rewire: route near vertices through x_new when that is cheaper
         for j in near:
             if j == parent:
                 continue
-            c = best_cost + float(dists[j])
+            c = cost + float(dists[j])
             if c < tree.costs[j] - 1e-12:
                 tree.reparent(j, vid, c)
 
-        if in_goal_region(x_new, goal, scenario.params.epsilon):
+        if in_goal_region(x_new, goal, epsilon):
+            if not rewire:
+                return _polyline_result(scenario, tree, vid, iteration)
             goal_ids.append(vid)
 
     if not goal_ids:
-        return BaselineResult(False, tree, None, params.max_iters)
+        return PlanResult(False, tree, None, params.max_iters)
     best = min(goal_ids, key=lambda g: tree.costs[g])
-    return BaselineResult(True, tree, root_path(tree.parents, best), params.max_iters,
-                          cost=tree.costs[best])
+    return _polyline_result(scenario, tree, best, params.max_iters)

@@ -317,24 +317,6 @@ def audit_trajectory(
 # running
 
 
-def _polyline_trajectory(points: list[tuple[float, float]], t_init: float,
-                         v_const: float, theta_init: float) -> Trajectory:
-    """Synthesize a timed trajectory from a baseline polyline: constant speed
-    along each segment, heading = segment direction, time = arclength / v."""
-    if len(points) == 1:
-        x1, x2 = points[0]
-        return Trajectory(array("d", (t_init, x1, x2, theta_init, 0.0, 0.0)))
-    data = array("d")
-    t = t_init
-    for p, q in zip(points, points[1:]):
-        heading = math.atan2(q[1] - p[1], q[0] - p[0])
-        data.extend((t, p[0], p[1], heading, v_const, 0.0))
-        t += math.hypot(q[0] - p[0], q[1] - p[1]) / v_const
-    last = points[-1]
-    data.extend((t, last[0], last[1], heading, v_const, 0.0))
-    return Trajectory(data)
-
-
 def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float] = None,
               dt: Optional[float] = None,
               max_iters: Optional[int] = None) -> ScenarioFile:
@@ -372,7 +354,6 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     _check_seed(seed, "seed")
     scenario = scenario_file.scenario
-    params = scenario.params
     if algorithm != "cbf-rrt":
         _checked("", require_static, scenario.obstacles)
 
@@ -384,23 +365,14 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
         result = planner(scenario, scenario_file.baseline, seed)
     wall = time.perf_counter() - start
 
-    trajectory = path_length = path_duration = None
-    if result.success and algorithm == "cbf-rrt":
-        trajectory = result.controls
+    trajectory = result.controls
+    path_length = path_duration = audit_pass = min_barrier = None
+    if trajectory is not None:
         path_length = trajectory.path_length()
         path_duration = trajectory.t_end - trajectory.t0
-    elif result.success:
-        points = [result.tree.position(v) for v in result.path]
-        trajectory = _polyline_trajectory(
-            points, scenario.t_init, params.v_const, scenario.x_init.theta)
-        path_length = result.cost
-        path_duration = result.cost / params.v_const
-
-    audit_pass = min_barrier = None
-    if trajectory is not None:
         audit_pass, min_barrier = audit_trajectory(trajectory, scenario.obstacles)
     report = RunReport(
-        algorithm=algorithm, seed=seed, success=trajectory is not None,
+        algorithm=algorithm, seed=seed, success=result.success,
         wall_time=wall, iterations=result.iterations, vertices=len(result.tree),
         path_length=path_length, path_duration=path_duration,
         min_barrier=min_barrier, audit_pass=audit_pass)

@@ -28,13 +28,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import dynamics
 from .dynamics import CircularObstacle, RobotState, Trajectory, check_finite, step_grid
 from .safety import Disk, barrier_value, constraint_rows, disk_tuple, solve_scalar_qp
+
+if TYPE_CHECKING:
+    from .baselines import GeomTree
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,11 @@ class PlanTree:
 
 @dataclass
 class PlanResult:
+    """What every planner returns: controls is the path found, None on
+    failure, and tree the tree grown (a GeomTree for RRT and RRT*)."""
+
     success: bool
-    tree: PlanTree
+    tree: PlanTree | GeomTree
     controls: Optional[Trajectory]
     iterations: int
 

@@ -1,9 +1,11 @@
+import functools
 import pathlib
 
 import numpy as np
 import pytest
 
 import cbfrrt
+import identity_corpus
 from cbfrrt import harness
 
 SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
@@ -23,3 +25,11 @@ def example1_file():
 @pytest.fixture(scope="session")
 def example2_file():
     return harness.load_scenario(SCENARIO_DIR / "example2.json")
+
+
+@pytest.fixture(scope="session")
+def corpus_run():
+    """identity_corpus.run_case, each case run once per session: the
+    identity test and the acceptance batches (example1 at t_h 0.5 and
+    example2, seeds 0-19) read the same runs."""
+    return functools.cache(identity_corpus.run_case)

@@ -2,7 +2,9 @@
 
 tests/data/identity.json holds, per case, the sha256 of report.json, of the
 raw tree.json bytes and of trajectory.csv, each built in memory from
-harness.execute and the artifact formatters (no file is written).
+harness.execute and the artifact formatters (no file is written). The
+tests read each run through the session fixture corpus_run
+(tests/conftest.py), which the acceptance batches share.
 tests/test_identity.py compares every case against it. A change that
 rewrites the manifest says why, as it would for the golden digests.
 
@@ -48,11 +50,18 @@ def cases() -> list[tuple[str, str, str, float | None, int]]:
     return out
 
 
-def case_digests(name: str, algorithm: str, step: float | None, seed: int) -> dict:
-    """sha256 of report.json, raw tree.json and trajectory.csv for one run."""
+def run_case(name: str, algorithm: str, step: float | None, seed: int):
+    """The configured scenario file and harness.execute's (report,
+    trajectory, tree) for one corpus run."""
     scenario_file = harness.configure(
         harness.load_scenario(SCENARIOS / f"{name}.json"), algorithm, step)
-    report, trajectory, tree = harness.execute(scenario_file, algorithm, seed)
+    return scenario_file, harness.execute(scenario_file, algorithm, seed)
+
+
+def digests(algorithm: str, scenario_file, result) -> dict:
+    """sha256 of report.json, raw tree.json and trajectory.csv for one
+    run_case result."""
+    report, trajectory, tree = result
     tree_json = b"".join(harness._format_tree_json(
         algorithm, tree, scenario_file.scenario.params))
     return {
@@ -64,8 +73,8 @@ def case_digests(name: str, algorithm: str, step: float | None, seed: int) -> di
 
 
 def corpus() -> dict[str, dict]:
-    """Case id -> case_digests, for every case."""
-    return {case_id: case_digests(*args) for case_id, *args in cases()}
+    """Case id -> digests, for every case."""
+    return {case_id: digests(args[1], *run_case(*args)) for case_id, *args in cases()}
 
 
 def main():

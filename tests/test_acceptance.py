@@ -46,8 +46,10 @@ def _with_baseline(scenario_file, **kw):
 
 
 @pytest.fixture(scope="module")
-def ex1_runs(example1_file):
-    return [harness.execute(example1_file, "cbf-rrt", s) for s in SEEDS20]
+def ex1_runs(corpus_run, example1_file):
+    # the identity corpus's runs at t_h 0.5, example1's own
+    assert example1_file.scenario.params.t_h == 0.5
+    return [corpus_run("example1", "cbf-rrt", 0.5, s)[1] for s in SEEDS20]
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +59,8 @@ def ex1_runs_low_variance(example1_file):
 
 
 @pytest.fixture(scope="module")
-def ex2_runs(example2_file):
-    return [harness.execute(example2_file, "cbf-rrt", s) for s in SEEDS20]
+def ex2_runs(corpus_run):
+    return [corpus_run("example2", "cbf-rrt", None, s)[1] for s in SEEDS20]
 
 
 @pytest.fixture(scope="module")

@@ -543,6 +543,20 @@ def test_run_writes_artifacts(tmp_path, example1_file):
     assert len(tree_doc["parents"]) == report.vertices
 
 
+@pytest.mark.parametrize("algorithm", ["cbf-rrt", "rrt", "rrt-star"])
+def test_report_measures_the_trajectory_it_writes(tmp_path, example1_file, algorithm):
+    # every planner returns its path as the trajectory the harness writes,
+    # so report.json's length and duration are that file's, bit for bit
+    for seed in range(3):
+        out = tmp_path / str(seed)
+        run(example1_file, algorithm, seed, out)
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["success"]
+        written = read_trajectory_csv(out / "trajectory.csv")
+        assert doc["path_length"] == written.path_length()
+        assert doc["path_duration"] == written.t_end - written.t0
+
+
 def test_run_baseline_tree_artifact(tmp_path, example1_file):
     out = tmp_path / "rrt_out"
     report = run(example1_file, "rrt", 0, out)
@@ -571,15 +585,15 @@ GOLDEN_DIGESTS = [
                  "d0c0e3febcd037a125996406a8d4e830942ab58d7f9e79579690378afbb4c39d",
                  id="example2-cbf-rrt-seed0"),
     pytest.param("example1", "rrt-star", "delta_d", 1.0, 0,
-                 "56437ed1ba50a63b35b75c8c200872bb6b15893920c8cc0c0194374b0b865c2f",
+                 "4970ed4747a330b150b344b86f90cecffa08e725696711bd751eaebe2faca2cb",
                  "474480ebcfb18db278ae873e20db4758f7535c8a6ade71f05e8631d9a482cf01",
                  id="example1-rrt-star-delta_d1.0-seed0"),
     pytest.param("example1", "rrt", "delta_d", 0.25, 0,
-                 "e8d751db2e37e8ec864657571abdf8a2b7d71e23479db134e6a0e8d112b7a2da",
-                 "92f4d9274ab217529c88b1b7fda8ced58b8ba8e03c094e275408a0794821b2f7",
+                 "812239b0f28e717d2a4e619d2abbad8e6bb119fdefdcb68de9b7c65b0138ad05",
+                 "94a7e2db62373376e099b9119d8b2e46c894802b646ba81d05409d6092597c56",
                  id="example1-rrt-delta_d0.25-seed0"),
     pytest.param("example1", "rrt-star", "delta_d", 0.25, 1,
-                 "ded86f0ee2744dec1e27e957c48e5f7ec1485b06652061db7624737023b51488",
+                 "3eafd5420ce570706711e4d0b33702c54e5808f8c7d2523111eb2260b36b40d0",
                  "2a9eeb86b0cdabdf4d93f974ef8a19a0f00f06e29cb4167a2013fd779a3c2efd",
                  id="example1-rrt-star-delta_d0.25-seed1"),
 ]

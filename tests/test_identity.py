@@ -9,7 +9,7 @@ rewrites tests/data/identity.json with tests/identity_corpus.py, saying why.
 
 import json
 
-from identity_corpus import MANIFEST, case_digests, cases
+from identity_corpus import MANIFEST, cases, digests
 
 
 def test_every_case_is_pinned():
@@ -17,12 +17,12 @@ def test_every_case_is_pinned():
     assert sorted(json.loads(MANIFEST.read_text())) == sorted(c[0] for c in cases())
 
 
-def test_artifacts_match_identity_corpus():
+def test_artifacts_match_identity_corpus(corpus_run):
     pinned = json.loads(MANIFEST.read_text())
     moved = []
     for case_id, *args in cases():
-        digests = case_digests(*args)
-        changed = [key for key in digests if digests[key] != pinned.get(case_id, {}).get(key)]
+        got = digests(args[1], *corpus_run(*args))
+        changed = [key for key in got if got[key] != pinned.get(case_id, {}).get(key)]
         if changed:
             moved.append(f"{case_id}: {', '.join(changed)}")
     assert not moved, "cases that moved:\n" + "\n".join(moved)
