@@ -11,7 +11,10 @@ returned path exposes it.
 RRT and RRT* are one growth loop: RRT is RRT* with rewiring off, returning
 at its first goal vertex. Both return a planner.PlanResult whose controls is
 the found path's polyline timed at v_const, the one trajectory the harness
-measures, audits and writes, as it does cbf-rrt's.
+measures, audits and writes, as it does cbf-rrt's. The tree keeps its
+positions as two array('d') columns, and each iteration scans them once from
+its sample: for the nearest vertex and, when the step reached the sample, for
+RRT*'s near set.
 
 Baselines only support static obstacles (the comparison world is static).
 """
@@ -65,56 +68,43 @@ class BaselineParams:
 
 
 class GeomTree:
-    """Workspace tree whose positions are two columns, xs and ys, so a
-    distance scan reads contiguous memory. The columns start at one slot and
-    double when full, so each holds fewer than twice the vertices (the root
-    alone fills one): a tree costs what it grows, not its iteration budget."""
+    """Workspace tree whose positions are two array('d') columns, xs and ys,
+    that grow by append, so a distance scan reads contiguous memory and a
+    tree costs what it grows, not its iteration budget."""
 
     def __init__(self, root: Point):
-        self.xs = np.empty(1)
-        self.ys = np.empty(1)
-        self.xs[0], self.ys[0] = root
+        self.xs = array("d", (root[0],))
+        self.ys = array("d", (root[1],))
         self.parents: list[Optional[int]] = [None]
         self.costs: list[float] = [0.0]
         self.children: list[list[int]] = [[]]
-        self.n = 1
-        self._scan_key: Optional[tuple[Point, int]] = None
-        self._scan: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return self.n
+        return len(self.parents)
 
     def position(self, vid: int) -> Point:
-        return (float(self.xs[vid]), float(self.ys[vid]))
+        return (self.xs[vid], self.ys[vid])
 
     def sq_dists(self, point: Point) -> np.ndarray:
-        """Squared distance from point to each of the first n vertices.
-
-        The last scan is handed out again while the point compares equal
-        and n is unchanged: RRT* scans its sample for the nearest vertex and,
-        when the step reached the sample, the same point for its near set.
-        Positions are written only by add, which grows n, so a kept scan is
-        never stale; (-0.0, y) == (0.0, y) square to the same sums. Callers
-        must not write into the result."""
-        key = (point, self.n)
-        if key != self._scan_key:
-            dx = self.xs[: self.n] - point[0]
-            dy = self.ys[: self.n] - point[1]
-            self._scan = dx * dx + dy * dy
-            self._scan_key = key
-        return self._scan
+        """A fresh array of the squared distances from point to each vertex.
+        Its column views live only inside the call: an array whose buffer
+        is lent out raises BufferError on append."""
+        dx = np.frombuffer(self.xs) - point[0]
+        dy = np.frombuffer(self.ys) - point[1]
+        # dx * dx + dy * dy, in place: the same sums without two more arrays
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return dx
 
     def add(self, position: Point, parent: int, cost: float) -> int:
-        vid = self.n
-        if vid == len(self.xs):
-            self.xs = np.concatenate((self.xs, np.empty(vid)))
-            self.ys = np.concatenate((self.ys, np.empty(vid)))
-        self.xs[vid], self.ys[vid] = position
+        vid = len(self.parents)
+        self.xs.append(position[0])
+        self.ys.append(position[1])
         self.parents.append(parent)
         self.costs.append(cost)
         self.children.append([])
         self.children[parent].append(vid)
-        self.n = vid + 1
         return vid
 
     def reparent(self, vid: int, new_parent: int, new_cost: float):
@@ -162,17 +152,16 @@ def sample_stream(goal: Point, params: BaselineParams,
             yield (x_lo + x_span * ux, y_lo + y_span * uy)
 
 
-def nearest_neighbor(tree: GeomTree, sample: Point) -> int:
-    """Id of the linear-scan nearest vertex; ties go to the lowest id
+def nearest_neighbor(scan: np.ndarray) -> int:
+    """Id of the nearest vertex of a sq_dists scan; ties go to the lowest id
     (argmin order)."""
-    return int(tree.sq_dists(sample).argmin())
+    return int(scan.argmin())
 
 
-def near_set(tree: GeomTree, point: Point,
-             radius: float) -> tuple[np.ndarray, list[int]]:
-    """Distances from point to every vertex, and the ids of the vertices
-    within radius (none when radius is 0), in increasing id order."""
-    dists = np.sqrt(tree.sq_dists(point))
+def near_set(scan: np.ndarray, radius: float) -> tuple[np.ndarray, list[int]]:
+    """The distances of a sq_dists scan, and the ids of the vertices within
+    radius (none when radius is 0), in increasing id order."""
+    dists = np.sqrt(scan)
     near = (dists <= radius).nonzero()[0].tolist() if radius > 0.0 else []
     return dists, near
 
@@ -274,7 +263,8 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
 
     samples = sample_stream(goal, params, np.random.default_rng(seed))
     for iteration, sample in zip(range(1, params.max_iters + 1), samples):
-        nn = nearest_neighbor(tree, sample)
+        scan = tree.sq_dists(sample)
+        nn = nearest_neighbor(scan)
         x_nn = tree.position(nn)
         if sample == x_nn:
             continue
@@ -292,7 +282,9 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
             n = len(tree)
             radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n),
                          params.delta_d) if n > 1 else 0.0
-            dists, near = near_set(tree, x_new, radius)
+            # a step that reached the sample ends on the point just scanned
+            dists, near = near_set(
+                scan if x_new is sample else tree.sq_dists(x_new), radius)
             # choose-parent: cheapest connection among the near set
             for j in near:
                 c = tree.costs[j] + float(dists[j])

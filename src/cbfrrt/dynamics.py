@@ -40,12 +40,18 @@ class ControlInput(NamedTuple):
 
 def check_finite(owner, *names: str) -> None:
     """Raise ValueError naming the first of owner's fields, a float or a tuple
-    of floats, that is not finite: the one finiteness rule, which the file
-    parser leaves to the dataclasses."""
+    of floats, that holds a bool, a non-number or a value that is not finite:
+    the one number rule, which the file parser leaves to the dataclasses. A
+    bool would run as 0 or 1 and be written as true or false."""
     for name in names:
         value = getattr(owner, name)
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        tup = isinstance(value, tuple)
+        for v in value if tup else (value,):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{name} must {'hold numbers' if tup else 'be a number'}, "
+                                 f"got {value!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

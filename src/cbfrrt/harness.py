@@ -490,16 +490,16 @@ def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> Iterator[b
         steps[last] = False
         inner = steps.copy()
         inner[ends[:-1]] = False
-        head = {"dt": params.dt, "t_h": params.t_h, "v": params.v_const,
+        head = {"dt": float(params.dt), "t_h": float(params.t_h),
+                "v": float(params.v_const),
                 "parents": tree.parents, "nodes": np.diff(ends).tolist()}
         picks = {"t": (last, 0), "x1": (last, 1), "x2": (last, 2), "theta": (last, 3),
                  "theta0": (ends[:-1], 3), "inner_x1": (inner, 1),
                  "inner_x2": (inner, 2), "omega": (steps, 5)}
         columns = ((key, rows[pick]) for key, pick in picks.items())
     else:
-        n = len(tree)
         head = {"parents": tree.parents}
-        columns = (("xs", tree.xs[:n]), ("ys", tree.ys[:n]), ("costs", tree.costs))
+        columns = (("xs", tree.xs), ("ys", tree.ys), ("costs", tree.costs))
     yield json.dumps({"algorithm": algorithm, "schema": 3, **head})[:-1].encode()
     # base64 needs no JSON escaping, so a column goes between quotes as it
     # is; json.dumps would spend most of the time scanning its characters.
@@ -554,15 +554,15 @@ def compare(
     Per-run exceptions become the `errors` count instead of aborting the
     sweep. An empty seeds or sweep list (naming seeds or sweep), a seed that
     is not an integer >= 0 or repeats one before it (naming seeds[i]), a
-    thread count below 1, a repeated sweep entry (naming sweep[i]), a step
-    the scenario rejects (naming sweep[i].step) or a baseline entry on a
-    scenario with a moving disk (naming sweep[i].algorithm) raises
-    ScenarioValidationError before any run starts: a repeat would count its
-    runs twice in one row.
+    thread count that is not an integer >= 1 (naming threads), a repeated
+    sweep entry (naming sweep[i]), a step the scenario rejects (naming
+    sweep[i].step) or a baseline entry on a scenario with a moving disk
+    (naming sweep[i].algorithm) raises ScenarioValidationError before any
+    run starts: a repeat would count its runs twice in one row.
     """
     if not seeds:
         _fail("seeds", "must not be empty")
-    if threads is not None and threads < 1:
+    if threads is not None and _integer(threads, "threads") < 1:
         _fail("threads", f"must be >= 1, got {threads}")
     first_seed = {}
     for i, seed in enumerate(seeds):

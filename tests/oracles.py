@@ -352,19 +352,24 @@ def sample_point_reference(goal: Point, params: BaselineParams,
     return (float(rng.uniform(x_lo, x_hi)), float(rng.uniform(y_lo, y_hi)))
 
 
+def sq_dists_reference(points: np.ndarray, point: Point) -> np.ndarray:
+    """Squared distances from point to each row of an (n, 2) position array,
+    as an einsum over the rows."""
+    d = points - np.asarray(point)
+    return np.einsum("ij,ij->i", d, d)
+
+
 def nearest_neighbor_reference(points: np.ndarray, sample: Point) -> int:
     """Id of the nearest of an (n, 2) position array's rows, ties to the
-    lowest id: the squared distances as an einsum over the rows."""
-    d = points - np.asarray(sample)
-    return int(np.argmin(np.einsum("ij,ij->i", d, d)))
+    lowest id."""
+    return int(np.argmin(sq_dists_reference(points, sample)))
 
 
 def near_set_reference(points: np.ndarray, point: Point,
                        radius: float) -> tuple[np.ndarray, np.ndarray]:
     """RRT*'s distances to each row of an (n, 2) position array, and the ids
     within radius (none when radius is 0)."""
-    d = points - np.asarray(point)
-    dists = np.sqrt(np.einsum("ij,ij->i", d, d))
+    dists = np.sqrt(sq_dists_reference(points, point))
     near = np.flatnonzero(dists <= radius) if radius > 0.0 else np.empty(0, int)
     return dists, near
 
@@ -483,10 +488,9 @@ def full_tree_json_reference(algorithm: str, tree) -> str:
                  for i, (parent, data)
                  in enumerate(zip(tree.parents[1:], _edge_buffers(tree)[1:]), 1)]
     else:
-        n = len(tree)
         vertices = [{"id": i, "x": x, "y": y, "parent": parent, "cost": cost}
                     for i, x, y, parent, cost in zip(
-                        range(n), tree.xs[:n].tolist(), tree.ys[:n].tolist(),
+                        range(len(tree)), tree.xs, tree.ys,
                         tree.parents, tree.costs)]
         edges = [{"parent": parent, "child": i}
                  for i, parent in enumerate(tree.parents[1:], 1)]
@@ -514,13 +518,12 @@ def tree_json_reference(algorithm: str, tree, params: PlannerParams) -> str:
     those edges theta0, the inner nodes' x1 and x2, and the applied omegas."""
     doc = {"algorithm": algorithm, "schema": 3}
     if not isinstance(tree, PlanTree):
-        n = len(tree)
-        doc.update(parents=list(tree.parents), xs=pack_f8(tree.xs[:n].tolist()),
-                   ys=pack_f8(tree.ys[:n].tolist()), costs=pack_f8(tree.costs))
+        doc.update(parents=list(tree.parents), xs=pack_f8(tree.xs),
+                   ys=pack_f8(tree.ys), costs=pack_f8(tree.costs))
         return json.dumps(doc) + "\n"
     buffers = _edge_buffers(tree)
     edges = buffers[1:]
-    doc.update(dt=params.dt, t_h=params.t_h, v=params.v_const,
+    doc.update(dt=float(params.dt), t_h=float(params.t_h), v=float(params.v_const),
                parents=list(tree.parents), nodes=[len(data) // 6 for data in edges])
     for key, column in (("t", -6), ("x1", -5), ("x2", -4), ("theta", -3)):
         doc[key] = pack_f8(data[column] for data in buffers)

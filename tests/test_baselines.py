@@ -26,6 +26,7 @@ from oracles import (
     near_set_reference,
     nearest_neighbor_reference,
     sample_point_reference,
+    sq_dists_reference,
 )
 
 WORLD1 = (
@@ -109,10 +110,10 @@ def test_sample_stream_matches_per_call_draws(x_side, y_side, bias, seed):
 def test_nearest_neighbor_basic_and_ties():
     tree = GeomTree((0.0, 0.0))
     tree.add((2.0, 0.0), 0, 2.0)
-    assert nearest_neighbor(tree, (0.4, 0.0)) == 0
-    assert nearest_neighbor(tree, (1.9, 0.0)) == 1
+    assert nearest_neighbor(tree.sq_dists((0.4, 0.0))) == 0
+    assert nearest_neighbor(tree.sq_dists((1.9, 0.0))) == 1
     # exact tie at the midpoint goes to the lower id
-    assert nearest_neighbor(tree, (1.0, 0.0)) == 0
+    assert nearest_neighbor(tree.sq_dists((1.0, 0.0))) == 0
 
 
 coordinates = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -146,8 +147,11 @@ def test_distance_scans_match_einsum_oracle_bit_for_bit(case, data):
     for p in pts[1:]:
         tree.add(p, 0, 0.0)
     rows = np.array(pts, dtype=float)
+    scan = tree.sq_dists(query)
 
-    assert nearest_neighbor(tree, query) == nearest_neighbor_reference(rows, query)
+    assert np.array_equal(scan.view(np.uint64),
+                          sq_dists_reference(rows, query).view(np.uint64))
+    assert nearest_neighbor(scan) == nearest_neighbor_reference(rows, query)
 
     want_dists, _ = near_set_reference(rows, query, 0.0)
     # a radius of 0, one equal to a vertex's distance (the <= boundary), or any
@@ -155,10 +159,8 @@ def test_distance_scans_match_einsum_oracle_bit_for_bit(case, data):
                                  st.sampled_from(want_dists.tolist()),
                                  st.floats(0.0, 3e3)))
     want_dists, want_near = near_set_reference(rows, query, radius)
-    dists, near = near_set(tree, query, radius)
-    want_bits = want_dists.view(np.uint64)
-    assert np.array_equal(np.sqrt(tree.sq_dists(query)).view(np.uint64), want_bits)
-    assert np.array_equal(dists.view(np.uint64), want_bits)
+    dists, near = near_set(scan, radius)
+    assert np.array_equal(dists.view(np.uint64), want_dists.view(np.uint64))
     assert near == want_near.tolist()
     assert all(type(j) is int for j in near)
 
@@ -180,29 +182,34 @@ def scan_sessions(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(scan_sessions())
-def test_kept_scan_is_never_stale_and_never_written(session):
+def test_held_scans_survive_adds_and_match_the_oracle(session):
+    # every scan is a fresh array over column views that die with the call:
+    # a later add neither changes a held scan nor meets a lent-out buffer
+    # (array.append would raise BufferError)
     root, steps = session
     tree = GeomTree(root)
     rows = [root]
-    held = []  # (dists from near_set, a copy taken when it was returned)
+    held = []  # (a scan or its near_set distances, a copy taken then)
     for op, point, radius in steps:
         if op == "add":
             tree.add(point, 0, 0.0)
             rows.append(point)
-        elif op == "nearest":
-            assert nearest_neighbor(tree, point) == nearest_neighbor_reference(
-                np.array(rows), point)
         else:
-            want_dists, want_near = near_set_reference(np.array(rows), point, radius)
-            dists, near = near_set(tree, point, radius)
-            assert np.array_equal(dists.view(np.uint64), want_dists.view(np.uint64))
-            assert near == want_near.tolist()
-            held.append((dists, dists.copy()))
-        want_dists, _ = near_set_reference(np.array(rows), point, 0.0)
-        assert np.array_equal(np.sqrt(tree.sq_dists(point)).view(np.uint64),
-                              want_dists.view(np.uint64))
-        for dists, copy in held:
-            assert np.array_equal(dists.view(np.uint64), copy.view(np.uint64))
+            scan = tree.sq_dists(point)
+            assert np.array_equal(scan.view(np.uint64), sq_dists_reference(
+                np.array(rows), point).view(np.uint64))
+            held.append((scan, scan.copy()))
+            if op == "nearest":
+                assert nearest_neighbor(scan) == nearest_neighbor_reference(
+                    np.array(rows), point)
+            else:
+                want_dists, want_near = near_set_reference(np.array(rows), point, radius)
+                dists, near = near_set(scan, radius)
+                assert np.array_equal(dists.view(np.uint64), want_dists.view(np.uint64))
+                assert near == want_near.tolist()
+                held.append((dists, dists.copy()))
+        for kept, copy in held:
+            assert np.array_equal(kept.view(np.uint64), copy.view(np.uint64))
 
 
 def test_steer_straight():
@@ -287,9 +294,7 @@ def test_rrt_with_a_huge_budget_allocates_what_it_grows(example1_file):
         example1_file.baseline, max_iters=10**12))
     res = rrt_plan(sf.scenario, sf.baseline, 0)
     assert res.success
-    n = len(res.tree)
-    assert len(res.tree.xs) <= 2 * n
-    assert len(res.tree.ys) <= 2 * n
+    assert len(res.tree.xs) == len(res.tree.ys) == len(res.tree)
 
 
 def test_rrt_rejects_moving_obstacles():
@@ -379,9 +384,8 @@ def test_rrt_star_zero_radius_matches_rrt_first_solution():
         assert not earlier.success
         # no near set, so every vertex joins its nearest at rrt's edge cost
         assert s.tree.parents == r.tree.parents
-        n = len(r.tree)
-        assert s.tree.xs[:n].tolist() == r.tree.xs[:n].tolist()
-        assert s.tree.ys[:n].tolist() == r.tree.ys[:n].tolist()
+        assert s.tree.xs == r.tree.xs
+        assert s.tree.ys == r.tree.ys
         assert s.tree.costs == r.tree.costs
         assert s.controls.data == r.controls.data
 

@@ -483,11 +483,26 @@ def test_configure_sets_the_algorithms_own_fields(example1_file, algorithm, over
     ("rrt", dict(step=math.inf), r"^step: delta_d must be finite, got inf"),
     ("rrt", dict(max_iters=2.5), r"^max_iters: max_iters must be an integer, got 2\.5"),
     ("cbf-rrt", dict(max_iters=True), r"^max_iters: max_iters must be an integer, got True"),
+    # a bool would run as 1 and be written into tree.json as true
+    ("cbf-rrt", dict(step=True), r"^step: t_h must be a number, got True$"),
+    ("rrt", dict(step=False), r"^step: delta_d must be a number, got False$"),
+    ("cbf-rrt", dict(dt="0.1"), r"^dt: dt must be a number, got '0\.1'$"),
 ])
 def test_configure_names_the_rejected_override(example1_file, algorithm, overrides,
                                                message):
     with pytest.raises(ScenarioValidationError, match=message):
         configure(example1_file, algorithm, **overrides)
+
+
+def test_an_integer_step_writes_the_artifacts_of_its_float(tmp_path, example1_file):
+    # t_h = 1 plans as t_h = 1.0 does, and tree.json writes dt, t_h and v as
+    # floats, so the two runs' artifacts are byte-identical
+    for step in (1, 1.0):
+        run(configure(example1_file, "cbf-rrt", step=step), "cbf-rrt", 0,
+            tmp_path / repr(step))
+    for name in ("tree.json", "trajectory.csv", "report.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "1.0" / name).read_bytes()
+    assert json.loads((tmp_path / "1" / "tree.json").read_bytes())["t_h"] == 1.0
 
 
 def test_execute_hands_the_planner_the_objects_it_was_given(monkeypatch, example1_file):
@@ -886,6 +901,17 @@ def test_compare_rejects_a_thread_count_below_1(tmp_path, example1_file, threads
     # refused before any run, as `cbfrrt compare --threads 0` is
     with pytest.raises(ScenarioValidationError,
                        match=rf"^threads: must be >= 1, got {threads}$"):
+        compare(example1_file, [("rrt", 0.25)], [0, 1], tmp_path / "c.csv",
+                threads=threads)
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [2.5, True])
+def test_compare_rejects_a_thread_count_that_is_not_an_integer(tmp_path, example1_file,
+                                                               threads):
+    # 2.5 would reach the process pool and True would run as 1 thread
+    with pytest.raises(ScenarioValidationError,
+                       match=rf"^threads: expected an integer, got {threads}$"):
         compare(example1_file, [("rrt", 0.25)], [0, 1], tmp_path / "c.csv",
                 threads=threads)
     assert not (tmp_path / "c.csv").exists()

@@ -99,6 +99,14 @@ SAFE_START = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0),
                      r"^max_iters must be an integer, got 2\.5", id="baseline-max_iters-float"),
         pytest.param(PlannerParams(), {"k1": math.inf}, r"^k1 must be finite, got inf",
                      id="k1-inf"),
+        # a bool would run as 0 or 1 and a string would crash the run
+        pytest.param(PlannerParams(), {"sigma2": True},
+                     r"^sigma2 must be a number, got True$", id="sigma2-bool"),
+        pytest.param(PlannerParams(), {"omega_bounds": (-1.0, True)},
+                     r"^omega_bounds must hold numbers, got \(-1\.0, True\)$",
+                     id="omega_bounds-bool"),
+        pytest.param(BaselineParams(), {"goal_bias": "0.1"},
+                     r"^goal_bias must be a number, got '0\.1'$", id="goal_bias-str"),
         # bad gains never reach the planner
         pytest.param(PlannerParams(), {"k1": 0.0}, r"^k1 must be > 0, got 0\.0$",
                      id="k1-zero"),
