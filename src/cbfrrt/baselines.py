@@ -158,12 +158,33 @@ def nearest_neighbor(scan: np.ndarray) -> int:
     return int(scan.argmin())
 
 
-def near_set(scan: np.ndarray, radius: float) -> tuple[np.ndarray, list[int]]:
-    """The distances of a sq_dists scan, and the ids of the vertices within
-    radius (none when radius is 0), in increasing id order."""
-    dists = np.sqrt(scan)
-    near = (dists <= radius).nonzero()[0].tolist() if radius > 0.0 else []
-    return dists, near
+def near_set(scan: np.ndarray, radius: float) -> list[tuple[int, float]]:
+    """The (id, distance) pairs of a sq_dists scan's vertices within radius
+    (none when radius is 0), in increasing id order, as Python ints and
+    floats: the distance is math.sqrt of the scan value, and a vertex is in
+    exactly when that distance is <= radius.
+
+    One numpy pass keeps the scan values <= bound, and only those are square
+    rooted. The bound loses no vertex: sqrt is correctly rounded, so a value
+    v whose rounded root d is <= radius has sqrt(v) <= d(1 + 2**-53), hence
+    v <= radius**2 * (1 + 2**-51) (v = 0 included, and d is normal for
+    every v > 0). The float bound is no smaller. Where radius**2 > 2**-1001
+    it is normal, and the two roundings of the product lose less than the
+    2**-40 factor adds; below that, radius**2 * (1 + 2**-51) < 2**-1000,
+    which the bound adds on, even where radius * radius underflows to 0.
+    math.sqrt and np.sqrt round alike, so the pairs are np.sqrt's distances
+    bit for bit."""
+    if not radius > 0.0:
+        return []
+    # the nonzero method, not np.flatnonzero, whose Python wrapper and a list
+    # comprehension's call cost more than the few candidates do
+    ids = (scan <= radius * radius * (1.0 + 2.0 ** -40) + 2.0 ** -1000).nonzero()[0]
+    near = []
+    for j, v in zip(ids.tolist(), scan[ids].tolist()):
+        d = math.sqrt(v)
+        if d <= radius:
+            near.append((j, d))
+    return near
 
 
 def steer_straight(x_nn: Point, x_sample: Point, delta_d: float) -> Point:
@@ -277,27 +298,26 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
         dy = x_nn[1] - x_new[1]
         parent = nn
         cost = tree.costs[nn] + math.sqrt(dx * dx + dy * dy)
-        near: list[int] = []
+        near: list[tuple[int, float]] = []
         if rewire:
             n = len(tree)
             radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n),
                          params.delta_d) if n > 1 else 0.0
             # a step that reached the sample ends on the point just scanned
-            dists, near = near_set(
-                scan if x_new is sample else tree.sq_dists(x_new), radius)
+            near = near_set(scan if x_new is sample else tree.sq_dists(x_new), radius)
             # choose-parent: cheapest connection among the near set
-            for j in near:
-                c = tree.costs[j] + float(dists[j])
+            for j, d in near:
+                c = tree.costs[j] + d
                 if c < cost - 1e-12:
                     parent = j
                     cost = c
         vid = tree.add(x_new, parent, cost)
 
         # rewire: route near vertices through x_new when that is cheaper
-        for j in near:
+        for j, d in near:
             if j == parent:
                 continue
-            c = cost + float(dists[j])
+            c = cost + d
             if c < tree.costs[j] - 1e-12:
                 tree.reparent(j, vid, c)
 

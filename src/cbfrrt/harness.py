@@ -331,14 +331,21 @@ def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float]
     cbf = algorithm == "cbf-rrt"
     if dt is not None and not cbf:
         _fail("dt", f"overrides the cbf-rrt integration step only, not {algorithm}'s")
-    own = scenario_file.scenario.params if cbf else scenario_file.baseline
-    params = own
-    for name, key, value in (("step", "t_h" if cbf else "delta_d", step),
-                             ("dt", "dt", dt), ("max_iters", "max_iters", max_iters)):
-        if value is not None:
-            params = _checked(f"{name}: ", replace, params, **{key: value})
-    if params is own:
+    overrides = {key: value for key, value in (("t_h" if cbf else "delta_d", step),
+                                               ("dt", dt), ("max_iters", max_iters))
+                 if value is not None}
+    if not overrides:
         return scenario_file
+    try:
+        params = replace(scenario_file.scenario.params if cbf else scenario_file.baseline,
+                         **overrides)
+    except ValueError as e:
+        # The params judge the overrides together, so t_h=0.01 with dt=0.005
+        # is valid. The message begins with the field its rule names; dt <=
+        # t_h names dt, which is the step's fault when dt was not overridden.
+        field = str(e).split(" ", 1)[0]
+        name = field if field in ("dt", "max_iters") and field in overrides else "step"
+        raise ScenarioValidationError(f"{name}: {e}") from e
     if not cbf:
         return replace(scenario_file, baseline=params)
     return replace(scenario_file, scenario=replace(scenario_file.scenario, params=params))
@@ -575,15 +582,18 @@ def compare(
     stepped = {}
     first_entry = {}
     for i, (algorithm, step) in enumerate(sweep):
+        # the step goes to configure as given, so the params' number rule
+        # refuses a bool or a string that float() would have run
+        try:
+            configured = configure(scenario_file, algorithm, step=step)
+        except ScenarioValidationError as e:
+            raise ScenarioValidationError(f"sweep[{i}].{e}") from e
         key = (algorithm, float(step))
         if key in first_entry:
             _fail(f"sweep[{i}]",
                   f"({algorithm}, {step}) duplicates sweep[{first_entry[key]}]")
         first_entry[key] = i
-        try:
-            stepped[key] = configure(scenario_file, algorithm, step=float(step))
-        except ScenarioValidationError as e:
-            raise ScenarioValidationError(f"sweep[{i}].{e}") from e
+        stepped[key] = configured
         if algorithm != "cbf-rrt":
             _checked(f"sweep[{i}].algorithm: ", require_static,
                      scenario_file.scenario.obstacles)

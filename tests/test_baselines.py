@@ -121,7 +121,7 @@ points = st.tuples(coordinates, coordinates)
 
 
 @st.composite
-def trees_and_queries(draw):
+def trees_and_queries(draw, points=points):
     """1-64 vertices, some repeated (exact ties), and a query point that is
     free, on a vertex, or midway between two."""
     pts = draw(st.lists(points, min_size=1, max_size=64))
@@ -137,6 +137,15 @@ def trees_and_queries(draw):
         (ax, ay), (bx, by) = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
         query = ((ax + bx) / 2.0, (ay + by) / 2.0)
     return pts, query
+
+
+def assert_near_set_matches(near, want_dists, want_near):
+    """near_set's pairs are the oracle's ids, as ints, each with its np.sqrt
+    distance bit for bit, as a float."""
+    assert [j for j, _ in near] == want_near.tolist()
+    assert all(type(j) is int and type(d) is float for j, d in near)
+    dists = np.array([d for _, d in near], dtype=float)
+    assert np.array_equal(dists.view(np.uint64), want_dists[want_near].view(np.uint64))
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,11 +167,34 @@ def test_distance_scans_match_einsum_oracle_bit_for_bit(case, data):
     radius = data.draw(st.one_of(st.just(0.0),
                                  st.sampled_from(want_dists.tolist()),
                                  st.floats(0.0, 3e3)))
-    want_dists, want_near = near_set_reference(rows, query, radius)
-    dists, near = near_set(scan, radius)
-    assert np.array_equal(dists.view(np.uint64), want_dists.view(np.uint64))
-    assert near == want_near.tolist()
-    assert all(type(j) is int for j in near)
+    assert_near_set_matches(near_set(scan, radius), *near_set_reference(rows, query, radius))
+
+
+tiny_coordinates = st.floats(-1e-155, 1e-155, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(trees_and_queries(),
+                 trees_and_queries(st.tuples(tiny_coordinates, tiny_coordinates))),
+       st.data())
+def test_near_set_keeps_the_vertices_on_its_radius(case, data):
+    # near_set prefilters the scan with a bound on radius**2. A vertex whose
+    # distance rounds to the radius can have a squared distance above
+    # radius * radius as rounded, so the radii are each vertex's distance and
+    # the floats either side of it, in trees whose squares stay normal and in
+    # trees of tiny coordinates whose squares underflow
+    pts, query = case
+    tree = GeomTree(pts[0])
+    for p in pts[1:]:
+        tree.add(p, 0, 0.0)
+    rows = np.array(pts, dtype=float)
+    scan = tree.sq_dists(query)
+    radii = [data.draw(st.floats(0.0, 1e-150)), 0.0]
+    for d in near_set_reference(rows, query, 0.0)[0].tolist():
+        radii += [d, math.nextafter(d, math.inf), math.nextafter(d, 0.0)]
+    for radius in radii:
+        assert_near_set_matches(near_set(scan, radius),
+                                *near_set_reference(rows, query, radius))
 
 
 @st.composite
@@ -189,7 +221,7 @@ def test_held_scans_survive_adds_and_match_the_oracle(session):
     root, steps = session
     tree = GeomTree(root)
     rows = [root]
-    held = []  # (a scan or its near_set distances, a copy taken then)
+    held = []  # (a scan, a copy taken then)
     for op, point, radius in steps:
         if op == "add":
             tree.add(point, 0, 0.0)
@@ -203,11 +235,8 @@ def test_held_scans_survive_adds_and_match_the_oracle(session):
                 assert nearest_neighbor(scan) == nearest_neighbor_reference(
                     np.array(rows), point)
             else:
-                want_dists, want_near = near_set_reference(np.array(rows), point, radius)
-                dists, near = near_set(scan, radius)
-                assert np.array_equal(dists.view(np.uint64), want_dists.view(np.uint64))
-                assert near == want_near.tolist()
-                held.append((dists, dists.copy()))
+                assert_near_set_matches(near_set(scan, radius), *near_set_reference(
+                    np.array(rows), point, radius))
         for kept, copy in held:
             assert np.array_equal(kept.view(np.uint64), copy.view(np.uint64))
 

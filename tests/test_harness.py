@@ -452,6 +452,8 @@ def test_configure_without_overrides_returns_the_same_file(example1_file):
      dict(t_h=0.25, dt=0.01, max_iters=7), None),
     ("rrt", dict(step=1.0, max_iters=30), None, dict(delta_d=1.0, max_iters=30)),
     ("rrt-star", dict(max_iters=40), None, dict(max_iters=40)),
+    # valid together, though t_h=0.01 alone is below the file's dt of 0.02
+    ("cbf-rrt", dict(step=0.01, dt=0.005), dict(t_h=0.01, dt=0.005), None),
 ])
 def test_configure_sets_the_algorithms_own_fields(example1_file, algorithm, overrides,
                                                   planner, baseline):
@@ -893,6 +895,16 @@ def test_compare_rejects_a_step_the_scenario_rejects(tmp_path, example1_file):
     with pytest.raises(ScenarioValidationError, match=r"^sweep\[1\]\.step: dt must be <= t_h"):
         compare(example1_file, [("rrt", 0.25), ("cbf-rrt", 0.01)], [0],
                 tmp_path / "c.csv", threads=1)
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("step", [True, "0.25"])
+def test_compare_rejects_a_step_that_is_not_a_number(tmp_path, example1_file, step):
+    # float() would have run True as delta_d 1.0 and "0.25" as 0.25
+    with pytest.raises(ScenarioValidationError,
+                       match=rf"^sweep\[0\]\.step: delta_d must be a number, "
+                             rf"got {re.escape(repr(step))}$"):
+        compare(example1_file, [("rrt", step)], [0], tmp_path / "c.csv", threads=1)
     assert not (tmp_path / "c.csv").exists()
 
 
