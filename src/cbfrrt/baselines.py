@@ -164,9 +164,10 @@ def near_set(scan: np.ndarray, radius: float) -> list[tuple[int, float]]:
     floats: the distance is math.sqrt of the scan value, and a vertex is in
     exactly when that distance is <= radius.
 
-    One numpy pass keeps the scan values <= bound, and only those are square
-    rooted. The bound loses no vertex: sqrt is correctly rounded, so a value
-    v whose rounded root d is <= radius has sqrt(v) <= d(1 + 2**-53), hence
+    One numpy pass keeps the scan values <= the bound radius * radius *
+    (1 + 2**-40) + 2**-1000, and only those are square rooted. The bound
+    loses no vertex: sqrt is correctly rounded, so a value v whose rounded
+    root d is <= radius has sqrt(v) <= d(1 + 2**-53), hence
     v <= radius**2 * (1 + 2**-51) (v = 0 included, and d is normal for
     every v > 0). The float bound is no smaller. Where radius**2 > 2**-1001
     it is normal, and the two roundings of the product lose less than the
