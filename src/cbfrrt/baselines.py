@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import CircularObstacle, Trajectory, check_finite
+from .dynamics import CircularObstacle, Trajectory, check_finite, check_max_iters
 from .planner import PlanResult, Scenario, in_goal_region, root_path
 
 Point = tuple[float, float]
@@ -37,7 +37,8 @@ Point = tuple[float, float]
 
 @dataclass(frozen=True)
 class BaselineParams:
-    """Tunables of one baseline run; a bad field raises ValueError on build."""
+    """Tunables of one baseline run; a bad field raises ValueError on build,
+    and every float field holds a float or tuples of floats."""
 
     delta_d: float = 0.25
     max_iters: int = 2_000
@@ -49,13 +50,10 @@ class BaselineParams:
     goal_bias: float = 0.0
 
     def __post_init__(self):
-        check_finite(self, "delta_d", "rewire_gamma", "goal_bias")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        check_finite(self, "delta_d", "rewire_gamma", "goal_bias", sample_bounds=(2, 2))
+        check_max_iters(self)
         if not self.delta_d > 0.0:
             raise ValueError(f"delta_d must be > 0, got {self.delta_d}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         (x_lo, x_hi), (y_lo, y_hi) = self.sample_bounds
         if x_lo > x_hi or y_lo > y_hi:
             raise ValueError(f"sample_bounds reversed: {self.sample_bounds}")
@@ -139,8 +137,7 @@ def sample_stream(goal: Point, params: BaselineParams,
     then y, each as lo + (hi - lo) * u, which is how numpy's uniform maps
     its double. So the samples are bit-identical to rng.uniform's."""
     (x_lo, x_hi), (y_lo, y_hi) = params.sample_bounds
-    x_lo, y_lo = float(x_lo), float(y_lo)
-    x_span, y_span = float(x_hi) - x_lo, float(y_hi) - y_lo
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
     bias = params.goal_bias
     u = chain.from_iterable(iter(lambda: rng.random(SAMPLE_BLOCK).tolist(), None))
     if bias > 0.0:

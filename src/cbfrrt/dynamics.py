@@ -38,33 +38,72 @@ class ControlInput(NamedTuple):
     omega: float
 
 
-def check_finite(owner, *names: str) -> None:
-    """Raise ValueError naming the first of owner's fields, a float or a tuple
-    of floats, that holds a bool, a non-number or a value that is not finite:
-    the one number rule, which the file parser leaves to the dataclasses. A
-    bool would run as 0 or 1 and be written as true or false."""
-    for name in names:
+def _floats(value, shape: tuple[int, ...]):
+    """value as a finite float or, for a shape such as (2,) or (2, 2), as
+    nested tuples of them. TypeError for a bool or a non-number, LookupError
+    for another shape, ArithmeticError for a value that is not finite, its
+    subclass OverflowError for an integer too large for a float."""
+    if shape:
+        if not isinstance(value, (tuple, list)) or len(value) != shape[0]:
+            raise LookupError
+        return tuple(_floats(v, shape[1:]) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    if not math.isfinite(value := float(value)):
+        raise ArithmeticError
+    return value
+
+
+def _tuples(value):
+    """value with its lists as tuples, so that a message reads the same for a
+    file's lists as for Python's tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def check_finite(owner, *names: str, **shapes: tuple[int, ...]) -> None:
+    """The one number rule, which the file parsers leave to the dataclasses:
+    set each of owner's fields in names to its value as a float, and each in
+    shapes to nested tuples of floats of its shape ((3,) for x_init, (2, 2)
+    for sample_bounds). Raise ValueError naming the first field that holds a
+    bool (which would run as 0 or 1 and be written as true or false), a
+    non-number, another shape, or a value that is not finite, an integer
+    too large for a float included."""
+    for name, shape in {**dict.fromkeys(names, ()), **shapes}.items():
         value = getattr(owner, name)
-        tup = isinstance(value, tuple)
-        for v in value if tup else (value,):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{name} must {'hold numbers' if tup else 'be a number'}, "
-                                 f"got {value!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        try:
+            object.__setattr__(owner, name, _floats(value, shape))
+            continue
+        except TypeError:
+            rule = "hold numbers" if shape else "be a number"
+        except LookupError:
+            rule = f"hold {' x '.join(map(str, shape))} numbers"
+        except ArithmeticError:
+            rule = "be finite"
+        raise ValueError(f"{name} must {rule}, got {_tuples(value)!r}")
+
+
+def check_max_iters(owner) -> None:
+    """The iteration budget rule of both params classes: an integer >= 1, a
+    bool refused (it would run as 0 or 1)."""
+    n = owner.max_iters
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"max_iters must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"max_iters must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
 class CircularObstacle:
     """Moving disk: center0 at t=0, constant velocity, fixed radius > 0.
-    Construction and replace raise ValueError naming a bad field."""
+    Construction and replace raise ValueError naming a bad field, and leave
+    every field a float or a tuple of floats."""
 
     center0: tuple[float, float]
     velocity: tuple[float, float]
     radius: float
 
     def __post_init__(self):
-        check_finite(self, "center0", "velocity", "radius")
+        check_finite(self, "radius", center0=(2,), velocity=(2,))
         if not self.radius > 0.0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
 

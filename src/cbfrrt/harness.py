@@ -3,7 +3,10 @@
 A run is (configured scenario file, algorithm, seed): a scenario JSON file
 fully describes a problem (start, goal, obstacles, planner and baseline
 parameters), configure applies the run's overrides to it, and the seed
-comes from the caller so one file drives a whole sweep. Every run re-audits
+comes from the caller so one file drives a whole sweep. The scenario and
+sweep file parsers read only JSON structure; every value's type, length and
+range is judged by the dataclass that holds it, as it is in Python, and a
+sweep entry's algorithm and step by configure. Every run re-audits
 its output trajectory against the obstacles, exactly along the linear
 interpolation of its nodes — the report's audit_pass is always computed
 here, never taken from planner-internal flags.
@@ -23,20 +26,14 @@ import os
 import tempfile
 import time
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .baselines import BaselineParams, require_static, rrt_plan, rrt_star_plan
-from .dynamics import (
-    CircularObstacle,
-    RobotState,
-    Trajectory,
-    check_finite,
-    obstacle_center_at,
-)
+from .dynamics import CircularObstacle, Trajectory, check_finite, obstacle_center_at
 from .planner import PlannerParams, PlanTree, Scenario, plan
 
 ALGORITHMS = ("cbf-rrt", "rrt", "rrt-star")
@@ -54,8 +51,9 @@ class ScenarioParseError(ScenarioError):
     """File is not well-formed JSON."""
 
 
-class ScenarioValidationError(ScenarioError):
-    """Invalid input; message names the offending field path."""
+class ScenarioValidationError(ScenarioError, ValueError):
+    """Invalid input; message names the offending field path. A ValueError
+    too, as the dataclasses' own rules raise from Python."""
 
 
 def _point_segment_distance(p: tuple[float, float], a: tuple[float, float],
@@ -143,24 +141,6 @@ def _checked(prefix: str, build, *args, **kwargs):
         raise ScenarioValidationError(f"{prefix}{e}") from e
 
 
-def _number(value, path: str) -> float:
-    """A JSON number, not a bool, as float; NaN and Infinity literals pass to
-    the dataclass that holds the value, which refuses them."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _vector(value, path: str, n: int) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or len(value) != n:
-        _fail(path, f"expected a list of {n} numbers, got {value!r}")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _pair(value, path: str) -> tuple[float, float]:
-    return _vector(value, path, 2)
-
-
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
@@ -174,92 +154,72 @@ def _check_seed(seed, path: str):
         _fail(path, f"must be >= 0, got {seed!r}")
 
 
-def _rectangle(value, path: str) -> tuple[tuple[float, float], tuple[float, float]]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        _fail(path, "expected [[x_lo, x_hi], [y_lo, y_hi]]")
-    return (_pair(value[0], f"{path}[0]"), _pair(value[1], f"{path}[1]"))
+def _object(doc, where: str, keys) -> dict:
+    """doc, which must be a JSON object of no key but keys."""
+    if not isinstance(doc, dict):
+        _fail(where, "expected an object")
+    _known(doc, keys, where)
+    return doc
 
 
-# The optional "planner" and "baseline" blocks of a scenario file: field name
-# -> parser, in file order. Every field defaults to the dataclass default, and
-# any other key is refused.
-PLANNER_FIELDS = {
-    "t_h": _number, "dt": _number, "sigma2": _number, "epsilon": _number,
-    "k1": _number, "k2": _number, "v_const": _number, "omega_ref": _number,
-    "omega_bounds": _pair, "max_iters": _integer,
-}
-BASELINE_FIELDS = {
-    "delta_d": _number, "max_iters": _integer, "sample_bounds": _rectangle,
-    "rewire_gamma": _number, "goal_bias": _number,
-}
-
-
-def _parse_block(doc: dict, block: str, fields) -> dict:
-    raw = doc.get(block, {})
-    if not isinstance(raw, dict):
-        _fail(block, "expected an object")
-    _known(raw, fields, block)
-    return {key: fields[key](value, f"{block}.{key}") for key, value in raw.items()}
+def _read_json(path: Path):
+    """path's JSON document. ScenarioParseError for a file that is not
+    UTF-8 JSON or holds an integer longer than the 4300 digits Python
+    converts from text (both ValueErrors, as JSONDecodeError is)."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as e:
+        raise ScenarioParseError(f"{path}: not valid JSON ({e})") from e
 
 
 def load_scenario(path) -> ScenarioFile:
     """Parse a scenario JSON file.
 
-    The parser reads the JSON shape only: each field's type and length, and
-    missing or unknown keys (metadata is free-form). Values are checked by
-    the dataclasses they go into (CircularObstacle, PlannerParams,
-    BaselineParams, Scenario, ScenarioFile), the same rules as in Python.
-    Raises ScenarioParseError for malformed JSON and ScenarioValidationError
-    naming the field path for either kind of error, a value's as the
-    object's dotted path before the dataclass's message.
+    The parser reads the JSON structure only: objects where objects belong,
+    the schema, and missing or unknown keys (metadata is free-form; the
+    planner and baseline keys are the fields of PlannerParams and
+    BaselineParams). Each value goes as JSON gave it to the dataclass that
+    holds it (CircularObstacle, PlannerParams, BaselineParams, Scenario,
+    ScenarioFile), whose rules judge its type, length and range, the same
+    rules as in Python, and which keeps it as floats. Raises
+    ScenarioParseError for malformed JSON and ScenarioValidationError naming
+    the field path for either kind of error, a value's as the object's
+    dotted path before the dataclass's message.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ScenarioParseError(f"{path}: not valid JSON ({e})") from e
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         _fail(str(path), "top level must be a JSON object")
-
     schema = doc.get("schema")
     if schema != 1:
         _fail("schema", f"unsupported schema version {schema!r} (expected 1)")
     _known(doc, ("schema", "name", "x_init", "t_init", "x_goal", "goal_horizon",
                  "obstacles", "planner", "baseline", "metadata"), "")
-
-    x_init = _vector(_require(doc, "x_init", ""), "x_init", 3)
-    x_goal = _vector(_require(doc, "x_goal", ""), "x_goal", 2)
-    t_init = _number(doc.get("t_init", 0.0), "t_init")
-    goal_horizon = _number(doc.get("goal_horizon", 20.0), "goal_horizon")
-
-    raw_obstacles = _require(doc, "obstacles", "")
+    x_init, x_goal, raw_obstacles = (_require(doc, key, "")
+                                     for key in ("x_init", "x_goal", "obstacles"))
     if not isinstance(raw_obstacles, list):
         _fail("obstacles", "expected a list")
     obstacles = []
     for i, entry in enumerate(raw_obstacles):
         where = f"obstacles[{i}]"
-        if not isinstance(entry, dict):
-            _fail(where, "expected an object")
-        _known(entry, ("center", "radius", "velocity"), where)
-        center = _vector(_require(entry, "center", where), f"{where}.center", 2)
-        radius = _number(_require(entry, "radius", where), f"{where}.radius")
-        velocity = _vector(entry.get("velocity", [0.0, 0.0]), f"{where}.velocity", 2)
-        obstacles.append(_checked(f"{where}.", CircularObstacle, center, velocity, radius))
-
-    params = _checked("planner.", PlannerParams,
-                      **_parse_block(doc, "planner", PLANNER_FIELDS))
-    baseline = _checked("baseline.", BaselineParams,
-                        **_parse_block(doc, "baseline", BASELINE_FIELDS))
-
+        _object(entry, where, ("center", "radius", "velocity"))
+        obstacles.append(_checked(f"{where}.", CircularObstacle,
+                                  _require(entry, "center", where),
+                                  entry.get("velocity", (0.0, 0.0)),
+                                  _require(entry, "radius", where)))
+    params, baseline = (
+        _checked(f"{block}.", cls,
+                 **_object(doc.get(block, {}), block, [f.name for f in fields(cls)]))
+        for block, cls in (("planner", PlannerParams), ("baseline", BaselineParams)))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         _fail("metadata", "expected an object")
 
-    scenario = _checked("", Scenario, x_init=RobotState(*x_init), t_init=t_init,
+    scenario = _checked("", Scenario, x_init=x_init, t_init=doc.get("t_init", 0.0),
                         x_goal=x_goal, obstacles=tuple(obstacles), params=params)
     return _checked("", ScenarioFile, scenario=scenario, baseline=baseline,
-                    name=doc.get("name", path.stem), goal_horizon=goal_horizon,
-                    metadata=metadata)
+                    name=doc.get("name", path.stem),
+                    goal_horizon=doc.get("goal_horizon", 20.0), metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +277,11 @@ def audit_trajectory(
 # running
 
 
+def _check_algorithm(algorithm):
+    if algorithm not in ALGORITHMS:
+        _fail("algorithm", f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+
+
 def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float] = None,
               dt: Optional[float] = None,
               max_iters: Optional[int] = None) -> ScenarioFile:
@@ -324,10 +289,10 @@ def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float]
     own params, or the same object when there are none: step is t_h (s) for
     cbf-rrt and delta_d (m) for the baselines, and max_iters the algorithm's
     budget. dt overrides the cbf-rrt integration step only, a parameter a
-    baseline would ignore. Raises ScenarioValidationError naming the
-    override (step, dt or max_iters) that the algorithm or its params reject."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    baseline would ignore. Raises ScenarioValidationError naming algorithm
+    when it is not one of ALGORITHMS, or the override (step, dt or
+    max_iters) that the algorithm or its params reject."""
+    _check_algorithm(algorithm)
     cbf = algorithm == "cbf-rrt"
     if dt is not None and not cbf:
         _fail("dt", f"overrides the cbf-rrt integration step only, not {algorithm}'s")
@@ -355,10 +320,9 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
     """Run one planner on the configured scenario file (see configure).
     Returns (RunReport, trajectory, tree) where trajectory is None on failure
     and tree is the planner's tree object. Raises ScenarioValidationError for
-    a seed that is not an integer >= 0 (a bool included) or a baseline on a
-    scenario with a moving obstacle."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    an algorithm not in ALGORITHMS, a seed that is not an integer >= 0 (a
+    bool included) or a baseline on a scenario with a moving obstacle."""
+    _check_algorithm(algorithm)
     _check_seed(seed, "seed")
     scenario = scenario_file.scenario
     if algorithm != "cbf-rrt":
@@ -497,8 +461,7 @@ def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> Iterator[b
         steps[last] = False
         inner = steps.copy()
         inner[ends[:-1]] = False
-        head = {"dt": float(params.dt), "t_h": float(params.t_h),
-                "v": float(params.v_const),
+        head = {"dt": params.dt, "t_h": params.t_h, "v": params.v_const,
                 "parents": tree.parents, "nodes": np.diff(ends).tolist()}
         picks = {"t": (last, 0), "x1": (last, 1), "x2": (last, 2), "theta": (last, 3),
                  "theta0": (ends[:-1], 3), "inner_x1": (inner, 1),
@@ -562,10 +525,11 @@ def compare(
     sweep. An empty seeds or sweep list (naming seeds or sweep), a seed that
     is not an integer >= 0 or repeats one before it (naming seeds[i]), a
     thread count that is not an integer >= 1 (naming threads), a repeated
-    sweep entry (naming sweep[i]), a step the scenario rejects (naming
-    sweep[i].step) or a baseline entry on a scenario with a moving disk
-    (naming sweep[i].algorithm) raises ScenarioValidationError before any
-    run starts: a repeat would count its runs twice in one row.
+    sweep entry (naming sweep[i]), an algorithm not in ALGORITHMS or a
+    baseline entry on a scenario with a moving disk (naming
+    sweep[i].algorithm), or a step that is None or that the scenario
+    rejects (naming sweep[i].step) raises ScenarioValidationError before
+    any run starts: a repeat would count its runs twice in one row.
     """
     if not seeds:
         _fail("seeds", "must not be empty")
@@ -582,12 +546,14 @@ def compare(
     stepped = {}
     first_entry = {}
     for i, (algorithm, step) in enumerate(sweep):
-        # the step goes to configure as given, so the params' number rule
+        # the entry goes to configure as given, so the params' number rule
         # refuses a bool or a string that float() would have run
         try:
             configured = configure(scenario_file, algorithm, step=step)
         except ScenarioValidationError as e:
             raise ScenarioValidationError(f"sweep[{i}].{e}") from e
+        if step is None:  # which configure reads as no override
+            _fail(f"sweep[{i}].step", "expected a number, got None")
         key = (algorithm, float(step))
         if key in first_entry:
             _fail(f"sweep[{i}]",
@@ -654,26 +620,19 @@ def compare(
 def load_sweep(path) -> list[tuple[str, float]]:
     """Sweep file: JSON list of {"algorithm": ..., "step": ...} objects only.
 
-    Reads the JSON shape only, as load_scenario does: an object with known
-    keys, one of ALGORITHMS and a number. compare refuses an empty sweep, and
-    a step the scenario rejects (not finite, not > 0, below dt) through the
-    params, naming sweep[i].step."""
+    Reads the JSON structure only, as load_scenario does: a list of objects
+    with both keys and no other, each (algorithm, step) pair as JSON gave
+    it. compare judges them once, through configure and the params: an
+    empty sweep, an algorithm not in ALGORITHMS (naming sweep[i].algorithm)
+    and a step the scenario rejects (not a number, not finite, not > 0,
+    below dt; naming sweep[i].step)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ScenarioParseError(f"{path}: not valid JSON ({e})") from e
+    doc = _read_json(path)
     if not isinstance(doc, list):
         _fail(str(path), "expected a JSON list")
     sweep = []
     for i, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            _fail(f"sweep[{i}]", "expected an object")
-        _known(entry, ("algorithm", "step"), f"sweep[{i}]")
-        algorithm = entry.get("algorithm")
-        if algorithm not in ALGORITHMS:
-            _fail(f"sweep[{i}].algorithm",
-                  f"expected one of {ALGORITHMS}, got {algorithm!r}")
-        sweep.append((algorithm, _number(_require(entry, "step", f"sweep[{i}]"),
-                                         f"sweep[{i}].step")))
+        where = f"sweep[{i}]"
+        _object(entry, where, ("algorithm", "step"))
+        sweep.append((_require(entry, "algorithm", where), _require(entry, "step", where)))
     return sweep

@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import dynamics
-from .dynamics import CircularObstacle, RobotState, Trajectory, check_finite, step_grid
+from .dynamics import (CircularObstacle, RobotState, Trajectory, check_finite,
+                       check_max_iters, step_grid)
 from .safety import Disk, barrier_value, constraint_rows, disk_tuple, solve_scalar_qp
 
 if TYPE_CHECKING:
@@ -45,7 +46,8 @@ class PlannerParams:
     """Tunables of one planning run; every expansion steers toward the constant
     omega_ref. k1 and k2 are the gains of the second-order barrier condition,
     both positive so s^2 + k2*s + k1 is Hurwitz. Construction and replace
-    raise ValueError naming a bad field."""
+    raise ValueError naming a bad field, and leave every float field a
+    float or a tuple of floats."""
 
     t_h: float = 0.5
     dt: float = 0.02
@@ -63,9 +65,8 @@ class PlannerParams:
 
     def __post_init__(self):
         check_finite(self, "t_h", "dt", "sigma2", "epsilon", "k1", "k2", "v_const",
-                     "omega_ref", "omega_bounds")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+                     "omega_ref", omega_bounds=(2,))
+        check_max_iters(self)
         if not self.t_h > 0.0:
             raise ValueError(f"t_h must be > 0, got {self.t_h}")
         if not self.dt > 0.0:
@@ -82,8 +83,6 @@ class PlannerParams:
             raise ValueError(f"k2 must be > 0, got {self.k2}")
         if not self.v_const > 0.0:
             raise ValueError(f"v_const must be > 0, got {self.v_const}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.omega_bounds[0] > self.omega_bounds[1]:
             raise ValueError(f"omega_bounds reversed: {self.omega_bounds}")
 
@@ -91,7 +90,9 @@ class PlannerParams:
 @dataclass(frozen=True)
 class Scenario:
     """Start, goal, obstacles and parameters; the start, its time and the goal
-    are finite and the start is clear of every disk."""
+    are finite and the start is clear of every disk. Construction and replace
+    leave x_init a RobotState of floats, t_init a float and x_goal a tuple of
+    floats."""
 
     x_init: RobotState
     t_init: float
@@ -100,7 +101,8 @@ class Scenario:
     params: PlannerParams
 
     def __post_init__(self):
-        check_finite(self, "x_init", "t_init", "x_goal")
+        check_finite(self, "t_init", x_init=(3,), x_goal=(2,))
+        object.__setattr__(self, "x_init", RobotState(*self.x_init))
         for i, obstacle in enumerate(self.obstacles):
             if barrier_value(self.x_init, obstacle, self.t_init) < 0.0:
                 raise ValueError(f"x_init lies inside obstacles[{i}] at t_init")

@@ -11,7 +11,7 @@ import json
 import math
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -26,7 +26,7 @@ from cbfrrt.dynamics import (
     TrajectorySample,
     obstacle_center_at,
 )
-from cbfrrt.harness import BASELINE_FIELDS, PLANNER_FIELDS, ScenarioFile
+from cbfrrt.harness import ScenarioFile
 from cbfrrt.planner import PlannerParams, PlanTree, root_path
 from cbfrrt.safety import TOL_ZERO, barrier_value
 
@@ -643,11 +643,6 @@ def extract_path_reference(tree: PlanTree, goal_vertex: int) -> Trajectory:
     return Trajectory(out)
 
 
-def _block_values(params, fields) -> dict:
-    """The table's fields of a params object."""
-    return {key: getattr(params, key) for key in fields}
-
-
 def write_scenario(scenario_file: ScenarioFile, path):
     """Inverse of harness.load_scenario; round-trips field-for-field."""
     s = scenario_file.scenario
@@ -663,8 +658,8 @@ def write_scenario(scenario_file: ScenarioFile, path):
              "velocity": list(o.velocity)}
             for o in s.obstacles
         ],
-        "planner": _block_values(s.params, PLANNER_FIELDS),
-        "baseline": _block_values(scenario_file.baseline, BASELINE_FIELDS),
+        "planner": asdict(s.params),
+        "baseline": asdict(scenario_file.baseline),
         "metadata": scenario_file.metadata,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -475,6 +475,21 @@ def test_baseline_params_validation():
                      id="goal_bias"),
         pytest.param({"rewire_gamma": -1.0}, r"^rewire_gamma must be >= 0",
                      id="rewire_gamma"),
+        # a bool would run as 1; one row would fail to unpack, naming no field
+        pytest.param({"sample_bounds": ((True, 3.0), (-1.0, 3.0))},
+                     r"^sample_bounds must hold numbers, "
+                     r"got \(\(True, 3\.0\), \(-1\.0, 3\.0\)\)$",
+                     id="sample_bounds-bool"),
+        pytest.param({"sample_bounds": ((-1.0, 3.0),)},
+                     r"^sample_bounds must hold 2 x 2 numbers, got \(\(-1\.0, 3\.0\),\)$",
+                     id="sample_bounds-one-row"),
+        pytest.param({"sample_bounds": ((-1.0, 3.0), 3.0)},
+                     r"^sample_bounds must hold 2 x 2 numbers", id="sample_bounds-scalar-row"),
+        pytest.param({"sample_bounds": ((-1.0, math.inf), (-1.0, 3.0))},
+                     r"^sample_bounds must be finite, got \(\(-1\.0, inf\)",
+                     id="sample_bounds-inf"),
+        pytest.param({"delta_d": 10**400}, r"^delta_d must be finite, got 1000",
+                     id="delta_d-huge-int"),
     ],
 )
 def test_baseline_checks_fire_on_construction_and_replace(overrides, message):

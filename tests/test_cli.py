@@ -11,6 +11,7 @@ import pytest
 
 import cbfrrt
 from cbfrrt import harness
+from cbfrrt.dynamics import CircularObstacle
 from cbfrrt.cli import (
     EXIT_AUDIT_FAIL,
     EXIT_EXHAUSTED,
@@ -236,6 +237,18 @@ def _scenario(**fields):
     return lambda sf: dataclasses.replace(sf.scenario, **fields)
 
 
+def _planner(**fields):
+    return lambda sf: dataclasses.replace(sf.scenario.params, **fields)
+
+
+def _baseline(**fields):
+    return lambda sf: dataclasses.replace(sf.baseline, **fields)
+
+
+# an integer json.loads reads and float() refuses
+HUGE = 10**400
+
+
 @pytest.mark.parametrize("where, value, build, prefix, message", [
     pytest.param(("scenario", "t_init"), math.inf, _scenario(t_init=math.inf), "",
                  "t_init must be finite, got inf", id="t_init-inf"),
@@ -276,6 +289,48 @@ def _scenario(**fields):
     pytest.param(("sweep", 0, "step"), math.nan,
                  lambda sf: dataclasses.replace(sf.scenario.params, t_h=math.nan),
                  "sweep[0].step: ", "t_h must be finite, got nan", id="step-nan"),
+    # a field's shape is its dataclass's rule too, and a message shows a
+    # file's list as the tuple the field holds
+    pytest.param(("scenario", "obstacles", 0, "center"), [1.0],
+                 lambda sf: CircularObstacle((1.0,), (0.0, 0.0), 0.2), "obstacles[0].",
+                 "center0 must hold 2 numbers, got (1.0,)", id="center-short"),
+    pytest.param(("scenario", "x_goal"), [2.0, 2.0, 9.0], _scenario(x_goal=(2.0, 2.0, 9.0)),
+                 "", "x_goal must hold 2 numbers, got (2.0, 2.0, 9.0)", id="x_goal-long"),
+    pytest.param(("scenario", "x_init"), [0.0, 0.0], _scenario(x_init=(0.0, 0.0)), "",
+                 "x_init must hold 3 numbers, got (0.0, 0.0)", id="x_init-short"),
+    pytest.param(("scenario", "planner", "omega_bounds"), [-1.0, 1.0, 5.0],
+                 _planner(omega_bounds=(-1.0, 1.0, 5.0)), "planner.",
+                 "omega_bounds must hold 2 numbers, got (-1.0, 1.0, 5.0)",
+                 id="omega_bounds-long"),
+    pytest.param(("scenario", "planner", "omega_bounds"), [-1.0],
+                 _planner(omega_bounds=(-1.0,)), "planner.",
+                 "omega_bounds must hold 2 numbers, got (-1.0,)", id="omega_bounds-short"),
+    pytest.param(("scenario", "planner", "omega_bounds"), 5.0, _planner(omega_bounds=5.0),
+                 "planner.", "omega_bounds must hold 2 numbers, got 5.0",
+                 id="omega_bounds-scalar"),
+    pytest.param(("scenario", "baseline", "sample_bounds"), [[True, 3.0], [-1.0, 3.0]],
+                 _baseline(sample_bounds=((True, 3.0), (-1.0, 3.0))), "baseline.",
+                 "sample_bounds must hold numbers, got ((True, 3.0), (-1.0, 3.0))",
+                 id="sample_bounds-bool"),
+    pytest.param(("scenario", "baseline", "sample_bounds"), [[-1.0, 3.0]],
+                 _baseline(sample_bounds=((-1.0, 3.0),)), "baseline.",
+                 "sample_bounds must hold 2 x 2 numbers, got ((-1.0, 3.0),)",
+                 id="sample_bounds-one-row"),
+    # an integer too large for a float is not finite
+    pytest.param(("scenario", "t_init"), HUGE, _scenario(t_init=HUGE), "",
+                 f"t_init must be finite, got {HUGE}", id="t_init-huge"),
+    pytest.param(("scenario", "planner", "t_h"), HUGE, _planner(t_h=HUGE), "planner.",
+                 f"t_h must be finite, got {HUGE}", id="t_h-huge"),
+    pytest.param(("scenario", "obstacles", 0, "center"), [HUGE, 0.5],
+                 _obstacle(center0=(HUGE, 0.5)), "obstacles[0].",
+                 f"center0 must be finite, got ({HUGE}, 0.5)", id="center-huge"),
+    pytest.param(("sweep", 0, "step"), HUGE, _planner(t_h=HUGE), "sweep[0].step: ",
+                 f"t_h must be finite, got {HUGE}", id="step-huge"),
+    # configure judges a sweep entry's algorithm, from Python as from a file
+    pytest.param(("sweep", 0, "algorithm"), "rrtx",
+                 lambda sf: harness.configure(sf, "rrtx", step=0.5), "sweep[0].",
+                 f"algorithm: unknown algorithm 'rrtx'; expected one of "
+                 f"{harness.ALGORITHMS}", id="sweep-algorithm"),
 ])
 def test_value_rule_fires_from_python_and_from_a_file(tmp_path, capsys, example1_file,
                                                       where, value, build, prefix,
@@ -290,8 +345,8 @@ def test_value_rule_fires_from_python_and_from_a_file(tmp_path, capsys, example1
     target = docs
     for key in parents:
         target = target[key]
-    # json.dumps writes inf and nan as Infinity and NaN; the parser reads an
-    # integer as a float, so 0 and -1 give the messages of 0.0 and -1.0
+    # json.dumps writes inf and nan as Infinity and NaN; the dataclass holds
+    # an integer as a float, so 0 and -1 give the messages of 0.0 and -1.0
     target[last] = value
     paths = {}
     for name, doc in docs.items():

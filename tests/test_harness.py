@@ -188,9 +188,7 @@ def test_round_trip_every_block_field(tmp_path, example1_file):
         rewire_gamma=1.25, goal_bias=0.1,
     )
     # every field is a file field, and each differs from its default
-    for obj, block in ((params, harness.PLANNER_FIELDS),
-                       (baseline, harness.BASELINE_FIELDS)):
-        assert [f.name for f in dataclasses.fields(obj)] == list(block)
+    for obj in (params, baseline):
         default = type(obj)()
         for f in dataclasses.fields(obj):
             assert getattr(obj, f.name) != getattr(default, f.name), f.name
@@ -497,14 +495,32 @@ def test_configure_names_the_rejected_override(example1_file, algorithm, overrid
 
 
 def test_an_integer_step_writes_the_artifacts_of_its_float(tmp_path, example1_file):
-    # t_h = 1 plans as t_h = 1.0 does, and tree.json writes dt, t_h and v as
-    # floats, so the two runs' artifacts are byte-identical
-    for step in (1, 1.0):
-        run(configure(example1_file, "cbf-rrt", step=step), "cbf-rrt", 0,
-            tmp_path / repr(step))
-    for name in ("tree.json", "trajectory.csv", "report.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "1.0" / name).read_bytes()
-    assert json.loads((tmp_path / "1" / "tree.json").read_bytes())["t_h"] == 1.0
+    # a step of 1 plans as 1.0 does, and so does example1 built in Python
+    # with int fields, lists and a plain tuple start: the dataclasses hold
+    # floats, so tree.json writes dt, t_h and v as floats, and the runs'
+    # artifacts are byte-identical
+    sc = example1_file.scenario
+    ints = dataclasses.replace(
+        example1_file, goal_horizon=20,
+        baseline=dataclasses.replace(example1_file.baseline,
+                                     sample_bounds=[[-1, 3], [-1, 3]], rewire_gamma=2),
+        scenario=dataclasses.replace(
+            sc, x_init=(-0.5, -0.5, 1), t_init=0, x_goal=[2, 2],
+            obstacles=tuple(dataclasses.replace(o, velocity=[0, 0]) for o in sc.obstacles),
+            params=dataclasses.replace(sc.params, k1=2, k2=4, v_const=1, omega_ref=0,
+                                       omega_bounds=[-4.25, 4.25])))
+    assert type(ints.scenario.x_init) is RobotState
+    # json.dumps writes an int without the ".0" of its float
+    assert (json.dumps(dataclasses.asdict(ints))
+            == json.dumps(dataclasses.asdict(example1_file)))
+    for algorithm in ("cbf-rrt", "rrt"):
+        for sf, step in ((ints, 1), (example1_file, 1.0)):
+            run(configure(sf, algorithm, step=step), algorithm, 0,
+                tmp_path / algorithm / repr(step))
+        for name in ("tree.json", "trajectory.csv", "report.json"):
+            assert ((tmp_path / algorithm / "1" / name).read_bytes()
+                    == (tmp_path / algorithm / "1.0" / name).read_bytes())
+    assert json.loads((tmp_path / "cbf-rrt" / "1" / "tree.json").read_bytes())["t_h"] == 1.0
 
 
 def test_execute_hands_the_planner_the_objects_it_was_given(monkeypatch, example1_file):
@@ -908,6 +924,20 @@ def test_compare_rejects_a_step_that_is_not_a_number(tmp_path, example1_file, st
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("entry, message", [
+    # configure judges the algorithm, and compare names the entry
+    pytest.param(("rrtx", 0.25), r"^sweep\[1\]\.algorithm: unknown algorithm 'rrtx'; "
+                 r"expected one of \('cbf-rrt', 'rrt', 'rrt-star'\)$", id="algorithm"),
+    # configure reads a step of None as no override; a sweep entry needs one
+    pytest.param(("rrt", None), r"^sweep\[1\]\.step: expected a number, got None$",
+                 id="step-none"),
+])
+def test_compare_names_the_entry_it_rejects(tmp_path, example1_file, entry, message):
+    with pytest.raises(ScenarioValidationError, match=message):
+        compare(example1_file, [("rrt", 1.0), entry], [0], tmp_path / "c.csv", threads=1)
+    assert not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_compare_rejects_a_thread_count_below_1(tmp_path, example1_file, threads):
     # refused before any run, as `cbfrrt compare --threads 0` is
@@ -990,3 +1020,14 @@ def test_load_sweep_rejects_garbage(tmp_path):
     p.write_text(json.dumps({"algorithm": "rrt"}))
     with pytest.raises(ScenarioValidationError):
         load_sweep(p)
+
+
+@pytest.mark.parametrize("load", [load_scenario, load_sweep])
+@pytest.mark.parametrize("text", [b"\xff\xfe[]", b"[" + b"1" * 5000 + b"]"],
+                         ids=["not-utf8", "5000-digit-integer"])
+def test_loaders_refuse_a_file_json_cannot_read(tmp_path, load, text):
+    # both raise ValueError, not JSONDecodeError, from reading the file
+    p = tmp_path / "doc.json"
+    p.write_bytes(text)
+    with pytest.raises(ScenarioParseError, match="not valid JSON"):
+        load(p)

@@ -119,6 +119,33 @@ SAFE_START = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0),
         pytest.param(SAFE_START,
                      {"obstacles": (CircularObstacle((0.0, 0.1), (0.0, 0.0), 0.2),)},
                      r"^x_init lies inside obstacles\[0\]", id="disk-over-start"),
+        # the one number rule judges each field's shape, and its message
+        # names the field where an index or an unpacking would not
+        pytest.param(PlannerParams(), {"omega_bounds": (-1.0,)},
+                     r"^omega_bounds must hold 2 numbers, got \(-1\.0,\)$",
+                     id="omega_bounds-short"),
+        pytest.param(PlannerParams(), {"omega_bounds": (-1.0, 1.0, 5.0)},
+                     r"^omega_bounds must hold 2 numbers, got \(-1\.0, 1\.0, 5\.0\)$",
+                     id="omega_bounds-long"),
+        pytest.param(PlannerParams(), {"omega_bounds": 5.0},
+                     r"^omega_bounds must hold 2 numbers, got 5\.0$",
+                     id="omega_bounds-scalar"),
+        pytest.param(PlannerParams(), {"t_h": 10**400}, r"^t_h must be finite, got 1000",
+                     id="t_h-huge-int"),
+        pytest.param(SAFE_START, {"x_goal": (2.0, 2.0, 9.0)},
+                     r"^x_goal must hold 2 numbers, got \(2\.0, 2\.0, 9\.0\)$",
+                     id="x_goal-long"),
+        pytest.param(SAFE_START, {"t_init": 10**400}, r"^t_init must be finite, got 1000",
+                     id="t_init-huge-int"),
+        # a plain tuple is a start too, held as a RobotState
+        pytest.param(SAFE_START, {"x_init": (1.1, 1.0, 0.0)},
+                     r"^x_init lies inside obstacles\[0\]", id="x_init-tuple-in-disk"),
+        pytest.param(SAFE_START, {"x_init": (0.0, 0.0)},
+                     r"^x_init must hold 3 numbers, got \(0\.0, 0\.0\)$", id="x_init-short"),
+        pytest.param(CircularObstacle((1.0, 1.0), (0.0, 0.0), 0.2), {"center0": (1.0,)},
+                     r"^center0 must hold 2 numbers, got \(1\.0,\)$", id="center0-short"),
+        pytest.param(CircularObstacle((1.0, 1.0), (0.0, 0.0), 0.2), {"velocity": [0.0, "1"]},
+                     r"^velocity must hold numbers, got \(0\.0, '1'\)$", id="velocity-str"),
     ],
 )
 def test_checks_fire_on_construction_and_replace(valid, overrides, message):
