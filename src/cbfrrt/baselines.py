@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import CircularObstacle, Trajectory, check_finite, check_max_iters
+from .dynamics import CircularObstacle, Trajectory, check_finite, check_integer
 from .planner import PlanResult, Scenario, in_goal_region, root_path
 
 Point = tuple[float, float]
@@ -51,7 +51,7 @@ class BaselineParams:
 
     def __post_init__(self):
         check_finite(self, "delta_d", "rewire_gamma", "goal_bias", sample_bounds=(2, 2))
-        check_max_iters(self)
+        check_integer(self.max_iters, "max_iters", 1)
         if not self.delta_d > 0.0:
             raise ValueError(f"delta_d must be > 0, got {self.delta_d}")
         (x_lo, x_hi), (y_lo, y_hi) = self.sample_bounds

@@ -82,14 +82,15 @@ def check_finite(owner, *names: str, **shapes: tuple[int, ...]) -> None:
         raise ValueError(f"{name} must {rule}, got {_tuples(value)!r}")
 
 
-def check_max_iters(owner) -> None:
-    """The iteration budget rule of both params classes: an integer >= 1, a
-    bool refused (it would run as 0 or 1)."""
-    n = owner.max_iters
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"max_iters must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"max_iters must be >= 1, got {n}")
+def check_integer(value, name: str, minimum: int) -> None:
+    """The one integer rule, of both params classes' max_iters and of the
+    harness's seeds and thread count: an int >= minimum. Raise ValueError
+    naming name for a bool (which would run as 0 or 1), a float (which is
+    not truncated) or another non-int, and for a value below minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .baselines import BaselineParams, require_static, rrt_plan, rrt_star_plan
-from .dynamics import CircularObstacle, Trajectory, check_finite, obstacle_center_at
+from .dynamics import (CircularObstacle, Trajectory, check_finite, check_integer,
+                       obstacle_center_at)
 from .planner import PlannerParams, PlanTree, Scenario, plan
 
 ALGORITHMS = ("cbf-rrt", "rrt", "rrt-star")
@@ -141,19 +142,6 @@ def _checked(prefix: str, build, *args, **kwargs):
         raise ScenarioValidationError(f"{prefix}{e}") from e
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _check_seed(seed, path: str):
-    """numpy seeds its generators from non-negative integers only; a bool
-    would run as 0 or 1, and a float is refused, not truncated."""
-    if _integer(seed, path) < 0:
-        _fail(path, f"must be >= 0, got {seed!r}")
-
-
 def _object(doc, where: str, keys) -> dict:
     """doc, which must be a JSON object of no key but keys."""
     if not isinstance(doc, dict):
@@ -216,7 +204,7 @@ def load_scenario(path) -> ScenarioFile:
         _fail("metadata", "expected an object")
 
     scenario = _checked("", Scenario, x_init=x_init, t_init=doc.get("t_init", 0.0),
-                        x_goal=x_goal, obstacles=tuple(obstacles), params=params)
+                        x_goal=x_goal, obstacles=obstacles, params=params)
     return _checked("", ScenarioFile, scenario=scenario, baseline=baseline,
                     name=doc.get("name", path.stem),
                     goal_horizon=doc.get("goal_horizon", 20.0), metadata=metadata)
@@ -323,7 +311,8 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
     an algorithm not in ALGORITHMS, a seed that is not an integer >= 0 (a
     bool included) or a baseline on a scenario with a moving obstacle."""
     _check_algorithm(algorithm)
-    _check_seed(seed, "seed")
+    # numpy seeds its generators from non-negative integers only
+    _checked("", check_integer, seed, "seed", 0)
     scenario = scenario_file.scenario
     if algorithm != "cbf-rrt":
         _checked("", require_static, scenario.obstacles)
@@ -371,12 +360,17 @@ def run(scenario_file: ScenarioFile, algorithm: str, seed: int, out_dir) -> RunR
 
 def _atomic_write(path, content: str | Iterable[bytes]):
     """Write content, a str or bytes pieces written as they come, to a temp
-    file renamed over path; if anything raises, path is left as it was."""
+    file renamed over path; if anything raises, path is left as it was. The
+    file gets the mode open() would give it, 0o666 less the umask, in place
+    of mkstemp's 0o600, which the rename would keep."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as f:
             f.writelines([content.encode()] if isinstance(content, str) else content)
+        umask = os.umask(0o022)  # reads the umask; the next line restores it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -533,11 +527,11 @@ def compare(
     """
     if not seeds:
         _fail("seeds", "must not be empty")
-    if threads is not None and _integer(threads, "threads") < 1:
-        _fail("threads", f"must be >= 1, got {threads}")
+    if threads is not None:
+        _checked("", check_integer, threads, "threads", 1)
     first_seed = {}
     for i, seed in enumerate(seeds):
-        _check_seed(seed, f"seeds[{i}]")
+        _checked("", check_integer, seed, f"seeds[{i}]", 0)
         if seed in first_seed:
             _fail(f"seeds[{i}]", f"{seed} duplicates seeds[{first_seed[seed]}]")
         first_seed[seed] = i

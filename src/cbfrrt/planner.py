@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import (CircularObstacle, RobotState, Trajectory, check_finite,
-                       check_max_iters, step_grid)
+                       check_integer, step_grid)
 from .safety import Disk, barrier_value, constraint_rows, disk_tuple, solve_scalar_qp
 
 if TYPE_CHECKING:
@@ -66,7 +66,7 @@ class PlannerParams:
     def __post_init__(self):
         check_finite(self, "t_h", "dt", "sigma2", "epsilon", "k1", "k2", "v_const",
                      "omega_ref", omega_bounds=(2,))
-        check_max_iters(self)
+        check_integer(self.max_iters, "max_iters", 1)
         if not self.t_h > 0.0:
             raise ValueError(f"t_h must be > 0, got {self.t_h}")
         if not self.dt > 0.0:
@@ -90,9 +90,10 @@ class PlannerParams:
 @dataclass(frozen=True)
 class Scenario:
     """Start, goal, obstacles and parameters; the start, its time and the goal
-    are finite and the start is clear of every disk. Construction and replace
-    leave x_init a RobotState of floats, t_init a float and x_goal a tuple of
-    floats."""
+    are finite, every obstacle is a CircularObstacle and the start is clear
+    of every disk. Construction and replace leave x_init a RobotState of
+    floats, t_init a float, x_goal a tuple of floats and obstacles a tuple,
+    so a Scenario built from a list hashes as the file's does."""
 
     x_init: RobotState
     t_init: float
@@ -103,7 +104,10 @@ class Scenario:
     def __post_init__(self):
         check_finite(self, "t_init", x_init=(3,), x_goal=(2,))
         object.__setattr__(self, "x_init", RobotState(*self.x_init))
+        object.__setattr__(self, "obstacles", tuple(self.obstacles))
         for i, obstacle in enumerate(self.obstacles):
+            if not isinstance(obstacle, CircularObstacle):
+                raise ValueError(f"obstacles[{i}] must be a CircularObstacle, got {obstacle!r}")
             if barrier_value(self.x_init, obstacle, self.t_init) < 0.0:
                 raise ValueError(f"x_init lies inside obstacles[{i}] at t_init")
 

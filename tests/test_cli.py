@@ -149,9 +149,9 @@ def test_plan_bad_overrides(tmp_path):
         pytest.param(["plan", "--scenario", EXAMPLE1, "--max-iters", "0"],
                      r"max_iters must be >= 1", id="zero-max-iters"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--seed", "-1"],
-                     r"seed: must be >= 0, got -1", id="negative-seed"),
+                     r"seed must be >= 0, got -1", id="negative-seed"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
-                      "--seeds", "0,-1"], r"seeds\[1\]: must be >= 0, got -1",
+                      "--seeds", "0,-1"], r"seeds\[1\] must be >= 0, got -1",
                      id="negative-seed-in-list"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
                       "--seeds", ","], r"^error: seeds: must not be empty$",
@@ -165,7 +165,7 @@ def test_plan_bad_overrides(tmp_path):
                      id="sweep-baseline-on-moving-disk"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
                       "--seeds", "2", "--threads", "0"],
-                     r"threads: must be >= 1, got 0", id="zero-threads"),
+                     r"threads must be >= 1, got 0", id="zero-threads"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt",
                       "--dt", "0.5"], r"dt: .*cbf-rrt", id="dt-for-rrt"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt-star",

@@ -576,6 +576,24 @@ def test_run_writes_artifacts(tmp_path, example1_file):
     assert len(tree_doc["parents"]) == report.vertices
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_artifacts_take_the_mode_open_would_give(tmp_path, example1_file, umask):
+    # each file is written to a mkstemp file, 0o600, and renamed, which keeps
+    # the temp file's mode; an artifact must read as a plain open() would
+    # leave it, and the umask as it was
+    previous = os.umask(umask)
+    try:
+        run(example1_file, "rrt", 0, tmp_path / "run")
+        compare(example1_file, [("rrt", 1.0)], [0], tmp_path / "c.csv", threads=1)
+        assert os.umask(umask) == umask
+    finally:
+        os.umask(previous)
+    paths = sorted((tmp_path / "run").iterdir()) + [tmp_path / "c.csv"]
+    assert [(p.name, oct(p.stat().st_mode & 0o777)) for p in paths] == [
+        (name, oct(0o666 & ~umask))
+        for name in ("report.json", "timing.json", "trajectory.csv", "tree.json", "c.csv")]
+
+
 @pytest.mark.parametrize("algorithm", ["cbf-rrt", "rrt", "rrt-star"])
 def test_report_measures_the_trajectory_it_writes(tmp_path, example1_file, algorithm):
     # every planner returns its path as the trajectory the harness writes,
@@ -942,7 +960,7 @@ def test_compare_names_the_entry_it_rejects(tmp_path, example1_file, entry, mess
 def test_compare_rejects_a_thread_count_below_1(tmp_path, example1_file, threads):
     # refused before any run, as `cbfrrt compare --threads 0` is
     with pytest.raises(ScenarioValidationError,
-                       match=rf"^threads: must be >= 1, got {threads}$"):
+                       match=rf"^threads must be >= 1, got {threads}$"):
         compare(example1_file, [("rrt", 0.25)], [0, 1], tmp_path / "c.csv",
                 threads=threads)
     assert not (tmp_path / "c.csv").exists()
@@ -953,7 +971,7 @@ def test_compare_rejects_a_thread_count_that_is_not_an_integer(tmp_path, example
                                                                threads):
     # 2.5 would reach the process pool and True would run as 1 thread
     with pytest.raises(ScenarioValidationError,
-                       match=rf"^threads: expected an integer, got {threads}$"):
+                       match=rf"^threads must be an integer, got {threads}$"):
         compare(example1_file, [("rrt", 0.25)], [0, 1], tmp_path / "c.csv",
                 threads=threads)
     assert not (tmp_path / "c.csv").exists()
@@ -980,13 +998,13 @@ def test_execute_rejects_a_seed_that_is_not_an_integer(example1_file, seed):
     # numpy would raise a TypeError that names no field for 1.5, and run
     # True as seed 1
     with pytest.raises(ScenarioValidationError,
-                       match=rf"^seed: expected an integer, got {re.escape(repr(seed))}$"):
+                       match=rf"^seed must be an integer, got {re.escape(repr(seed))}$"):
         execute(example1_file, "rrt", seed)
 
 
 @pytest.mark.parametrize("seeds, message", [
-    pytest.param([1, 1.5], r"^seeds\[1\]: expected an integer, got 1\.5$", id="float"),
-    pytest.param([0, True], r"^seeds\[1\]: expected an integer, got True$", id="bool"),
+    pytest.param([1, 1.5], r"^seeds\[1\] must be an integer, got 1\.5$", id="float"),
+    pytest.param([0, True], r"^seeds\[1\] must be an integer, got True$", id="bool"),
 ])
 def test_compare_rejects_a_seed_that_is_not_an_integer(tmp_path, example1_file, seeds,
                                                         message):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import types
 from array import array
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from cbfrrt import planner
 from cbfrrt.baselines import BaselineParams
 from cbfrrt.dynamics import CircularObstacle, RobotState
+from cbfrrt.harness import load_scenario
 from cbfrrt.planner import (
     PlannerParams,
     PlanTree,
@@ -61,6 +63,8 @@ def test_params_validation():
 
 SAFE_START = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0),
                       (CircularObstacle((1.0, 1.0), (0.0, 0.0), 0.2),), PlannerParams())
+EXAMPLE1 = load_scenario(
+    pathlib.Path(planner.__file__).parent / "scenarios" / "example1.json").scenario
 
 
 @pytest.mark.parametrize(
@@ -146,12 +150,28 @@ SAFE_START = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0),
                      r"^center0 must hold 2 numbers, got \(1\.0,\)$", id="center0-short"),
         pytest.param(CircularObstacle((1.0, 1.0), (0.0, 0.0), 0.2), {"velocity": [0.0, "1"]},
                      r"^velocity must hold numbers, got \(0\.0, '1'\)$", id="velocity-str"),
+        # an obstacle that is not a disk names its index, in a tuple or a list
+        pytest.param(SAFE_START, {"obstacles": (SAFE_START.obstacles[0], "disk")},
+                     r"^obstacles\[1\] must be a CircularObstacle, got 'disk'$",
+                     id="obstacle-str"),
+        pytest.param(SAFE_START, {"obstacles": [{"center": (1.0, 1.0), "radius": 0.2}]},
+                     r"^obstacles\[0\] must be a CircularObstacle, got \{'center'",
+                     id="obstacle-dict-in-list"),
+        # no message: a valid rebuild, which must equal and hash as the
+        # original; a list of the file's disks is held as the file's tuple
+        pytest.param(EXAMPLE1, {"obstacles": list(EXAMPLE1.obstacles)}, None,
+                     id="obstacles-list-hashes"),
     ],
 )
 def test_checks_fire_on_construction_and_replace(valid, overrides, message):
     # valid by construction: building the object and replacing a field of a
     # valid one run the same check, and the message names the field
     fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+    if message is None:
+        for rebuilt in (type(valid)(**{**fields, **overrides}),
+                        dataclasses.replace(valid, **overrides)):
+            assert rebuilt == valid and hash(rebuilt) == hash(valid)
+        return
     with pytest.raises(ValueError, match=message):
         type(valid)(**{**fields, **overrides})
     with pytest.raises(ValueError, match=message):
