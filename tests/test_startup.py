@@ -19,6 +19,7 @@ import pytest
 import cbfrrt
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+UNSET = dict.fromkeys(BLAS_THREADS)
 EXAMPLE1 = pathlib.Path(cbfrrt.__file__).parent / "scenarios" / "example1.json"
 
 # the last line each interpreter prints: its thread count, the three
@@ -42,11 +43,9 @@ def fresh(code: str, **preset: str) -> list:
     return [json.loads(line) for line in out.splitlines()]
 
 
-UNSET = dict.fromkeys(BLAS_THREADS)
-
-
 def test_import_leaves_one_thread_and_the_environment_as_it_was():
-    assert fresh("import cbfrrt") == [[1, UNSET, False]]
+    [[threads, environ, _]] = fresh("import cbfrrt")
+    assert (threads, environ) == (1, UNSET)
 
 
 def test_a_plan_leaves_one_thread_and_the_environment_as_it_was():
