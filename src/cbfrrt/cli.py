@@ -67,12 +67,9 @@ def _parse_seeds(text: str) -> list[int]:
     try:
         if "," in text:
             return [int(part) for part in text.split(",") if part.strip() != ""]
-        n = int(text)
+        return list(range(int(text)))
     except ValueError as e:
         raise ScenarioError(f"--seeds: expected a count or comma list, got {text!r}") from e
-    if n < 1:
-        raise ScenarioError(f"--seeds: count must be >= 1, got {n}")
-    return list(range(n))
 
 
 def _cmd_plan(args) -> tuple[int, str]:

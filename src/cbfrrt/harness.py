@@ -5,11 +5,11 @@ fully describes a problem (start, goal, obstacles, planner and baseline
 parameters), configure applies the run's overrides to it, and the seed
 comes from the caller so one file drives a whole sweep. The scenario and
 sweep file parsers read only JSON structure; every value's type, length and
-range is judged by the dataclass that holds it, as it is in Python, and a
-sweep entry's algorithm and step by configure. Every run re-audits
-its output trajectory against the obstacles, exactly along the linear
-interpolation of its nodes — the report's audit_pass is always computed
-here, never taken from planner-internal flags.
+range is judged by the dataclass that holds it, as it is in Python, and
+whether an algorithm and its step may run on a file by configure. Every
+run re-audits its output trajectory against the obstacles, exactly along
+the linear interpolation of its nodes — the report's audit_pass is always
+computed here, never taken from planner-internal flags.
 
 Reports are split into report.json (deterministic, byte-reproducible for a
 fixed (scenario, algorithm, seed)) and timing.json (wall-clock, varies run to
@@ -23,7 +23,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 import time
 from array import array
 from dataclasses import asdict, dataclass, fields, replace
@@ -265,11 +264,6 @@ def audit_trajectory(
 # running
 
 
-def _check_algorithm(algorithm):
-    if algorithm not in ALGORITHMS:
-        _fail("algorithm", f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-
-
 def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float] = None,
               dt: Optional[float] = None,
               max_iters: Optional[int] = None) -> ScenarioFile:
@@ -277,13 +271,18 @@ def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float]
     own params, or the same object when there are none: step is t_h (s) for
     cbf-rrt and delta_d (m) for the baselines, and max_iters the algorithm's
     budget. dt overrides the cbf-rrt integration step only, a parameter a
-    baseline would ignore. Raises ScenarioValidationError naming algorithm
-    when it is not one of ALGORITHMS, or the override (step, dt or
-    max_iters) that the algorithm or its params reject."""
-    _check_algorithm(algorithm)
+    baseline would ignore. The one judge of whether the algorithm may run on
+    the file: raises ScenarioValidationError naming algorithm when it is not
+    one of ALGORITHMS or is a baseline on a scenario with a moving disk, or
+    the override (step, dt or max_iters) that the algorithm or its params
+    reject."""
+    if algorithm not in ALGORITHMS:
+        _fail("algorithm", f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     cbf = algorithm == "cbf-rrt"
-    if dt is not None and not cbf:
-        _fail("dt", f"overrides the cbf-rrt integration step only, not {algorithm}'s")
+    if not cbf:
+        _checked("algorithm: ", require_static, scenario_file.scenario.obstacles)
+        if dt is not None:
+            _fail("dt", f"overrides the cbf-rrt integration step only, not {algorithm}'s")
     overrides = {key: value for key, value in (("t_h" if cbf else "delta_d", step),
                                                ("dt", dt), ("max_iters", max_iters))
                  if value is not None}
@@ -308,14 +307,12 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
     """Run one planner on the configured scenario file (see configure).
     Returns (RunReport, trajectory, tree) where trajectory is None on failure
     and tree is the planner's tree object. Raises ScenarioValidationError for
-    an algorithm not in ALGORITHMS, a seed that is not an integer >= 0 (a
-    bool included) or a baseline on a scenario with a moving obstacle."""
-    _check_algorithm(algorithm)
+    a pair configure refuses, naming algorithm, or a seed that is not an
+    integer >= 0 (a bool included)."""
+    configure(scenario_file, algorithm)  # no overrides: admits the pair only
     # numpy seeds its generators from non-negative integers only
     _checked("", check_integer, seed, "seed", 0)
     scenario = scenario_file.scenario
-    if algorithm != "cbf-rrt":
-        _checked("", require_static, scenario.obstacles)
 
     start = time.perf_counter()
     if algorithm == "cbf-rrt":
@@ -360,17 +357,16 @@ def run(scenario_file: ScenarioFile, algorithm: str, seed: int, out_dir) -> RunR
 
 def _atomic_write(path, content: str | Iterable[bytes]):
     """Write content, a str or bytes pieces written as they come, to a temp
-    file renamed over path; if anything raises, path is left as it was. The
-    file gets the mode open() would give it, 0o666 less the umask, in place
-    of mkstemp's 0o600, which the rename would keep."""
+    file beside path on a random name, renamed over path; if anything
+    raises, path is left as it was. The temp file is created with mode
+    0o666, which the kernel reduces by the umask, so path gets the mode
+    open() would give it and the process umask is never changed."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.writelines([content.encode()] if isinstance(content, str) else content)
-        umask = os.umask(0o022)  # reads the umask; the next line restores it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -519,11 +515,10 @@ def compare(
     sweep. An empty seeds or sweep list (naming seeds or sweep), a seed that
     is not an integer >= 0 or repeats one before it (naming seeds[i]), a
     thread count that is not an integer >= 1 (naming threads), a repeated
-    sweep entry (naming sweep[i]), an algorithm not in ALGORITHMS or a
-    baseline entry on a scenario with a moving disk (naming
-    sweep[i].algorithm), or a step that is None or that the scenario
-    rejects (naming sweep[i].step) raises ScenarioValidationError before
-    any run starts: a repeat would count its runs twice in one row.
+    sweep entry (naming sweep[i]), an entry configure refuses (naming
+    sweep[i] before configure's message) or a step of None (naming
+    sweep[i].step) raises ScenarioValidationError before any run starts: a
+    repeat would count its runs twice in one row.
     """
     if not seeds:
         _fail("seeds", "must not be empty")
@@ -554,13 +549,9 @@ def compare(
                   f"({algorithm}, {step}) duplicates sweep[{first_entry[key]}]")
         first_entry[key] = i
         stepped[key] = configured
-        if algorithm != "cbf-rrt":
-            _checked(f"sweep[{i}].algorithm: ", require_static,
-                     scenario_file.scenario.obstacles)
 
-    # Imported here, their one user: statistics loads fractions and decimal,
+    # Imported here, its one user: statistics loads fractions and decimal,
     # which would cost every `import cbfrrt` 3 to 4 ms.
-    import io
     import statistics
 
     tasks = [(algorithm, float(step), seed) for algorithm, step in sweep for seed in seeds]
@@ -577,7 +568,7 @@ def compare(
     groups = {key: [] for key in sorted(stepped)}
     for result in results:
         groups[result[:2]].append(result)
-    rows = []
+    lines = [COMPARISON_HEADER]
     for (algorithm, step), group in groups.items():
         reports = [r[3] for r in group if r[3] is not None]
         errors = sum(1 for r in group if r[4] is not None)
@@ -587,24 +578,11 @@ def compare(
         med_vertices = statistics.median(r.vertices for r in reports) if reports else ""
         fail_rate = (sum(1 for r in audited if not r.audit_pass) / len(audited)
                      if audited else "")
-        rows.append({
-            "algorithm": algorithm,
-            "step": step,
-            "seeds": len(group),
-            "successes": successes,
-            "errors": errors,
-            "median_wall_time_s": med_wall,
-            "median_vertices": med_vertices,
-            "audit_fail_rate": fail_rate,
-        })
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=COMPARISON_HEADER.split(","),
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
+        # the csv module's text for these cells: it writes each with str(),
+        # and no algorithm name or number needs quoting
+        lines.append(",".join(map(str, (algorithm, step, len(group), successes, errors,
+                                        med_wall, med_vertices, fail_rate))))
+    text = "\n".join(lines) + "\n"
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_path, text)
@@ -617,9 +595,9 @@ def load_sweep(path) -> list[tuple[str, float]]:
     Reads the JSON structure only, as load_scenario does: a list of objects
     with both keys and no other, each (algorithm, step) pair as JSON gave
     it. compare judges them once, through configure and the params: an
-    empty sweep, an algorithm not in ALGORITHMS (naming sweep[i].algorithm)
-    and a step the scenario rejects (not a number, not finite, not > 0,
-    below dt; naming sweep[i].step)."""
+    empty sweep, an algorithm not in ALGORITHMS or a baseline on a moving
+    disk (naming sweep[i].algorithm) and a step the scenario rejects (not a
+    number, not finite, not > 0, below dt; naming sweep[i].step)."""
     path = Path(path)
     doc = _read_json(path)
     if not isinstance(doc, list):

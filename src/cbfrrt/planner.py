@@ -90,10 +90,11 @@ class PlannerParams:
 @dataclass(frozen=True)
 class Scenario:
     """Start, goal, obstacles and parameters; the start, its time and the goal
-    are finite, every obstacle is a CircularObstacle and the start is clear
-    of every disk. Construction and replace leave x_init a RobotState of
-    floats, t_init a float, x_goal a tuple of floats and obstacles a tuple,
-    so a Scenario built from a list hashes as the file's does."""
+    are finite, obstacles is a list or tuple of CircularObstacles and the
+    start is clear of every disk. Construction and replace leave x_init a
+    RobotState of floats, t_init a float, x_goal a tuple of floats and
+    obstacles a tuple, so a Scenario built from a list hashes as the file's
+    does."""
 
     x_init: RobotState
     t_init: float
@@ -104,6 +105,8 @@ class Scenario:
     def __post_init__(self):
         check_finite(self, "t_init", x_init=(3,), x_goal=(2,))
         object.__setattr__(self, "x_init", RobotState(*self.x_init))
+        if not isinstance(self.obstacles, (list, tuple)):
+            raise ValueError(f"obstacles must be a list or tuple, got {self.obstacles!r}")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         for i, obstacle in enumerate(self.obstacles):
             if not isinstance(obstacle, CircularObstacle):

@@ -143,7 +143,8 @@ def test_plan_bad_overrides(tmp_path):
     "argv, message",
     [
         pytest.param(["plan", "--scenario", EXAMPLE2, "--algorithm", "rrt"],
-                     r"obstacles\[0\] moves", id="rrt-on-moving-disk"),
+                     r"^error: algorithm: baselines only support static obstacles; "
+                     r"obstacles\[0\] moves$", id="rrt-on-moving-disk"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--dt", "0.9"],
                      r"dt must be <= t_h", id="dt-above-horizon"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--max-iters", "0"],
@@ -156,6 +157,9 @@ def test_plan_bad_overrides(tmp_path):
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
                       "--seeds", ","], r"^error: seeds: must not be empty$",
                      id="empty-seed-list"),
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                      "--seeds", "0"], r"^error: seeds: must not be empty$",
+                     id="zero-seed-count"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", BAD_STEP_SWEEP,
                       "--seeds", "2", "--threads", "1"],
                      r"sweep\[0\]\.step: dt must be <= t_h", id="sweep-step-below-dt"),

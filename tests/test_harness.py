@@ -1,7 +1,9 @@
 import base64
 import collections
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -445,6 +447,26 @@ def test_configure_without_overrides_returns_the_same_file(example1_file):
         configure(example1_file, "dijkstra", step=1.0)
 
 
+@pytest.mark.parametrize("algorithm, overrides", [
+    ("rrt", {}),
+    ("rrt-star", {"step": 0.5}),
+    # the moving disk is judged before the overrides, dt's rule included
+    ("rrt", {"dt": 0.5}),
+])
+def test_configure_refuses_a_baseline_on_a_moving_disk(tmp_path, example2_file,
+                                                        algorithm, overrides):
+    message = r"algorithm: baselines only support static obstacles; obstacles\[0\] moves$"
+    with pytest.raises(ScenarioValidationError, match=f"^{message}"):
+        configure(example2_file, algorithm, **overrides)
+    # execute and compare admit their pairs through configure
+    with pytest.raises(ScenarioValidationError, match=f"^{message}"):
+        execute(example2_file, algorithm, 0)
+    with pytest.raises(ScenarioValidationError, match=rf"^sweep\[1\]\.{message}"):
+        compare(example2_file, [("cbf-rrt", 0.5), (algorithm, overrides.get("step"))],
+                [0], tmp_path / "c.csv", threads=1)
+    assert not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize("algorithm, overrides, planner, baseline", [
     ("cbf-rrt", dict(step=0.25, dt=0.01, max_iters=7),
      dict(t_h=0.25, dt=0.01, max_iters=7), None),
@@ -592,6 +614,19 @@ def test_artifacts_take_the_mode_open_would_give(tmp_path, example1_file, umask)
     assert [(p.name, oct(p.stat().st_mode & 0o777)) for p in paths] == [
         (name, oct(0o666 & ~umask))
         for name in ("report.json", "timing.json", "trajectory.csv", "tree.json", "c.csv")]
+
+
+def test_artifacts_leave_the_umask_alone(tmp_path, monkeypatch, example1_file):
+    # the umask is the whole process's: setting it, even to read it back,
+    # would give a file another thread creates meanwhile the wrong mode
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    run(example1_file, "rrt", 0, tmp_path / "run")
+    compare(example1_file, [("rrt", 1.0)], [0], tmp_path / "c.csv", threads=1)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "c.csv", "report.json", "run", "timing.json", "trajectory.csv", "tree.json"]
 
 
 @pytest.mark.parametrize("algorithm", ["cbf-rrt", "rrt", "rrt-star"])
@@ -913,6 +948,29 @@ def test_compare_propagates_run_errors_into_table(tmp_path, monkeypatch, example
     assert int(fields[4]) == 2  # errors
     assert fields[6] == ""  # no vertex median to report
     assert fields[7] == ""  # no audit rate either
+
+
+def test_compare_table_is_what_the_csv_module_writes(tmp_path, monkeypatch,
+                                                    example1_file):
+    # compare joins each row's cells with commas; read back and written again
+    # by the csv module, the table's floats, ints and the empty cells of an
+    # entry whose every run raised come out as the same text
+    def boom(scenario, seed):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(harness, "plan", boom)
+    table = compare(example1_file, [("cbf-rrt", 0.5), ("rrt", 1.0), ("rrt", 0.25)],
+                    [0, 1, 2], tmp_path / "c.csv", threads=1)
+    rows = list(csv.reader(io.StringIO(table)))
+    assert rows[0] == COMPARISON_HEADER.split(",")
+    assert rows[1] == ["cbf-rrt", "0.5", "3", "0", "3", "", "", ""]
+    for row in rows[2:]:  # every rrt run reaches the goal
+        assert [row[0], *row[2:5]] == ["rrt", "3", "3", "0"]
+        float(row[5]), float(row[7])  # the median wall time and the audit rate
+        assert row[6].isdigit()  # the median of 3 vertex counts is an int
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == table == (tmp_path / "c.csv").read_text()
 
 
 def test_compare_rows_sorted_and_complete(tmp_path, example1_file):

@@ -161,6 +161,9 @@ EXAMPLE1 = load_scenario(
         # original; a list of the file's disks is held as the file's tuple
         pytest.param(EXAMPLE1, {"obstacles": list(EXAMPLE1.obstacles)}, None,
                      id="obstacles-list-hashes"),
+        # tuple() would raise a TypeError that names no field
+        pytest.param(SAFE_START, {"obstacles": 5},
+                     r"^obstacles must be a list or tuple, got 5$", id="obstacles-int"),
     ],
 )
 def test_checks_fire_on_construction_and_replace(valid, overrides, message):
