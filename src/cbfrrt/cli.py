@@ -40,9 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="cbf-rrt", choices=harness.ALGORITHMS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory for artifacts")
-    p.add_argument("--dt", type=float, default=None,
-                   help="override the integration step (cbf-rrt only; "
-                        "rrt and rrt-star exit 3)")
     p.add_argument("--max-iters", type=int, default=None,
                    help="override the iteration budget")
 
@@ -74,7 +71,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _cmd_plan(args) -> tuple[int, str]:
     scenario_file = harness.configure(harness.load_scenario(args.scenario), args.algorithm,
-                                      dt=args.dt, max_iters=args.max_iters)
+                                      max_iters=args.max_iters)
     report = harness.run(scenario_file, args.algorithm, args.seed, args.out)
     written = f"artifacts written to {Path(args.out).resolve()}\n"
     if report.success:
@@ -131,7 +128,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT if e.code else EXIT_OK
     try:
         status, output = COMMANDS[args.command](args)
-    except (ScenarioError, FileNotFoundError) as e:
+    except (ScenarioError, OSError) as e:
+        # every OSError a command raises comes from a path the user gave: a
+        # missing file, a directory given as a file, a file as a directory
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except Exception:

@@ -77,7 +77,6 @@ class ScenarioFile:
     baseline: BaselineParams
     name: str
     goal_horizon: float
-    metadata: dict
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -163,15 +162,15 @@ def load_scenario(path) -> ScenarioFile:
     """Parse a scenario JSON file.
 
     The parser reads the JSON structure only: objects where objects belong,
-    the schema, and missing or unknown keys (metadata is free-form; the
-    planner and baseline keys are the fields of PlannerParams and
-    BaselineParams). Each value goes as JSON gave it to the dataclass that
-    holds it (CircularObstacle, PlannerParams, BaselineParams, Scenario,
-    ScenarioFile), whose rules judge its type, length and range, the same
-    rules as in Python, and which keeps it as floats. Raises
-    ScenarioParseError for malformed JSON and ScenarioValidationError naming
-    the field path for either kind of error, a value's as the object's
-    dotted path before the dataclass's message.
+    the schema, and missing or unknown keys (metadata must be an object and
+    is not kept; the planner and baseline keys are the fields of
+    PlannerParams and BaselineParams). Each value goes as JSON gave it to
+    the dataclass that holds it (CircularObstacle, PlannerParams,
+    BaselineParams, Scenario, ScenarioFile), whose rules judge its type,
+    length and range, the same rules as in Python, and which keeps it as
+    floats. Raises ScenarioParseError for malformed JSON and
+    ScenarioValidationError naming the field path for either kind of error,
+    a value's as the object's dotted path before the dataclass's message.
     """
     path = Path(path)
     doc = _read_json(path)
@@ -198,15 +197,14 @@ def load_scenario(path) -> ScenarioFile:
         _checked(f"{block}.", cls,
                  **_object(doc.get(block, {}), block, [f.name for f in fields(cls)]))
         for block, cls in (("planner", PlannerParams), ("baseline", BaselineParams)))
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
+    if not isinstance(doc.get("metadata", {}), dict):
         _fail("metadata", "expected an object")
 
     scenario = _checked("", Scenario, x_init=x_init, t_init=doc.get("t_init", 0.0),
                         x_goal=x_goal, obstacles=obstacles, params=params)
     return _checked("", ScenarioFile, scenario=scenario, baseline=baseline,
                     name=doc.get("name", path.stem),
-                    goal_horizon=doc.get("goal_horizon", 20.0), metadata=metadata)
+                    goal_horizon=doc.get("goal_horizon", 20.0))
 
 
 # ---------------------------------------------------------------------------
@@ -265,39 +263,27 @@ def audit_trajectory(
 
 
 def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float] = None,
-              dt: Optional[float] = None,
               max_iters: Optional[int] = None) -> ScenarioFile:
     """The scenario file with a run's overrides applied to the algorithm's
     own params, or the same object when there are none: step is t_h (s) for
     cbf-rrt and delta_d (m) for the baselines, and max_iters the algorithm's
-    budget. dt overrides the cbf-rrt integration step only, a parameter a
-    baseline would ignore. The one judge of whether the algorithm may run on
-    the file: raises ScenarioValidationError naming algorithm when it is not
-    one of ALGORITHMS or is a baseline on a scenario with a moving disk, or
-    the override (step, dt or max_iters) that the algorithm or its params
-    reject."""
+    budget. The one judge of whether the algorithm may run on the file:
+    raises ScenarioValidationError naming algorithm when it is not one of
+    ALGORITHMS or is a baseline on a scenario with a moving disk, or the
+    override (max_iters, then step) that the params reject, each judged on
+    its own against the file's other fields."""
     if algorithm not in ALGORITHMS:
         _fail("algorithm", f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     cbf = algorithm == "cbf-rrt"
     if not cbf:
         _checked("algorithm: ", require_static, scenario_file.scenario.obstacles)
-        if dt is not None:
-            _fail("dt", f"overrides the cbf-rrt integration step only, not {algorithm}'s")
-    overrides = {key: value for key, value in (("t_h" if cbf else "delta_d", step),
-                                               ("dt", dt), ("max_iters", max_iters))
-                 if value is not None}
-    if not overrides:
+    if step is None and max_iters is None:
         return scenario_file
-    try:
-        params = replace(scenario_file.scenario.params if cbf else scenario_file.baseline,
-                         **overrides)
-    except ValueError as e:
-        # The params judge the overrides together, so t_h=0.01 with dt=0.005
-        # is valid. The message begins with the field its rule names; dt <=
-        # t_h names dt, which is the step's fault when dt was not overridden.
-        field = str(e).split(" ", 1)[0]
-        name = field if field in ("dt", "max_iters") and field in overrides else "step"
-        raise ScenarioValidationError(f"{name}: {e}") from e
+    params = scenario_file.scenario.params if cbf else scenario_file.baseline
+    if max_iters is not None:
+        params = _checked("max_iters: ", replace, params, max_iters=max_iters)
+    if step is not None:
+        params = _checked("step: ", replace, params, **{"t_h" if cbf else "delta_d": step})
     if not cbf:
         return replace(scenario_file, baseline=params)
     return replace(scenario_file, scenario=replace(scenario_file.scenario, params=params))
@@ -484,14 +470,13 @@ def format_report_json(report: RunReport) -> str:
 # comparison sweeps
 
 
-def _compare_task(scenario_file: ScenarioFile, algorithm: str, step: float,
-                  seed: int):
-    """One run of the sweep; scenario_file already has the step applied."""
+def _compare_task(scenario_file: ScenarioFile, algorithm: str, seed: int):
+    """One run of the sweep, (report, None) or (None, error); scenario_file
+    already has the step applied."""
     try:
-        report, _, _ = execute(scenario_file, algorithm, seed)
-        return (algorithm, step, seed, report, None)
+        return execute(scenario_file, algorithm, seed)[0], None
     except Exception as e:  # propagate into the table, not up the stack
-        return (algorithm, step, seed, None, f"{type(e).__name__}: {e}")
+        return None, f"{type(e).__name__}: {e}"
 
 
 COMPARISON_HEADER = ("algorithm,step,seeds,successes,errors,"
@@ -532,8 +517,7 @@ def compare(
         first_seed[seed] = i
     if not sweep:
         _fail("sweep", "must not be empty")
-    stepped = {}
-    first_entry = {}
+    entries = {}  # (algorithm, step) -> (sweep index, configured file)
     for i, (algorithm, step) in enumerate(sweep):
         # the entry goes to configure as given, so the params' number rule
         # refuses a bool or a string that float() would have run
@@ -544,34 +528,31 @@ def compare(
         if step is None:  # which configure reads as no override
             _fail(f"sweep[{i}].step", "expected a number, got None")
         key = (algorithm, float(step))
-        if key in first_entry:
-            _fail(f"sweep[{i}]",
-                  f"({algorithm}, {step}) duplicates sweep[{first_entry[key]}]")
-        first_entry[key] = i
-        stepped[key] = configured
+        if key in entries:
+            _fail(f"sweep[{i}]", f"({algorithm}, {step}) duplicates sweep[{entries[key][0]}]")
+        entries[key] = (i, configured)
 
     # Imported here, its one user: statistics loads fractions and decimal,
     # which would cost every `import cbfrrt` 3 to 4 ms.
     import statistics
 
-    tasks = [(algorithm, float(step), seed) for algorithm, step in sweep for seed in seeds]
+    # entry k's runs are results[k * len(seeds):(k + 1) * len(seeds)]
+    keys = sorted(entries)
+    tasks = [(entries[key][1], key[0], seed) for key in keys for seed in seeds]
     if threads is None:
         threads = os.cpu_count() or 1
-    files = [stepped[a, st] for a, st, _ in tasks]
     if threads > 1 and len(tasks) > 1:
         # Imported here, its one use: it would cost every `import cbfrrt`.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            results = list(pool.map(_compare_task, files, *zip(*tasks)))
+            results = list(pool.map(_compare_task, *zip(*tasks)))
     else:
-        results = [_compare_task(f, *task) for f, task in zip(files, tasks)]
-    groups = {key: [] for key in sorted(stepped)}
-    for result in results:
-        groups[result[:2]].append(result)
+        results = [_compare_task(*task) for task in tasks]
     lines = [COMPARISON_HEADER]
-    for (algorithm, step), group in groups.items():
-        reports = [r[3] for r in group if r[3] is not None]
-        errors = sum(1 for r in group if r[4] is not None)
+    for k, (algorithm, step) in enumerate(keys):
+        group = results[k * len(seeds):(k + 1) * len(seeds)]
+        reports = [report for report, _ in group if report is not None]
+        errors = sum(1 for _, error in group if error is not None)
         successes = sum(1 for r in reports if r.success)
         audited = [r for r in reports if r.success]
         med_wall = statistics.median(r.wall_time for r in reports) if reports else ""

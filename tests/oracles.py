@@ -660,6 +660,5 @@ def write_scenario(scenario_file: ScenarioFile, path):
         ],
         "planner": asdict(s.params),
         "baseline": asdict(scenario_file.baseline),
-        "metadata": scenario_file.metadata,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

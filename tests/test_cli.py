@@ -132,11 +132,35 @@ def test_plan_malformed_scenario(tmp_path, capsys):
     assert code == EXIT_INVALID_INPUT
 
 
-def test_plan_bad_overrides(tmp_path):
-    code = main(
-        ["plan", "--scenario", EXAMPLE1, "--out", str(tmp_path), "--dt", "-0.5"]
-    )
+def test_plan_bad_overrides(tmp_path, capsys):
+    # plan has no --dt: a run's dt is the scenario file's planner.dt
+    code = main(["plan", "--scenario", EXAMPLE1, "--out", str(tmp_path / "out"),
+                 "--dt", "0.01"])
     assert code == EXIT_INVALID_INPUT
+    assert re.search(r"^cbfrrt: error: unrecognized arguments: --dt 0\.01$",
+                     capsys.readouterr().err, re.M)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["plan", "--scenario", str(SCENARIO_DIR), "--out", "out"],
+                 id="plan-directory-as-scenario"),
+    pytest.param(["compare", "--scenario", str(SCENARIO_DIR), "--sweep", SWEEP,
+                  "--seeds", "1", "--out", "out"], id="compare-directory-as-scenario"),
+    pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", str(SCENARIO_DIR),
+                  "--seeds", "1", "--out", "out"], id="directory-as-sweep"),
+    pytest.param(["plan", "--scenario", EXAMPLE1, "--out", "file/out"],
+                 id="out-under-a-file"),
+])
+def test_a_path_the_os_refuses_exits_3(tmp_path, capsys, monkeypatch, argv):
+    # every OSError a command raises comes from a path it was given
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    assert main(argv) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert re.match(r"error: \[Errno \d+\] ", err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -145,8 +169,6 @@ def test_plan_bad_overrides(tmp_path):
         pytest.param(["plan", "--scenario", EXAMPLE2, "--algorithm", "rrt"],
                      r"^error: algorithm: baselines only support static obstacles; "
                      r"obstacles\[0\] moves$", id="rrt-on-moving-disk"),
-        pytest.param(["plan", "--scenario", EXAMPLE1, "--dt", "0.9"],
-                     r"dt must be <= t_h", id="dt-above-horizon"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--max-iters", "0"],
                      r"max_iters must be >= 1", id="zero-max-iters"),
         pytest.param(["plan", "--scenario", EXAMPLE1, "--seed", "-1"],
@@ -170,10 +192,6 @@ def test_plan_bad_overrides(tmp_path):
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
                       "--seeds", "2", "--threads", "0"],
                      r"threads must be >= 1, got 0", id="zero-threads"),
-        pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt",
-                      "--dt", "0.5"], r"dt: .*cbf-rrt", id="dt-for-rrt"),
-        pytest.param(["plan", "--scenario", EXAMPLE1, "--algorithm", "rrt-star",
-                      "--dt", "0.5"], r"dt: .*cbf-rrt", id="dt-for-rrt-star"),
     ],
 )
 def test_invalid_run_input_exits_3(tmp_path, capsys, argv, message):

@@ -108,6 +108,18 @@ def test_load_bundled_example2(example2_file):
     assert (sc.params.k1, sc.params.k2) == (0.6, 1.5)
 
 
+def test_a_loaded_scenario_file_hashes(example1_file):
+    # frozen and holding no dict: the file's metadata is not kept
+    assert hash(example1_file) == hash(dataclasses.replace(example1_file))
+
+
+def test_load_checks_metadata_and_does_not_keep_it(tmp_path):
+    sf = load_scenario(write_doc(tmp_path, small_doc(metadata={"note": [1, 2]})))
+    assert sf == load_scenario(write_doc(tmp_path, small_doc()))
+    with pytest.raises(ScenarioValidationError, match=r"^metadata: expected an object$"):
+        load_scenario(write_doc(tmp_path, small_doc(metadata=[1, 2])))
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_scenario(tmp_path / "nope.json")
@@ -430,14 +442,6 @@ def test_execute_overrides(example1_file):
     report, _, _ = execute(configure(example1_file, "cbf-rrt", max_iters=1), "cbf-rrt", 0)
     assert not report.success
     assert report.iterations == 1
-    report, trajectory, _ = execute(configure(example1_file, "cbf-rrt", dt=0.01),
-                                    "cbf-rrt", 0)
-    if trajectory is not None:
-        dts = {
-            round(b.t - a.t, 9)
-            for a, b in zip(trajectory.samples, trajectory.samples[1:])
-        }
-        assert 0.01 in dts
 
 
 def test_configure_without_overrides_returns_the_same_file(example1_file):
@@ -450,8 +454,8 @@ def test_configure_without_overrides_returns_the_same_file(example1_file):
 @pytest.mark.parametrize("algorithm, overrides", [
     ("rrt", {}),
     ("rrt-star", {"step": 0.5}),
-    # the moving disk is judged before the overrides, dt's rule included
-    ("rrt", {"dt": 0.5}),
+    # the moving disk is judged before the overrides
+    ("rrt", {"max_iters": 0}),
 ])
 def test_configure_refuses_a_baseline_on_a_moving_disk(tmp_path, example2_file,
                                                         algorithm, overrides):
@@ -468,12 +472,9 @@ def test_configure_refuses_a_baseline_on_a_moving_disk(tmp_path, example2_file,
 
 
 @pytest.mark.parametrize("algorithm, overrides, planner, baseline", [
-    ("cbf-rrt", dict(step=0.25, dt=0.01, max_iters=7),
-     dict(t_h=0.25, dt=0.01, max_iters=7), None),
+    ("cbf-rrt", dict(step=0.25, max_iters=7), dict(t_h=0.25, max_iters=7), None),
     ("rrt", dict(step=1.0, max_iters=30), None, dict(delta_d=1.0, max_iters=30)),
     ("rrt-star", dict(max_iters=40), None, dict(max_iters=40)),
-    # valid together, though t_h=0.01 alone is below the file's dt of 0.02
-    ("cbf-rrt", dict(step=0.01, dt=0.005), dict(t_h=0.01, dt=0.005), None),
 ])
 def test_configure_sets_the_algorithms_own_fields(example1_file, algorithm, overrides,
                                                   planner, baseline):
@@ -493,12 +494,13 @@ def test_configure_sets_the_algorithms_own_fields(example1_file, algorithm, over
 
 @pytest.mark.parametrize("algorithm, overrides, message", [
     ("cbf-rrt", dict(step=0.01), r"^step: dt must be <= t_h"),
-    ("cbf-rrt", dict(dt=0.9), r"^dt: dt must be <= t_h"),
-    ("cbf-rrt", dict(step=0.25, dt=0.3), r"^dt: dt must be <= t_h"),
+    # two bad overrides: each is judged on its own, max_iters first
+    ("cbf-rrt", dict(step=0.01, max_iters=0), r"^max_iters: max_iters must be >= 1, got 0$"),
+    ("cbf-rrt", dict(step=math.inf, max_iters=0), r"^max_iters: max_iters must be >= 1, got 0$"),
     ("cbf-rrt", dict(max_iters=0), r"^max_iters: max_iters must be >= 1"),
     ("rrt", dict(step=-1.0), r"^step: delta_d must be > 0"),
     ("rrt-star", dict(max_iters=0), r"^max_iters: max_iters must be >= 1"),
-    ("rrt", dict(dt=0.01), r"^dt: overrides the cbf-rrt integration step only"),
+    ("rrt", dict(step=False, max_iters=0), r"^max_iters: max_iters must be >= 1, got 0$"),
     # the CLI's argparse and the file parser stop these; from Python the
     # params do, before a run can crash on them
     ("cbf-rrt", dict(step=math.inf), r"^step: t_h must be finite, got inf"),
@@ -508,7 +510,6 @@ def test_configure_sets_the_algorithms_own_fields(example1_file, algorithm, over
     # a bool would run as 1 and be written into tree.json as true
     ("cbf-rrt", dict(step=True), r"^step: t_h must be a number, got True$"),
     ("rrt", dict(step=False), r"^step: delta_d must be a number, got False$"),
-    ("cbf-rrt", dict(dt="0.1"), r"^dt: dt must be a number, got '0\.1'$"),
 ])
 def test_configure_names_the_rejected_override(example1_file, algorithm, overrides,
                                                message):
@@ -600,9 +601,10 @@ def test_run_writes_artifacts(tmp_path, example1_file):
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_artifacts_take_the_mode_open_would_give(tmp_path, example1_file, umask):
-    # each file is written to a mkstemp file, 0o600, and renamed, which keeps
-    # the temp file's mode; an artifact must read as a plain open() would
-    # leave it, and the umask as it was
+    # each file is written to a temp file that os.open creates with mode
+    # 0o666 under the umask, and renamed, which keeps the temp file's mode;
+    # an artifact must read as a plain open() would leave it, and the umask
+    # as it was
     previous = os.umask(umask)
     try:
         run(example1_file, "rrt", 0, tmp_path / "run")
@@ -725,8 +727,10 @@ def test_tree_json_matches_plain_json_dumps(name, algorithms):
 
 
 def test_tree_json_of_a_run_with_a_dt_override(tmp_path, example1_file):
-    # run writes the override: 0.25 = 8 * 0.03 + 0.01, a 0.01 s tail step
-    sf = configure(example1_file, "cbf-rrt", step=0.25, dt=0.03)
+    # run writes the params' dt: 0.25 = 8 * 0.03 + 0.01, a 0.01 s tail step
+    sc = example1_file.scenario
+    sf = dataclasses.replace(example1_file, scenario=dataclasses.replace(
+        sc, params=dataclasses.replace(sc.params, t_h=0.25, dt=0.03)))
     run(sf, "cbf-rrt", 0, tmp_path)
     text = (tmp_path / "tree.json").read_text()
     assert json.loads(text)["dt"] == 0.03
