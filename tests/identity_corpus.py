@@ -23,10 +23,15 @@ from cbfrrt import harness
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "src" / "cbfrrt" / "scenarios"
-MANIFEST = pathlib.Path(__file__).resolve().parent / "data" / "identity.json"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+MANIFEST = DATA / "identity.json"
 
 # (scenario, algorithm, step or None for the file's own, seeds): the cbf-rrt
-# step is t_h, the baselines' delta_d.
+# step is t_h, the baselines' delta_d. A scenario is a bundled file or one
+# under tests/data. turning is example1 with an omega box that excludes 0,
+# so no node steers straight and QPs fail at later nodes, the last included
+# (test_turning_reaches_later_qp_failures), on a grid with no tail step
+# (t_h 0.5) and on one with a tail step (t_h 0.25).
 GROUPS = (
     ("example1", "cbf-rrt", 0.25, range(6)),
     ("example1", "cbf-rrt", 0.5, range(20)),
@@ -35,6 +40,8 @@ GROUPS = (
     ("example1", "rrt", 1.0, range(3)),
     ("example1", "rrt-star", 0.25, range(3)),
     ("example1", "rrt-star", 1.0, range(3)),
+    ("turning", "cbf-rrt", 0.5, range(6)),
+    ("turning", "cbf-rrt", 0.25, range(1, 3)),
 )
 
 
@@ -50,11 +57,19 @@ def cases() -> list[tuple[str, str, str, float | None, int]]:
     return out
 
 
+def configured(name: str, algorithm: str, step: float | None):
+    """The scenario file name, bundled or under tests/data, configured for
+    algorithm and step."""
+    path = SCENARIOS / f"{name}.json"
+    if not path.exists():
+        path = DATA / f"{name}.json"
+    return harness.configure(harness.load_scenario(path), algorithm, step)
+
+
 def run_case(name: str, algorithm: str, step: float | None, seed: int):
     """The configured scenario file and harness.execute's (report,
     trajectory, tree) for one corpus run."""
-    scenario_file = harness.configure(
-        harness.load_scenario(SCENARIOS / f"{name}.json"), algorithm, step)
+    scenario_file = configured(name, algorithm, step)
     return scenario_file, harness.execute(scenario_file, algorithm, seed)
 
 
