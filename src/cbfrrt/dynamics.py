@@ -126,7 +126,7 @@ class Trajectory:
     order (t, x1, x2, theta, v, omega). control (v, omega) is the input held
     until the next node; the final node repeats the last applied control.
     The spacing is the maker's: a closed-loop edge's nodes sit on
-    step_grid's steps, a baseline polyline's on its vertices and a read
+    step_grid's times, a baseline polyline's on its vertices and a read
     CSV's on its rows' times.
 
     An array('d') holds no float objects and is not tracked by the cyclic
@@ -175,21 +175,27 @@ def obstacle_center_at(obstacle: CircularObstacle, t: float) -> tuple[float, flo
     )
 
 
-def step_grid(horizon: float, dt: float) -> tuple[int, float, int]:
-    """The integration grid over one horizon: (n_full, tail, n_steps).
+def step_grid(horizon: float, dt: float) -> tuple[tuple[float, float], ...]:
+    """One horizon's step schedule: a (step, time) pair per step, step its
+    length and time that of the node it reaches, counted from the edge's
+    start.
 
-    n_full uniform steps of dt, never rounding past the horizon, then, when
-    they fall short of it, one shorter tail step, so the last node lands on
-    the horizon exactly. n_steps counts both. Nothing is checked here: the
-    one caller, planner.steer_constants, passes a validated PlannerParams'
-    t_h and dt (finite, > 0, dt <= t_h), which makes n_steps >= 1.
+    Uniform steps of dt, never rounding past the horizon, then, when they
+    fall short of it, one shorter tail step. The k-th step reaches k * dt,
+    the last the horizon itself, so the last node lands on it exactly.
+    Nothing is checked here: the one caller, planner.steer_constants,
+    passes a validated PlannerParams' t_h and dt (finite, > 0, dt <= t_h),
+    which makes at least one step.
     """
     n_full = int(math.floor(horizon / dt + 1e-9))
     if n_full * dt > horizon:
         n_full -= 1
+    steps = [dt] * n_full
     tail = horizon - n_full * dt
-    has_tail = tail > 1e-9 * max(1.0, abs(horizon))
-    return (n_full, tail, n_full + (1 if has_tail else 0))
+    if tail > 1e-9 * max(1.0, abs(horizon)):
+        steps.append(tail)
+    times = [k * dt for k in range(1, len(steps))] + [horizon]
+    return tuple(zip(steps, times))
 
 
 def rk4_step(

@@ -230,8 +230,8 @@ REACH_SLACK = 1e-12
 
 class SteerConstants(NamedTuple):
     """What safe_steer reads that is fixed for a whole run, built once per
-    plan() call by steer_constants. reach holds, per disk, its reach radius
-    and v + |v_disk|."""
+    plan() call by steer_constants. steps is step_grid's schedule of one
+    horizon; reach holds, per disk, its reach radius and v + |v_disk|."""
 
     disks: tuple[Disk, ...]
     v: float
@@ -239,9 +239,8 @@ class SteerConstants(NamedTuple):
     k2: float
     lo: float
     hi: float
-    t_h: float
-    dt: float
-    grid: tuple[int, float, int]
+    omega_ref: float
+    steps: tuple[tuple[float, float], ...]
     margin: float
     reach: tuple[tuple[float, float], ...]
 
@@ -250,8 +249,8 @@ def steer_constants(
     obstacles: Sequence[CircularObstacle], params: PlannerParams
 ) -> SteerConstants:
     """The per-run constants of safe_steer: the disks as the kernel reads
-    them, the speed, the gains, the omega box, the step grid of one horizon,
-    the node margin and each disk's reach.
+    them, the speed, the gains, the omega box, the reference omega_ref, the
+    step schedule of one horizon, the node margin and each disk's reach.
 
     The margin is the worst-case barrier drop of a straight chord between
     consecutive nodes: the relative robot-obstacle displacement over one
@@ -281,9 +280,8 @@ def steer_constants(
         k2=params.k2,
         lo=lo,
         hi=hi,
-        t_h=params.t_h,
-        dt=params.dt,
-        grid=step_grid(params.t_h, params.dt),
+        omega_ref=params.omega_ref,
+        steps=step_grid(params.t_h, params.dt),
         margin=margin,
         reach=tuple(reach),
     )
@@ -292,44 +290,40 @@ def steer_constants(
 def integrate_closed_loop(
     state: tuple[float, float, float],
     t0: float,
-    omega_ref: float,
     constants: SteerConstants,
 ) -> Optional[Trajectory]:
     """The closed loop of one edge: RK4 from state (x1, x2, theta) at time t0
-    over constants.t_h on constants.grid, at the speed constants.v, with
-    omega at each node the scalar QP's projection of omega_ref onto the
-    node's ECBF rows and the omega box.
+    over the schedule constants.steps, at the speed constants.v, with omega
+    at each node the scalar QP's projection of constants.omega_ref onto the
+    node's ECBF rows and the omega box. Each node's time is t0 plus its
+    time in the schedule, not a running sum, so the last is t0 + t_h.
 
     Each heading's cosine and sine are computed once: dynamics.rk4_step hands
     the new node's pair to the next node's rows and step. Returns the
-    Trajectory of n_steps + 1 nodes, the last at t0 + t_h exactly and
-    repeating the last omega, or None as soon as a QP is infeasible."""
-    disks, v, k1, k2, lo, hi, t_h, dt, grid, _, _ = constants
-    n_full, tail, n_steps = grid
+    Trajectory of len(steps) + 1 nodes, the last repeating the last omega,
+    or None as soon as a QP is infeasible."""
+    disks, v, k1, k2, lo, hi, omega_ref, steps, _, _ = constants
     x1, x2, theta = state
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    last = n_steps - 1
     rows: list[float] = []
     t = t0
-    for k in range(n_steps):
+    for step, offset in steps:
         omega = solve_scalar_qp(
             omega_ref, lo, hi, constraint_rows(x1, x2, cos_t, sin_t, v, disks, t, k1, k2))
         if omega is None:
             return None
         rows += (t, x1, x2, theta, v, omega)
         x1, x2, theta, cos_t, sin_t = dynamics.rk4_step(
-            x1, x2, theta, cos_t, sin_t, v, omega, dt if k < n_full else tail)
-        # Reassign instead of accumulating so the final node is exact.
-        t = t0 + t_h if k == last else t0 + (k + 1) * dt
-    rows += (t0 + t_h, x1, x2, theta, v, omega)
+            x1, x2, theta, cos_t, sin_t, v, omega, step)
+        t = t0 + offset
+    rows += (t, x1, x2, theta, v, omega)
     return Trajectory(array("d", rows))
 
 
 def safe_steer(
     state: tuple[float, float, float],
     t: float,
-    omega_ref: float,
     constants: SteerConstants,
 ) -> Optional[Trajectory]:
     """Steer from state (x1, x2, theta) at time t for one horizon under the
@@ -338,9 +332,9 @@ def safe_steer(
     constants = steer_constants(obstacles, params) holds everything fixed
     for the run. integrate_closed_loop rebuilds the barrier rows at every
     integration node for the current state and time, and the scalar QP
-    projects omega_ref onto the feasible set; v is held at constants.v
-    throughout. Fails (None) as soon as any QP is infeasible — no partial
-    edge is ever returned.
+    projects constants.omega_ref onto the feasible set; v is held at
+    constants.v throughout. Fails (None) as soon as any QP is infeasible —
+    no partial edge is ever returned.
 
     A feasible QP at every node is necessary but not sufficient for the edge
     to stay clear of the disks: the resampled heading can start an edge
@@ -354,7 +348,7 @@ def safe_steer(
     for the disks within reach of the edge's start (see
     _edge_clears_obstacles); it returns what the full scan returns.
     """
-    trajectory = integrate_closed_loop(state, t, omega_ref, constants)
+    trajectory = integrate_closed_loop(state, t, constants)
     if trajectory is None or not _edge_clears_obstacles(
             trajectory, constants.disks, constants.reach, constants.margin):
         return None
@@ -488,7 +482,7 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
         return PlanResult(True, tree, extract_path(tree, 0), 0)
 
     constants = steer_constants(scenario.obstacles, params)
-    goal_reach = params.epsilon + constants.v * constants.t_h
+    goal_reach = params.epsilon + constants.v * params.t_h
     sd = math.sqrt(params.sigma2)
 
     for iteration in range(1, params.max_iters + 1):
@@ -497,7 +491,7 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
         data = tree.data
         t, x1, x2 = data[node], data[node + 1], data[node + 2]
         theta = heading_sample((x1, x2), goal, sd, rng)
-        edge = safe_steer((x1, x2, theta), t, params.omega_ref, constants)
+        edge = safe_steer((x1, x2, theta), t, constants)
         if edge is None:
             continue
         child = tree.add_child(picked, edge)

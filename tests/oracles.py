@@ -2,7 +2,10 @@
 
 None of these run in the planner or the harness; each is an independent
 oracle for a behaviour the package implements another way, except
-write_scenario, the inverse of load_scenario, which only tests need.
+write_scenario, the inverse of load_scenario, which only tests need, and
+steer and closed_loop, through which the tests call the package's
+safe_steer and integrate_closed_loop, so that a change to those signatures
+is one edit here.
 """
 
 import base64
@@ -27,7 +30,8 @@ from cbfrrt.dynamics import (
     obstacle_center_at,
 )
 from cbfrrt.harness import ScenarioFile
-from cbfrrt.planner import PlannerParams, PlanTree, root_path
+from cbfrrt.planner import (PlannerParams, PlanTree, integrate_closed_loop, root_path,
+                            safe_steer, steer_constants)
 from cbfrrt.safety import TOL_ZERO, barrier_value
 
 
@@ -662,3 +666,17 @@ def write_scenario(scenario_file: ScenarioFile, path):
         "baseline": asdict(scenario_file.baseline),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def steer(state, t: float, obstacles: Sequence[CircularObstacle],
+          params: PlannerParams) -> Optional[Trajectory]:
+    """planner.safe_steer from state (x1, x2, theta) at time t, under
+    steer_constants(obstacles, params)."""
+    return safe_steer(state, t, steer_constants(obstacles, params))
+
+
+def closed_loop(state, t0: float, obstacles: Sequence[CircularObstacle],
+                params: PlannerParams) -> Optional[Trajectory]:
+    """planner.integrate_closed_loop from state (x1, x2, theta) at time t0,
+    under steer_constants(obstacles, params)."""
+    return integrate_closed_loop(state, t0, steer_constants(obstacles, params))

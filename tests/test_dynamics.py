@@ -13,9 +13,9 @@ from cbfrrt.dynamics import (
     rk4_step,
     step_grid,
 )
-from cbfrrt.planner import PlannerParams, goal_check, integrate_closed_loop, steer_constants
+from cbfrrt.planner import PlannerParams, goal_check, steer_constants
 from cbfrrt.safety import constraint_rows, solve_scalar_qp
-from oracles import trajectory_from_samples, unicycle_vector_field
+from oracles import closed_loop, closed_loop_grid, trajectory_from_samples, unicycle_vector_field
 
 
 def step(state, control, dt):
@@ -29,8 +29,8 @@ def integrate(initial, t0, horizon, dt, omega_ref, obstacles=()):
     """planner.integrate_closed_loop at speed 1 from initial at t0 over the
     horizon, steering toward omega_ref under the QP of the obstacles' rows;
     with no obstacles omega is omega_ref at every node."""
-    params = PlannerParams(t_h=horizon, dt=dt)
-    return integrate_closed_loop(initial, t0, omega_ref, steer_constants(obstacles, params))
+    params = PlannerParams(t_h=horizon, dt=dt, omega_ref=omega_ref)
+    return closed_loop(initial, t0, obstacles, params)
 
 
 # A disk that moves down the robot's left while the robot steers toward
@@ -195,8 +195,9 @@ def test_a_horizon_of_one_step_integrates_one_step(dt, ratio):
     # edge of validity it has exactly one, and the last node is on t0 + t_h
     t_h = dt * ratio
     PlannerParams(t_h=t_h, dt=dt)
-    n_full, tail, n_steps = step_grid(t_h, dt)
-    assert (n_full, n_steps) == (1, 1)
+    times, steps = closed_loop_grid(0.0, t_h, dt)
+    assert repr(step_grid(t_h, dt)) == repr(tuple(zip(steps, times[1:])))
+    assert step_grid(t_h, dt) == ((dt, t_h),)
     traj = integrate(RobotState(0.1, -0.2, 0.3), 0.7, t_h, dt, 2.0)
     assert len(traj) == 2
     assert traj.t0 == 0.7
@@ -209,10 +210,13 @@ def test_steps_that_would_round_past_the_horizon_end_on_a_tail(t_h, dt):
     # is the shorter tail, so the steps sum to t_h and never past it
     n = round(t_h / dt)
     assert n * dt > t_h
-    n_full, tail, n_steps = step_grid(t_h, dt)
-    assert (n_full, tail, n_steps) == (n - 1, t_h - (n - 1) * dt, n)
+    times, steps = closed_loop_grid(0.0, t_h, dt)
+    assert repr(step_grid(t_h, dt)) == repr(tuple(zip(steps, times[1:])))
+    *full, (tail, end) = step_grid(t_h, dt)
+    assert full == [(dt, k * dt) for k in range(1, n)]
+    assert (tail, end) == (t_h - (n - 1) * dt, t_h)
     assert 0.0 < tail < dt
-    assert n_full * dt + tail == t_h
+    assert (n - 1) * dt + tail == t_h
     traj = integrate(RobotState(0.1, -0.2, 0.3), 0.7, t_h, dt, 2.0)
     assert len(traj) == n + 1
     assert traj.t_end == 0.7 + t_h

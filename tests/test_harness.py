@@ -46,12 +46,13 @@ from cbfrrt.harness import (
     read_trajectory_csv,
     run,
 )
-from cbfrrt.planner import PlannerParams, PlanTree, Scenario, safe_steer, steer_constants
+from cbfrrt.planner import PlannerParams, PlanTree, Scenario
 from oracles import (
     expand_tree_json,
     full_tree_json_reference,
     integration_rule_violations,
     sampled_chord_barriers,
+    steer,
     trajectory_from_samples,
     tree_json_reference,
     unpack_f8,
@@ -843,11 +844,10 @@ def test_the_tree_can_grow_once_its_tree_json_is_written(tmp_path):
     # the writer's numpy views of tree.data live only while its pieces are
     # written: an array refuses to resize while a view of it is alive
     params = PlannerParams(t_h=0.5, dt=0.25)
-    constants = steer_constants((), params)
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
-    tree.add_child(0, safe_steer((0.0, 0.0, 0.0), 0.0, 0.0, constants))
+    tree.add_child(0, steer((0.0, 0.0, 0.0), 0.0, (), params))
     t, x1, x2, theta = tree.edge(1).data[-6:-2]
-    edge = safe_steer((x1, x2, theta), t, 0.0, constants)
+    edge = steer((x1, x2, theta), t, (), params)
     pieces = _format_tree_json("cbf-rrt", tree, params)
     next(pieces)
     with pytest.raises(BufferError):

@@ -29,15 +29,13 @@ from cbfrrt.planner import (
     Scenario,
     goal_check,
     goal_heading,
-    integrate_closed_loop,
     plan,
-    safe_steer,
-    steer_constants,
 )
 from cbfrrt.safety import TOL_ZERO, constraint_rows, disk_tuple, solve_scalar_qp
 from oracles import (
     ConstraintRow,
     ScalarQpProblem,
+    closed_loop,
     closed_loop_grid,
     constraint_rows_on_state,
     integrate_closed_loop_on_state,
@@ -46,6 +44,7 @@ from oracles import (
     safe_steer_on_state,
     solve_scalar_qp_on_bounds,
     solve_scalar_qp_reference,
+    steer,
 )
 
 # a per-example deadline would measure how busy the machine is, not the kernel
@@ -174,11 +173,9 @@ def grids(draw, max_steps=400):
 @example((0.7, 0.02))
 def test_hoisted_grid_is_the_per_call_grid(grid):
     t_h, dt = grid
-    n_full, tail, n_steps = step_grid(t_h, dt)
-    _, steps = closed_loop_grid(0.0, t_h, dt)
-    assert n_steps >= 1
-    assert n_steps == len(steps)
-    _identical([dt if k < n_full else tail for k in range(n_steps)], steps)
+    times, steps = closed_loop_grid(0.0, t_h, dt)
+    assert len(steps) >= 1
+    _identical(step_grid(t_h, dt), tuple(zip(steps, times[1:])))
 
 
 @st.composite
@@ -193,37 +190,37 @@ def steering_cases(draw, max_steps=50):
     obstacles = tuple(draw(st.lists(near, max_size=3)))
     start = RobotState(draw(_floats(-2.0, 2.0)), draw(_floats(-2.0, 2.0)),
                        draw(_floats(-4.0, 4.0)))
-    omega_ref = draw(st.one_of(st.just(0.0), _floats(-2.0, 2.0)))
-    return start, draw(_floats(0.0, 10.0)), omega_ref, obstacles, params
+    params = replace(params, omega_ref=draw(st.one_of(st.just(0.0), _floats(-2.0, 2.0))))
+    return start, draw(_floats(0.0, 10.0)), obstacles, params
 
 
 def _swerve_case():
     # planner test_safe_steer_swerves_around_offset_obstacle: an accepted edge
     # along which the QP is active
     ob = CircularObstacle((0.5, 0.15), (0.0, 0.0), 0.2)
-    return RobotState(0.0, 0.0, 0.0), 0.0, 0.0, (ob,), PlannerParams()
+    return RobotState(0.0, 0.0, 0.0), 0.0, (ob,), PlannerParams()
 
 
 def _late_failure_case():
     # head-on at a disk 4 m ahead: the QP holds omega at 0.0 until the node at
     # 3.7 m, where the row (a = 0, b < 0) fails it
     ob = CircularObstacle((4.0, 0.0), (0.0, 0.0), 0.2)
-    return RobotState(0.0, 0.0, 0.0), 0.0, 0.0, (ob,), PlannerParams(t_h=0.5, dt=0.1)
+    return RobotState(0.0, 0.0, 0.0), 0.0, (ob,), PlannerParams(t_h=0.5, dt=0.1)
 
 
 @PROPERTY
 @given(steering_cases(max_steps=400))
 @example(_swerve_case())
 @example(_late_failure_case())
-@example((RobotState(0.3, -0.2, 1.1), 2.0, 0.0, (), PlannerParams(t_h=0.5, dt=0.07)))
+@example((RobotState(0.3, -0.2, 1.1), 2.0, (), PlannerParams(t_h=0.5, dt=0.07)))
 def test_integrate_closed_loop_matches_the_state_reference(case):
     # the QP at every node, as the oracle's state-feedback controller: the
     # same floats, and None together
-    start, t0, omega_ref, obstacles, params = case
-    got = integrate_closed_loop(start, t0, omega_ref, steer_constants(obstacles, params))
+    start, t0, obstacles, params = case
+    got = closed_loop(start, t0, obstacles, params)
     want = integrate_closed_loop_on_state(
         start, t0, params.t_h, params.dt,
-        qp_controller(params.v_const, omega_ref, obstacles, params))
+        qp_controller(params.v_const, params.omega_ref, obstacles, params))
     assert (got is None) == (want is None)
     if want is not None:
         assert got.data.tobytes() == want.data.tobytes()
@@ -242,7 +239,7 @@ def _tangent_case():
     # two nodes: each node clears it by 5e-5 m^2, the chord between them
     # enters it by 5e-5 m^2, and only the node margin (1e-4) refuses the edge
     ob = CircularObstacle((0.25, math.sqrt(0.04 - 5e-5)), (0.0, 0.0), 0.2)
-    return RobotState(0.0, 0.0, 0.0), 0.0, 0.0, (ob,), PlannerParams()
+    return RobotState(0.0, 0.0, 0.0), 0.0, (ob,), PlannerParams()
 
 
 @PROPERTY
@@ -253,16 +250,16 @@ def test_an_accepted_edge_clears_every_disk_along_its_chords(case):
     # steer_constants' margin argument: a chord's barrier dips at most |e|^2/4
     # below its lower end, and |e| <= (v + |v_disk|) * dt, so a node margin of
     # ((v + |v_disk|) * dt)^2 / 4 keeps the whole chord out of the disk
-    start, t, omega_ref, obstacles, params = case
-    edge = safe_steer(start, t, omega_ref, steer_constants(obstacles, params))
+    start, t, obstacles, params = case
+    edge = steer(start, t, obstacles, params)
     if edge is not None and obstacles:
         assert audit_trajectory(edge, obstacles)[1] >= -1e-9
 
 
 def _assert_same_edge(case):
-    start, t, omega_ref, obstacles, params = case
-    got = safe_steer(start, t, omega_ref, steer_constants(obstacles, params))
-    want = safe_steer_on_state(start, t, ControlInput(params.v_const, omega_ref),
+    start, t, obstacles, params = case
+    got = steer(start, t, obstacles, params)
+    want = safe_steer_on_state(start, t, ControlInput(params.v_const, params.omega_ref),
                                obstacles, params)
     if want is None:
         assert got is None
@@ -330,8 +327,8 @@ def reach_cases(draw):
         distance = math.sqrt(r * r + margin) + (v + s) * _travel(t_h, dt) + draw(off)
         obstacles.append(_disk_at(start, t0, bearing, distance, heading, s, r))
     theta = bearings[0] + draw(st.one_of(st.just(0.0), _floats(-0.05, 0.05)))
-    omega_ref = draw(st.one_of(st.just(0.0), _floats(-1.0, 1.0)))
-    return RobotState(*start, theta), t0, omega_ref, tuple(obstacles), params
+    params = replace(params, omega_ref=draw(st.one_of(st.just(0.0), _floats(-1.0, 1.0))))
+    return RobotState(*start, theta), t0, tuple(obstacles), params
 
 
 def _head_on_case(t_h, dt, speed, offset, start=(0.0, 0.0), t0=0.0):
@@ -341,7 +338,7 @@ def _head_on_case(t_h, dt, speed, offset, start=(0.0, 0.0), t0=0.0):
     margin = 0.25 * ((1.0 + speed) * dt) ** 2
     distance = math.sqrt(0.04 + margin) + (1.0 + speed) * _travel(t_h, dt) + offset
     ob = _disk_at(start, t0, 0.5, distance, 0.5 + math.pi, speed, 0.2)
-    return RobotState(*start, 0.5), t0, 0.0, (ob,), params
+    return RobotState(*start, 0.5), t0, (ob,), params
 
 
 @PROPERTY
@@ -355,10 +352,10 @@ def _head_on_case(t_h, dt, speed, offset, start=(0.0, 0.0), t0=0.0):
 # beyond the reach by ulps of 1e5-1e6 m coordinates, and rejected at a node
 # by rounding alone: only the slack keeps these disks in the scan
 @example((RobotState(332371.7608042337, -548798.761388153, -2.4634405334147957),
-          7030.407620656315, 0.0,
+          7030.407620656315,
           (CircularObstacle((332371.0907722583, -548799.3011723863), (0.0, 0.0), 0.35),),
           PlannerParams(t_h=0.3, dt=0.02, k1=1.0, k2=1e-3, v_const=1.7)))
-@example((RobotState(185261.33332287337, 0.0, -2.0712570828163335), -7033.82088603836, 0.0,
+@example((RobotState(185261.33332287337, 0.0, -2.0712570828163335), -7033.82088603836,
           (CircularObstacle((186947.77057288954, 3083.6248885963873),
                             (0.23991491957475353, 0.4386807852703826), 0.35),),
           PlannerParams(t_h=1.9000000000000001, dt=0.1, k1=1.0, k2=1e-3, v_const=0.5)))
@@ -397,6 +394,5 @@ def test_goal_pre_test_never_skips_an_edge_that_reaches_the_goal(scenario):
     params = scenario.params
     x1, x2, _ = scenario.x_init
     heading = goal_heading((x1, x2), scenario.x_goal)
-    edge = safe_steer((x1, x2, heading), scenario.t_init, params.omega_ref,
-                      steer_constants((), params))
+    edge = steer((x1, x2, heading), scenario.t_init, (), params)
     assert plan(scenario).success == goal_check(edge, scenario.x_goal, params.epsilon)

@@ -23,20 +23,17 @@ from cbfrrt.planner import (
     goal_heading,
     heading_sample,
     index_draw,
-    integrate_closed_loop,
     plan,
     root_path,
-    safe_steer,
-    steer_constants,
     vertices_sample,
 )
 from cbfrrt.safety import barrier_value
-from oracles import extract_path_reference, integration_rule_violations
+from oracles import closed_loop, extract_path_reference, integration_rule_violations, steer
 
 
 def straight_edge(tree, parent_id, params):
     t, x1, x2, theta = tree.edge(parent_id).data[-6:-2]
-    edge = safe_steer((x1, x2, theta), t, 0.0, steer_constants((), params))
+    edge = steer((x1, x2, theta), t, (), params)
     return tree.add_child(parent_id, edge)
 
 
@@ -321,7 +318,7 @@ def test_heading_sample_mean():
 def test_safe_steer_free_space_straight():
     params = PlannerParams()
     x0 = RobotState(0.0, 0.0, 0.0)
-    traj = safe_steer(x0, 0.0, 0.0, steer_constants((), params))
+    traj = steer(x0, 0.0, (), params)
     x_new, t_new = traj.samples[-1].state, traj.t_end
     assert x_new.x1 == pytest.approx(0.5, abs=1e-9)
     assert x_new.x2 == pytest.approx(0.0, abs=1e-15)
@@ -334,14 +331,14 @@ def test_safe_steer_head_on_fails_before_contact():
     params = PlannerParams()
     x0 = RobotState(0.0, 0.0, 0.0)
     ob = CircularObstacle((1.0, 0.0), (0.0, 0.0), 0.2)
-    assert safe_steer(x0, 0.0, 0.0, steer_constants((ob,), params)) is None
+    assert steer(x0, 0.0, (ob,), params) is None
 
 
 def test_safe_steer_swerves_around_offset_obstacle():
     params = PlannerParams()
     x0 = RobotState(0.0, 0.0, 0.0)
     ob = CircularObstacle((0.5, 0.15), (0.0, 0.0), 0.2)
-    traj = safe_steer(x0, 0.0, 0.0, steer_constants((ob,), params))
+    traj = steer(x0, 0.0, (ob,), params)
     assert traj is not None
     x_new, t_new = traj.samples[-1].state, traj.t_end
     assert x_new.theta != 0.0  # the filter had to steer
@@ -360,11 +357,10 @@ def test_safe_steer_rejects_feasible_but_penetrating_edge():
     ob = CircularObstacle((0.6, 0.15), (0.0, 0.0), 0.2)
     x0 = RobotState(0.0, 0.0, 0.0)
 
-    constants = steer_constants((ob,), params)
-    raw = integrate_closed_loop(x0, 0.0, 0.0, constants)
+    raw = closed_loop(x0, 0.0, (ob,), params)
     assert raw is not None  # every QP was feasible...
     assert min(barrier_value(s.state, ob, s.t) for s in raw.samples) < 0.0  # ...yet it collides
-    assert safe_steer(x0, 0.0, 0.0, constants) is None
+    assert steer(x0, 0.0, (ob,), params) is None
 
 
 def test_safe_steer_rejects_grazing_below_margin():
@@ -376,7 +372,7 @@ def test_safe_steer_rejects_grazing_below_margin():
     x0 = RobotState(0.0, 0.0, 0.0)
     assert barrier_value(RobotState(0.24, 0.0, 0.0), ob, 0.0) > 0.0
     assert barrier_value(RobotState(0.25, 0.0, 0.0), ob, 0.0) < 0.0
-    assert safe_steer(x0, 0.0, 0.0, steer_constants((ob,), params)) is None
+    assert steer(x0, 0.0, (ob,), params) is None
 
 
 
@@ -441,7 +437,7 @@ def test_node_margin_clears_the_chord_between_nodes(v, v_obs, step, p0, robot,
 def test_goal_check():
     params = PlannerParams()
     x0 = RobotState(1.9, 2.0, 0.0)
-    traj = safe_steer(x0, 0.0, 0.0, steer_constants((), params))
+    traj = steer(x0, 0.0, (), params)
     assert goal_check(traj, (2.0, 2.0), 0.15)
     assert not goal_check(traj, (5.0, 5.0), 0.15)
     # interior node inside the goal disk counts even if the endpoint leaves it
@@ -454,7 +450,7 @@ def test_goal_check_interior_only():
     # straight edge passing through the disk and out the far side
     params = PlannerParams(t_h=1.0)
     x0 = RobotState(0.0, 0.0, 0.0)
-    traj = safe_steer(x0, 0.0, 0.0, steer_constants((), params))
+    traj = steer(x0, 0.0, (), params)
     x_new = traj.samples[-1].state
     assert math.hypot(x_new.x1 - 0.5, x_new.x2) > 0.15
     assert goal_check(traj, (0.5, 0.0), 0.15)
@@ -490,7 +486,7 @@ def test_add_child_reads_the_child_from_its_edge():
     params = PlannerParams()
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
     t, x1, x2, theta = tree.edge(0).data[-6:-2]
-    edge = safe_steer((x1, x2, theta), t, 0.0, steer_constants((), params))
+    edge = steer((x1, x2, theta), t, (), params)
     # the child is the edge's last node: the edge's nodes follow the root's
     # in the tree's one buffer, and edge(1) gives them back
     assert tree.add_child(0, edge) == 1

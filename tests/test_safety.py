@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from cbfrrt.dynamics import CircularObstacle, ControlInput, RobotState, rk4_step
-from cbfrrt.planner import PlannerParams, integrate_closed_loop, steer_constants
+from cbfrrt.planner import PlannerParams
 from cbfrrt.safety import barrier_value, constraint_rows, disk_tuple
-from oracles import ConstraintRow, barrier_lie1, ecbf_row_reference, is_safe
+from oracles import ConstraintRow, barrier_lie1, closed_loop, ecbf_row_reference, is_safe
 
 PARAMS = PlannerParams()  # k1 = 2.0, k2 = 4.0
 
@@ -200,8 +200,7 @@ def test_closed_loop_filter_keeps_moving_disk_world_safe(example2_file):
     # every integration node must stay on the safe side of the barrier
     sc = example2_file.scenario
     p = dataclasses.replace(sc.params, t_h=10.0)
-    traj = integrate_closed_loop(sc.x_init, sc.t_init, p.omega_ref,
-                                 steer_constants(sc.obstacles, p))
+    traj = closed_loop(sc.x_init, sc.t_init, sc.obstacles, p)
     assert traj is not None
     worst = min(
         barrier_value(s.state, ob, s.t) for s in traj.samples for ob in sc.obstacles
