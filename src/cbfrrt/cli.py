@@ -69,10 +69,19 @@ def _parse_seeds(text: str) -> list[int]:
         raise ScenarioError(f"--seeds: expected a count or comma list, got {text!r}") from e
 
 
+def _at(flag: str, call, *args, **kwargs):
+    """call(*args, **kwargs), with an OSError, which comes from the path
+    given as flag, raised as a ScenarioError naming flag."""
+    try:
+        return call(*args, **kwargs)
+    except OSError as e:
+        raise ScenarioError(f"{flag}: {e}") from e
+
+
 def _cmd_plan(args) -> tuple[int, str]:
-    scenario_file = harness.configure(harness.load_scenario(args.scenario), args.algorithm,
-                                      max_iters=args.max_iters)
-    report = harness.run(scenario_file, args.algorithm, args.seed, args.out)
+    scenario_file = harness.configure(_at("--scenario", harness.load_scenario, args.scenario),
+                                      args.algorithm, max_iters=args.max_iters)
+    report = _at("--out", harness.run, scenario_file, args.algorithm, args.seed, args.out)
     written = f"artifacts written to {Path(args.out).resolve()}\n"
     if report.success:
         audit = "pass" if report.audit_pass else "FAIL"
@@ -90,21 +99,20 @@ def _cmd_plan(args) -> tuple[int, str]:
 
 
 def _cmd_compare(args) -> tuple[int, str]:
-    scenario_file = harness.load_scenario(args.scenario)
-    sweep = harness.load_sweep(args.sweep)
+    scenario_file = _at("--scenario", harness.load_scenario, args.scenario)
+    sweep = _at("--sweep", harness.load_sweep, args.sweep)
     seeds = _parse_seeds(args.seeds)
     out_path = Path(args.out) / "comparison.csv"
-    table = harness.compare(scenario_file, sweep, seeds, out_path,
-                            threads=args.threads)
+    table = _at("--out", harness.compare, scenario_file, sweep, seeds, out_path,
+                threads=args.threads)
     return EXIT_OK, f"{table}comparison written to {out_path.resolve()}\n"
 
 
 def _cmd_audit(args) -> tuple[int, str]:
-    scenario_file = harness.load_scenario(args.scenario)
+    scenario_file = _at("--scenario", harness.load_scenario, args.scenario)
     try:
         trajectory = harness.read_trajectory_csv(args.trajectory)
-        ok, min_barrier = harness.audit_trajectory(
-            trajectory, scenario_file.scenario.obstacles)
+        ok, min_barrier = harness.audit_trajectory(trajectory, scenario_file.scenario.obstacles)
     except (OSError, ValueError) as e:
         raise ScenarioError(f"--trajectory: {e}") from e
     shown = "n/a" if min_barrier is None else f"{min_barrier:.9f}"
@@ -128,9 +136,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT if e.code else EXIT_OK
     try:
         status, output = COMMANDS[args.command](args)
-    except (ScenarioError, OSError) as e:
-        # every OSError a command raises comes from a path the user gave: a
-        # missing file, a directory given as a file, a file as a directory
+    except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except Exception:

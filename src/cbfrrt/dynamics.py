@@ -176,17 +176,13 @@ def obstacle_center_at(obstacle: CircularObstacle, t: float) -> tuple[float, flo
 
 
 def step_grid(horizon: float, dt: float) -> tuple[tuple[float, float], ...]:
-    """One horizon's step schedule: a (step, time) pair per step, step its
-    length and time that of the node it reaches, counted from the edge's
-    start.
-
-    Uniform steps of dt, never rounding past the horizon, then, when they
-    fall short of it, one shorter tail step. The k-th step reaches k * dt,
-    the last the horizon itself, so the last node lands on it exactly.
-    Nothing is checked here: the one caller, planner.steer_constants,
-    passes a validated PlannerParams' t_h and dt (finite, > 0, dt <= t_h),
-    which makes at least one step.
-    """
+    """One horizon's step schedule: per step, the pair (its length, the time
+    of the node it reaches, counted from the edge's start). Steps of dt,
+    never rounding past the horizon, then, when they fall short of it, one
+    shorter tail step; the k-th step reaches k * dt and the last the horizon
+    itself, exactly. Nothing is checked here: the one caller,
+    planner.steer_constants, passes a validated PlannerParams' t_h and dt
+    (finite, > 0, dt <= t_h), which makes at least one step."""
     n_full = int(math.floor(horizon / dt + 1e-9))
     if n_full * dt > horizon:
         n_full -= 1

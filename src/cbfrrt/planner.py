@@ -293,15 +293,13 @@ def integrate_closed_loop(
     constants: SteerConstants,
 ) -> Optional[Trajectory]:
     """The closed loop of one edge: RK4 from state (x1, x2, theta) at time t0
-    over the schedule constants.steps, at the speed constants.v, with omega
-    at each node the scalar QP's projection of constants.omega_ref onto the
-    node's ECBF rows and the omega box. Each node's time is t0 plus its
-    time in the schedule, not a running sum, so the last is t0 + t_h.
-
-    Each heading's cosine and sine are computed once: dynamics.rk4_step hands
-    the new node's pair to the next node's rows and step. Returns the
-    Trajectory of len(steps) + 1 nodes, the last repeating the last omega,
-    or None as soon as a QP is infeasible."""
+    through the schedule constants.steps, each node at t0 plus its time (the
+    last at t0 + t_h exactly), at the speed constants.v, with omega at each
+    node the scalar QP's projection of constants.omega_ref onto the node's
+    ECBF rows and the omega box. Each heading's cosine and sine are computed
+    once: dynamics.rk4_step hands the new node's pair to the next node's rows
+    and step. Returns the Trajectory of len(steps) + 1 nodes, the last
+    repeating the last omega, or None as soon as a QP is infeasible."""
     disks, v, k1, k2, lo, hi, omega_ref, steps, _, _ = constants
     x1, x2, theta = state
     cos_t = math.cos(theta)
@@ -332,9 +330,9 @@ def safe_steer(
     constants = steer_constants(obstacles, params) holds everything fixed
     for the run. integrate_closed_loop rebuilds the barrier rows at every
     integration node for the current state and time, and the scalar QP
-    projects constants.omega_ref onto the feasible set; v is held at
-    constants.v throughout. Fails (None) as soon as any QP is infeasible —
-    no partial edge is ever returned.
+    projects omega_ref onto the feasible set; v is held at constants.v
+    throughout. Fails (None) as soon as any QP is infeasible — no partial
+    edge is ever returned.
 
     A feasible QP at every node is necessary but not sufficient for the edge
     to stay clear of the disks: the resampled heading can start an edge

@@ -142,23 +142,30 @@ def test_plan_bad_overrides(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["plan", "--scenario", str(SCENARIO_DIR), "--out", "out"],
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["plan", "--scenario", str(SCENARIO_DIR), "--out", "out"], "--scenario",
                  id="plan-directory-as-scenario"),
     pytest.param(["compare", "--scenario", str(SCENARIO_DIR), "--sweep", SWEEP,
-                  "--seeds", "1", "--out", "out"], id="compare-directory-as-scenario"),
+                  "--seeds", "1", "--out", "out"], "--scenario",
+                 id="compare-directory-as-scenario"),
+    pytest.param(["audit", "--trajectory", "file", "--scenario", str(SCENARIO_DIR)],
+                 "--scenario", id="audit-directory-as-scenario"),
     pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", str(SCENARIO_DIR),
-                  "--seeds", "1", "--out", "out"], id="directory-as-sweep"),
-    pytest.param(["plan", "--scenario", EXAMPLE1, "--out", "file/out"],
+                  "--seeds", "1", "--out", "out"], "--sweep", id="directory-as-sweep"),
+    pytest.param(["plan", "--scenario", EXAMPLE1, "--out", "file/out"], "--out",
                  id="out-under-a-file"),
+    pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP, "--seeds", "1",
+                  "--threads", "1", "--out", "file/out"], "--out",
+                 id="compare-out-under-a-file"),
 ])
-def test_a_path_the_os_refuses_exits_3(tmp_path, capsys, monkeypatch, argv):
-    # every OSError a command raises comes from a path it was given
+def test_a_path_the_os_refuses_exits_3(tmp_path, capsys, monkeypatch, argv, flag):
+    # every OSError a command raises comes from a path it was given, which
+    # the message names by its flag
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     assert main(argv) == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
-    assert re.match(r"error: \[Errno \d+\] ", err)
+    assert re.match(rf"error: {flag}: \[Errno \d+\] ", err)
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
