@@ -70,8 +70,8 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _at(flag: str, call, *args, **kwargs):
-    """call(*args, **kwargs), with an OSError, which comes from the path
-    given as flag, raised as a ScenarioError naming flag."""
+    """call(*args, **kwargs); an OSError it raises comes from the path given
+    as flag, and is raised again as a ScenarioError naming flag."""
     try:
         return call(*args, **kwargs)
     except OSError as e:

@@ -4,17 +4,16 @@ The cases are the 46 cbf-rrt plans of the bundled scenarios (example1 at
 t_h 0.25 seeds 0-5 and t_h 0.5 seeds 0-19, example2 seeds 0-19), rrt and
 rrt-star on example1 at delta_d 0.25 and 1.0, seeds 0-2, and 8 cbf-rrt plans
 of tests/data/turning.json (t_h 0.5 seeds 0-5, t_h 0.25 seeds 1-2), whose QPs
-fail at later nodes. A speed-up that claims byte-identical
-artifacts holds here; a change that moves a byte names its cases below and
-rewrites tests/data/identity.json with tests/identity_corpus.py, saying why.
+fail at later nodes. A speed-up that claims byte-identical artifacts holds
+here; a change that moves a byte names its cases below and rewrites
+tests/data/identity.json with tests/identity_corpus.py, saying why.
 """
 
 import json
 
+from cbfrrt import planner
 from identity_corpus import GROUPS, MANIFEST, cases, configured, digests
 from oracles import closed_loop_grid
-
-from cbfrrt import planner
 
 
 def test_every_case_is_pinned():
@@ -68,6 +67,6 @@ def test_turning_reaches_later_qp_failures(monkeypatch):
         failed.clear()
         for seed in seeds:
             planner.plan(scenario, seed)
-        assert max(failed) >= 1, f"t_h={step}: no QP failure after node 0"
+        assert any(k >= 1 for k in failed), f"t_h={step}: no QP failure after node 0"
         assert len(steps) - 1 in failed, f"t_h={step}: no QP failure at the last node"
     assert tails == {False, True}
