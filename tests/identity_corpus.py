@@ -31,7 +31,11 @@ MANIFEST = DATA / "identity.json"
 # under tests/data. turning is example1 with an omega box that excludes 0,
 # so no node steers straight and QPs fail at later nodes, the last included
 # (test_turning_reaches_later_qp_failures), on a grid with no tail step
-# (t_h 0.5) and on one with a tail step (t_h 0.25).
+# (t_h 0.5) and on one with a tail step (t_h 0.25). complex_gains is example1
+# with omega_ref 0.5 and the complex-root gains k1 4, k2 1, so edges steer
+# toward a nonzero reference and the margin check rejects edges on static
+# disks; crowded has six disks, two of them moving, at every node
+# (test_corpus_reaches_kernel_branches).
 GROUPS = (
     ("example1", "cbf-rrt", 0.25, range(6)),
     ("example1", "cbf-rrt", 0.5, range(20)),
@@ -42,6 +46,8 @@ GROUPS = (
     ("example1", "rrt-star", 1.0, range(3)),
     ("turning", "cbf-rrt", 0.5, range(6)),
     ("turning", "cbf-rrt", 0.25, range(1, 3)),
+    ("complex_gains", "cbf-rrt", None, range(6)),
+    ("crowded", "cbf-rrt", None, range(6)),
 )
 
 
