@@ -37,13 +37,11 @@ _load_numpy_with_one_blas_thread()
 
 from .baselines import rrt_plan, rrt_star_plan
 from .harness import audit_trajectory, configure, load_scenario, run
-from .planner import integrate_closed_loop, plan, safe_steer, steer_constants
-from .safety import constraint_rows, ecbf_row, solve_scalar_qp
+from .planner import plan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "load_scenario", "configure", "plan", "run", "safe_steer", "steer_constants",
-    "constraint_rows", "ecbf_row", "solve_scalar_qp", "integrate_closed_loop", "rrt_plan",
-    "rrt_star_plan", "audit_trajectory", "__version__",
+    "load_scenario", "configure", "plan", "run", "rrt_plan", "rrt_star_plan",
+    "audit_trajectory", "__version__",
 ]

@@ -449,8 +449,9 @@ def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> Iterator[b
     yield json.dumps({"algorithm": algorithm, "schema": 3, **head})[:-1].encode()
     # base64 needs no JSON escaping, so a column goes between quotes as it
     # is; json.dumps would spend most of the time scanning its characters.
-    # binascii is base64.b64encode's own encoder and is loaded at start-up;
-    # importing base64 would add about 0.2 MB to a run's peak RSS.
+    # b2a_base64(newline=False) is all that base64.b64encode runs without
+    # altchars, so it is called directly. Importing base64 would cost no
+    # memory: numpy.random, which every planner's seeding loads, imports it.
     for key, column in columns:
         yield b', "%s": "' % key.encode()
         yield binascii.b2a_base64(np.ascontiguousarray(column, dtype="<f8"), newline=False)

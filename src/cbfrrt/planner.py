@@ -87,14 +87,24 @@ class PlannerParams:
             raise ValueError(f"omega_bounds reversed: {self.omega_bounds}")
 
 
+def node_margin(obstacles: Sequence[CircularObstacle], params: PlannerParams) -> float:
+    """The barrier every node of an edge, the start included, must keep: the
+    worst-case barrier drop of a straight chord between consecutive nodes.
+    The relative robot-obstacle displacement over one step is at most
+    (v + v_obs) * dt, and the chord midpoint loses at most (L/2)^2 in
+    squared distance."""
+    v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
+    return 0.25 * ((params.v_const + v_obs) * params.dt) ** 2
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Start, goal, obstacles and parameters; the start, its time and the goal
     are finite, obstacles is a list or tuple of CircularObstacles and the
-    start is clear of every disk. Construction and replace leave x_init a
-    RobotState of floats, t_init a float, x_goal a tuple of floats and
-    obstacles a tuple, so a Scenario built from a list hashes as the file's
-    does."""
+    start clears every disk by node_margin at t_init, as every node of the
+    root's edges must. Construction and replace leave x_init a RobotState of
+    floats, t_init a float, x_goal a tuple of floats and obstacles a tuple,
+    so a Scenario built from a list hashes as the file's does."""
 
     x_init: RobotState
     t_init: float
@@ -111,8 +121,11 @@ class Scenario:
         for i, obstacle in enumerate(self.obstacles):
             if not isinstance(obstacle, CircularObstacle):
                 raise ValueError(f"obstacles[{i}] must be a CircularObstacle, got {obstacle!r}")
-            if barrier_value(self.x_init, obstacle, self.t_init) < 0.0:
-                raise ValueError(f"x_init lies inside obstacles[{i}] at t_init")
+        margin = node_margin(self.obstacles, self.params)
+        for i, obstacle in enumerate(self.obstacles):
+            if barrier_value(self.x_init, obstacle, self.t_init) < margin:
+                raise ValueError(f"x_init lies inside obstacles[{i}] or within its node "
+                                 f"margin {margin:.3g} m^2 at t_init")
 
 
 class PlanTree:
@@ -252,11 +265,6 @@ def steer_constants(
     them, the speed, the gains, the omega box, the reference omega_ref, the
     step schedule of one horizon, the node margin and each disk's reach.
 
-    The margin is the worst-case barrier drop of a straight chord between
-    consecutive nodes: the relative robot-obstacle displacement over one
-    step is at most (v + v_obs) * dt, and the chord midpoint loses at most
-    (L/2)^2 in squared distance.
-
     A disk's reach is (sqrt(r^2 + margin) + (v + |v_disk|) * t_h, v + |v_disk|).
     An RK4 step of length s moves the robot by s * v / 6 * |u1 + 4 u2 + u4|
     <= v * s, the u being unit heading vectors, and step_grid's steps sum to
@@ -265,9 +273,8 @@ def steer_constants(
     starts farther than the reach radius (plus the rounding slack) from the
     disk's centre clears the disk by more than the margin at every node."""
     v = params.v_const
-    v_obs = max((math.hypot(*ob.velocity) for ob in obstacles), default=0.0)
     lo, hi = params.omega_bounds
-    margin = 0.25 * ((v + v_obs) * params.dt) ** 2
+    margin = node_margin(obstacles, params)
     reach = []
     for ob in obstacles:
         speed = v + math.hypot(*ob.velocity)

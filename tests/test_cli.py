@@ -220,6 +220,19 @@ def test_nonpositive_v_const_exits_3(tmp_path, capsys, v_const):
     assert re.search(rf"planner\.v_const must be > 0, got {v_const}", err)
 
 
+def test_start_within_the_node_margin_exits_3(tmp_path, capsys):
+    # 0.2 mm outside obstacles[1], the start is clear of the disk but not of
+    # the node margin that every root edge's first node must keep, so a plan
+    # would spend its whole budget without growing the tree
+    scenario = example1_with(tmp_path, x_init=[0.7998, 0.5, 3.0])
+    code = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(r"x_init lies inside obstacles\[1\] or within its node margin", err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_reversed_omega_ref_range_exits_3(tmp_path, capsys):
     # the random-reference option is gone: a file that still sets it would
     # otherwise run on the constant omega_ref

@@ -889,20 +889,6 @@ def test_readme_python_api_block_runs(tmp_path, monkeypatch):
         assert json.loads((tmp_path / out / "report.json").read_text())["seed"] == 5
 
 
-def test_readme_kernel_block_runs(tmp_path, monkeypatch):
-    # the README's steering-kernel block, run as written, agrees with itself
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-    [block] = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S)
-               if "steer_constants(" in b]
-    (tmp_path / "src").symlink_to(SCENARIO_DIR.parents[1], target_is_directory=True)
-    monkeypatch.chdir(tmp_path)
-    namespace = {}
-    exec(block, namespace)
-    assert namespace["rows"][0] == (namespace["a"], namespace["b"])
-    assert namespace["omega"] is not None
-    assert namespace["edge"] is not None and len(namespace["edge"]) >= 2
-
-
 # ---------------------------------------------------------------- compare
 
 

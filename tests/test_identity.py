@@ -135,9 +135,10 @@ def test_corpus_reaches_kernel_branches(monkeypatch):
 def test_margin_rejects_start_outside_the_ecbf_envelope(monkeypatch):
     # example1's gains have real roots, so an edge whose first node is inside
     # the exponential-CBF envelope, nu0 = min over disks of dh/dt + p*h >= 0
-    # with p the larger root, keeps h above a decaying exponential in
-    # continuous time. Each edge whose QPs all passed reaches the margin
-    # check; the counts below classify them on the corpus's example1 plans.
+    # with p = (k2 + sqrt(k2^2 - 4*k1))/2 the faster decay rate, keeps h
+    # above h(0)*exp(-p*t) in continuous time. Each edge whose QPs all
+    # passed reaches the margin check; the counts below classify them on
+    # the corpus's example1 plans.
     check = planner._edge_clears_obstacles
     edges = Counter()
 

@@ -120,6 +120,11 @@ EXAMPLE1 = load_scenario(
         pytest.param(SAFE_START,
                      {"obstacles": (CircularObstacle((0.0, 0.1), (0.0, 0.0), 0.2),)},
                      r"^x_init lies inside obstacles\[0\]", id="disk-over-start"),
+        # 0.2 mm out: h = 8e-5 m^2 is below the node margin 0.25 * (v * dt)^2,
+        # so every root edge would fail its node-0 margin check
+        pytest.param(SAFE_START, {"x_init": RobotState(1.2002, 1.0, 0.0)},
+                     r"^x_init lies inside obstacles\[0\] or within its node margin "
+                     r"0\.0001 m\^2 at t_init$", id="x_init-in-node-margin"),
         # the one number rule judges each field's shape, and its message
         # names the field where an index or an unpacking would not
         pytest.param(PlannerParams(), {"omega_bounds": (-1.0,)},
@@ -176,6 +181,14 @@ def test_checks_fire_on_construction_and_replace(valid, overrides, message):
         type(valid)(**{**fields, **overrides})
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(valid, **overrides)
+
+
+def test_start_just_outside_the_node_margin_plans():
+    # 1 mm outside example1's obstacles[1], h = 4.01e-4 m^2 clears the
+    # 1e-4 m^2 margin, and the root's edges grow the tree
+    scenario = dataclasses.replace(EXAMPLE1, x_init=RobotState(0.799, 0.5, 3.0))
+    assert planner.node_margin(scenario.obstacles, scenario.params) == 0.25 * 0.02 ** 2
+    assert plan(scenario, 0).success
 
 
 # ---------------------------------------------------------------- sampling
