@@ -17,7 +17,7 @@ import traceback
 from pathlib import Path
 
 from . import harness
-from .harness import ScenarioError
+from .harness import ScenarioValidationError
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -66,16 +66,17 @@ def _parse_seeds(text: str) -> list[int]:
             return [int(part) for part in text.split(",") if part.strip() != ""]
         return list(range(int(text)))
     except ValueError as e:
-        raise ScenarioError(f"--seeds: expected a count or comma list, got {text!r}") from e
+        raise ScenarioValidationError(
+            f"--seeds: expected a count or comma list, got {text!r}") from e
 
 
 def _at(flag: str, call, *args, **kwargs):
     """call(*args, **kwargs); an OSError it raises comes from the path given
-    as flag, and is raised again as a ScenarioError naming flag."""
+    as flag, and is raised again as a ScenarioValidationError naming flag."""
     try:
         return call(*args, **kwargs)
     except OSError as e:
-        raise ScenarioError(f"{flag}: {e}") from e
+        raise ScenarioValidationError(f"{flag}: {e}") from e
 
 
 def _cmd_plan(args) -> tuple[int, str]:
@@ -114,7 +115,7 @@ def _cmd_audit(args) -> tuple[int, str]:
         trajectory = harness.read_trajectory_csv(args.trajectory)
         ok, min_barrier = harness.audit_trajectory(trajectory, scenario_file.scenario.obstacles)
     except (OSError, ValueError) as e:
-        raise ScenarioError(f"--trajectory: {e}") from e
+        raise ScenarioValidationError(f"--trajectory: {e}") from e
     shown = "n/a" if min_barrier is None else f"{min_barrier:.9f}"
     return (EXIT_OK if ok else EXIT_AUDIT_FAIL), (
         f"audit {'pass' if ok else 'FAIL'}: min barrier {shown} m^2 "
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT if e.code else EXIT_OK
     try:
         status, output = COMMANDS[args.command](args)
-    except ScenarioError as e:
+    except ScenarioValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except Exception:

@@ -6,10 +6,11 @@ parameters), configure applies the run's overrides to it, and the seed
 comes from the caller so one file drives a whole sweep. The scenario and
 sweep file parsers read only JSON structure; every value's type, length and
 range is judged by the dataclass that holds it, as it is in Python, and
-whether an algorithm and its step may run on a file by configure. Every
-run re-audits its output trajectory against the obstacles, exactly along
-the linear interpolation of its nodes — the report's audit_pass is always
-computed here, never taken from planner-internal flags.
+whether an algorithm and its step may run on a file by configure. Invalid
+input, malformed JSON included, raises one class, ScenarioValidationError.
+Every run re-audits its output trajectory against the obstacles, exactly
+along the linear interpolation of its nodes — the report's audit_pass is
+always computed here, never taken from planner-internal flags.
 
 Reports are split into report.json (deterministic, byte-reproducible for a
 fixed (scenario, algorithm, seed)) and timing.json (wall-clock, varies run to
@@ -43,17 +44,9 @@ TRAJECTORY_HEADER = ",".join(Trajectory.COLUMNS)
 AUDIT_TOL = -1e-6
 
 
-class ScenarioError(Exception):
-    """Base for anything wrong with a scenario file (exit code 3)."""
-
-
-class ScenarioParseError(ScenarioError):
-    """File is not well-formed JSON."""
-
-
-class ScenarioValidationError(ScenarioError, ValueError):
-    """Invalid input; message names the offending field path. A ValueError
-    too, as the dataclasses' own rules raise from Python."""
+class ScenarioValidationError(ValueError):
+    """Invalid input (exit code 3) from a file, flag, path or Python object,
+    naming its field path; a ValueError, like json.loads's and every field rule's."""
 
 
 def _point_segment_distance(p: tuple[float, float], a: tuple[float, float],
@@ -70,8 +63,9 @@ def _point_segment_distance(p: tuple[float, float], a: tuple[float, float],
 class ScenarioFile:
     """Parsed scenario document: the planner Scenario plus everything the
     harness needs around it. Construction and replace raise ValueError for a
-    name that is not a str, a goal_horizon that is not finite and > 0, or an
-    obstacle that enters the goal disk within goal_horizon."""
+    scenario that is not a Scenario, a baseline that is not a BaselineParams,
+    a name that is not a str, a goal_horizon that is not finite and > 0, or
+    an obstacle that enters the goal disk within goal_horizon."""
 
     scenario: Scenario
     baseline: BaselineParams
@@ -79,6 +73,10 @@ class ScenarioFile:
     goal_horizon: float
 
     def __post_init__(self):
+        if not isinstance(self.scenario, Scenario):
+            raise ValueError(f"scenario must be a Scenario, got {self.scenario!r}")
+        if not isinstance(self.baseline, BaselineParams):
+            raise ValueError(f"baseline must be a BaselineParams, got {self.baseline!r}")
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a str, got {self.name!r}")
         check_finite(self, "goal_horizon")
@@ -149,13 +147,13 @@ def _object(doc, where: str, keys) -> dict:
 
 
 def _read_json(path: Path):
-    """path's JSON document. ScenarioParseError for a file that is not
+    """path's JSON document. ScenarioValidationError for a file that is not
     UTF-8 JSON or holds an integer longer than the 4300 digits Python
     converts from text (both ValueErrors, as JSONDecodeError is)."""
     try:
         return json.loads(path.read_text())
     except ValueError as e:
-        raise ScenarioParseError(f"{path}: not valid JSON ({e})") from e
+        raise ScenarioValidationError(f"{path}: not valid JSON ({e})") from e
 
 
 def load_scenario(path) -> ScenarioFile:
@@ -168,9 +166,9 @@ def load_scenario(path) -> ScenarioFile:
     the dataclass that holds it (CircularObstacle, PlannerParams,
     BaselineParams, Scenario, ScenarioFile), whose rules judge its type,
     length and range, the same rules as in Python, and which keeps it as
-    floats. Raises ScenarioParseError for malformed JSON and
-    ScenarioValidationError naming the field path for either kind of error,
-    a value's as the object's dotted path before the dataclass's message.
+    floats. Raises ScenarioValidationError for malformed JSON, naming the
+    file, and for either kind of error, naming the field path, a value's as
+    the object's dotted path before the dataclass's message.
     """
     path = Path(path)
     doc = _read_json(path)
@@ -522,10 +520,7 @@ def compare(
     for i, (algorithm, step) in enumerate(sweep):
         # the entry goes to configure as given, so the params' number rule
         # refuses a bool or a string that float() would have run
-        try:
-            configured = configure(scenario_file, algorithm, step=step)
-        except ScenarioValidationError as e:
-            raise ScenarioValidationError(f"sweep[{i}].{e}") from e
+        configured = _checked(f"sweep[{i}].", configure, scenario_file, algorithm, step=step)
         if step is None:  # which configure reads as no override
             _fail(f"sweep[{i}].step", "expected a number, got None")
         key = (algorithm, float(step))

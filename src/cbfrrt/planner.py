@@ -100,11 +100,12 @@ def node_margin(obstacles: Sequence[CircularObstacle], params: PlannerParams) ->
 @dataclass(frozen=True)
 class Scenario:
     """Start, goal, obstacles and parameters; the start, its time and the goal
-    are finite, obstacles is a list or tuple of CircularObstacles and the
-    start clears every disk by node_margin at t_init, as every node of the
-    root's edges must. Construction and replace leave x_init a RobotState of
-    floats, t_init a float, x_goal a tuple of floats and obstacles a tuple,
-    so a Scenario built from a list hashes as the file's does."""
+    are finite, obstacles is a list or tuple of CircularObstacles, params a
+    PlannerParams, and the start clears every disk by node_margin at t_init,
+    as every node of the root's edges must. Construction and replace leave
+    x_init a RobotState of floats, t_init a float, x_goal a tuple of floats
+    and obstacles a tuple, so a Scenario built from a list hashes as the
+    file's does."""
 
     x_init: RobotState
     t_init: float
@@ -121,6 +122,8 @@ class Scenario:
         for i, obstacle in enumerate(self.obstacles):
             if not isinstance(obstacle, CircularObstacle):
                 raise ValueError(f"obstacles[{i}] must be a CircularObstacle, got {obstacle!r}")
+        if not isinstance(self.params, PlannerParams):
+            raise ValueError(f"params must be a PlannerParams, got {self.params!r}")
         margin = node_margin(self.obstacles, self.params)
         for i, obstacle in enumerate(self.obstacles):
             if barrier_value(self.x_init, obstacle, self.t_init) < margin:

@@ -33,7 +33,6 @@ from cbfrrt.dynamics import (
 from cbfrrt.harness import (
     AUDIT_TOL,
     COMPARISON_HEADER,
-    ScenarioParseError,
     ScenarioValidationError,
     _format_tree_json,
     audit_trajectory,
@@ -127,10 +126,15 @@ def test_load_missing_file(tmp_path):
 
 
 def test_load_malformed_json(tmp_path):
+    # the one invalid-input class, which except ValueError catches as it
+    # catches json.loads's own error
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
-    with pytest.raises(ScenarioParseError):
-        load_scenario(p)
+    for text in ("{not json", '{"schema": 1,'):
+        p.write_text(text)
+        for load in (load_scenario, load_sweep):
+            with pytest.raises(ScenarioValidationError, match="not valid JSON") as caught:
+                load(p)
+            assert isinstance(caught.value, ValueError)
 
 
 def test_load_wrong_schema(tmp_path):
@@ -1095,5 +1099,6 @@ def test_loaders_refuse_a_file_json_cannot_read(tmp_path, load, text):
     # both raise ValueError, not JSONDecodeError, from reading the file
     p = tmp_path / "doc.json"
     p.write_bytes(text)
-    with pytest.raises(ScenarioParseError, match="not valid JSON"):
+    with pytest.raises(ScenarioValidationError, match="not valid JSON") as caught:
         load(p)
+    assert isinstance(caught.value, ValueError)

@@ -60,8 +60,9 @@ def test_params_validation():
 
 SAFE_START = Scenario(RobotState(0.0, 0.0, 0.0), 0.0, (2.0, 2.0),
                       (CircularObstacle((1.0, 1.0), (0.0, 0.0), 0.2),), PlannerParams())
-EXAMPLE1 = load_scenario(
-    pathlib.Path(planner.__file__).parent / "scenarios" / "example1.json").scenario
+EXAMPLE1_FILE = load_scenario(
+    pathlib.Path(planner.__file__).parent / "scenarios" / "example1.json")
+EXAMPLE1 = EXAMPLE1_FILE.scenario
 
 
 @pytest.mark.parametrize(
@@ -166,6 +167,17 @@ EXAMPLE1 = load_scenario(
         # tuple() would raise a TypeError that names no field
         pytest.param(SAFE_START, {"obstacles": 5},
                      r"^obstacles must be a list or tuple, got 5$", id="obstacles-int"),
+        # a nested field of another type is refused by name before it is
+        # read (node_margin reads params) or left to fail in a later run
+        pytest.param(SAFE_START, {"params": None},
+                     r"^params must be a PlannerParams, got None$", id="params-none"),
+        pytest.param(SAFE_START, {"params": {"t_h": 0.5}},
+                     r"^params must be a PlannerParams, got \{'t_h': 0\.5\}$",
+                     id="params-dict"),
+        pytest.param(EXAMPLE1_FILE, {"scenario": None},
+                     r"^scenario must be a Scenario, got None$", id="scenario-none"),
+        pytest.param(EXAMPLE1_FILE, {"baseline": None},
+                     r"^baseline must be a BaselineParams, got None$", id="baseline-none"),
     ],
 )
 def test_checks_fire_on_construction_and_replace(valid, overrides, message):
