@@ -299,8 +299,7 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
         near: list[tuple[int, float]] = []
         if rewire:
             n = len(tree)
-            radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n),
-                         params.delta_d) if n > 1 else 0.0
+            radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n), params.delta_d)
             # a step that reached the sample ends on the point just scanned
             near = near_set(scan if x_new is sample else tree.sq_dists(x_new), radius)
             # choose-parent: cheapest connection among the near set

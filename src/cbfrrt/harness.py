@@ -429,18 +429,15 @@ def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> Iterator[b
     """
     if isinstance(tree, PlanTree):
         rows = np.frombuffer(tree.data).reshape(-1, 6)
-        ends = np.array(tree.ends)
-        last = ends - 1  # each edge's last row, its vertex
-        steps = np.ones(len(rows), bool)  # the rows that start a step
-        steps[last] = False
-        inner = steps.copy()
-        inner[ends[:-1]] = False
+        n = tree.edge_nodes
+        vertices = rows[::n]
+        edges = rows[1:].reshape(-1, n, 6)
         head = {"dt": params.dt, "t_h": params.t_h, "v": params.v_const,
-                "parents": tree.parents, "nodes": np.diff(ends).tolist()}
-        picks = {"t": (last, 0), "x1": (last, 1), "x2": (last, 2), "theta": (last, 3),
-                 "theta0": (ends[:-1], 3), "inner_x1": (inner, 1),
-                 "inner_x2": (inner, 2), "omega": (steps, 5)}
-        columns = ((key, rows[pick]) for key, pick in picks.items())
+                "parents": tree.parents, "nodes": [n] * len(edges)}
+        columns = (("t", vertices[:, 0]), ("x1", vertices[:, 1]), ("x2", vertices[:, 2]),
+                   ("theta", vertices[:, 3]), ("theta0", edges[:, 0, 3]),
+                   ("inner_x1", edges[:, 1:-1, 1]), ("inner_x2", edges[:, 1:-1, 2]),
+                   ("omega", edges[:, :-1, 5]))
     else:
         head = {"parents": tree.parents}
         columns = (("xs", tree.xs), ("ys", tree.ys), ("costs", tree.costs))

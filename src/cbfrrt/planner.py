@@ -134,18 +134,19 @@ class Scenario:
 class PlanTree:
     """Rooted tree that stores each node once, in one array('d'), data: 6
     doubles per node in CSV column order, the root's one node (t_init,
-    *x_init, 0.0, 0.0) first, then each added edge's nodes. ends[i] is the
-    node offset just past edge i's last node and parents[i] the parent of
+    *x_init, 0.0, 0.0) first, then each added edge's nodes. Every edge but
+    the root's has edge_nodes >= 2 nodes, the run's one horizon, so vertex i is
+    row i * edge_nodes of data, edge i >= 1 is rows (i - 1) * edge_nodes + 1
+    through i * edge_nodes, and edge 0 is row 0. parents[i] is the parent of
     vertex i (None for the root), which is the last node (t, x1, x2, theta)
-    of edge i; edge(i) copies edge i out as a Trajectory. Every other edge
-    has at least two nodes and, steered from its parent's last node, starts
-    at the parent's (t, x1, x2) floats (tree.json writes those floats once
-    per vertex)."""
+    of edge i; edge(i) copies edge i out as a Trajectory. Every other edge,
+    steered from its parent's last node, starts at the parent's (t, x1, x2)
+    floats (tree.json writes those floats once per vertex)."""
 
-    def __init__(self, root_state: RobotState, root_time: float):
+    def __init__(self, root_state: RobotState, root_time: float, edge_nodes: int):
         self.parents: list[Optional[int]] = [None]
         self.data = array("d", (root_time, *root_state, 0.0, 0.0))
-        self.ends = array("q", (1,))
+        self.edge_nodes = edge_nodes
 
     def __len__(self) -> int:
         return len(self.parents)
@@ -153,13 +154,15 @@ class PlanTree:
     def add_child(self, parent_id: int, edge: Trajectory) -> int:
         """Add the vertex at edge's last node under parent_id; return its id."""
         self.data += edge.data
-        self.ends.append(len(self.data) // 6)
         self.parents.append(parent_id)
         return len(self.parents) - 1
 
     def edge(self, i: int) -> Trajectory:
         """Edge i's nodes, copied out of data."""
-        return Trajectory(self.data[6 * (self.ends[i - 1] if i else 0):6 * self.ends[i]])
+        i = range(len(self))[i]
+        n = self.edge_nodes
+        start = (i - 1) * n + 1 if i else 0
+        return Trajectory(self.data[6 * start:6 * (i * n + 1)])
 
 
 @dataclass
@@ -220,8 +223,6 @@ def goal_heading(position: tuple[float, float], goal: tuple[float, float]) -> fl
     """Full-quadrant heading from position toward goal; 0 when they coincide."""
     dy = goal[1] - position[1]
     dx = goal[0] - position[0]
-    if dx == 0.0 and dy == 0.0:
-        return 0.0
     return math.atan2(dy, dx)
 
 
@@ -419,16 +420,10 @@ def in_goal_region(position: tuple[float, float], goal: tuple[float, float],
 def goal_check(
     trajectory: Trajectory, goal: tuple[float, float], epsilon: float
 ) -> bool:
-    """True iff any trajectory node lies within epsilon of the goal position
-    (in_goal_region's arithmetic, inlined: a call per node doubles the cost)."""
-    eps2 = epsilon * epsilon
+    """True iff in_goal_region holds at any trajectory node."""
     data = trajectory.data
-    for x1, x2 in zip(data[1::6], data[2::6]):
-        d1 = x1 - goal[0]
-        d2 = x2 - goal[1]
-        if d1 * d1 + d2 * d2 <= eps2:
-            return True
-    return False
+    return any(in_goal_region(position, goal, epsilon)
+               for position in zip(data[1::6], data[2::6]))
 
 
 def _goal_in_reach(
@@ -484,18 +479,19 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
     goal = scenario.x_goal
     rng = np.random.default_rng(seed)
     draw = index_draw(rng.bit_generator)
-    tree = PlanTree(scenario.x_init, scenario.t_init)
+    constants = steer_constants(scenario.obstacles, params)
+    tree = PlanTree(scenario.x_init, scenario.t_init, len(constants.steps) + 1)
 
     if in_goal_region(scenario.x_init.position(), goal, params.epsilon):
         return PlanResult(True, tree, extract_path(tree, 0), 0)
 
-    constants = steer_constants(scenario.obstacles, params)
     goal_reach = params.epsilon + constants.v * params.t_h
     sd = math.sqrt(params.sigma2)
+    stride = 6 * tree.edge_nodes
 
     for iteration in range(1, params.max_iters + 1):
         picked = vertices_sample(tree, draw)
-        node = 6 * tree.ends[picked] - 6
+        node = stride * picked
         data = tree.data
         t, x1, x2 = data[node], data[node + 1], data[node + 2]
         theta = heading_sample((x1, x2), goal, sd, rng)

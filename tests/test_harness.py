@@ -749,7 +749,7 @@ def test_tree_json_of_a_hand_built_tree():
     # edges obey the integration rules (two dt steps of 0.25 s), so the
     # expander rebuilds them exactly.
     params = PlannerParams(t_h=0.5, dt=0.25, v_const=1e-05)
-    tree = PlanTree(RobotState(np.float64(-0.0), 10**16, np.float64(1e-05)), 0)
+    tree = PlanTree(RobotState(np.float64(-0.0), 10**16, np.float64(1e-05)), 0, 3)
     tree.add_child(0, Trajectory(array("d", [
         0.0, -0.0, 1e16, -0.0, 1e-05, -0.0,
         0.25, 1e-05, -1e16, -0.0, 1e-05, 1e16,
@@ -848,7 +848,7 @@ def test_the_tree_can_grow_once_its_tree_json_is_written(tmp_path):
     # the writer's numpy views of tree.data live only while its pieces are
     # written: an array refuses to resize while a view of it is alive
     params = PlannerParams(t_h=0.5, dt=0.25)
-    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
+    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, 3)
     tree.add_child(0, steer((0.0, 0.0, 0.0), 0.0, (), params))
     t, x1, x2, theta = tree.edge(1).data[-6:-2]
     edge = steer((x1, x2, theta), t, (), params)

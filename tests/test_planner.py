@@ -28,7 +28,13 @@ from cbfrrt.planner import (
     vertices_sample,
 )
 from cbfrrt.safety import barrier_value
-from oracles import closed_loop, extract_path_reference, integration_rule_violations, steer
+from oracles import (closed_loop, closed_loop_grid, extract_path_reference,
+                     integration_rule_violations, steer)
+
+
+def edge_nodes(params):
+    """The node count of every edge params' one horizon steers."""
+    return len(closed_loop_grid(0.0, params.t_h, params.dt)[1]) + 1
 
 
 def straight_edge(tree, parent_id, params):
@@ -207,7 +213,7 @@ def test_start_just_outside_the_node_margin_plans():
 
 
 def test_vertices_sample_single_vertex():
-    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
+    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, edge_nodes(PlannerParams()))
     draw = index_draw(np.random.default_rng(0).bit_generator)
     for _ in range(10):
         assert vertices_sample(tree, draw) == 0
@@ -215,7 +221,7 @@ def test_vertices_sample_single_vertex():
 
 def test_vertices_sample_uniform_frequencies():
     params = PlannerParams()
-    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
+    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, edge_nodes(params))
     for _ in range(3):
         straight_edge(tree, len(tree) - 1, params)
     draw = index_draw(np.random.default_rng(123).bit_generator)
@@ -228,7 +234,7 @@ def test_vertices_sample_uniform_frequencies():
 
 def test_vertices_sample_deterministic():
     params = PlannerParams()
-    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
+    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, edge_nodes(params))
     for _ in range(3):
         straight_edge(tree, len(tree) - 1, params)
     draw = index_draw(np.random.default_rng(5).bit_generator)
@@ -483,13 +489,13 @@ def test_goal_check_interior_only():
 
 def test_extract_path_root_only():
     # the root's one node, as a baseline writes a one-point path
-    tree = PlanTree(RobotState(1.0, 2.0, 3.0), 4.0)
+    tree = PlanTree(RobotState(1.0, 2.0, 3.0), 4.0, edge_nodes(PlannerParams()))
     assert extract_path(tree, 0).data == array("d", (4.0, 1.0, 2.0, 3.0, 0.0, 0.0))
 
 
 def test_extract_path_two_edges():
     params = PlannerParams(dt=0.1)
-    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
+    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, edge_nodes(params))
     v1 = straight_edge(tree, 0, params)
     v2 = straight_edge(tree, v1, params)
     path = extract_path(tree, v2)
@@ -502,14 +508,14 @@ def test_extract_path_two_edges():
 
 
 def test_extract_path_unknown_vertex():
-    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
+    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, edge_nodes(PlannerParams()))
     with pytest.raises(KeyError):
         extract_path(tree, 99)
 
 
 def test_add_child_reads_the_child_from_its_edge():
     params = PlannerParams()
-    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0)
+    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, edge_nodes(params))
     t, x1, x2, theta = tree.edge(0).data[-6:-2]
     edge = steer((x1, x2, theta), t, (), params)
     # the child is the edge's last node: the edge's nodes follow the root's
@@ -517,8 +523,12 @@ def test_add_child_reads_the_child_from_its_edge():
     assert tree.add_child(0, edge) == 1
     assert tree.edge(1).data == edge.data
     assert tree.data == array("d", (t, x1, x2, theta, 0.0, 0.0)) + edge.data
-    assert list(tree.ends) == [1, 1 + len(edge)]
+    assert len(edge) == tree.edge_nodes
     assert tree.parents == [None, 0]
+    # edge indices read as a list's: -1 is the last edge, len(tree) is past it
+    assert tree.edge(-1).data == edge.data
+    with pytest.raises(IndexError):
+        tree.edge(len(tree))
 
 
 @pytest.mark.parametrize("scenario_name, t_h", [("example1", 0.25), ("example2", None)])
@@ -552,8 +562,9 @@ def test_plan_reaches_goal_and_tree_is_consistent(example1_file):
     tree = result.tree
 
     # single root, connected, acyclic; vertex times follow depth * t_h
-    assert len(tree.parents) == len(tree.ends) == len(tree)
-    assert len(tree.data) == 6 * tree.ends[-1]
+    assert len(tree.parents) == len(tree)
+    assert tree.edge_nodes == edge_nodes(sc.params)
+    assert len(tree.data) == 6 * (1 + (len(tree) - 1) * tree.edge_nodes)
     assert tree.parents[0] is None
     assert tree.edge(0).data == array("d", (sc.t_init, *sc.x_init, 0.0, 0.0))
     for vid in range(1, len(tree)):
@@ -596,7 +607,7 @@ def test_plan_is_deterministic(example1_file):
     assert a.iterations == b.iterations
     assert len(a.tree) == len(b.tree)
     assert a.tree.parents == b.tree.parents
-    assert a.tree.ends == b.tree.ends
+    assert a.tree.edge_nodes == b.tree.edge_nodes
     assert a.tree.data == b.tree.data
     assert [s.t for s in a.controls.samples] == [s.t for s in b.controls.samples]
 
