@@ -35,7 +35,9 @@ MANIFEST = DATA / "identity.json"
 # with omega_ref 0.5 and the complex-root gains k1 4, k2 1, so edges steer
 # toward a nonzero reference and the margin check rejects edges on static
 # disks; crowded has six disks, two of them moving, at every node
-# (test_corpus_reaches_kernel_branches).
+# (test_corpus_reaches_kernel_branches). late_start is example2 from t_init
+# 1000, its disk moved back so that it starts where example2's does: every
+# node time is t0 + offset with t0 far from 0, where the sum rounds.
 GROUPS = (
     ("example1", "cbf-rrt", 0.25, range(6)),
     ("example1", "cbf-rrt", 0.5, range(20)),
@@ -48,6 +50,7 @@ GROUPS = (
     ("turning", "cbf-rrt", 0.25, range(1, 3)),
     ("complex_gains", "cbf-rrt", None, range(6)),
     ("crowded", "cbf-rrt", None, range(6)),
+    ("late_start", "cbf-rrt", None, range(6)),
 )
 
 

@@ -5,8 +5,9 @@ t_h 0.25 seeds 0-5 and t_h 0.5 seeds 0-19, example2 seeds 0-19), rrt and
 rrt-star on example1 at delta_d 0.25 and 1.0, seeds 0-2, 8 cbf-rrt plans
 of tests/data/turning.json (t_h 0.5 seeds 0-5, t_h 0.25 seeds 1-2), whose QPs
 fail at later nodes, and seeds 0-5 of tests/data/complex_gains.json (a
-nonzero omega_ref, complex-root gains) and of tests/data/crowded.json (six
-disks, two moving). A speed-up that claims byte-identical artifacts holds
+nonzero omega_ref, complex-root gains), of tests/data/crowded.json (six
+disks, two moving) and of tests/data/late_start.json (example2 from t_init
+1000), 84 runs in all. A speed-up that claims byte-identical artifacts holds
 here; a change that moves a byte names its cases below and rewrites
 tests/data/identity.json with tests/identity_corpus.py, saying why.
 """
