@@ -64,12 +64,11 @@ class ScenarioFile:
     """Parsed scenario document: the planner Scenario plus everything the
     harness needs around it. Construction and replace raise ValueError for a
     scenario that is not a Scenario, a baseline that is not a BaselineParams,
-    a name that is not a str, a goal_horizon that is not finite and > 0, or
-    an obstacle that enters the goal disk within goal_horizon."""
+    a goal_horizon that is not finite and > 0, or an obstacle that enters the
+    goal disk within goal_horizon."""
 
     scenario: Scenario
     baseline: BaselineParams
-    name: str
     goal_horizon: float
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class ScenarioFile:
             raise ValueError(f"scenario must be a Scenario, got {self.scenario!r}")
         if not isinstance(self.baseline, BaselineParams):
             raise ValueError(f"baseline must be a BaselineParams, got {self.baseline!r}")
-        if not isinstance(self.name, str):
-            raise ValueError(f"name must be a str, got {self.name!r}")
         check_finite(self, "goal_horizon")
         if not self.goal_horizon > 0.0:
             raise ValueError(f"goal_horizon must be > 0, got {self.goal_horizon}")
@@ -160,9 +157,9 @@ def load_scenario(path) -> ScenarioFile:
     """Parse a scenario JSON file.
 
     The parser reads the JSON structure only: objects where objects belong,
-    the schema, and missing or unknown keys (metadata must be an object and
-    is not kept; the planner and baseline keys are the fields of
-    PlannerParams and BaselineParams). Each value goes as JSON gave it to
+    the schema, missing or unknown keys, and name and metadata, a string and
+    an object it does not keep (the planner and baseline keys are the fields
+    of PlannerParams and BaselineParams). Each value goes as JSON gave it to
     the dataclass that holds it (CircularObstacle, PlannerParams,
     BaselineParams, Scenario, ScenarioFile), whose rules judge its type,
     length and range, the same rules as in Python, and which keeps it as
@@ -195,13 +192,14 @@ def load_scenario(path) -> ScenarioFile:
         _checked(f"{block}.", cls,
                  **_object(doc.get(block, {}), block, [f.name for f in fields(cls)]))
         for block, cls in (("planner", PlannerParams), ("baseline", BaselineParams)))
+    if not isinstance(doc.get("name", ""), str):
+        _fail("name", "expected a string")
     if not isinstance(doc.get("metadata", {}), dict):
         _fail("metadata", "expected an object")
 
     scenario = _checked("", Scenario, x_init=x_init, t_init=doc.get("t_init", 0.0),
                         x_goal=x_goal, obstacles=obstacles, params=params)
     return _checked("", ScenarioFile, scenario=scenario, baseline=baseline,
-                    name=doc.get("name", path.stem),
                     goal_horizon=doc.get("goal_horizon", 20.0))
 
 
@@ -490,8 +488,8 @@ def compare(
     aggregate CSV row per sweep entry.
 
     Runs may execute in parallel (capped by `threads`, or by the CPU count
-    when it is None); rows come out sorted by (algorithm, step), and no count
-    or median depends on run order, so the table is deterministic either way.
+    when it is None); rows come out sorted by (algorithm, step), and every
+    cell but the timing median_wall_time_s is the same for any thread count.
     Per-run exceptions become the `errors` count instead of aborting the
     sweep. An empty seeds or sweep list (naming seeds or sweep), a seed that
     is not an integer >= 0 or repeats one before it (naming seeds[i]), a

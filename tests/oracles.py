@@ -652,7 +652,6 @@ def write_scenario(scenario_file: ScenarioFile, path):
     s = scenario_file.scenario
     doc = {
         "schema": 1,
-        "name": scenario_file.name,
         "x_init": [s.x_init.x1, s.x_init.x2, s.x_init.theta],
         "t_init": s.t_init,
         "x_goal": list(s.x_goal),

@@ -310,9 +310,6 @@ HUGE = 10**400
     pytest.param(("scenario", "obstacles", 0, "center"), [math.nan, 0.5],
                  _obstacle(center0=(math.nan, 0.5)), "obstacles[0].",
                  "center0 must be finite, got (nan, 0.5)", id="center-nan"),
-    pytest.param(("scenario", "name"), [1, 2],
-                 lambda sf: dataclasses.replace(sf, name=[1, 2]), "",
-                 "name must be a str, got [1, 2]", id="name-list"),
     pytest.param(("scenario", "goal_horizon"), 0,
                  lambda sf: dataclasses.replace(sf, goal_horizon=0.0), "",
                  "goal_horizon must be > 0, got 0.0", id="goal_horizon-zero"),

@@ -98,7 +98,6 @@ def test_load_bundled_example1(example1_file):
     assert sc.params.t_h == 0.5
     assert sc.params.v_const == 1.0
     assert example1_file.baseline.delta_d == 0.25
-    assert example1_file.name == "example1"
 
 
 def test_load_bundled_example2(example2_file):
@@ -114,10 +113,19 @@ def test_a_loaded_scenario_file_hashes(example1_file):
 
 
 def test_load_checks_metadata_and_does_not_keep_it(tmp_path):
+    # name and metadata document a file; a run reads neither, so files that
+    # differ only in them load equal, and a file may leave them out
     sf = load_scenario(write_doc(tmp_path, small_doc(metadata={"note": [1, 2]})))
     assert sf == load_scenario(write_doc(tmp_path, small_doc()))
     with pytest.raises(ScenarioValidationError, match=r"^metadata: expected an object$"):
         load_scenario(write_doc(tmp_path, small_doc(metadata=[1, 2])))
+    renamed = load_scenario(write_doc(tmp_path, small_doc(name="other")))
+    assert renamed == sf and hash(renamed) == hash(sf)
+    unnamed = small_doc()
+    del unnamed["name"]
+    assert load_scenario(write_doc(tmp_path, unnamed)) == sf
+    with pytest.raises(ScenarioValidationError, match=r"^name: expected a string$"):
+        load_scenario(write_doc(tmp_path, small_doc(name=[1, 2])))
 
 
 def test_load_missing_file(tmp_path):
@@ -190,8 +198,8 @@ def test_planner_defaults_applied(tmp_path):
 
 
 def test_round_trip(tmp_path, example1_file, example2_file):
-    for sf in (example1_file, example2_file):
-        out = tmp_path / f"{sf.name}.json"
+    for i, sf in enumerate((example1_file, example2_file)):
+        out = tmp_path / f"{i}.json"
         write_scenario(sf, out)
         again = load_scenario(out)
         assert again == sf
@@ -974,6 +982,20 @@ def test_compare_rows_sorted_and_complete(tmp_path, example1_file):
     steps = [float(l.split(",")[1]) for l in lines]
     assert steps == sorted(steps)
     assert len(lines) == 2
+
+
+def test_compare_rows_do_not_depend_on_the_thread_count(tmp_path, example1_file):
+    # one process or a pool of two: every cell but the median wall time, a
+    # timing, is the same
+    wall = COMPARISON_HEADER.split(",").index("median_wall_time_s")
+    tables = []
+    for threads in (1, 2):
+        table = compare(example1_file, [("rrt", 1.0), ("rrt-star", 1.0)], [0, 1, 2],
+                        tmp_path / f"{threads}.csv", threads=threads)
+        tables.append([row[:wall] + row[wall + 1:]
+                       for row in csv.reader(io.StringIO(table))])
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == 3
 
 
 def test_compare_rejects_a_step_the_scenario_rejects(tmp_path, example1_file):
