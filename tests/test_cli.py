@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -287,6 +288,18 @@ def _baseline(**fields):
     return lambda sf: dataclasses.replace(sf.baseline, **fields)
 
 
+def _parsed(**keys):
+    """For a rule the parser holds and no dataclass does: load_scenario on
+    sf's file with keys set."""
+    def build(sf):
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "scenario.json"
+            write_scenario(sf, path)
+            path.write_text(json.dumps({**json.loads(path.read_text()), **keys}))
+            return harness.load_scenario(path)
+    return build
+
+
 # an integer json.loads reads and float() refuses
 HUGE = 10**400
 
@@ -310,6 +323,8 @@ HUGE = 10**400
     pytest.param(("scenario", "obstacles", 0, "center"), [math.nan, 0.5],
                  _obstacle(center0=(math.nan, 0.5)), "obstacles[0].",
                  "center0 must be finite, got (nan, 0.5)", id="center-nan"),
+    pytest.param(("scenario", "name"), [1, 2], _parsed(name=[1, 2]), "",
+                 "name: expected a string", id="name-list"),
     pytest.param(("scenario", "goal_horizon"), 0,
                  lambda sf: dataclasses.replace(sf, goal_horizon=0.0), "",
                  "goal_horizon must be > 0, got 0.0", id="goal_horizon-zero"),
