@@ -181,8 +181,8 @@ def step_grid(horizon: float, dt: float) -> tuple[tuple[float, float], ...]:
     never rounding past the horizon, then, when they fall short of it, one
     shorter tail step; the k-th step reaches k * dt and the last the horizon
     itself, exactly. Nothing is checked here: the one caller,
-    planner.steer_constants, passes a validated PlannerParams' t_h and dt
-    (finite, > 0, dt <= t_h), which makes at least one step."""
+    planner.steer_constants, passes a validated PlannerParams' t_h and dt (finite,
+    > 0, dt <= t_h, t_h / dt <= planner.MAX_STEPS): 1 to MAX_STEPS + 1 steps."""
     n_full = int(math.floor(horizon / dt + 1e-9))
     if n_full * dt > horizon:
         n_full -= 1

@@ -544,7 +544,6 @@ def compare(
         group = results[k * len(seeds):(k + 1) * len(seeds)]
         reports = [report for report, _ in group if report is not None]
         errors = sum(1 for _, error in group if error is not None)
-        successes = sum(1 for r in reports if r.success)
         audited = [r for r in reports if r.success]
         med_wall = statistics.median(r.wall_time for r in reports) if reports else ""
         med_vertices = statistics.median(r.vertices for r in reports) if reports else ""
@@ -552,7 +551,7 @@ def compare(
                      if audited else "")
         # the csv module's text for these cells: it writes each with str(),
         # and no algorithm name or number needs quoting
-        lines.append(",".join(map(str, (algorithm, step, len(group), successes, errors,
+        lines.append(",".join(map(str, (algorithm, step, len(group), len(audited), errors,
                                         med_wall, med_vertices, fail_rate))))
     text = "\n".join(lines) + "\n"
     out_path = Path(out_path)
@@ -569,7 +568,7 @@ def load_sweep(path) -> list[tuple[str, float]]:
     it. compare judges them once, through configure and the params: an
     empty sweep, an algorithm not in ALGORITHMS or a baseline on a moving
     disk (naming sweep[i].algorithm) and a step the scenario rejects (not a
-    number, not finite, not > 0, below dt; naming sweep[i].step)."""
+    number, not finite, not > 0, below dt or above dt * MAX_STEPS; naming sweep[i].step)."""
     path = Path(path)
     doc = _read_json(path)
     if not isinstance(doc, list):

@@ -41,6 +41,11 @@ if TYPE_CHECKING:
     from .baselines import GeomTree
 
 
+# The most dt steps one horizon may take: an edge of that many nodes already
+# holds 48 MB, and step_grid's list of steps must fit in memory.
+MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class PlannerParams:
     """Tunables of one planning run; every expansion steers toward the constant
@@ -73,6 +78,9 @@ class PlannerParams:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.dt > self.t_h:
             raise ValueError(f"dt must be <= t_h, got dt={self.dt}, t_h={self.t_h}")
+        if self.t_h / self.dt > MAX_STEPS:
+            raise ValueError(f"dt must be >= t_h / {MAX_STEPS:,}, "
+                             f"got dt={self.dt}, t_h={self.t_h}")
         if self.sigma2 < 0.0:
             raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
         if not self.epsilon > 0.0:

@@ -5,8 +5,10 @@ raw tree.json bytes and of trajectory.csv, each built in memory from
 harness.execute and the artifact formatters (no file is written). The
 tests read each run through the session fixture corpus_run
 (tests/conftest.py), which the acceptance batches share.
-tests/test_identity.py compares every case against it. A change that
-rewrites the manifest says why, as it would for the golden digests.
+tests/test_identity.py compares every case against it, and
+tests/test_harness.py::test_run_writes_the_corpus_artifacts holds the files
+harness.run writes to it on five cases. It is the one set of artifact pins: a
+change that rewrites the manifest says why.
 
 Regenerate with:
 

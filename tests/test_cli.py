@@ -380,6 +380,17 @@ HUGE = 10**400
                  f"center0 must be finite, got ({HUGE}, 0.5)", id="center-huge"),
     pytest.param(("sweep", 0, "step"), HUGE, _planner(t_h=HUGE), "sweep[0].step: ",
                  f"t_h must be finite, got {HUGE}", id="step-huge"),
+    # more than MAX_STEPS steps of dt in one horizon, which step_grid would
+    # fail to count or to allocate, in a planner block and as a sweep step
+    pytest.param(("scenario", "planner", "t_h"), 1e300, _planner(t_h=1e300), "planner.",
+                 "dt must be >= t_h / 1,000,000, got dt=0.02, t_h=1e+300",
+                 id="t_h-too-many-steps"),
+    pytest.param(("scenario", "planner", "dt"), 1e-300, _planner(dt=1e-300), "planner.",
+                 "dt must be >= t_h / 1,000,000, got dt=1e-300, t_h=0.5",
+                 id="dt-too-many-steps"),
+    pytest.param(("sweep", 0, "step"), 1e300, _planner(t_h=1e300), "sweep[0].step: ",
+                 "dt must be >= t_h / 1,000,000, got dt=0.02, t_h=1e+300",
+                 id="step-too-many-steps"),
     # configure judges a sweep entry's algorithm, from Python as from a file
     pytest.param(("sweep", 0, "algorithm"), "rrtx",
                  lambda sf: harness.configure(sf, "rrtx", step=0.5), "sweep[0].",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cbfrrt import dynamics
+from cbfrrt import dynamics, planner
 from cbfrrt.dynamics import (
     CircularObstacle,
     ControlInput,
@@ -226,6 +226,15 @@ def test_params_reject_a_step_longer_than_the_horizon():
     # one ulp-scale step past the horizon would leave step_grid no step
     with pytest.raises(ValueError, match="dt must be <= t_h"):
         PlannerParams(t_h=0.02, dt=0.02 * (1 + 1e-12))
+
+
+def test_params_cap_the_steps_of_a_horizon():
+    # exactly MAX_STEPS steps of 0.25 s is the longest grid allowed; one ulp
+    # more horizon is refused. Neither grid is built.
+    t_h = planner.MAX_STEPS * 0.25
+    assert PlannerParams(t_h=t_h, dt=0.25).t_h / 0.25 == planner.MAX_STEPS
+    with pytest.raises(ValueError, match=r"^dt must be >= t_h / 1,000,000, got dt=0\.25"):
+        PlannerParams(t_h=math.nextafter(t_h, math.inf), dt=0.25)
 
 
 def test_trajectory_metrics():

@@ -46,6 +46,7 @@ from cbfrrt.harness import (
     run,
 )
 from cbfrrt.planner import PlannerParams, PlanTree, Scenario
+from identity_corpus import MANIFEST, cases, configured
 from oracles import (
     expand_tree_json,
     full_tree_json_reference,
@@ -669,56 +670,24 @@ def test_run_baseline_tree_artifact(tmp_path, example1_file):
     assert traj.t_end == pytest.approx(report.path_duration, abs=1e-9)
 
 
-# sha256 of report.json + tree.json + trajectory.csv, concatenated in that
-# order. Pinned from the tuple-per-sample trajectories that preceded the flat
-# buffer; a change to any artifact byte must say why where it updates these.
-# tree.json is hashed as expand_tree_json rebuilds it: the full document
-# written before schema 2 (cbf-rrt) and schema 3 (the baselines), so these
-# pins hold unedited. Its raw schema-3 bytes are pinned apart (the last
-# column), because the expander's json.loads would hide a change of layout.
-GOLDEN_DIGESTS = [
-    pytest.param("example1", "cbf-rrt", "t_h", 0.25, 2,
-                 "7d04911c2ddbacf7f452a4f3ed0415703ae1b504502e1891131ea7a609ac9a67",
-                 "2b61c18c934550be4dd41bcccb813ab9e324e29dd7dc36130240b2b86b0d2a36",
-                 id="example1-cbf-rrt-t_h0.25-seed2"),
-    pytest.param("example2", "cbf-rrt", None, None, 0,
-                 "2694561067c26900e041c0bece4020dff0856476c8c88ae0b01198692e390bd4",
-                 "d0c0e3febcd037a125996406a8d4e830942ab58d7f9e79579690378afbb4c39d",
-                 id="example2-cbf-rrt-seed0"),
-    pytest.param("example1", "rrt-star", "delta_d", 1.0, 0,
-                 "4970ed4747a330b150b344b86f90cecffa08e725696711bd751eaebe2faca2cb",
-                 "474480ebcfb18db278ae873e20db4758f7535c8a6ade71f05e8631d9a482cf01",
-                 id="example1-rrt-star-delta_d1.0-seed0"),
-    pytest.param("example1", "rrt", "delta_d", 0.25, 0,
-                 "812239b0f28e717d2a4e619d2abbad8e6bb119fdefdcb68de9b7c65b0138ad05",
-                 "94a7e2db62373376e099b9119d8b2e46c894802b646ba81d05409d6092597c56",
-                 id="example1-rrt-delta_d0.25-seed0"),
-    pytest.param("example1", "rrt-star", "delta_d", 0.25, 1,
-                 "3eafd5420ce570706711e4d0b33702c54e5808f8c7d2523111eb2260b36b40d0",
-                 "2a9eeb86b0cdabdf4d93f974ef8a19a0f00f06e29cb4167a2013fd779a3c2efd",
-                 id="example1-rrt-star-delta_d0.25-seed1"),
-]
-
-
-@pytest.mark.parametrize("name, algorithm, field, value, seed, digest, raw_tree_digest",
-                         GOLDEN_DIGESTS)
-def test_artifacts_match_golden_digests(tmp_path, name, algorithm, field, value,
-                                        seed, digest, raw_tree_digest):
-    sf = load_scenario(SCENARIO_DIR / f"{name}.json")
-    if field == "t_h":
-        params = dataclasses.replace(sf.scenario.params, t_h=value)
-        sf = dataclasses.replace(
-            sf, scenario=dataclasses.replace(sf.scenario, params=params))
-    elif field == "delta_d":
-        sf = dataclasses.replace(
-            sf, baseline=dataclasses.replace(sf.baseline, delta_d=value))
-    run(sf, algorithm, seed, tmp_path)
-    tree = (tmp_path / "tree.json").read_bytes()
-    assert hashlib.sha256(tree).hexdigest() == raw_tree_digest
-    blob = b"".join(((tmp_path / "report.json").read_bytes(),
-                     expand_tree_json(tree.decode()).encode(),
-                     (tmp_path / "trajectory.csv").read_bytes()))
-    assert hashlib.sha256(blob).hexdigest() == digest
+# The identity corpus hashes each artifact as formatted in memory; these
+# cases hold the files run writes to the same bytes: cbf-rrt on a grid with
+# a tail step and on the moving disk, rrt, and rrt-star at both delta_d.
+@pytest.mark.parametrize("case_id", [
+    "example1/cbf-rrt/t_h=0.25/seed=2",
+    "example2/cbf-rrt/seed=0",
+    "example1/rrt-star/delta_d=1.0/seed=0",
+    "example1/rrt/delta_d=0.25/seed=0",
+    "example1/rrt-star/delta_d=0.25/seed=1",
+])
+def test_run_writes_the_corpus_artifacts(tmp_path, case_id):
+    (name, algorithm, step, seed), = [args for cid, *args in cases() if cid == case_id]
+    run(configured(name, algorithm, step), algorithm, seed, tmp_path)
+    pinned = json.loads(MANIFEST.read_text())[case_id]
+    written = {key: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+               for key, file in (("report", "report.json"), ("tree", "tree.json"),
+                                 ("trajectory", "trajectory.csv"))}
+    assert written == pinned
 
 
 @pytest.mark.parametrize("name, algorithms", [
@@ -998,12 +967,16 @@ def test_compare_rows_do_not_depend_on_the_thread_count(tmp_path, example1_file)
     assert len(tables[0]) == 3
 
 
-def test_compare_rejects_a_step_the_scenario_rejects(tmp_path, example1_file):
-    # example1's dt is 0.02: a 0.01 s horizon is refused before any run
-    with pytest.raises(ScenarioValidationError, match=r"^sweep\[1\]\.step: dt must be <= t_h"):
-        compare(example1_file, [("rrt", 0.25), ("cbf-rrt", 0.01)], [0],
-                tmp_path / "c.csv", threads=1)
-    assert not (tmp_path / "c.csv").exists()
+def test_compare_rejects_a_step_the_scenario_rejects(tmp_path, example1_file, monkeypatch):
+    # example1's dt is 0.02: a 0.01 s horizon, or one of more than MAX_STEPS
+    # steps, whose every run would fail in step_grid, is refused before any run
+    monkeypatch.setattr(harness, "_compare_task", None)
+    for step, message in ((0.01, r"dt must be <= t_h"),
+                          (1e300, r"dt must be >= t_h / 1,000,000, got dt=0\.02, t_h=1e\+300$")):
+        with pytest.raises(ScenarioValidationError, match=rf"^sweep\[1\]\.step: {message}"):
+            compare(example1_file, [("rrt", 0.25), ("cbf-rrt", step)], [0],
+                    tmp_path / "c.csv", threads=1)
+        assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("step", [True, "0.25"])

@@ -77,6 +77,11 @@ EXAMPLE1 = EXAMPLE1_FILE.scenario
         pytest.param(PlannerParams(), {"t_h": 0.0}, r"^t_h must be > 0", id="t_h"),
         pytest.param(PlannerParams(), {"dt": -0.1}, r"^dt must be > 0", id="dt"),
         pytest.param(PlannerParams(), {"dt": 0.6}, r"^dt must be <= t_h", id="dt-above-t_h"),
+        # a grid of more than MAX_STEPS steps is refused before step_grid
+        # would count it: t_h / dt is inf here, an OverflowError there
+        pytest.param(PlannerParams(), {"t_h": 1e300, "dt": 1e-300},
+                     r"^dt must be >= t_h / 1,000,000, got dt=1e-300, t_h=1e\+300$",
+                     id="t_h-over-dt-overflows"),
         pytest.param(PlannerParams(), {"sigma2": -1.0}, r"^sigma2 must be >= 0", id="sigma2"),
         pytest.param(PlannerParams(), {"epsilon": 0.0}, r"^epsilon must be > 0",
                      id="epsilon"),
