@@ -64,10 +64,13 @@ def _parse_seeds(text: str) -> list[int]:
     try:
         if "," in text:
             return [int(part) for part in text.split(",") if part.strip() != ""]
-        return list(range(int(text)))
+        count = int(text)
     except ValueError as e:
         raise ScenarioValidationError(
             f"--seeds: expected a count or comma list, got {text!r}") from e
+    if count < 0:
+        raise ScenarioValidationError(f"--seeds: a count must be >= 0, got {count}")
+    return list(range(count))
 
 
 def _at(flag: str, call, *args, **kwargs):

@@ -292,7 +292,8 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
     a pair configure refuses, naming algorithm, or a seed that is not an
     integer >= 0 (a bool included)."""
     configure(scenario_file, algorithm)  # no overrides: admits the pair only
-    # numpy seeds its generators from non-negative integers only
+    # every planner's SeedSequence (numpy's, or rng's copy of it) takes
+    # non-negative integers only
     _checked("", check_integer, seed, "seed", 0)
     scenario = scenario_file.scenario
 
@@ -443,8 +444,7 @@ def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> Iterator[b
     # base64 needs no JSON escaping, so a column goes between quotes as it
     # is; json.dumps would spend most of the time scanning its characters.
     # b2a_base64(newline=False) is all that base64.b64encode runs without
-    # altchars, so it is called directly. Importing base64 would cost no
-    # memory: numpy.random, which every planner's seeding loads, imports it.
+    # altchars, so it is called directly.
     for key, column in columns:
         yield b', "%s": "' % key.encode()
         yield binascii.b2a_base64(np.ascontiguousarray(column, dtype="<f8"), newline=False)

@@ -14,13 +14,13 @@ own timestamp. Its heading is the arrival heading; expansion overwrites it
 (the heading is a free variable, so edge start states match their parent
 vertex in position and time, not heading).
 
-Randomness is a single seeded PCG64 generator per plan() call, consumed in a
-fixed order (vertex draw, then heading draw, each iteration), which makes
-runs bit-reproducible for a given Scenario. The vertex draw reads the bit
-generator's raw 64-bit stream (index_draw) and the heading draw is one
-standard_normal; together they consume the stream exactly as
-Generator.integers(0, n) and Generator.normal(mean, sd) would, bit for bit,
-without numpy's per-call dispatch.
+Randomness is a single seeded PCG64 stream per plan() call (rng.pcg64_raw),
+consumed in a fixed order (vertex draw, then heading draw, each iteration),
+which makes runs bit-reproducible for a given Scenario. The vertex draw reads
+the stream's raw 64-bit words (index_draw) and the heading draw is one
+ziggurat normal (rng.standard_normal); together they consume the stream
+exactly as numpy's default_rng(seed).integers(0, n) and .normal(mean, sd)
+would, bit for bit, and the planner loads no numpy.random.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from . import dynamics
 from .dynamics import (CircularObstacle, RobotState, Trajectory, check_finite,
                        check_integer, step_grid)
+from .rng import pcg64_raw, standard_normal
 from .safety import Disk, barrier_value, constraint_rows, disk_tuple, solve_scalar_qp
 
 if TYPE_CHECKING:
@@ -184,10 +183,11 @@ class PlanResult:
     iterations: int
 
 
-def index_draw(bit_generator: np.random.BitGenerator) -> Callable[[int], int]:
+def index_draw(raw: Callable[[], int]) -> Callable[[int], int]:
     """A draw(n) returning a uniform integer in [0, n), for 1 <= n <= 2^32,
-    that consumes a PCG64 bit generator exactly as Generator.integers(0, n)
-    does and returns the same integers, with no numpy call but random_raw.
+    that reads raw(), a PCG64 generator's raw 64-bit words (rng.pcg64_raw,
+    or numpy's random_raw), exactly as Generator.integers(0, n) consumes the
+    generator, and returns the same integers.
 
     numpy takes n == 1 without a draw. Otherwise it runs Lemire's method on
     the generator's 32-bit output: x * n for a 32-bit x, whose high word is
@@ -197,7 +197,6 @@ def index_draw(bit_generator: np.random.BitGenerator) -> Callable[[int], int]:
     freshly seeded PCG64. Nothing else may read 32-bit halves of the same
     generator (standard_normal reads whole words), so build one draw per
     seeded generator. A tree never reaches 2^32 vertices."""
-    raw = bit_generator.random_raw
     spare = None
 
     def draw(n: int) -> int:
@@ -238,13 +237,14 @@ def heading_sample(
     position: tuple[float, float],
     goal: tuple[float, float],
     sd: float,
-    rng: np.random.Generator,
+    normal: Callable[[], float],
 ) -> float:
     """The free heading at position, drawn ~ Normal(goal heading, sd^2);
-    sd is the square root of PlannerParams.sigma2. Generator.normal(mean, sd)
-    computes mean + sd * standard_normal(), so this is its float, bit for
-    bit, without its dispatch."""
-    return goal_heading(position, goal) + sd * rng.standard_normal()
+    sd is the square root of PlannerParams.sigma2 and normal a standard
+    normal draw (rng.standard_normal). Generator.normal(mean, sd) computes
+    mean + sd * standard_normal(), so on the same stream this is its float,
+    bit for bit."""
+    return goal_heading(position, goal) + sd * normal()
 
 
 # The reach bounds' rounding slack, per node, relative to the magnitudes of
@@ -485,8 +485,9 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
     """
     params = scenario.params
     goal = scenario.x_goal
-    rng = np.random.default_rng(seed)
-    draw = index_draw(rng.bit_generator)
+    raw = pcg64_raw(seed)
+    draw = index_draw(raw)
+    normal = standard_normal(raw)
     constants = steer_constants(scenario.obstacles, params)
     tree = PlanTree(scenario.x_init, scenario.t_init, len(constants.steps) + 1)
 
@@ -502,7 +503,7 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
         node = stride * picked
         data = tree.data
         t, x1, x2 = data[node], data[node + 1], data[node + 2]
-        theta = heading_sample((x1, x2), goal, sd, rng)
+        theta = heading_sample((x1, x2), goal, sd, normal)
         edge = safe_steer((x1, x2, theta), t, constants)
         if edge is None:
             continue

@@ -1,12 +1,12 @@
 """A deterministic work meter: the bytecodes each function of cbfrrt runs.
 
-meter(fn, *args) calls fn(*args) once to warm up (the first plan in a process
-also runs numpy's lazy imports for seeding), then again under sys.settrace
-with frame.f_trace_opcodes set, and returns the bytecodes run per (module
-file, function). Only frames whose code lives in the cbfrrt package are
-counted: code of another library can run inside any call (hypothesis's
-garbage-collection hook, once a @given test has run) and would add a count
-that varies from call to call.
+meter(fn, *args) calls fn(*args) once to warm up (a first call may run
+one-time work, such as a baseline's lazy numpy.random import), then again
+under sys.settrace with frame.f_trace_opcodes set, and returns the bytecodes
+run per (module file, function). Only frames whose code lives in the cbfrrt
+package are counted: code of another library can run inside any call
+(hypothesis's garbage-collection hook, once a @given test has run) and would
+add a count that varies from call to call.
 
 Limits: a C call (math.cos, a numpy scan, base64 encoding) counts as one
 bytecode, so the meter complements wall time and never stands for it; counts

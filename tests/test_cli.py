@@ -190,6 +190,9 @@ def test_a_path_the_os_refuses_exits_3(tmp_path, capsys, monkeypatch, argv, flag
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
                       "--seeds", "0"], r"^error: seeds: must not be empty$",
                      id="zero-seed-count"),
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                      "--seeds", "-3"], r"^error: --seeds: a count must be >= 0, got -3$",
+                     id="negative-seed-count"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", BAD_STEP_SWEEP,
                       "--seeds", "2", "--threads", "1"],
                      r"sweep\[0\]\.step: dt must be <= t_h", id="sweep-step-below-dt"),

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import pathlib
-import types
 from array import array
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from cbfrrt.planner import (
     root_path,
     vertices_sample,
 )
+from cbfrrt.rng import pcg64_raw, standard_normal
 from cbfrrt.safety import barrier_value
 from oracles import (closed_loop, closed_loop_grid, extract_path_reference,
                      integration_rule_violations, steer)
@@ -219,7 +219,7 @@ def test_start_just_outside_the_node_margin_plans():
 
 def test_vertices_sample_single_vertex():
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, edge_nodes(PlannerParams()))
-    draw = index_draw(np.random.default_rng(0).bit_generator)
+    draw = index_draw(pcg64_raw(0))
     for _ in range(10):
         assert vertices_sample(tree, draw) == 0
 
@@ -229,7 +229,7 @@ def test_vertices_sample_uniform_frequencies():
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, edge_nodes(params))
     for _ in range(3):
         straight_edge(tree, len(tree) - 1, params)
-    draw = index_draw(np.random.default_rng(123).bit_generator)
+    draw = index_draw(pcg64_raw(123))
     counts = np.zeros(4)
     for _ in range(10_000):
         counts[vertices_sample(tree, draw)] += 1
@@ -242,9 +242,9 @@ def test_vertices_sample_deterministic():
     tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, edge_nodes(params))
     for _ in range(3):
         straight_edge(tree, len(tree) - 1, params)
-    draw = index_draw(np.random.default_rng(5).bit_generator)
+    draw = index_draw(pcg64_raw(5))
     seq1 = [vertices_sample(tree, draw) for _ in range(20)]
-    draw = index_draw(np.random.default_rng(5).bit_generator)
+    draw = index_draw(pcg64_raw(5))
     seq2 = [vertices_sample(tree, draw) for _ in range(20)]
     assert seq1 == seq2
 
@@ -254,12 +254,23 @@ def test_vertices_sample_deterministic():
 DRAW_SIZES = (1, 2, 3, 7, 1_000, 3_934, 2**31 + 1, 2**32 - 1, 2**32)
 
 
+def counting(raw):
+    """raw, and a list of the words it has returned."""
+    words = []
+
+    def counted():
+        words.append(raw())
+        return words[-1]
+
+    return counted, words
+
+
 def test_index_draw_matches_generator_integers():
-    # twin generators, one read through index_draw and one by numpy, with
-    # normal draws (whole 64-bit words) between the integer draws, as plan
-    # interleaves them; the raw streams must stay in step
+    # twin generators, one read through index_draw on its random_raw and one
+    # by numpy, with normal draws (whole 64-bit words) between the integer
+    # draws, as plan interleaves them; the raw streams must stay in step
     ours, numpys = np.random.default_rng(2024), np.random.default_rng(2024)
-    draw = index_draw(ours.bit_generator)
+    draw = index_draw(ours.bit_generator.random_raw)
     for i in range(3_000):
         n = DRAW_SIZES[i % len(DRAW_SIZES)]
         assert draw(n) == int(numpys.integers(0, n)), (i, n)
@@ -271,14 +282,8 @@ def test_index_draw_matches_generator_integers():
 def test_index_draw_rejects_as_lemire_does():
     # near 2^31 the rejection fires on about half the 32-bit draws, so 1,000
     # draws read about 1,000 raw words, where no rejection would read 500
-    words = []
-    bits = np.random.default_rng(7).bit_generator
-
-    def raw():
-        words.append(bits.random_raw())
-        return words[-1]
-
-    draw = index_draw(types.SimpleNamespace(random_raw=raw))
+    raw, words = counting(pcg64_raw(7))
+    draw = index_draw(raw)
     numpys = np.random.default_rng(7)
     for _ in range(1_000):
         assert draw(2**31 + 1) == int(numpys.integers(0, 2**31 + 1))
@@ -286,11 +291,10 @@ def test_index_draw_rejects_as_lemire_does():
 
 
 def test_index_draw_of_one_reads_nothing():
-    rng = np.random.default_rng(11)
-    before = rng.bit_generator.state
-    draw = index_draw(rng.bit_generator)
+    raw, words = counting(pcg64_raw(11))
+    draw = index_draw(raw)
     assert [draw(1) for _ in range(5)] == [0] * 5
-    assert rng.bit_generator.state == before
+    assert words == []
     # nor does it touch the buffered half: the next draws still match numpy's
     numpys = np.random.default_rng(11)
     for n in (5, 1, 9, 1, 1, 13):
@@ -313,14 +317,15 @@ def test_plan_draws_do_not_leak_across_calls(example1_file):
 def test_heading_sample_matches_generator_normal():
     # Generator.normal(mean, sd) is mean + sd * standard_normal(): the same
     # float bit for bit (hex tells -0.0 apart), sd = 0 included, with integer
-    # draws between them as in plan
-    ours, numpys = np.random.default_rng(99), np.random.default_rng(99)
-    draw = index_draw(ours.bit_generator)
+    # draws between them on one owned stream, as in plan
+    raw = pcg64_raw(99)
+    draw, normal = index_draw(raw), standard_normal(raw)
+    numpys = np.random.default_rng(99)
     goal = (2.0, 2.0)
     for i in range(3_000):
         position = (0.001 * i - 1.0, 2.0 - 0.002 * i)
         sd = (0.0, math.sqrt(0.2), math.sqrt(0.6), 3.0)[i % 4]
-        got = heading_sample(position, goal, sd, ours)
+        got = heading_sample(position, goal, sd, normal)
         want = float(numpys.normal(goal_heading(position, goal), sd))
         assert got.hex() == want.hex(), (i, got, want)
         assert draw(i + 1) == int(numpys.integers(0, i + 1))
@@ -335,15 +340,15 @@ def test_goal_heading_quadrants():
 
 
 def test_heading_sample_degenerate_variance():
-    out = heading_sample((0.0, 0.0), (1.0, 1.0), 0.0, np.random.default_rng(0))
+    out = heading_sample((0.0, 0.0), (1.0, 1.0), 0.0, standard_normal(pcg64_raw(0)))
     assert type(out) is float
     assert out == pytest.approx(math.pi / 4)
 
 
 def test_heading_sample_mean():
-    rng = np.random.default_rng(42)
+    normal = standard_normal(pcg64_raw(42))
     sd = math.sqrt(0.2)
-    draws = [heading_sample((0.0, 0.0), (1.0, 1.0), sd, rng) for _ in range(10_000)]
+    draws = [heading_sample((0.0, 0.0), (1.0, 1.0), sd, normal) for _ in range(10_000)]
     band = 3.0 * math.sqrt(0.2 / 10_000)
     assert abs(np.mean(draws) - math.pi / 4) <= band
 
