@@ -14,8 +14,8 @@ round out the package.
 def _load_numpy_with_one_blas_thread():
     """numpy's OpenBLAS starts a pool of worker threads as it loads, for
     BLAS calls this package never makes: its numpy use is elementwise
-    arithmetic, comparisons, reductions, indexing and the baselines' PCG64
-    generator (CBF-RRT draws from its own, cbfrrt.rng).
+    arithmetic, comparisons, reductions and indexing (no planner draws from
+    numpy.random).
     The idle pool slows every later import (about 70 ms of a 0.2 s start-up
     on 2 CPUs), so numpy loads with one BLAS thread, unless it is already
     loaded or OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is

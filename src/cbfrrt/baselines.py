@@ -22,9 +22,9 @@ Baselines only support static obstacles (the comparison world is static).
 from __future__ import annotations
 
 import math
+import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -120,33 +120,19 @@ class GeomTree:
             stack.extend(self.children[w])
 
 
-# Doubles drawn per rng.random call: enough to amortise the call, few enough
-# that an rrt run that stops early draws little it does not use.
-SAMPLE_BLOCK = 256
-
-
 def sample_stream(goal: Point, params: BaselineParams,
-                  rng: np.random.Generator) -> Iterator[Point]:
+                  rng: random.Random) -> Iterator[Point]:
     """The endless samples of a baseline run: the goal with probability
     goal_bias, else a uniform point of sample_bounds (degenerate sides
-    allowed).
-
-    The doubles come from rng.random in blocks of SAMPLE_BLOCK and are used
-    in the order per-call draws would use them: the bias coin, only when
-    goal_bias > 0, so the default stream is pure uniform sampling; then x,
-    then y, each as lo + (hi - lo) * u, which is how numpy's uniform maps
-    its double. So the samples are bit-identical to rng.uniform's."""
+    allowed). Each sample reads rng.random in order: the bias coin, drawn
+    even when goal_bias is 0, then, unless the coin picked the goal, x and
+    y, each mapped as lo + (hi - lo) * u."""
     (x_lo, x_hi), (y_lo, y_hi) = params.sample_bounds
     x_span, y_span = x_hi - x_lo, y_hi - y_lo
     bias = params.goal_bias
-    u = chain.from_iterable(iter(lambda: rng.random(SAMPLE_BLOCK).tolist(), None))
-    if bias > 0.0:
-        for coin in u:
-            yield goal if coin < bias else (x_lo + x_span * next(u),
-                                            y_lo + y_span * next(u))
-    else:
-        for ux, uy in zip(u, u):
-            yield (x_lo + x_span * ux, y_lo + y_span * uy)
+    u = rng.random
+    while True:
+        yield goal if u() < bias else (x_lo + x_span * u(), y_lo + y_span * u())
 
 
 def nearest_neighbor(scan: np.ndarray) -> int:
@@ -269,7 +255,9 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
     cheapest vertex of its near set instead and then reroutes the near set
     through itself where that is cheaper; the loop runs the whole budget and
     returns the cheapest goal vertex. Without it (RRT) the loop returns at
-    the first goal vertex and scans no near set."""
+    the first goal vertex and scans no near set. The samples come from
+    random.Random(seed): CPython keeps its stream for an int seed fixed."""
+    check_integer(seed, "seed", 0)
     require_static(scenario.obstacles)
     root = scenario.x_init.position()
     goal = scenario.x_goal
@@ -280,7 +268,7 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
     if in_goal_region(root, goal, epsilon):
         return _polyline_result(scenario, tree, 0, 0)
 
-    samples = sample_stream(goal, params, np.random.default_rng(seed))
+    samples = sample_stream(goal, params, random.Random(seed))
     for iteration, sample in zip(range(1, params.max_iters + 1), samples):
         scan = tree.sq_dists(sample)
         nn = nearest_neighbor(scan)

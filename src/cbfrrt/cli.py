@@ -25,6 +25,10 @@ EXIT_EXHAUSTED = 2
 EXIT_INVALID_INPUT = 3
 EXIT_INTERNAL = 4
 
+# The largest --seeds count: compare holds a task and a result per (sweep
+# entry, seed), and so many seeds already run for hours per entry.
+MAX_SEEDS = 100_000
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,6 +74,8 @@ def _parse_seeds(text: str) -> list[int]:
             f"--seeds: expected a count or comma list, got {text!r}") from e
     if count < 0:
         raise ScenarioValidationError(f"--seeds: a count must be >= 0, got {count}")
+    if count > MAX_SEEDS:
+        raise ScenarioValidationError(f"--seeds: a count must be <= {MAX_SEEDS}, got {count}")
     return list(range(count))
 
 

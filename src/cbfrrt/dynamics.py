@@ -83,8 +83,8 @@ def check_finite(owner, *names: str, **shapes: tuple[int, ...]) -> None:
 
 
 def check_integer(value, name: str, minimum: int) -> None:
-    """The one integer rule, of both params classes' max_iters and of the
-    harness's seeds and thread count: an int >= minimum. Raise ValueError
+    """The one integer rule, of both params classes' max_iters, of every seed
+    and of compare's thread count: an int >= minimum. Raise ValueError
     naming name for a bool (which would run as 0 or 1), a float (which is
     not truncated) or another non-int, and for a value below minimum."""
     if isinstance(value, bool) or not isinstance(value, int):

@@ -292,8 +292,8 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
     a pair configure refuses, naming algorithm, or a seed that is not an
     integer >= 0 (a bool included)."""
     configure(scenario_file, algorithm)  # no overrides: admits the pair only
-    # every planner's SeedSequence (numpy's, or rng's copy of it) takes
-    # non-negative integers only
+    # the planners' one seed rule, refused here as invalid input before the
+    # clock starts
     _checked("", check_integer, seed, "seed", 0)
     scenario = scenario_file.scenario
 
@@ -497,7 +497,8 @@ def compare(
     sweep entry (naming sweep[i]), an entry configure refuses (naming
     sweep[i] before configure's message) or a step of None (naming
     sweep[i].step) raises ScenarioValidationError before any run starts: a
-    repeat would count its runs twice in one row.
+    repeat would count its runs twice in one row. The OSError of an
+    out_path whose directory cannot be made comes before any run too.
     """
     if not seeds:
         _fail("seeds", "must not be empty")
@@ -523,6 +524,8 @@ def compare(
             _fail(f"sweep[{i}]", f"({algorithm}, {step}) duplicates sweep[{entries[key][0]}]")
         entries[key] = (i, configured)
 
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     # Imported here, its one user: statistics loads fractions and decimal,
     # which would cost every `import cbfrrt` 3 to 4 ms.
     import statistics
@@ -554,8 +557,6 @@ def compare(
         lines.append(",".join(map(str, (algorithm, step, len(group), len(audited), errors,
                                         med_wall, med_vertices, fail_rate))))
     text = "\n".join(lines) + "\n"
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_path, text)
     return text
 

@@ -481,8 +481,9 @@ def plan(scenario: Scenario, seed: int = 0) -> PlanResult:
 
     Failed expansions (infeasible QP at any node, or an edge that does not
     clear every disk with margin) add nothing to the tree but still consume
-    an iteration, so the loop always terminates.
+    an iteration, so the loop always terminates. A seed must be an int >= 0.
     """
+    check_integer(seed, "seed", 0)
     params = scenario.params
     goal = scenario.x_goal
     raw = pcg64_raw(seed)

@@ -4,7 +4,7 @@ is O'Neill's 128-bit LCG with the XSL RR output ("PCG: A Family of Simple
 Fast Space-Efficient Statistically Good Algorithms for Random Number
 Generation", 2014).
 
-pcg64_raw(seed) returns what np.random.PCG64(seed).random_raw returns, word
+pcg64_raw(seed) returns what numpy's PCG64(seed).random_raw returns, word
 for word, and standard_normal(raw) what Generator.standard_normal returns on
 the same words, bit for bit; tests hold both to the installed numpy. numpy's
 NEP 19 keeps a bit generator's stream fixed across releases but lets
@@ -72,7 +72,7 @@ def _seed_sequence_words(seed: int) -> list[int]:
 
 
 def pcg64_raw(seed: int) -> Callable[[], int]:
-    """A raw() returning the 64-bit words of np.random.PCG64(seed), in order,
+    """A raw() returning the 64-bit words of numpy's PCG64(seed), in order,
     for an integer seed >= 0 (ValueError otherwise). The generator seeds
     from its SeedSequence's four words (state, then increment, high word
     first) as pcg64_set_seed does, and each word steps the 128-bit LCG and

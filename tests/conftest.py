@@ -12,8 +12,9 @@ SCENARIO_DIR = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 
 
 def pytest_report_header(config):
-    # CI installs numpy unpinned; the planner's draws are held to numpy's own
-    # Generator.integers and Generator.normal, and the digests to its PCG64.
+    # CI installs numpy unpinned; cbf-rrt's draws are held to numpy's own
+    # Generator.integers and Generator.normal, and its digests to numpy's
+    # PCG64. The baselines draw from random.Random, which no numpy moves.
     return f"numpy {np.__version__}"
 
 

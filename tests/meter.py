@@ -1,7 +1,7 @@
 """A deterministic work meter: the bytecodes each function of cbfrrt runs.
 
 meter(fn, *args) calls fn(*args) once to warm up (a first call may run
-one-time work, such as a baseline's lazy numpy.random import), then again
+one-time work, such as a lazy import), then again
 under sys.settrace with frame.f_trace_opcodes set, and returns the bytecodes
 run per (module file, function). Only frames whose code lives in the cbfrrt
 package are counted: code of another library can run inside any call
@@ -13,9 +13,10 @@ bytecode, so the meter complements wall time and never stands for it; counts
 differ between Python versions, so compare them within one interpreter only.
 A metered call runs about 60 times slower.
 
-Print the per-function counts of the fixed plans (example1 t_h 0.5 seed 0,
-example2 seeds 0 and 3), one `plan function count` line each, to diff
-before and after a change:
+Print the per-function counts of the fixed runs (cbf-rrt on example1 at
+t_h 0.5 seed 0 and on example2 seeds 0 and 3, rrt on example1 at delta_d
+0.25 seed 0), one `run function count` line each, to diff before and after
+a change:
 
     PYTHONPATH=src python tests/meter.py
 """
@@ -27,11 +28,22 @@ import sys
 from collections import Counter
 
 import cbfrrt
-from cbfrrt import harness, planner
+from cbfrrt import baselines, harness, planner
 
 PACKAGE = pathlib.Path(cbfrrt.__file__).resolve().parent
 SCENARIOS = PACKAGE / "scenarios"
-PLANS = (("example1", 0), ("example2", 0), ("example2", 3))
+# (scenario, algorithm, seed), each at the file's own step
+RUNS = (("example1", "cbf-rrt", 0), ("example2", "cbf-rrt", 0),
+        ("example2", "cbf-rrt", 3), ("example1", "rrt", 0))
+
+
+def planner_call(name: str, algorithm: str, seed: int):
+    """The planner function and its arguments for one run of a bundled
+    scenario: planner.plan for cbf-rrt, baselines.rrt_plan for rrt."""
+    scenario_file = harness.load_scenario(SCENARIOS / f"{name}.json")
+    if algorithm == "cbf-rrt":
+        return planner.plan, (scenario_file.scenario, seed)
+    return baselines.rrt_plan, (scenario_file.scenario, scenario_file.baseline, seed)
 
 
 def meter(fn, *args) -> dict[tuple[str, str], int]:
@@ -65,10 +77,10 @@ def meter(fn, *args) -> dict[tuple[str, str], int]:
 
 
 def main():
-    for name, seed in PLANS:
-        scenario = harness.load_scenario(SCENARIOS / f"{name}.json").scenario
-        counts = meter(planner.plan, scenario, seed)
-        label = f"{name}/seed={seed}"
+    for name, algorithm, seed in RUNS:
+        fn, args = planner_call(name, algorithm, seed)
+        counts = meter(fn, *args)
+        label = f"{name}/{algorithm}/seed={seed}"
         for (module, function), n in sorted(counts.items()):
             print(f"{label} {module}:{function} {n}")
         print(f"{label} total {sum(counts.values())}")

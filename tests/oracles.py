@@ -12,6 +12,7 @@ import base64
 import itertools
 import json
 import math
+import random
 import struct
 from array import array
 from dataclasses import asdict, dataclass
@@ -346,14 +347,14 @@ def sampled_chord_barriers(
 
 
 def sample_point_reference(goal: Point, params: BaselineParams,
-                           rng: np.random.Generator) -> Point:
+                           rng: random.Random) -> Point:
     """One baseline sample drawn call by call: the bias coin as
-    rng.uniform(), only when goal_bias > 0, then x and y as rng.uniform over
-    sample_bounds (degenerate sides allowed)."""
-    if params.goal_bias > 0.0 and float(rng.uniform()) < params.goal_bias:
+    rng.random(), drawn whatever goal_bias is, then x and y as
+    rng.uniform over sample_bounds (degenerate sides allowed)."""
+    if rng.random() < params.goal_bias:
         return goal
     (x_lo, x_hi), (y_lo, y_hi) = params.sample_bounds
-    return (float(rng.uniform(x_lo, x_hi)), float(rng.uniform(y_lo, y_hi)))
+    return (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
 
 
 def sq_dists_reference(points: np.ndarray, point: Point) -> np.ndarray:

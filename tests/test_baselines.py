@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from itertools import islice
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbfrrt.baselines import (
-    SAMPLE_BLOCK,
     BaselineParams,
     GeomTree,
     endpoint_collision_check,
@@ -53,7 +53,7 @@ def baseline_params(**kw):
 
 def samples(params, seed, n, goal=(2.0, 2.0)):
     """The first n samples of a run's stream."""
-    return list(islice(sample_stream(goal, params, np.random.default_rng(seed)), n))
+    return list(islice(sample_stream(goal, params, random.Random(seed)), n))
 
 
 def test_sample_stream_degenerate_rectangle():
@@ -69,10 +69,10 @@ def test_sample_stream_quadrant_frequencies():
 
 
 def test_sample_stream_reproducible():
-    # past a block boundary, with and without the bias coin
+    # with a bias coin that never and one that sometimes picks the goal
     for bias in (0.0, 0.3):
         params = baseline_params(goal_bias=bias)
-        assert samples(params, 7, 3 * SAMPLE_BLOCK) == samples(params, 7, 3 * SAMPLE_BLOCK)
+        assert samples(params, 7, 1000) == samples(params, 7, 1000)
 
 
 bound_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -93,14 +93,12 @@ def sides(draw):
        st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
        st.integers(0, 2**32 - 1))
 def test_sample_stream_matches_per_call_draws(x_side, y_side, bias, seed):
-    # the blocks hand out the doubles numpy's scalar draws would, in the same
-    # order and mapped the same way; every sample takes at least one double,
-    # so 3 * SAMPLE_BLOCK samples cross at least two block boundaries, and a
-    # shorter run is a prefix of this one
+    # a twin generator read call by call, coin, x, y per sample, gives the
+    # same samples bit for bit; the coin is drawn at bias 0 too
     params = baseline_params(sample_bounds=(x_side, y_side), goal_bias=bias)
     goal = (0.1, -0.2)
-    n = 3 * SAMPLE_BLOCK
-    rng = np.random.default_rng(seed)
+    n = 300
+    rng = random.Random(seed)
     want = [sample_point_reference(goal, params, rng) for _ in range(n)]
     got = samples(params, seed, n, goal)
     assert got == want
@@ -453,6 +451,27 @@ def test_rrt_star_deterministic():
     assert len(a.tree) == len(b.tree)
 
 
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda seed: plan(world1_scenario(), seed), id="plan"),
+    pytest.param(lambda seed: rrt_plan(world1_scenario(), baseline_params(), seed),
+                 id="rrt_plan"),
+    pytest.param(lambda seed: rrt_star_plan(world1_scenario(), baseline_params(), seed),
+                 id="rrt_star_plan"),
+])
+@pytest.mark.parametrize("seed, message", [
+    pytest.param(None, r"^seed must be an integer, got None$", id="None"),
+    pytest.param(True, r"^seed must be an integer, got True$", id="True"),
+    pytest.param(-1, r"^seed must be >= 0, got -1$", id="negative"),
+    pytest.param(1.5, r"^seed must be an integer, got 1\.5$", id="float"),
+])
+def test_planners_refuse_a_seed_that_is_not_an_integer_at_least_0(run, seed, message):
+    # random.Random would seed from the OS for None, from abs(-1) and from
+    # hash(1.5), and True would run as seed 1: none would be reproducible
+    # as given
+    with pytest.raises(ValueError, match=message):
+        run(seed)
+
+
 def test_baseline_params_validation():
     with pytest.raises(ValueError):
         BaselineParams(delta_d=0.0, max_iters=100, sample_bounds=BOUNDS)
@@ -468,7 +487,7 @@ def test_baseline_params_validation():
                      r"^sample_bounds reversed", id="sample_bounds-x"),
         pytest.param({"sample_bounds": ((-1.0, 3.0), (1.0, -1.0))},
                      r"^sample_bounds reversed", id="sample_bounds-y"),
-        # numpy's uniform refuses a side whose width overflows; so does the check
+        # a side whose width overflows would map each draw to inf or nan
         pytest.param({"sample_bounds": ((-1.0, 3.0), (-1e308, 1e308))},
                      r"^sample_bounds sides must be finite", id="sample_bounds-width"),
         pytest.param({"goal_bias": 1.0}, r"^goal_bias must be in \[0, 1\)",

@@ -80,8 +80,9 @@ def test_plan_exhausted_exit(tmp_path, capsys):
 def test_plan_unsafe_baseline_exit(tmp_path, capsys, example1_file):
     scenario = long_step_scenario(tmp_path, example1_file)
     out = tmp_path / "run"
+    # seed 3 is the lowest whose delta_d 1.0 RRT path cuts a disk
     code = main(
-        ["plan", "--scenario", scenario, "--algorithm", "rrt", "--seed", "2",
+        ["plan", "--scenario", scenario, "--algorithm", "rrt", "--seed", "3",
          "--out", str(out)]
     )
     assert code == EXIT_AUDIT_FAIL
@@ -193,6 +194,11 @@ def test_a_path_the_os_refuses_exits_3(tmp_path, capsys, monkeypatch, argv, flag
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
                       "--seeds", "-3"], r"^error: --seeds: a count must be >= 0, got -3$",
                      id="negative-seed-count"),
+        # refused before range() is built: a count this large would overflow it
+        pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                      "--seeds", "100000000000000000000"],
+                     r"^error: --seeds: a count must be <= 100000, "
+                     r"got 100000000000000000000$", id="seed-count-above-cap"),
         pytest.param(["compare", "--scenario", EXAMPLE1, "--sweep", BAD_STEP_SWEEP,
                       "--seeds", "2", "--threads", "1"],
                      r"sweep\[0\]\.step: dt must be <= t_h", id="sweep-step-below-dt"),
@@ -593,6 +599,22 @@ def test_compare_rejects_a_repeated_entry_or_seed(tmp_path, capsys, entries, see
     assert code == EXIT_INVALID_INPUT
     assert re.search(message, capsys.readouterr().err)
     assert not (out / "comparison.csv").exists()
+
+
+def test_compare_out_a_file_exits_3_before_any_run(tmp_path, capsys, monkeypatch):
+    # --out names a directory; an existing file there is refused as the
+    # directory is made, before the sweep's first run
+    def unreachable(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "_compare_task", unreachable)
+    out = tmp_path / "file"
+    out.write_text("")
+    code = main(["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP,
+                 "--seeds", "12", "--out", str(out), "--threads", "1"])
+    assert code == EXIT_INVALID_INPUT
+    assert re.match(r"error: --out: \[Errno \d+\] File exists", capsys.readouterr().err)
+    assert out.read_text() == ""
 
 
 def _run_with_stdout_closed(args):

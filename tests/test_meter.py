@@ -2,17 +2,22 @@
 
 No count is pinned: CI runs two Python versions, whose counts differ."""
 
-from cbfrrt import planner
-from cbfrrt.harness import load_scenario
-from meter import PACKAGE, SCENARIOS, meter
+import pytest
+
+from meter import PACKAGE, meter, planner_call
 
 
-def test_meter_counts_a_plan_the_same_twice():
+@pytest.mark.parametrize("algorithm, functions", [
+    pytest.param("cbf-rrt", (("planner.py", "plan"), ("safety.py", "ecbf_row")),
+                 id="cbf-rrt"),
+    pytest.param("rrt", (("baselines.py", "_grow"), ("baselines.py", "sample_stream")),
+                 id="rrt"),
+])
+def test_meter_counts_a_plan_the_same_twice(algorithm, functions):
     # the meter runs inside the full suite, after hypothesis has hooked the
     # garbage collector: only the package's own frames may be counted
-    scenario = load_scenario(SCENARIOS / "example1.json").scenario
-    assert scenario.params.t_h == 0.5
-    first = meter(planner.plan, scenario, 0)
-    assert first == meter(planner.plan, scenario, 0)
+    fn, args = planner_call("example1", algorithm, 0)
+    first = meter(fn, *args)
+    assert first == meter(fn, *args)
     assert {module for module, _ in first} <= {p.name for p in PACKAGE.glob("*.py")}
-    assert first["planner.py", "plan"] > 0 and first["safety.py", "ecbf_row"] > 0
+    assert all(first[function] > 0 for function in functions)

@@ -1,5 +1,5 @@
 """`import cbfrrt` starts no BLAS thread pool and leaves the environment as
-it found it, and a CBF-RRT plan or run loads no numpy.random.
+it found it, and no plan or run loads numpy.random.
 
 numpy's OpenBLAS starts a pool of worker threads as it loads unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS says otherwise;
@@ -17,12 +17,12 @@ import sys
 import pytest
 
 import cbfrrt
+from cbfrrt.harness import ALGORITHMS
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 UNSET = dict.fromkeys(BLAS_THREADS)
 SCENARIOS = pathlib.Path(cbfrrt.__file__).parent / "scenarios"
 EXAMPLE1 = SCENARIOS / "example1.json"
-EXAMPLE2 = SCENARIOS / "example2.json"
 
 # the last line each interpreter prints: its thread count, the three
 # variables as os.environ holds them, and whether numpy.random is loaded
@@ -57,23 +57,16 @@ def test_a_plan_leaves_one_thread_and_the_environment_as_it_was():
     assert fresh(code) == [[1, UNSET, False]]
 
 
-def run_code(algorithm: str, scenario: pathlib.Path, seed: int, out: pathlib.Path) -> str:
-    """A harness.run that must succeed and pass its audit, as a benchmark
-    worker's run does, writing its artifacts under out."""
-    return ("from cbfrrt import load_scenario, run\n"
-            f"report = run(load_scenario({str(scenario)!r}), {algorithm!r}, {seed}, "
-            f"{str(out)!r})\n"
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_run_with_artifacts_leaves_one_thread_and_loads_no_numpy_random(
+        tmp_path, algorithm):
+    # CBF-RRT draws from cbfrrt.rng and the baselines from random.Random; the
+    # run must succeed and pass its audit, as a benchmark worker's run does
+    code = ("from cbfrrt import load_scenario, run\n"
+            f"report = run(load_scenario({str(EXAMPLE1)!r}), {algorithm!r}, 0, "
+            f"{str(tmp_path)!r})\n"
             "assert report.success and report.audit_pass")
-
-
-def test_a_cbf_rrt_run_with_artifacts_loads_no_numpy_random(tmp_path):
-    assert fresh(run_code("cbf-rrt", EXAMPLE2, 3, tmp_path)) == [[1, UNSET, False]]
-    assert (tmp_path / "tree.json").is_file()
-
-
-def test_a_baseline_run_leaves_one_thread_and_loads_numpy_random(tmp_path):
-    # the baselines seed numpy's generator
-    assert fresh(run_code("rrt-star", EXAMPLE1, 0, tmp_path)) == [[1, UNSET, True]]
+    assert fresh(code) == [[1, UNSET, False]]
     assert (tmp_path / "tree.json").is_file()
 
 
