@@ -130,7 +130,7 @@ class Trajectory:
     CSV's on its rows' times.
 
     An array('d') holds no float objects and is not tracked by the cyclic
-    garbage collector, and its buffer gives numpy a zero-copy view."""
+    garbage collector."""
 
     __slots__ = ("data",)
 

@@ -24,13 +24,12 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .baselines import BaselineParams, require_static, rrt_plan, rrt_star_plan
 from .dynamics import (CircularObstacle, Trajectory, check_finite, check_integer,
@@ -146,10 +145,11 @@ def _object(doc, where: str, keys) -> dict:
 def _read_json(path: Path):
     """path's JSON document. ScenarioValidationError for a file that is not
     UTF-8 JSON or holds an integer longer than the 4300 digits Python
-    converts from text (both ValueErrors, as JSONDecodeError is)."""
+    converts from text (both ValueErrors, as JSONDecodeError is), or nests
+    too deep for json's recursive parser (a RecursionError)."""
     try:
-        return json.loads(path.read_text())
-    except ValueError as e:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:
         raise ScenarioValidationError(f"{path}: not valid JSON ({e})") from e
 
 
@@ -227,30 +227,31 @@ def audit_trajectory(
     """
     if not trajectory:
         raise ValueError("the trajectory has no nodes to audit")
-    rows = np.frombuffer(trajectory.data).reshape(-1, 6)
-    ts, x1, x2 = rows[:, 0], rows[:, 1], rows[:, 2]
-    back = np.flatnonzero(ts[1:] < ts[:-1])
-    if back.size:
-        k = int(back[0]) + 1
-        raise ValueError(f"node {k}: t={float(ts[k])!r} is before the previous "
-                         f"node's t={float(ts[k - 1])!r}")
+    data = trajectory.data
+    ts, x1, x2 = data[0::6], data[1::6], data[2::6]
+    for k in range(1, len(ts)):
+        if ts[k] < ts[k - 1]:
+            raise ValueError(f"node {k}: t={ts[k]!r} is before the previous "
+                             f"node's t={ts[k - 1]!r}")
     if not obstacles:
         return True, None
     min_h = math.inf
     for obstacle in obstacles:
-        d1 = x1 - (obstacle.center0[0] + obstacle.velocity[0] * ts)
-        d2 = x2 - (obstacle.center0[1] + obstacle.velocity[1] * ts)
-        e1, e2 = np.diff(d1), np.diff(d2)
-        ee = e1 * e1 + e2 * e2
-        s = np.divide(-(d1[:-1] * e1 + d2[:-1] * e2), ee,
-                      out=np.zeros_like(ee), where=ee > 0.0)
-        np.clip(s, 0.0, 1.0, out=s)
-        m1 = np.append(d1, d1[:-1] + s * e1)
-        m2 = np.append(d2, d2[:-1] + s * e2)
-        h = m1 ** 2 + m2 ** 2 - obstacle.radius ** 2
-        # np.minimum keeps a NaN, which then fails the comparison below;
-        # Python's min would skip it and pass the trajectory.
-        min_h = float(np.minimum(min_h, h.min()))
+        (c1, c2), (w1, w2), r = obstacle.center0, obstacle.velocity, obstacle.radius
+        rr = r * r  # r ** 2 raises OverflowError for r above about 1.3e154
+        d1 = [x - (c1 + w1 * t) for x, t in zip(x1, ts)]
+        d2 = [x - (c2 + w2 * t) for x, t in zip(x2, ts)]
+        h = [a1 * a1 + a2 * a2 - rr for a1, a2 in zip(d1, d2)]
+        for a1, a2, b1, b2 in zip(d1, d2, d1[1:], d2[1:]):
+            e1, e2 = b1 - a1, b2 - a2
+            ee = e1 * e1 + e2 * e2
+            s = -(a1 * e1 + a2 * e2) / ee if ee > 0.0 else 0.0
+            s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s  # a NaN s stays NaN
+            m1, m2 = a1 + s * e1, a2 + s * e2
+            h.append(m1 * m1 + m2 * m2 - rr)
+        for value in h:  # min() would skip a NaN, which must fail the audit
+            if value < min_h or value != value:
+                min_h = value
     return min_h >= AUDIT_TOL, min_h
 
 
@@ -285,16 +286,19 @@ def configure(scenario_file: ScenarioFile, algorithm: str, step: Optional[float]
     return replace(scenario_file, scenario=replace(scenario_file.scenario, params=params))
 
 
+def _admit(scenario_file: ScenarioFile, algorithm: str, seed: int):
+    """ScenarioValidationError for a pair configure refuses or a seed that is
+    not an integer >= 0 (a bool included), the planners' one seed rule."""
+    configure(scenario_file, algorithm)  # no overrides: admits the pair only
+    _checked("", check_integer, seed, "seed", 0)
+
+
 def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
     """Run one planner on the configured scenario file (see configure).
     Returns (RunReport, trajectory, tree) where trajectory is None on failure
-    and tree is the planner's tree object. Raises ScenarioValidationError for
-    a pair configure refuses, naming algorithm, or a seed that is not an
-    integer >= 0 (a bool included)."""
-    configure(scenario_file, algorithm)  # no overrides: admits the pair only
-    # the planners' one seed rule, refused here as invalid input before the
-    # clock starts
-    _checked("", check_integer, seed, "seed", 0)
+    and tree is the planner's tree object. Raises ScenarioValidationError,
+    before the clock starts, for a pair or seed _admit refuses."""
+    _admit(scenario_file, algorithm, seed)
     scenario = scenario_file.scenario
 
     start = time.perf_counter()
@@ -321,10 +325,12 @@ def execute(scenario_file: ScenarioFile, algorithm: str, seed: int):
 
 def run(scenario_file: ScenarioFile, algorithm: str, seed: int, out_dir) -> RunReport:
     """execute() plus artifacts: trajectory.csv, tree.json (streamed), report.json
-    (deterministic) and timing.json (wall clock, volatile) in out_dir."""
-    report, trajectory, tree = execute(scenario_file, algorithm, seed)
+    (deterministic) and timing.json (wall clock, volatile) in out_dir, made
+    once the input is admitted and before the plan runs."""
+    _admit(scenario_file, algorithm, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    report, trajectory, tree = execute(scenario_file, algorithm, seed)
     _atomic_write(out / "trajectory.csv", format_trajectory_csv(trajectory))
     _atomic_write(out / "tree.json",
                   _format_tree_json(algorithm, tree, scenario_file.scenario.params))
@@ -374,7 +380,7 @@ def read_trajectory_csv(path) -> Trajectory:
     without 6 columns, a non-finite field (and its column) or a t going back."""
     path = Path(path)
     columns = TRAJECTORY_HEADER.split(",")
-    with path.open(newline="") as f:
+    with path.open(newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != columns:
@@ -407,8 +413,8 @@ def read_trajectory_csv(path) -> Trajectory:
 def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> Iterator[bytes]:
     """tree.json, schema 3, as bytes pieces for _atomic_write: the header
     JSON, then one column at a time, a base64 string of little-endian
-    float64 ('<f8'), every float bit for bit, gathered from a zero-copy
-    (n, 6) view of tree.data, which cannot grow until the pieces run out.
+    float64 ('<f8'), every float bit for bit, each gathered from tree.data
+    by array slices only as it is written.
     params are the run's effective planner params. parents[i] is vertex i's
     parent (None for the root), and edge i runs from parents[i] to i.
 
@@ -427,29 +433,40 @@ def _format_tree_json(algorithm: str, tree, params: PlannerParams) -> Iterator[b
     repeats the last omega.
     """
     if isinstance(tree, PlanTree):
-        rows = np.frombuffer(tree.data).reshape(-1, 6)
         n = tree.edge_nodes
-        vertices = rows[::n]
-        edges = rows[1:].reshape(-1, n, 6)
         head = {"dt": params.dt, "t_h": params.t_h, "v": params.v_const,
-                "parents": tree.parents, "nodes": [n] * len(edges)}
-        columns = (("t", vertices[:, 0]), ("x1", vertices[:, 1]), ("x2", vertices[:, 2]),
-                   ("theta", vertices[:, 3]), ("theta0", edges[:, 0, 3]),
-                   ("inner_x1", edges[:, 1:-1, 1]), ("inner_x2", edges[:, 1:-1, 2]),
-                   ("omega", edges[:, :-1, 5]))
+                "parents": tree.parents, "nodes": [n] * (len(tree) - 1)}
+        columns = _plan_tree_columns(tree.data, n)
     else:
         head = {"parents": tree.parents}
-        columns = (("xs", tree.xs), ("ys", tree.ys), ("costs", tree.costs))
+        columns = (("xs", tree.xs), ("ys", tree.ys), ("costs", array("d", tree.costs)))
     yield json.dumps({"algorithm": algorithm, "schema": 3, **head})[:-1].encode()
     # base64 needs no JSON escaping, so a column goes between quotes as it
     # is; json.dumps would spend most of the time scanning its characters.
     # b2a_base64(newline=False) is all that base64.b64encode runs without
     # altchars, so it is called directly.
     for key, column in columns:
+        if sys.byteorder == "big":
+            column = array("d", column)
+            column.byteswap()
         yield b', "%s": "' % key.encode()
-        yield binascii.b2a_base64(np.ascontiguousarray(column, dtype="<f8"), newline=False)
+        yield binascii.b2a_base64(column, newline=False)
         yield b'"'
     yield b"}\n"
+
+
+def _plan_tree_columns(data: array, n: int) -> Iterator[tuple[str, array]]:
+    """tree.json's cbf-rrt columns, each sliced out of data, a PlanTree's
+    nodes with n to an edge, only once the one before it is written."""
+    # vertex i is row i * n, and edge i + 1's first node row i * n + 1
+    for key, k in (("t", 0), ("x1", 1), ("x2", 2), ("theta", 3), ("theta0", 9)):
+        yield key, data[k::6 * n]
+    for key, k in (("inner_x1", 1), ("inner_x2", 2), ("omega", 5)):
+        column = data[6 + k::6]  # every non-root edge's n nodes
+        del column[n - 1::n]  # each edge's last node, its vertex
+        if key != "omega":
+            del column[0::n - 1]  # and its first, its parent's vertex
+        yield key, column
 
 
 def format_report_json(report: RunReport) -> str:

@@ -15,8 +15,9 @@ A metered call runs about 60 times slower.
 
 Print the per-function counts of the fixed runs (cbf-rrt on example1 at
 t_h 0.5 seed 0 and on example2 seeds 0 and 3, rrt on example1 at delta_d
-0.25 seed 0), one `run function count` line each, to diff before and after
-a change:
+0.25 seed 0), and of harness.audit_trajectory on the path of each cbf-rrt
+run (labelled `.../audit`), one `run function count` line each, to diff
+before and after a change:
 
     PYTHONPATH=src python tests/meter.py
 """
@@ -44,6 +45,15 @@ def planner_call(name: str, algorithm: str, seed: int):
     if algorithm == "cbf-rrt":
         return planner.plan, (scenario_file.scenario, seed)
     return baselines.rrt_plan, (scenario_file.scenario, scenario_file.baseline, seed)
+
+
+def audit_call(name: str, seed: int):
+    """harness.audit_trajectory and its arguments for the path of one
+    cbf-rrt run of a bundled scenario, which must reach the goal."""
+    fn, args = planner_call(name, "cbf-rrt", seed)
+    path = fn(*args).controls
+    assert path is not None, f"{name} seed {seed} found no path"
+    return harness.audit_trajectory, (path, args[0].obstacles)
 
 
 def meter(fn, *args) -> dict[tuple[str, str], int]:
@@ -78,12 +88,15 @@ def meter(fn, *args) -> dict[tuple[str, str], int]:
 
 def main():
     for name, algorithm, seed in RUNS:
-        fn, args = planner_call(name, algorithm, seed)
-        counts = meter(fn, *args)
         label = f"{name}/{algorithm}/seed={seed}"
-        for (module, function), n in sorted(counts.items()):
-            print(f"{label} {module}:{function} {n}")
-        print(f"{label} total {sum(counts.values())}")
+        calls = [(label, planner_call(name, algorithm, seed))]
+        if algorithm == "cbf-rrt":
+            calls.append((f"{label}/audit", audit_call(name, seed)))
+        for label, (fn, args) in calls:
+            counts = meter(fn, *args)
+            for (module, function), n in sorted(counts.items()):
+                print(f"{label} {module}:{function} {n}")
+            print(f"{label} total {sum(counts.values())}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from cbfrrt.dynamics import (
     TrajectorySample,
     obstacle_center_at,
 )
-from cbfrrt.harness import ScenarioFile
+from cbfrrt.harness import AUDIT_TOL, ScenarioFile
 from cbfrrt.planner import (PlannerParams, PlanTree, integrate_closed_loop, root_path,
                             safe_steer, steer_constants)
 from cbfrrt.safety import TOL_ZERO, barrier_value
@@ -346,6 +346,43 @@ def sampled_chord_barriers(
     return out
 
 
+def audit_reference(
+    trajectory: Trajectory, obstacles: Sequence[CircularObstacle]
+) -> tuple[bool, Optional[float]]:
+    """harness.audit_trajectory vectorised with numpy, one pass per disk over
+    the (n, 6) view of the node buffer: the same nodes and chord minima in
+    the same arithmetic, so the same min_barrier bit for bit, the same
+    verdict and the same ValueError. The disk's square is r * r, as the
+    audit's, which a wide disk overflows to inf rather than raising."""
+    if not trajectory:
+        raise ValueError("the trajectory has no nodes to audit")
+    rows = np.frombuffer(trajectory.data).reshape(-1, 6)
+    ts, x1, x2 = rows[:, 0], rows[:, 1], rows[:, 2]
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if back.size:
+        k = int(back[0]) + 1
+        raise ValueError(f"node {k}: t={float(ts[k])!r} is before the previous "
+                         f"node's t={float(ts[k - 1])!r}")
+    if not obstacles:
+        return True, None
+    min_h = math.inf
+    with np.errstate(all="ignore"):  # inf and NaN nodes are part of the domain
+        for obstacle in obstacles:
+            d1 = x1 - (obstacle.center0[0] + obstacle.velocity[0] * ts)
+            d2 = x2 - (obstacle.center0[1] + obstacle.velocity[1] * ts)
+            e1, e2 = np.diff(d1), np.diff(d2)
+            ee = e1 * e1 + e2 * e2
+            s = np.divide(-(d1[:-1] * e1 + d2[:-1] * e2), ee,
+                          out=np.zeros_like(ee), where=ee > 0.0)
+            np.clip(s, 0.0, 1.0, out=s)
+            m1 = np.append(d1, d1[:-1] + s * e1)
+            m2 = np.append(d2, d2[:-1] + s * e2)
+            h = m1 ** 2 + m2 ** 2 - obstacle.radius * obstacle.radius
+            # np.minimum keeps a NaN, which then fails the comparison below
+            min_h = float(np.minimum(min_h, h.min()))
+    return min_h >= AUDIT_TOL, min_h
+
+
 def sample_point_reference(goal: Point, params: BaselineParams,
                            rng: random.Random) -> Point:
     """One baseline sample drawn call by call: the bias coin as
@@ -518,7 +555,7 @@ def unpack_f8(text: str) -> list[float]:
 def tree_json_reference(algorithm: str, tree, params: PlannerParams) -> str:
     """tree.json as json.dumps of its schema-3 document, each float column
     packed value by value with struct; harness._format_tree_json gathers the
-    columns with numpy. A cbf-rrt document writes dt, t_h and v_const, the
+    columns with array slices. A cbf-rrt document writes dt, t_h and v_const, the
     parents, each non-root edge's node count, the vertex columns, and over
     those edges theta0, the inner nodes' x1 and x2, and the applied omegas."""
     doc = {"algorithm": algorithm, "schema": 3}

@@ -617,6 +617,41 @@ def test_compare_out_a_file_exits_3_before_any_run(tmp_path, capsys, monkeypatch
     assert out.read_text() == ""
 
 
+def test_plan_out_a_file_exits_3_before_planning(tmp_path, capsys, monkeypatch):
+    # as compare's: the pair and seed are admitted, then the directory is
+    # made, and only then does the plan run; invalid input makes no directory
+    def unreachable(*args):
+        raise AssertionError("the plan started")
+
+    monkeypatch.setattr(harness, "plan", unreachable)
+    out = tmp_path / "file"
+    out.write_text("")
+    assert main(["plan", "--scenario", EXAMPLE1, "--out", str(out)]) == EXIT_INVALID_INPUT
+    assert re.match(r"error: --out: \[Errno \d+\] File exists", capsys.readouterr().err)
+    assert out.read_text() == ""
+    code = main(["plan", "--scenario", EXAMPLE1, "--seed", "-1",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID_INPUT
+    assert not (tmp_path / "out").exists()
+
+
+def test_commands_read_their_files_as_utf8_under_any_locale(tmp_path):
+    # every file is written as UTF-8; reading one in the locale's encoding
+    # warns under -X warn_default_encoding, which -W error makes an exit 4
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SCENARIO_DIR.parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    out = tmp_path / "out"
+    for args in (["plan", "--scenario", EXAMPLE1, "--out", str(out)],
+                 ["audit", "--trajectory", str(out / "trajectory.csv"), "--scenario", EXAMPLE1],
+                 ["compare", "--scenario", EXAMPLE1, "--sweep", SWEEP, "--seeds", "1",
+                  "--threads", "1", "--out", str(out)]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "cbfrrt.cli", *args], env=env, capture_output=True,
+            encoding="utf-8", timeout=300)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), args[0]
+
+
 def _run_with_stdout_closed(args):
     """Run `python -m cbfrrt.cli args` as a process whose stdout is a pipe
     with no reader left, as under `| head -1` once head has exited; returns

@@ -48,11 +48,11 @@ from cbfrrt.harness import (
 from cbfrrt.planner import PlannerParams, PlanTree, Scenario
 from identity_corpus import MANIFEST, cases, configured
 from oracles import (
+    audit_reference,
     expand_tree_json,
     full_tree_json_reference,
     integration_rule_violations,
     sampled_chord_barriers,
-    steer,
     trajectory_from_samples,
     tree_json_reference,
     unpack_f8,
@@ -136,9 +136,10 @@ def test_load_missing_file(tmp_path):
 
 def test_load_malformed_json(tmp_path):
     # the one invalid-input class, which except ValueError catches as it
-    # catches json.loads's own error
+    # catches json.loads's own error; json's parser recurses per level, so
+    # 200,000 open brackets raise RecursionError inside it
     p = tmp_path / "bad.json"
-    for text in ("{not json", '{"schema": 1,'):
+    for text in ("{not json", '{"schema": 1,', "[" * 200_000):
         p.write_text(text)
         for load in (load_scenario, load_sweep):
             with pytest.raises(ScenarioValidationError, match="not valid JSON") as caught:
@@ -387,6 +388,67 @@ def test_audit_minimum_is_bracketed_by_dense_sampling(case):
     assert min_h <= min(least for least, _ in intervals) + 1e-12
     assert min_h >= min(least - ee / (4 * m * m) for least, ee in intervals) - 1e-12
     assert ok == (min_h >= AUDIT_TOL)
+
+
+SPECIAL_FLOATS = (math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.0 ** -1030, 1e300, -1e300)
+
+
+def _node_values():
+    return st.one_of(st.sampled_from(SPECIAL_FLOATS), _coordinates(-3.0, 3.0))
+
+
+@st.composite
+def audit_inputs(draw):
+    """1-6 nodes whose fields may be NaN, ±0.0, ±inf, subnormal or huge, at
+    non-decreasing times with repeats or, now and then, at times that go
+    back; 0-3 static or moving disks, some subnormal or wide."""
+    n = draw(st.integers(1, 6))
+    times = draw(st.lists(st.one_of(st.sampled_from((0.0, 1.0, 1.0)), _node_values()),
+                          min_size=n, max_size=n))
+    if draw(st.booleans()):
+        times.sort(key=lambda t: (t != t, t))  # NaN last
+    rows = array("d")
+    for t in times:
+        rows.extend((t, draw(_node_values()), draw(_node_values()), 0.0, 1.0, 0.0))
+    velocity = st.one_of(st.just((0.0, 0.0)),
+                         st.tuples(_coordinates(-2.0, 2.0), _coordinates(-2.0, 2.0)))
+    radius = st.one_of(st.sampled_from((5e-324, 1e-160, 1e155, 1e200)),
+                       _coordinates(0.05, 1.0))
+    disks = st.builds(CircularObstacle,
+                      st.tuples(_coordinates(-3.0, 3.0), _coordinates(-3.0, 3.0)),
+                      velocity, radius)
+    return Trajectory(rows), tuple(draw(st.lists(disks, max_size=3)))
+
+
+def _audit_outcome(audit, trajectory, obstacles):
+    try:
+        ok, min_h = audit(trajectory, obstacles)
+    except Exception as e:
+        return type(e), str(e)
+    return ok, None if min_h is None else min_h.hex()
+
+
+@settings(max_examples=500, deadline=None)
+@given(audit_inputs())
+@example((Trajectory(array("d", [0.0, 1.0, 0.0, 0.0, 1.0, 0.0])),
+          (CircularObstacle((0.0, 0.0), (0.0, 0.0), 1.0),)))
+@example((Trajectory(array("d", [0.0, math.nan, 0.0, 0.0, 1.0, 0.0,
+                                 1.0, 5.0, 0.0, 0.0, 1.0, 0.0])),
+          (CircularObstacle((0.0, 0.0), (1.0, 0.0), 0.2),
+           CircularObstacle((9.0, 9.0), (0.0, 0.0), 0.2))))
+def test_audit_is_the_numpy_reference_bit_for_bit(case):
+    # the same min_barrier bits, verdict, and exception type and message
+    trajectory, obstacles = case
+    assert (_audit_outcome(audit_trajectory, trajectory, obstacles)
+            == _audit_outcome(audit_reference, trajectory, obstacles))
+
+
+def test_audit_fails_a_disk_too_wide_to_square():
+    # 1e200 * 1e200 overflows to inf, so every barrier is -inf: no OverflowError
+    traj = straight_line_trajectory((0.0, 0.0), (1.0, 0.0), 3)
+    obstacles = (CircularObstacle((5.0, 5.0), (0.0, 0.0), 1e200),)
+    assert audit_trajectory(traj, obstacles) == (False, -math.inf)
 
 
 # ---------------------------------------------------------------- serialization
@@ -773,6 +835,49 @@ def test_tree_json_of_a_start_at_goal_run(tmp_path, example1_file, algorithm):
         assert unpack_f8(doc["costs"]) == [0.0]
 
 
+def test_tree_json_of_two_node_edges(example1_file):
+    # t_h = dt: an edge is its parent vertex and its child, with no inner
+    # node, so both inner columns are empty and omega holds one per edge
+    sf = configure(example1_file, "cbf-rrt", step=example1_file.scenario.params.dt)
+    params = sf.scenario.params
+    _, _, tree = execute(sf, "cbf-rrt", 0)
+    assert tree.edge_nodes == 2 and len(tree) > 1
+    text = b"".join(_format_tree_json("cbf-rrt", tree, params)).decode()
+    assert text == tree_json_reference("cbf-rrt", tree, params)
+    assert expand_tree_json(text) == full_tree_json_reference("cbf-rrt", tree)
+    doc = json.loads(text)
+    assert doc["inner_x1"] == doc["inner_x2"] == ""
+    assert len(unpack_f8(doc["omega"])) == len(tree) - 1
+
+
+@pytest.mark.parametrize("algorithm", ["cbf-rrt", "rrt-star"])
+def test_tree_json_is_little_endian_on_either_host(monkeypatch, example1_file, algorithm):
+    # the writer swaps each column's bytes when sys.byteorder is "big". With
+    # it patched to each order in turn, the host's own order writes the
+    # reference, the other differs only in each double's byte order, and
+    # neither write changes the tree
+    params = example1_file.scenario.params
+    _, _, tree = execute(example1_file, algorithm, 0)
+    reference = tree_json_reference(algorithm, tree, params)
+    text = {}
+    for order in ("little", "big"):
+        monkeypatch.setattr(sys, "byteorder", order)
+        text[order] = b"".join(_format_tree_json(algorithm, tree, params)).decode()
+    monkeypatch.undo()
+    assert text[sys.byteorder] == reference
+    host, other = (json.loads(text[order]) for order in
+                   (sys.byteorder, {"little": "big", "big": "little"}[sys.byteorder]))
+    assert host.keys() == other.keys()
+    for key, value in host.items():
+        if key == "algorithm" or not isinstance(value, str):  # not a column
+            assert other[key] == value, key
+            continue
+        raw = base64.b64decode(value)
+        swapped = b"".join(raw[i:i + 8][::-1] for i in range(0, len(raw), 8))
+        assert base64.b64decode(other[key]) == swapped, key
+    assert tree_json_reference(algorithm, tree, params) == reference
+
+
 def test_tree_json_writer_peak_stays_below_the_tree_nodes(tmp_path, monkeypatch,
                                                           example1_file):
     # the tree stores each node once, in tree.data, and the writer streams
@@ -820,25 +925,6 @@ def test_a_streamed_write_that_raises_leaves_the_target_as_it_was(tmp_path, prev
         harness._atomic_write(target, pieces())
     assert (target.read_bytes() if target.exists() else None) == previous
     assert list(tmp_path.glob(".tree.json.*")) == []
-
-
-def test_the_tree_can_grow_once_its_tree_json_is_written(tmp_path):
-    # the writer's numpy views of tree.data live only while its pieces are
-    # written: an array refuses to resize while a view of it is alive
-    params = PlannerParams(t_h=0.5, dt=0.25)
-    tree = PlanTree(RobotState(0.0, 0.0, 0.0), 0.0, 3)
-    tree.add_child(0, steer((0.0, 0.0, 0.0), 0.0, (), params))
-    t, x1, x2, theta = tree.edge(1).data[-6:-2]
-    edge = steer((x1, x2, theta), t, (), params)
-    pieces = _format_tree_json("cbf-rrt", tree, params)
-    next(pieces)
-    with pytest.raises(BufferError):
-        tree.add_child(1, edge)
-    pieces.close()
-    harness._atomic_write(tmp_path / "tree.json",
-                          _format_tree_json("cbf-rrt", tree, params))
-    assert tree.add_child(1, edge) == 2
-    assert tree.edge(2).data == edge.data
 
 
 def test_readme_decode_reads_a_fresh_tree_json(tmp_path, monkeypatch, example1_file):

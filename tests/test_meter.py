@@ -4,7 +4,7 @@ No count is pinned: CI runs two Python versions, whose counts differ."""
 
 import pytest
 
-from meter import PACKAGE, meter, planner_call
+from meter import PACKAGE, audit_call, meter, planner_call
 
 
 @pytest.mark.parametrize("algorithm, functions", [
@@ -21,3 +21,10 @@ def test_meter_counts_a_plan_the_same_twice(algorithm, functions):
     assert first == meter(fn, *args)
     assert {module for module, _ in first} <= {p.name for p in PACKAGE.glob("*.py")}
     assert all(first[function] > 0 for function in functions)
+
+
+def test_meter_counts_an_audit_the_same_twice():
+    fn, args = audit_call("example2", 0)
+    first = meter(fn, *args)
+    assert first == meter(fn, *args)
+    assert first[("harness.py", "audit_trajectory")] > 0

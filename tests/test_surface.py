@@ -13,7 +13,9 @@ every class that defines one.
 
 The README's Layout block lists exactly the package's modules.
 
-`import cbfrrt` loads no module that only compare needs.
+`import cbfrrt` loads no module that only compare needs, and no module
+but baselines.py, whose distance scans are the package's one numpy use,
+imports numpy.
 """
 
 import ast
@@ -104,3 +106,21 @@ def test_import_loads_no_compare_only_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_only_the_baselines_import_numpy():
+    # the audit and the tree.json writer read array('d') in plain Python;
+    # numpy, and the one-BLAS-thread loader beside its import, serve only
+    # the RRT/RRT* nearest-neighbour scans
+    importers = set()
+    for path, module in zip(sorted(PACKAGE.glob("*.py")), _parse(PACKAGE.glob("*.py"))):
+        for node in ast.walk(module):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"baselines.py"}
