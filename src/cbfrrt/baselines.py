@@ -12,9 +12,9 @@ RRT and RRT* are one growth loop: RRT is RRT* with rewiring off, returning
 at its first goal vertex. Both return a planner.PlanResult whose controls is
 the found path's polyline timed at v_const, the one trajectory the harness
 measures, audits and writes, as it does cbf-rrt's. The tree keeps its
-positions as two array('d') columns, and each iteration scans them once from
-its sample: for the nearest vertex and, when the step reached the sample, for
-RRT*'s near set.
+positions as two array('d') columns and a grid over them, and each iteration
+makes one pass over a block of the grid about its sample: for the nearest
+vertex and, when the step reached the sample, for RRT*'s near set.
 
 Baselines only support static obstacles (the comparison world is static).
 """
@@ -22,34 +22,17 @@ Baselines only support static obstacles (the comparison world is static).
 from __future__ import annotations
 
 import math
-import os
 import random
-import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
-
-
-# numpy's OpenBLAS starts a pool of worker threads as it loads, for BLAS calls
-# this package never makes (numpy serves only this module's distance scans),
-# and the idle pool slows every later import (about 70 ms of a 0.2 s start-up
-# on 2 CPUs). So numpy loads with one BLAS thread unless it is loaded already
-# or one of these variables is set. OpenBLAS reads the variable only as it
-# loads, so os.environ and child processes get back what the user left.
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" in sys.modules or any(name in os.environ for name in _BLAS_THREADS):
-    import numpy as np
-else:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as np
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .dynamics import CircularObstacle, Trajectory, check_finite, check_integer
 from .planner import PlanResult, Scenario, in_goal_region, root_path
 
 Point = tuple[float, float]
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -84,8 +67,27 @@ class BaselineParams:
 
 class GeomTree:
     """Workspace tree whose positions are two array('d') columns, xs and ys,
-    that grow by append, so a distance scan reads contiguous memory and a
-    tree costs what it grows, not its iteration budget."""
+    that grow by append (a tree costs what it grows, not its iteration
+    budget), and a uniform grid over them that answers the nearest-vertex and
+    near-set queries.
+
+    The grid's cells are squares whose side is a power of two, 2**e: a vertex
+    at (x, y) lies in cell (x // side, y // side). Floor division by a power
+    of two is exact for every finite float whose quotient is finite, so a
+    vertex binned past a block's upper edge b has x >= b exactly, and one
+    binned below its lower edge a has x < a. Rounding is monotone, so such a
+    vertex's squared distance from a query point inside the block, rounded
+    as dx * dx + dy * dy, is at least gap * gap, gap being the float distance
+    from the point to that edge. A query that has examined a block stops once
+    its best squared distance and its near-set bound are both below that
+    square, so every vertex it has not examined loses to what it has.
+
+    The side is the power of two nearest sqrt(area / n) for the bounding box
+    of the tree's n vertices (its longer side / n for a flat box), no smaller
+    than keeps every cell index finite; the tree is binned again each time
+    it has grown 4 times. A query's block never holds more cells than the
+    tree has vertices: past that it scans every vertex, so a query far from
+    the tree, or at extreme magnitudes, costs O(n)."""
 
     def __init__(self, root: Point):
         self.xs = array("d", (root[0],))
@@ -93,6 +95,7 @@ class GeomTree:
         self.parents: list[Optional[int]] = [None]
         self.costs: list[float] = [0.0]
         self.children: list[list[int]] = [[]]
+        self._rebin()
 
     def __len__(self) -> int:
         return len(self.parents)
@@ -100,27 +103,131 @@ class GeomTree:
     def position(self, vid: int) -> Point:
         return (self.xs[vid], self.ys[vid])
 
-    def sq_dists(self, point: Point) -> np.ndarray:
-        """A fresh array of the squared distances from point to each vertex.
-        Its column views live only inside the call: an array whose buffer
-        is lent out raises BufferError on append."""
-        dx = np.frombuffer(self.xs) - point[0]
-        dy = np.frombuffer(self.ys) - point[1]
-        # dx * dx + dy * dy, in place: the same sums without two more arrays
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return dx
+    def _rebin(self):
+        """Choose the cell side for the vertices so far and bin them all."""
+        xs, ys = self.xs, self.ys
+        n = len(xs)
+        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+        w, h = x_hi - x_lo, y_hi - y_lo
+        side = math.sqrt(w) * math.sqrt(h / n) if w > 0.0 < h else max(w, h) / n
+        # side = m * 2**e with 0.5 <= m < 1 when it is finite and positive;
+        # frexp gives e = 0 for inf and nan, whose m is not below sqrt(0.5)
+        m, e = math.frexp(side)
+        e -= m < _SQRT_HALF
+        # |coordinate| < 2**fit, so |coordinate| / 2**e stays below 2**1024
+        fit = math.frexp(max(-x_lo, x_hi, -y_lo, y_hi))[1]
+        side = math.ldexp(1.0, min(max(e, fit - 1024, -1074), 1023))
+        rows: dict[int, dict[int, list[tuple[int, float, float]]]] = {}
+        for vid, (x, y) in enumerate(zip(xs, ys)):
+            rows.setdefault(int(y // side), {}).setdefault(int(x // side), []).append((vid, x, y))
+        self._side = side
+        self._rows = rows
+        self._rebin_at = 4 * n
 
     def add(self, position: Point, parent: int, cost: float) -> int:
         vid = len(self.parents)
-        self.xs.append(position[0])
-        self.ys.append(position[1])
+        x, y = position
+        self.xs.append(x)
+        self.ys.append(y)
         self.parents.append(parent)
         self.costs.append(cost)
         self.children.append([])
         self.children[parent].append(vid)
+        if vid + 1 < self._rebin_at:
+            side = self._side
+            try:
+                ix, iy = int(x // side), int(y // side)
+            except OverflowError:  # an index past the float range: a wider side
+                pass
+            else:
+                row = self._rows.get(iy)
+                if row is None:
+                    self._rows[iy] = {ix: [(vid, x, y)]}
+                elif ix in row:
+                    row[ix].append((vid, x, y))
+                else:
+                    row[ix] = [(vid, x, y)]
+                return vid
+        self._rebin()
         return vid
+
+    def query(self, point: Point, radius: float,
+              nearest: bool = True) -> tuple[int, list[tuple[int, float]]]:
+        """The nearest vertex to point (-1 unless nearest) and point's near
+        set within radius; see nearest_neighbor and near_set. The first
+        block holds the cells within radius of point and, for the nearest
+        vertex, at least the 3 x 3 cells about point's own."""
+        px, py = point
+        side = self._side
+        n = len(self.parents)
+        # near_set's candidate bound on the squared distance; see there
+        limit = radius * radius * (1.0 + 2.0 ** -40) + 2.0 ** -1000 if radius > 0.0 else -1.0
+        reach = side if nearest and radius < side else radius
+        rows = self._rows
+        try:
+            x0, x1 = int((px - reach) // side), int((px + reach) // side)
+            y0, y1 = int((py - reach) // side), int((py + reach) // side)
+            while (x1 - x0 + 1) * (y1 - y0 + 1) <= n:
+                best, nn, near = math.inf, n, []
+                for iy in range(y0, y1 + 1):
+                    row = rows.get(iy)
+                    if row is None:
+                        continue
+                    cell_at = row.get
+                    for ix in range(x0, x1 + 1):
+                        cell = cell_at(ix)
+                        if cell is None:
+                            continue
+                        for j, x, y in cell:
+                            dx = x - px
+                            dy = y - py
+                            v = dx * dx + dy * dy
+                            if v <= best and (v < best or j < nn):
+                                best, nn = v, j
+                            if v <= limit:
+                                near.append((j, v))
+                # the float distance from point to the block's nearest edge
+                gap = px - x0 * side
+                edge = (x1 + 1) * side - px
+                if edge < gap:
+                    gap = edge
+                edge = py - y0 * side
+                if edge < gap:
+                    gap = edge
+                edge = (y1 + 1) * side - py
+                if edge < gap:
+                    gap = edge
+                bound = gap * gap
+                if limit < bound and (best < bound or not nearest):
+                    break
+                # grow the block over every cell within the distance to settle
+                far = best if nearest and best > limit else limit
+                if far < math.inf:
+                    reach = math.sqrt(far)
+                    x0 = min(x0, int((px - reach) // side)) - 1
+                    x1 = max(x1, int((px + reach) // side)) + 1
+                    y0 = min(y0, int((py - reach) // side)) - 1
+                    y1 = max(y1, int((py + reach) // side)) + 1
+                else:
+                    wx, wy = x1 - x0 + 1, y1 - y0 + 1
+                    x0, x1, y0, y1 = x0 - wx, x1 + wx, y0 - wy, y1 + wy
+            else:
+                return self._scan_all(px, py, radius, limit, nearest)
+        except (OverflowError, ValueError):  # an infinite or NaN cell index
+            return self._scan_all(px, py, radius, limit, nearest)
+        near.sort()
+        return (nn if nearest else -1), [(j, d) for j, v in near
+                                         if (d := math.sqrt(v)) <= radius]
+
+    def _scan_all(self, px: float, py: float, radius: float, limit: float,
+                  nearest: bool) -> tuple[int, list[tuple[int, float]]]:
+        """query's answer from every vertex, in id order."""
+        scan = [(x - px) * (x - px) + (y - py) * (y - py) for x, y in zip(self.xs, self.ys)]
+        nn = scan.index(min(scan)) if nearest else -1
+        if limit < 0.0:
+            return nn, []
+        return nn, [(j, d) for j, v in enumerate(scan)
+                    if v <= limit and (d := math.sqrt(v)) <= radius]
 
     def reparent(self, vid: int, new_parent: int, new_cost: float):
         """Move vid under new_parent and propagate the cost delta downward."""
@@ -152,40 +259,32 @@ def sample_stream(goal: Point, params: BaselineParams,
         yield goal if u() < bias else (x_lo + x_span * u(), y_lo + y_span * u())
 
 
-def nearest_neighbor(scan: np.ndarray) -> int:
-    """Id of the nearest vertex of a sq_dists scan; ties go to the lowest id
-    (argmin order)."""
-    return int(scan.argmin())
+def nearest_neighbor(tree: GeomTree, point: Point,
+                     radius: float = 0.0) -> tuple[int, list[tuple[int, float]]]:
+    """The id of the vertex nearest point, the lowest id of those minimising
+    dx * dx + dy * dy (dx = x - point[0], dy = y - point[1]), and point's
+    near set within radius (near_set's pairs), from one pass over the grid."""
+    return tree.query(point, radius)
 
 
-def near_set(scan: np.ndarray, radius: float) -> list[tuple[int, float]]:
-    """The (id, distance) pairs of a sq_dists scan's vertices within radius
-    (none when radius is 0), in increasing id order, as Python ints and
-    floats: the distance is math.sqrt of the scan value, and a vertex is in
-    exactly when that distance is <= radius.
+def near_set(tree: GeomTree, point: Point, radius: float) -> list[tuple[int, float]]:
+    """The (id, distance) pairs of the vertices within radius of point (none
+    when radius is 0), in increasing id order, as Python ints and floats:
+    the distance is math.sqrt(dx * dx + dy * dy), and a vertex is in exactly
+    when that distance is <= radius.
 
-    One numpy pass keeps the scan values <= the bound radius * radius *
-    (1 + 2**-40) + 2**-1000, and only those are square rooted. The bound
-    loses no vertex: sqrt is correctly rounded, so a value v whose rounded
-    root d is <= radius has sqrt(v) <= d(1 + 2**-53), hence
-    v <= radius**2 * (1 + 2**-51) (v = 0 included, and d is normal for
+    A query keeps as candidates the vertices whose squared distance is <=
+    the bound radius * radius * (1 + 2**-40) + 2**-1000, and only those are
+    square rooted. The bound loses no vertex: sqrt is correctly rounded, so
+    a value v whose rounded root d is <= radius has sqrt(v) <= d(1 + 2**-53),
+    hence v <= radius**2 * (1 + 2**-51) (v = 0 included, and d is normal for
     every v > 0). The float bound is no smaller. Where radius**2 > 2**-1001
     it is normal, and the two roundings of the product lose less than the
     2**-40 factor adds; below that, radius**2 * (1 + 2**-51) < 2**-1000,
-    which the bound adds on, even where radius * radius underflows to 0.
-    math.sqrt and np.sqrt round alike, so the pairs are np.sqrt's distances
-    bit for bit."""
+    which the bound adds on, even where radius * radius underflows to 0."""
     if not radius > 0.0:
         return []
-    # the nonzero method, not np.flatnonzero, whose Python wrapper and a list
-    # comprehension's call cost more than the few candidates do
-    ids = (scan <= radius * radius * (1.0 + 2.0 ** -40) + 2.0 ** -1000).nonzero()[0]
-    near = []
-    for j, v in zip(ids.tolist(), scan[ids].tolist()):
-        d = math.sqrt(v)
-        if d <= radius:
-            near.append((j, d))
-    return near
+    return tree.query(point, radius, nearest=False)[1]
 
 
 def steer_straight(x_nn: Point, x_sample: Point, delta_d: float) -> Point:
@@ -286,9 +385,13 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
         return _polyline_result(scenario, tree, 0, 0)
 
     samples = sample_stream(goal, params, random.Random(seed))
+    radius = 0.0
     for iteration, sample in zip(range(1, params.max_iters + 1), samples):
-        scan = tree.sq_dists(sample)
-        nn = nearest_neighbor(scan)
+        if rewire:
+            n = len(tree)
+            radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n), params.delta_d)
+        # one pass gives the nearest vertex and the sample's near set
+        nn, near = nearest_neighbor(tree, sample, radius)
         x_nn = tree.position(nn)
         if sample == x_nn:
             continue
@@ -296,17 +399,15 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
         if not endpoint_collision_check(x_new, scenario.obstacles):
             continue
 
-        # The nearest vertex's edge, its length as near_set's scan computes it.
+        # The nearest vertex's edge, its length as near_set computes it.
         dx = x_nn[0] - x_new[0]
         dy = x_nn[1] - x_new[1]
         parent = nn
         cost = tree.costs[nn] + math.sqrt(dx * dx + dy * dy)
-        near: list[tuple[int, float]] = []
         if rewire:
-            n = len(tree)
-            radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n), params.delta_d)
-            # a step that reached the sample ends on the point just scanned
-            near = near_set(scan if x_new is sample else tree.sq_dists(x_new), radius)
+            # a truncated step ends off the sample: its own near set
+            if x_new is not sample:
+                near = near_set(tree, x_new, radius)
             # choose-parent: cheapest connection among the near set
             for j, d in near:
                 c = tree.costs[j] + d

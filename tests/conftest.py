@@ -1,8 +1,23 @@
 import functools
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
+
+# hypothesis writes a failing @given test's explicit-example patch with its
+# libcst-based patching module, whose first import warns (libcst touches the
+# deprecated mypy_extensions.TypedDict). Under -W error that warning is raised
+# inside hypothesis's report hook and ends the whole session with an
+# INTERNALERROR, so one failing test would hide every later result. Importing
+# the module once here, with only that category ignored, keeps the warning
+# out of the hook; no other import is affected.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # a hypothesis or libcst without it
+        pass
 
 import cbfrrt
 import identity_corpus

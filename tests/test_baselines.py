@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 from itertools import islice
 
 import numpy as np
@@ -26,7 +27,6 @@ from oracles import (
     near_set_reference,
     nearest_neighbor_reference,
     sample_point_reference,
-    sq_dists_reference,
 )
 
 WORLD1 = (
@@ -105,138 +105,201 @@ def test_sample_stream_matches_per_call_draws(x_side, y_side, bias, seed):
     assert repr(got) == repr(want)
 
 
+def build_tree(pts):
+    """A GeomTree of pts, each vertex under the root."""
+    tree = GeomTree(pts[0])
+    for p in pts[1:]:
+        tree.add(p, 0, 0.0)
+    return tree
+
+
 def test_nearest_neighbor_basic_and_ties():
-    tree = GeomTree((0.0, 0.0))
-    tree.add((2.0, 0.0), 0, 2.0)
-    assert nearest_neighbor(tree.sq_dists((0.4, 0.0))) == 0
-    assert nearest_neighbor(tree.sq_dists((1.9, 0.0))) == 1
-    # exact tie at the midpoint goes to the lower id
-    assert nearest_neighbor(tree.sq_dists((1.0, 0.0))) == 0
+    tree = build_tree([(0.0, 0.0), (2.0, 0.0)])
+    assert nearest_neighbor(tree, (0.4, 0.0)) == (0, [])
+    assert nearest_neighbor(tree, (1.9, 0.0)) == (1, [])
+    # exact tie at the midpoint goes to the lower id, and so does a tie
+    # between a vertex and its duplicate, added later
+    assert nearest_neighbor(tree, (1.0, 0.0)) == (0, [])
+    tree.add((0.0, 0.0), 1, 4.0)
+    assert nearest_neighbor(tree, (0.25, 0.0), 0.25) == (0, [(0, 0.25), (2, 0.25)])
+    assert near_set(tree, (1.0, 0.0), 1.0) == [(0, 1.0), (1, 1.0), (2, 1.0)]
+    assert near_set(tree, (1.0, 0.0), 0.0) == []
+
+
+@pytest.mark.parametrize("tied", [[(2.0, 0.0), (0.0, 0.0)], [(0.0, 2.0), (0.0, 0.0)]])
+def test_a_tie_across_cells_goes_to_the_lower_id(tied):
+    # 16 vertices, so the query at (1, 0) or (0, 1) reads the grid, not every
+    # vertex; it reads its block row by row, each row left to right, so it
+    # meets vertex 1 before vertex 0, which ties with it from another cell
+    tree = build_tree(tied + [(0.1 * k, 5.0) for k in range(14)])
+    assert tree._side <= 1.0
+    query = (tied[0][0] / 2.0, tied[0][1] / 2.0)
+    assert nearest_neighbor(tree, query, 1.0) == (0, [(0, 1.0), (1, 1.0)])
+
+
+def assert_queries_match(tree, rows, query, radius):
+    """nearest_neighbor and near_set on the tree give the numpy oracles'
+    nearest id and near set: ids as ints, each with its np.sqrt distance
+    bit for bit, as a float."""
+    rows = np.array(rows, dtype=float)
+    dists, ids = near_set_reference(rows, query, radius)
+    want = [(j, dists[j].hex()) for j in ids.tolist()]
+    nn, near = nearest_neighbor(tree, query, radius)
+    assert type(nn) is int and nn == nearest_neighbor_reference(rows, query)
+    for got in (near, near_set(tree, query, radius)):
+        assert all(type(j) is int and type(d) is float for j, d in got)
+        assert [(j, d.hex()) for j, d in got] == want
 
 
 coordinates = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 points = st.tuples(coordinates, coordinates)
+# ordinary magnitudes, ones whose squares overflow, and ones whose squares
+# underflow (tiny, and subnormal coordinates)
+huge = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+near_huge = st.one_of(st.floats(1e299, 1e300), st.floats(-1e300, -1e299))
+tiny = st.floats(-1e-100, 1e-100, allow_nan=False, allow_infinity=False)
+subnormal = st.floats(-2.0 ** -1022, 2.0 ** -1022, allow_nan=False, allow_infinity=False)
+scales = st.sampled_from([coordinates, huge, near_huge, tiny, subnormal])
 
 
 @st.composite
-def trees_and_queries(draw, points=points):
-    """1-64 vertices, some repeated (exact ties), and a query point that is
-    free, on a vertex, or midway between two."""
-    pts = draw(st.lists(points, min_size=1, max_size=64))
+def sample_bounds(draw):
+    """A box of one scale whose sides are degenerate (lo == hi) one time in
+    three each, so some boxes are segments or points (zero area)."""
+    values = draw(scales)
+    box = []
+    for _ in range(2):
+        lo = draw(values)
+        hi = lo if draw(st.integers(0, 2)) == 0 else draw(values)
+        box.append((min(lo, hi), max(lo, hi)))
+    return box
+
+
+@st.composite
+def box_points(draw, box):
+    (x_lo, x_hi), (y_lo, y_hi) = box
+    return (draw(st.floats(x_lo, x_hi)), draw(st.floats(y_lo, y_hi)))
+
+
+@st.composite
+def trees_and_queries(draw):
+    """1-80 vertices drawn in one sample box, some repeated (exact ties), and
+    a query point that is free, on a vertex, or midway between two."""
+    box = draw(sample_bounds())
+    pts = draw(st.lists(box_points(box), min_size=1, max_size=80))
     for i in range(1, len(pts)):
         if draw(st.integers(0, 4)) == 0:
             pts[i] = pts[draw(st.integers(0, i - 1))]
-    kind = draw(st.sampled_from(["free", "vertex", "midpoint"]))
+    kind = draw(st.sampled_from(["free", "vertex", "midpoint", "elsewhere"]))
     if kind == "free":
-        query = draw(points)
+        query = draw(box_points(box))
     elif kind == "vertex":
         query = draw(st.sampled_from(pts))
-    else:
+    elif kind == "midpoint":
         (ax, ay), (bx, by) = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
-        query = ((ax + bx) / 2.0, (ay + by) / 2.0)
+        query = (ax / 2.0 + bx / 2.0, ay / 2.0 + by / 2.0)
+    else:
+        query = draw(st.tuples(huge, huge))
     return pts, query
 
 
-def assert_near_set_matches(near, want_dists, want_near):
-    """near_set's pairs are the oracle's ids, as ints, each with its np.sqrt
-    distance bit for bit, as a float."""
-    assert [j for j, _ in near] == want_near.tolist()
-    assert all(type(j) is int and type(d) is float for j, d in near)
-    dists = np.array([d for _, d in near], dtype=float)
-    assert np.array_equal(dists.view(np.uint64), want_dists[want_near].view(np.uint64))
+@settings(max_examples=400, deadline=None)
+@given(trees_and_queries(), st.data())
+def test_distance_scans_match_einsum_oracle_bit_for_bit(case, data):
+    # the grid answers what the einsum scan over every vertex answers, in
+    # trees of ordinary, huge and subnormal coordinates, flat or coincident
+    pts, query = case
+    tree = build_tree(pts)
+    dists = near_set_reference(np.array(pts), query, 0.0)[0].tolist()
+    # a radius of 0, one equal to a vertex's distance (the <= boundary), or any
+    radius = data.draw(st.one_of(st.just(0.0), st.sampled_from(dists),
+                                 st.floats(0.0, 3e3), st.floats(0.0, 1e300)))
+    assert_queries_match(tree, pts, query, radius)
 
 
 @settings(max_examples=300, deadline=None)
 @given(trees_and_queries(), st.data())
-def test_distance_scans_match_einsum_oracle_bit_for_bit(case, data):
-    pts, query = case
-    tree = GeomTree(pts[0])
-    for p in pts[1:]:
-        tree.add(p, 0, 0.0)
-    rows = np.array(pts, dtype=float)
-    scan = tree.sq_dists(query)
-
-    assert np.array_equal(scan.view(np.uint64),
-                          sq_dists_reference(rows, query).view(np.uint64))
-    assert nearest_neighbor(scan) == nearest_neighbor_reference(rows, query)
-
-    want_dists, _ = near_set_reference(rows, query, 0.0)
-    # a radius of 0, one equal to a vertex's distance (the <= boundary), or any
-    radius = data.draw(st.one_of(st.just(0.0),
-                                 st.sampled_from(want_dists.tolist()),
-                                 st.floats(0.0, 3e3)))
-    assert_near_set_matches(near_set(scan, radius), *near_set_reference(rows, query, radius))
-
-
-tiny_coordinates = st.floats(-1e-155, 1e-155, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(trees_and_queries(),
-                 trees_and_queries(st.tuples(tiny_coordinates, tiny_coordinates))),
-       st.data())
 def test_near_set_keeps_the_vertices_on_its_radius(case, data):
-    # near_set prefilters the scan with a bound on radius**2. A vertex whose
-    # distance rounds to the radius can have a squared distance above
-    # radius * radius as rounded, so the radii are each vertex's distance and
-    # the floats either side of it, in trees whose squares stay normal and in
-    # trees of tiny coordinates whose squares underflow
+    # the candidate bound on radius**2 must keep a vertex whose distance
+    # rounds to the radius, though its squared distance can exceed radius *
+    # radius as rounded, so the radii are each vertex's distance and the
+    # floats either side of it, in trees whose squares stay normal and in
+    # trees whose squares underflow or overflow
     pts, query = case
-    tree = GeomTree(pts[0])
-    for p in pts[1:]:
-        tree.add(p, 0, 0.0)
-    rows = np.array(pts, dtype=float)
-    scan = tree.sq_dists(query)
+    tree = build_tree(pts)
     radii = [data.draw(st.floats(0.0, 1e-150)), 0.0]
-    for d in near_set_reference(rows, query, 0.0)[0].tolist():
+    for d in near_set_reference(np.array(pts), query, 0.0)[0].tolist():
         radii += [d, math.nextafter(d, math.inf), math.nextafter(d, 0.0)]
-    for radius in radii:
-        assert_near_set_matches(near_set(scan, radius),
-                                *near_set_reference(rows, query, radius))
+    for radius in data.draw(st.permutations(radii))[:12]:
+        assert_queries_match(tree, pts, query, radius)
 
 
 @st.composite
-def scan_sessions(draw):
-    """A root and up to 30 steps, each ("add" | "nearest" | "near", point,
-    radius). The points come from a small pool holding each drawn point with
-    x, then y, as 0.0 and -0.0, so steps often repeat a point, an equal one
-    with the other zero's sign, or one just added."""
-    pool = draw(st.lists(points, min_size=1, max_size=3))
-    pool += [(z, y) for _, y in pool for z in (0.0, -0.0)]
-    pool += [(x, z) for x, _ in pool for z in (0.0, -0.0)]
-    steps = draw(st.lists(st.tuples(st.sampled_from(("add", "nearest", "near")),
-                                    st.sampled_from(pool), st.floats(0.0, 3e3)),
-                          min_size=1, max_size=30))
-    return draw(st.sampled_from(pool)), steps
+def query_sessions(draw):
+    """A sample box, a root and up to 150 steps, each ("add" | "query",
+    point, radius), adds three to one so that most sessions grow past a
+    rebin or two (at 4, 16 and 64 vertices). The points come from the box
+    or from a small pool of its points, so steps often repeat a point or
+    one just added, and some queries fall far outside the box."""
+    box = draw(sample_bounds())
+    pool = draw(st.lists(box_points(box), min_size=1, max_size=4))
+    point = st.one_of(box_points(box), st.sampled_from(pool), st.tuples(huge, huge))
+    op = st.sampled_from(("add", "add", "add", "query"))
+    radius = st.one_of(st.just(0.0), st.floats(0.0, 3e3), st.floats(0.0, 1e300))
+    steps = draw(st.lists(st.tuples(op, point, radius), min_size=1, max_size=150))
+    return draw(box_points(box)), steps
 
 
 @settings(max_examples=300, deadline=None)
-@given(scan_sessions())
-def test_held_scans_survive_adds_and_match_the_oracle(session):
-    # every scan is a fresh array over column views that die with the call:
-    # a later add neither changes a held scan nor meets a lent-out buffer
-    # (array.append would raise BufferError)
+@given(query_sessions())
+def test_queries_between_adds_and_rebins_match_the_oracle(session):
     root, steps = session
     tree = GeomTree(root)
     rows = [root]
-    held = []  # (a scan, a copy taken then)
     for op, point, radius in steps:
         if op == "add":
             tree.add(point, 0, 0.0)
             rows.append(point)
         else:
-            scan = tree.sq_dists(point)
-            assert np.array_equal(scan.view(np.uint64), sq_dists_reference(
-                np.array(rows), point).view(np.uint64))
-            held.append((scan, scan.copy()))
-            if op == "nearest":
-                assert nearest_neighbor(scan) == nearest_neighbor_reference(
-                    np.array(rows), point)
-            else:
-                assert_near_set_matches(near_set(scan, radius), *near_set_reference(
-                    np.array(rows), point, radius))
-        for kept, copy in held:
-            assert np.array_equal(kept.view(np.uint64), copy.view(np.uint64))
+            assert_queries_match(tree, rows, point, radius)
+    assert list(zip(tree.xs, tree.ys)) == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample_bounds(), st.integers(100, 2000), st.integers(0, 2**32 - 1), st.data())
+def test_queries_on_large_trees_match_the_oracle(box, n, seed, data):
+    # trees big enough that most queries stop inside their first block:
+    # uniform draws in the box as the baselines' sample stream makes them,
+    # every fifth vertex a repeat, then queries in and around the box with
+    # radii about the cell side and the RRT* radius
+    (x_lo, x_hi), (y_lo, y_hi) = box
+    rng = random.Random(seed)
+    pts = []
+    for k in range(n):
+        if k and rng.random() < 0.2:
+            pts.append(rng.choice(pts))
+        else:
+            pts.append((x_lo + (x_hi - x_lo) * rng.random(),
+                        y_lo + (y_hi - y_lo) * rng.random()))
+    tree = build_tree(pts)
+    side = tree._side
+    for _ in range(20):
+        query = rng.choice([data.draw(box_points(box)), rng.choice(pts),
+                            (x_lo - side * rng.random(), y_hi + side * rng.random())])
+        radius = rng.choice([0.0, side, side * rng.random() * 3.0,
+                             2.0 * math.sqrt(math.log(n) / n) * max(x_hi - x_lo, y_hi - y_lo)])
+        assert_queries_match(tree, pts, query, radius)
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_a_query_far_from_the_tree_returns_promptly(n):
+    # 1e9 cells (and 1e300 m) from the tree: a block grown ring by ring would
+    # scan about 1e18 empty cells, a scan of every vertex costs n
+    tree = build_tree([(0.01 * k, 0.02 * k) for k in range(n)])
+    start = time.perf_counter()
+    for query in ((1e9 * tree._side, 0.5), (-3e8, 2e8 * tree._side), (1e300, -1e300)):
+        assert_queries_match(tree, list(zip(tree.xs, tree.ys)), query, 0.25)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_steer_straight():

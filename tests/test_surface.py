@@ -13,9 +13,8 @@ every class that defines one.
 
 The README's Layout block lists exactly the package's modules.
 
-`import cbfrrt` loads no module that only compare needs, and no module
-but baselines.py, whose distance scans are the package's one numpy use,
-imports numpy.
+`import cbfrrt` loads no module that only compare needs, and no module of
+the package imports numpy.
 """
 
 import ast
@@ -108,10 +107,10 @@ def test_import_loads_no_compare_only_module():
     assert out.strip() == "[]"
 
 
-def test_only_the_baselines_import_numpy():
-    # the audit and the tree.json writer read array('d') in plain Python;
-    # numpy, and the one-BLAS-thread loader beside its import, serve only
-    # the RRT/RRT* nearest-neighbour scans
+def test_no_module_imports_numpy():
+    # the planner's stream, the audit, the tree.json writer and the
+    # baselines' grid queries are plain Python: the package has no runtime
+    # dependency, and only the tests use numpy, as their oracle
     importers = set()
     for path, module in zip(sorted(PACKAGE.glob("*.py")), _parse(PACKAGE.glob("*.py"))):
         for node in ast.walk(module):
@@ -123,4 +122,4 @@ def test_only_the_baselines_import_numpy():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.name)
-    assert importers == {"baselines.py"}
+    assert importers == set()
