@@ -14,7 +14,8 @@ the found path's polyline timed at v_const, the one trajectory the harness
 measures, audits and writes, as it does cbf-rrt's. The tree keeps its
 positions as two array('d') columns and a grid over them, and each iteration
 makes one pass over a block of the grid about its sample: for the nearest
-vertex and, when the step reached the sample, for RRT*'s near set.
+vertex and, when the step reached the sample, for RRT*'s near set, which
+the pass settles as it goes. The loop's constants are read once per run.
 
 Baselines only support static obstacles (the comparison world is static).
 """
@@ -85,9 +86,13 @@ class GeomTree:
     The side is the power of two nearest sqrt(area / n) for the bounding box
     of the tree's n vertices (its longer side / n for a flat box), no smaller
     than keeps every cell index finite; the tree is binned again each time
-    it has grown 4 times. A query's block never holds more cells than the
-    tree has vertices: past that it scans every vertex, so a query far from
-    the tree, or at extreme magnitudes, costs O(n)."""
+    it has grown 4 times. The tree also keeps the box of its occupied cells
+    (_box: the least and greatest x and y cell index). A query whose first
+    block lies wholly outside that box holds no vertex in it, and a query's
+    block never holds more cells than the tree has vertices: either way it
+    scans every vertex at once. So a point off a small tree, as most of an
+    RRT's samples are, costs one scan and no empty grid pass, and a query
+    far from the tree, or at extreme magnitudes, costs O(n)."""
 
     def __init__(self, root: Point):
         self.xs = array("d", (root[0],))
@@ -122,6 +127,7 @@ class GeomTree:
             rows.setdefault(int(y // side), {}).setdefault(int(x // side), []).append((vid, x, y))
         self._side = side
         self._rows = rows
+        self._box = (int(x_lo // side), int(x_hi // side), int(y_lo // side), int(y_hi // side))
         self._rebin_at = 4 * n
 
     def add(self, position: Point, parent: int, cost: float) -> int:
@@ -140,13 +146,11 @@ class GeomTree:
             except OverflowError:  # an index past the float range: a wider side
                 pass
             else:
-                row = self._rows.get(iy)
-                if row is None:
-                    self._rows[iy] = {ix: [(vid, x, y)]}
-                elif ix in row:
-                    row[ix].append((vid, x, y))
-                else:
-                    row[ix] = [(vid, x, y)]
+                cell = self._rows.setdefault(iy, {}).setdefault(ix, [])
+                if not cell:  # a new cell: the box of occupied cells takes it in
+                    x0, x1, y0, y1 = self._box
+                    self._box = (min(x0, ix), max(x1, ix), min(y0, iy), max(y1, iy))
+                cell.append((vid, x, y))
                 return vid
         self._rebin()
         return vid
@@ -155,18 +159,23 @@ class GeomTree:
               nearest: bool = True) -> tuple[int, list[tuple[int, float]]]:
         """The nearest vertex to point (-1 unless nearest) and point's near
         set within radius; see nearest_neighbor and near_set. The first
-        block holds the cells within radius of point and, for the nearest
-        vertex, at least the 3 x 3 cells about point's own."""
+        block holds the cells within radius of point, or with no radius the
+        3 x 3 cells about point's own. A pass square-roots each candidate
+        and tests it against the radius as it meets it, so the near set is
+        settled when the pass ends."""
         px, py = point
         side = self._side
         n = len(self.parents)
         # near_set's candidate bound on the squared distance; see there
         limit = radius * radius * (1.0 + 2.0 ** -40) + 2.0 ** -1000 if radius > 0.0 else -1.0
-        reach = side if nearest and radius < side else radius
+        reach = radius if radius > 0.0 else side
         rows = self._rows
+        cx0, cx1, cy0, cy1 = self._box
         try:
             x0, x1 = int((px - reach) // side), int((px + reach) // side)
             y0, y1 = int((py - reach) // side), int((py + reach) // side)
+            if x1 < cx0 or cx1 < x0 or y1 < cy0 or cy1 < y0:  # no vertex in the block
+                return self._scan_all(px, py, radius, limit, nearest)
             while (x1 - x0 + 1) * (y1 - y0 + 1) <= n:
                 best, nn, near = math.inf, n, []
                 for iy in range(y0, y1 + 1):
@@ -184,19 +193,11 @@ class GeomTree:
                             v = dx * dx + dy * dy
                             if v <= best and (v < best or j < nn):
                                 best, nn = v, j
-                            if v <= limit:
-                                near.append((j, v))
+                            if v <= limit and (d := math.sqrt(v)) <= radius:
+                                near.append((j, d))
                 # the float distance from point to the block's nearest edge
-                gap = px - x0 * side
-                edge = (x1 + 1) * side - px
-                if edge < gap:
-                    gap = edge
-                edge = py - y0 * side
-                if edge < gap:
-                    gap = edge
-                edge = (y1 + 1) * side - py
-                if edge < gap:
-                    gap = edge
+                gap = min(px - x0 * side, (x1 + 1) * side - px,
+                          py - y0 * side, (y1 + 1) * side - py)
                 bound = gap * gap
                 if limit < bound and (best < bound or not nearest):
                     break
@@ -208,7 +209,7 @@ class GeomTree:
                     x1 = max(x1, int((px + reach) // side)) + 1
                     y0 = min(y0, int((py - reach) // side)) - 1
                     y1 = max(y1, int((py + reach) // side)) + 1
-                else:
+                else:  # nothing found: double the block
                     wx, wy = x1 - x0 + 1, y1 - y0 + 1
                     x0, x1, y0, y1 = x0 - wx, x1 + wx, y0 - wy, y1 + wy
             else:
@@ -216,8 +217,7 @@ class GeomTree:
         except (OverflowError, ValueError):  # an infinite or NaN cell index
             return self._scan_all(px, py, radius, limit, nearest)
         near.sort()
-        return (nn if nearest else -1), [(j, d) for j, v in near
-                                         if (d := math.sqrt(v)) <= radius]
+        return (nn if nearest else -1), near
 
     def _scan_all(self, px: float, py: float, radius: float, limit: float,
                   nearest: bool) -> tuple[int, list[tuple[int, float]]]:
@@ -236,12 +236,12 @@ class GeomTree:
             self.children[old_parent].remove(vid)
         self.parents[vid] = new_parent
         self.children[new_parent].append(vid)
-        delta = new_cost - self.costs[vid]
-        stack = [vid]
-        while stack:
-            w = stack.pop()
-            self.costs[w] += delta
-            stack.extend(self.children[w])
+        costs, children = self.costs, self.children
+        delta = new_cost - costs[vid]
+        subtree = [vid]
+        for w in subtree:  # the list grows as it is walked, by each vertex's children
+            costs[w] += delta
+            subtree.extend(children[w])
 
 
 def sample_stream(goal: Point, params: BaselineParams,
@@ -273,15 +273,15 @@ def near_set(tree: GeomTree, point: Point, radius: float) -> list[tuple[int, flo
     the distance is math.sqrt(dx * dx + dy * dy), and a vertex is in exactly
     when that distance is <= radius.
 
-    A query keeps as candidates the vertices whose squared distance is <=
-    the bound radius * radius * (1 + 2**-40) + 2**-1000, and only those are
-    square rooted. The bound loses no vertex: sqrt is correctly rounded, so
-    a value v whose rounded root d is <= radius has sqrt(v) <= d(1 + 2**-53),
-    hence v <= radius**2 * (1 + 2**-51) (v = 0 included, and d is normal for
-    every v > 0). The float bound is no smaller. Where radius**2 > 2**-1001
-    it is normal, and the two roundings of the product lose less than the
-    2**-40 factor adds; below that, radius**2 * (1 + 2**-51) < 2**-1000,
-    which the bound adds on, even where radius * radius underflows to 0."""
+    A query's pass square-roots, as it meets them, only the vertices whose
+    squared distance is <= radius * radius * (1 + 2**-40) + 2**-1000. That
+    bound loses no vertex: sqrt is correctly rounded, so a value v whose
+    rounded root d is <= radius has sqrt(v) <= d(1 + 2**-53), hence v <=
+    radius**2 * (1 + 2**-51) (v = 0 included, and d is normal for every v >
+    0). The float bound is no smaller. Where radius**2 > 2**-1001 it is
+    normal, and the two roundings of the product lose less than the 2**-40
+    factor adds; below that, radius**2 * (1 + 2**-51) < 2**-1000, which the
+    bound adds on, even where radius * radius underflows to 0."""
     if not radius > 0.0:
         return []
     return tree.query(point, radius, nearest=False)[1]
@@ -289,30 +289,40 @@ def near_set(tree: GeomTree, point: Point, radius: float) -> list[tuple[int, flo
 
 def steer_straight(x_nn: Point, x_sample: Point, delta_d: float) -> Point:
     """Reached (return the sample) if within delta_d, else advance delta_d
-    along the straight line from x_nn toward x_sample."""
+    along the straight line from x_nn toward x_sample (its direction from
+    the differences' quarters where the distance overflows to inf)."""
     dx = x_sample[0] - x_nn[0]
     dy = x_sample[1] - x_nn[1]
     dist = math.hypot(dx, dy)
     if dist <= delta_d:
         return x_sample
+    if dist == math.inf:  # the distance overflows, a quarter of it does not
+        dx = x_sample[0] * 0.25 - x_nn[0] * 0.25
+        dy = x_sample[1] * 0.25 - x_nn[1] * 0.25
+        dist = math.hypot(dx, dy)
     scale = delta_d / dist
     return (x_nn[0] + scale * dx, x_nn[1] + scale * dy)
 
 
-def endpoint_collision_check(
-    point: Point, obstacles: Sequence[CircularObstacle]
-) -> bool:
-    """True iff the point is outside (or exactly on) every disk boundary.
+def endpoint_collision_check(point: Point, disks: Sequence[tuple[float, float, float]]) -> bool:
+    """True iff the point is outside (or exactly on) every disk boundary, the
+    disks given as static_disks gives them.
 
     This is the whole collision model of the baselines — the segment that
     reaches the point is never tested.
     """
-    for obstacle in obstacles:
-        dx = point[0] - obstacle.center0[0]
-        dy = point[1] - obstacle.center0[1]
-        if dx * dx + dy * dy < obstacle.radius * obstacle.radius:
+    x, y = point
+    for cx, cy, rr in disks:
+        dx = x - cx
+        dy = y - cy
+        if dx * dx + dy * dy < rr:
             return False
     return True
+
+
+def static_disks(obstacles: Sequence[CircularObstacle]) -> list[tuple[float, float, float]]:
+    """Each disk as its centre and squared radius, (cx, cy, r * r)."""
+    return [(o.center0[0], o.center0[1], o.radius * o.radius) for o in obstacles]
 
 
 def require_static(obstacles: Sequence[CircularObstacle]):
@@ -385,32 +395,32 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
         return _polyline_result(scenario, tree, 0, 0)
 
     samples = sample_stream(goal, params, random.Random(seed))
-    radius = 0.0
+    disks = static_disks(scenario.obstacles)
+    delta_d, gamma = params.delta_d, params.rewire_gamma
+    xs, ys, costs = tree.xs, tree.ys, tree.costs
+    radius = 0.0  # RRT*'s near radius for the tree's vertex count n, 0 at n = 1
     for iteration, sample in zip(range(1, params.max_iters + 1), samples):
-        if rewire:
-            n = len(tree)
-            radius = min(params.rewire_gamma * math.sqrt(math.log(n) / n), params.delta_d)
         # one pass gives the nearest vertex and the sample's near set
         nn, near = nearest_neighbor(tree, sample, radius)
-        x_nn = tree.position(nn)
+        x_nn = (xs[nn], ys[nn])
         if sample == x_nn:
             continue
-        x_new = steer_straight(x_nn, sample, params.delta_d)
-        if not endpoint_collision_check(x_new, scenario.obstacles):
+        x_new = steer_straight(x_nn, sample, delta_d)
+        if not endpoint_collision_check(x_new, disks):
             continue
 
         # The nearest vertex's edge, its length as near_set computes it.
         dx = x_nn[0] - x_new[0]
         dy = x_nn[1] - x_new[1]
         parent = nn
-        cost = tree.costs[nn] + math.sqrt(dx * dx + dy * dy)
+        cost = costs[nn] + math.sqrt(dx * dx + dy * dy)
         if rewire:
             # a truncated step ends off the sample: its own near set
             if x_new is not sample:
                 near = near_set(tree, x_new, radius)
             # choose-parent: cheapest connection among the near set
             for j, d in near:
-                c = tree.costs[j] + d
+                c = costs[j] + d
                 if c < cost - 1e-12:
                     parent = j
                     cost = c
@@ -421,13 +431,16 @@ def _grow(scenario: Scenario, params: BaselineParams, seed: int,
             if j == parent:
                 continue
             c = cost + d
-            if c < tree.costs[j] - 1e-12:
+            if c < costs[j] - 1e-12:
                 tree.reparent(j, vid, c)
 
         if in_goal_region(x_new, goal, epsilon):
             if not rewire:
                 return _polyline_result(scenario, tree, vid, iteration)
             goal_ids.append(vid)
+        if rewire:
+            n = vid + 1
+            radius = min(gamma * math.sqrt(math.log(n) / n), delta_d)
 
     if not goal_ids:
         return PlanResult(False, tree, None, params.max_iters)

@@ -14,8 +14,8 @@ differ between Python versions, so compare them within one interpreter only.
 A metered call runs about 60 times slower.
 
 Print the per-function counts of the fixed runs (cbf-rrt on example1 at
-t_h 0.5 seed 0 and on example2 seeds 0 and 3, rrt on example1 at delta_d
-0.25 seed 0), and of harness.audit_trajectory on the path of each cbf-rrt
+t_h 0.5 seed 0 and on example2 seeds 0 and 3, rrt and rrt-star on example1
+at delta_d 0.25 seed 0), and of harness.audit_trajectory on the path of each cbf-rrt
 run (labelled `.../audit`), one `run function count` line each, to diff
 before and after a change:
 
@@ -35,16 +35,18 @@ PACKAGE = pathlib.Path(cbfrrt.__file__).resolve().parent
 SCENARIOS = PACKAGE / "scenarios"
 # (scenario, algorithm, seed), each at the file's own step
 RUNS = (("example1", "cbf-rrt", 0), ("example2", "cbf-rrt", 0),
-        ("example2", "cbf-rrt", 3), ("example1", "rrt", 0))
+        ("example2", "cbf-rrt", 3), ("example1", "rrt", 0), ("example1", "rrt-star", 0))
+BASELINES = {"rrt": baselines.rrt_plan, "rrt-star": baselines.rrt_star_plan}
 
 
 def planner_call(name: str, algorithm: str, seed: int):
     """The planner function and its arguments for one run of a bundled
-    scenario: planner.plan for cbf-rrt, baselines.rrt_plan for rrt."""
+    scenario: planner.plan for cbf-rrt, baselines.rrt_plan for rrt and
+    baselines.rrt_star_plan for rrt-star."""
     scenario_file = harness.load_scenario(SCENARIOS / f"{name}.json")
     if algorithm == "cbf-rrt":
         return planner.plan, (scenario_file.scenario, seed)
-    return baselines.rrt_plan, (scenario_file.scenario, scenario_file.baseline, seed)
+    return BASELINES[algorithm], (scenario_file.scenario, scenario_file.baseline, seed)
 
 
 def audit_call(name: str, seed: int):

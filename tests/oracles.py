@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from cbfrrt.baselines import BaselineParams, Point, endpoint_collision_check
+from cbfrrt.baselines import (BaselineParams, Point, endpoint_collision_check, static_disks,
+                              steer_straight)
 from cbfrrt.dynamics import (
     CircularObstacle,
     ControlInput,
@@ -31,8 +32,8 @@ from cbfrrt.dynamics import (
     obstacle_center_at,
 )
 from cbfrrt.harness import AUDIT_TOL, ScenarioFile
-from cbfrrt.planner import (PlannerParams, PlanTree, integrate_closed_loop, root_path,
-                            safe_steer, steer_constants)
+from cbfrrt.planner import (PlannerParams, PlanTree, Scenario, in_goal_region,
+                            integrate_closed_loop, root_path, safe_steer, steer_constants)
 from cbfrrt.safety import TOL_ZERO, barrier_value
 
 
@@ -311,12 +312,13 @@ def edge_collision_audit(
         raise ValueError(f"resolution must be > 0, got {resolution}")
     length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
     n = int(length / resolution)
+    disks = static_disks(obstacles)
     for k in range(n + 1):
         s = k * resolution / length if length > 0.0 else 0.0
         probe = (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
-        if not endpoint_collision_check(probe, obstacles):
+        if not endpoint_collision_check(probe, disks):
             return False
-    return endpoint_collision_check(p1, obstacles)
+    return endpoint_collision_check(p1, disks)
 
 
 def sampled_chord_barriers(
@@ -414,6 +416,95 @@ def near_set_reference(points: np.ndarray, point: Point,
     dists = np.sqrt(sq_dists_reference(points, point))
     near = np.flatnonzero(dists <= radius) if radius > 0.0 else np.empty(0, int)
     return dists, near
+
+
+class GrownTree(NamedTuple):
+    """What grow_reference grows: the tree as plain lists, the iterations
+    run, and the found path's polyline rows (t, x1, x2, theta, v, omega),
+    or None."""
+
+    parents: list
+    xs: list
+    ys: list
+    costs: list
+    iterations: int
+    path: Optional[list]
+
+
+def grow_reference(scenario: Scenario, params: BaselineParams, seed: int,
+                   rewire: bool) -> GrownTree:
+    """The baselines' growth loop written plainly: each iteration draws its
+    sample with sample_point_reference from a random.Random(seed) of its
+    own, finds the nearest vertex with nearest_neighbor_reference over every
+    vertex, steers with the package's steer_straight, tests the end point,
+    and then takes x_new's near set from near_set_reference, at radius
+    min(rewire_gamma * sqrt(log n / n), delta_d) for RRT* (n vertices) and
+    0 for RRT. The new vertex joins the cheapest of its nearest vertex and
+    near set (1e-12 slack), then each near vertex moves under it where that
+    is cheaper, its subtree's costs shifted with it. RRT returns at its
+    first goal vertex, RRT* after the whole budget with its cheapest one."""
+    rng = random.Random(seed)
+    goal, epsilon = scenario.x_goal, scenario.params.epsilon
+    disks = static_disks(scenario.obstacles)
+    points = [scenario.x_init.position()]
+    parents, costs, children = [None], [0.0], [[]]
+    goal_ids, iterations = [], 0
+    if in_goal_region(points[0], goal, epsilon):  # a start in the goal region
+        goal_ids.append(0)
+        rewire = False
+    for iteration in range(1, params.max_iters + 1):
+        if goal_ids and not rewire:
+            break
+        iterations = iteration
+        sample = sample_point_reference(goal, params, rng)
+        rows = np.array(points)
+        nn = nearest_neighbor_reference(rows, sample)
+        if sample == points[nn]:
+            continue
+        x_new = steer_straight(points[nn], sample, params.delta_d)
+        if not endpoint_collision_check(x_new, disks):
+            continue
+        n = len(points)
+        radius = (min(params.rewire_gamma * math.sqrt(math.log(n) / n), params.delta_d)
+                  if rewire else 0.0)
+        dists, near = near_set_reference(rows, x_new, radius)
+        dists, near = dists.tolist(), near.tolist()
+        parent, cost = nn, costs[nn] + dists[nn]
+        for j in near:
+            if costs[j] + dists[j] < cost - 1e-12:
+                parent, cost = j, costs[j] + dists[j]
+        vid = len(points)
+        points.append(x_new)
+        parents.append(parent)
+        costs.append(cost)
+        children.append([])
+        children[parent].append(vid)
+        for j in near:
+            if j != parent and cost + dists[j] < costs[j] - 1e-12:
+                children[parents[j]].remove(j)
+                parents[j] = vid
+                children[vid].append(j)
+                delta = cost + dists[j] - costs[j]
+                subtree = [j]
+                while subtree:
+                    w = subtree.pop()
+                    costs[w] += delta
+                    subtree += children[w]
+        if in_goal_region(x_new, goal, epsilon):
+            goal_ids.append(vid)
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    if not goal_ids:
+        return GrownTree(parents, xs, ys, costs, iterations, None)
+    best = min(goal_ids, key=lambda g: costs[g])
+    path = [points[v] for v in root_path(parents, best)]
+    v = scenario.params.v_const
+    t, heading, rows = scenario.t_init, scenario.x_init.theta, []
+    for p, q in zip(path, path[1:]):
+        heading = math.atan2(q[1] - p[1], q[0] - p[0])
+        rows.append((t, p[0], p[1], heading, v, 0.0))
+        t += math.hypot(q[0] - p[0], q[1] - p[1]) / v
+    rows.append((t, *path[-1], heading, v if len(path) > 1 else 0.0, 0.0))
+    return GrownTree(parents, xs, ys, costs, iterations, rows)
 
 
 @dataclass(frozen=True)

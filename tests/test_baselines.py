@@ -6,7 +6,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbfrrt.baselines import (
@@ -18,12 +18,14 @@ from cbfrrt.baselines import (
     rrt_plan,
     rrt_star_plan,
     sample_stream,
+    static_disks,
     steer_straight,
 )
 from cbfrrt.dynamics import CircularObstacle, RobotState
 from cbfrrt.planner import PlannerParams, Scenario, plan
 from oracles import (
     edge_collision_audit,
+    grow_reference,
     near_set_reference,
     nearest_neighbor_reference,
     sample_point_reference,
@@ -310,12 +312,40 @@ def test_steer_straight():
     assert x == pytest.approx((0.6, 0.8))
 
 
+@pytest.mark.parametrize("x_nn, x_sample, delta_d", [
+    ((1.7e308, 0.0), (-1.65e308, 0.0), 0.25),
+    ((1.7e308, -1.0), (-1.65e308, 1.0), 1e307),
+    ((0.0, -1.7e308), (1e300, 1.7e308), 1e308),
+])
+def test_steer_straight_stays_finite_where_the_distance_overflows(x_nn, x_sample, delta_d):
+    # hypot(dx, dy) is inf here, and delta_d / inf * inf would be NaN; the
+    # step must stay delta_d long (to rounding) and head for the sample
+    assert math.hypot(x_sample[0] - x_nn[0], x_sample[1] - x_nn[1]) == math.inf
+    x = steer_straight(x_nn, x_sample, delta_d)
+    assert all(map(math.isfinite, x))
+    ux, uy = x_sample[0] / 4 - x_nn[0] / 4, x_sample[1] / 4 - x_nn[1] / 4
+    norm = math.hypot(ux, uy)
+    want = (x_nn[0] + delta_d * (ux / norm), x_nn[1] + delta_d * (uy / norm))
+    assert x == pytest.approx(want, rel=1e-12, abs=1e-12 * delta_d)
+
+
+def test_steer_straight_is_the_plain_formula_where_the_distance_is_finite():
+    for x_nn, x_sample, delta_d in (((1.0, 2.0), (4.0, -2.0), 0.25),
+                                    ((1e308, 0.0), (-5e307, 1.0), 1.0),
+                                    ((-0.3, 1e-300), (0.7, -1e-300), 1e-3)):
+        dx, dy = x_sample[0] - x_nn[0], x_sample[1] - x_nn[1]
+        scale = delta_d / math.hypot(dx, dy)
+        want = (x_nn[0] + scale * dx, x_nn[1] + scale * dy)
+        assert [c.hex() for c in steer_straight(x_nn, x_sample, delta_d)] == \
+            [c.hex() for c in want]
+
+
 def test_endpoint_check_convention():
-    assert endpoint_collision_check((0.0, 0.0), WORLD1)
-    assert not endpoint_collision_check((1.0, 0.5), WORLD1)  # disk centre
+    assert endpoint_collision_check((0.0, 0.0), static_disks(WORLD1))
+    assert not endpoint_collision_check((1.0, 0.5), static_disks(WORLD1))  # disk centre
     # exactly on the boundary is admitted (h = 0 is safe); radius 0.25 keeps
     # the arithmetic exact in floating point
-    quarter = (CircularObstacle((1.0, 0.5), (0.0, 0.0), 0.25),)
+    quarter = static_disks((CircularObstacle((1.0, 0.5), (0.0, 0.0), 0.25),))
     assert endpoint_collision_check((1.25, 0.5), quarter)
     assert not endpoint_collision_check((1.249, 0.5), quarter)
     assert endpoint_collision_check((5.0, 5.0), ())
@@ -324,8 +354,8 @@ def test_endpoint_check_convention():
 def test_edge_audit_catches_what_endpoints_miss():
     # both endpoints clear the (1.0, 0.5) disk, the chord does not
     p0, p1 = (0.7, 0.5), (1.3, 0.5)
-    assert endpoint_collision_check(p0, WORLD1)
-    assert endpoint_collision_check(p1, WORLD1)
+    assert endpoint_collision_check(p0, static_disks(WORLD1))
+    assert endpoint_collision_check(p1, static_disks(WORLD1))
     assert not edge_collision_audit(p0, p1, WORLD1, 0.01)
     assert edge_collision_audit((0.0, 0.0), (0.5, 0.0), WORLD1, 0.01)
     # crossing a centre is caught at any sane resolution
@@ -489,6 +519,50 @@ def test_rrt_star_runs_full_budget_and_refines():
     assert res.controls.path_length() <= first.controls.path_length() + 1e-12
     # keeps inserting after the first solution instead of stopping there
     assert len(res.tree) > len(rrt_res.tree)
+
+
+@st.composite
+def growth_runs(draw):
+    """A seed and the baseline parameters of one run in world1: a sample
+    box about it, each side degenerate one time in three (samples on a line
+    grow collinear vertices, whose costs tie within the 1e-12 slack), and
+    the step, radius gain, goal bias and a budget of at most 300 iterations."""
+    def side(lo, hi):
+        a = draw(st.floats(lo, hi))
+        return (a, a) if draw(st.integers(0, 2)) == 0 else (a, draw(st.floats(a, a + 4.0)))
+    params = baseline_params(sample_bounds=(side(-2.0, 1.0), side(-2.0, 1.0)),
+                             delta_d=draw(st.floats(0.01, 2.0)),
+                             rewire_gamma=draw(st.floats(0.0, 4.0)),
+                             goal_bias=draw(st.sampled_from([0.0, 0.05, 0.5])),
+                             max_iters=draw(st.integers(1, 300)))
+    return draw(st.integers(0, 2**32 - 1)), params
+
+
+def hex_floats(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(growth_runs(), st.sampled_from([(rrt_plan, False), (rrt_star_plan, True)]))
+# samples on the line x = 0: collinear vertices whose costs tie within the slack
+@example((1, baseline_params(delta_d=2.0, max_iters=7, sample_bounds=((0.0, 0.0), (0.0, 1.0)),
+                             rewire_gamma=1.0)), (rrt_star_plan, True))
+def test_the_growth_loop_matches_the_plain_reference(run, planner):
+    # the grid queries, the hoisted constants and the radius kept between
+    # iterations must leave every tree, cost and path bit for bit as the
+    # loop written plainly over the numpy oracles grows them
+    seed, params = run
+    fn, rewire = planner
+    got = fn(world1_scenario(), params, seed)
+    want = grow_reference(world1_scenario(), params, seed, rewire)
+    assert got.tree.parents == want.parents
+    assert got.iterations == want.iterations
+    for column in ("xs", "ys", "costs"):
+        assert hex_floats(getattr(got.tree, column)) == hex_floats(getattr(want, column))
+    if want.path is None:
+        assert got.controls is None
+    else:
+        assert hex_floats(got.controls.data) == hex_floats(v for row in want.path for v in row)
 
 
 def test_rrt_star_cost_bookkeeping():

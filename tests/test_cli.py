@@ -42,11 +42,13 @@ def long_step_scenario(tmp_path, example1_file):
     return str(p)
 
 
-def example1_with(tmp_path, planner=None, **fields):
-    """example1 written with the given top-level and planner fields,
-    bypassing the dataclasses, which refuse to hold an out-of-range value."""
+def example1_with(tmp_path, planner=None, baseline=None, **fields):
+    """example1 written with the given top-level, planner and baseline
+    fields, bypassing the dataclasses, which refuse to hold an out-of-range
+    value."""
     doc = json.loads(pathlib.Path(EXAMPLE1).read_text())
     doc["planner"].update(planner or {})
+    doc["baseline"].update(baseline or {})
     doc.update(fields)
     path = tmp_path / "example1_with.json"
     path.write_text(json.dumps(doc))
@@ -228,6 +230,21 @@ def test_nonpositive_v_const_exits_3(tmp_path, capsys, v_const):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert re.search(rf"planner\.v_const must be > 0, got {v_const}", err)
+
+
+@pytest.mark.parametrize("algorithm", ["rrt", "rrt-star"])
+def test_a_baseline_step_whose_length_overflows_exits_2(tmp_path, capsys, algorithm):
+    # the start and every sample lie about 3.3e308 m apart along x, so the
+    # step's length overflows to inf; a NaN vertex would fail in its grid
+    # cell's int() ("cannot convert float NaN to integer", exit 4)
+    scenario = example1_with(tmp_path, baseline={"sample_bounds": [[-1.7e308, -1.6e308],
+                                                                   [-1.0, 1.0]]},
+                             x_init=[1.7e308, 0.0, 0.0], x_goal=[-1.65e308, 0.0])
+    code = main(["plan", "--scenario", scenario, "--algorithm", algorithm,
+                 "--max-iters", "200", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == EXIT_EXHAUSTED
 
 
 def test_start_within_the_node_margin_exits_3(tmp_path, capsys):

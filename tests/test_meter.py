@@ -12,6 +12,8 @@ from meter import PACKAGE, audit_call, meter, planner_call
                  id="cbf-rrt"),
     pytest.param("rrt", (("baselines.py", "_grow"), ("baselines.py", "sample_stream")),
                  id="rrt"),
+    pytest.param("rrt-star", (("baselines.py", "_grow"), ("baselines.py", "reparent")),
+                 id="rrt-star"),
 ])
 def test_meter_counts_a_plan_the_same_twice(algorithm, functions):
     # the meter runs inside the full suite, after hypothesis has hooked the
